@@ -11,6 +11,18 @@ smaller bandwidth h concentrates mass around f_i. All kernel evaluation
 happens in log space with a per-pixel max subtraction: the densities
 overflow float64 already at h = 1e-3.
 
+The log kernel of every pixel against every key is one matrix product.
+A pixel row f contributes [log f_1, ..., log f_D, 1] (D = 2 with
+(f, 1 - f) for Beta), a key contributes [alpha - 1, log normaliser], so
+logs and gammaln are taken once per pixel and per key, not per pair.
+Pixel rows with an exact 0 entry, where 0 * log 0 must be 0, take the
+elementwise xlogy form instead. Calibration runs over blocks of pixel
+rows: per block the log weights are shifted by their row max in place,
+exp is skipped where it would round to 0 anyway, and one product with
+[labels | 1] yields numerators and totals together. A block holds at most
+_BLOCK_MADDS / 3 (pixel, key) pairs, so working memory is bounded
+whatever the number of pixels and keys.
+
 Also here: class-stratified key-point sampling, restriction of the
 calibrated set to misclassified/boundary pixels, and an exact verifier for
 the bound |bias| <= calibration error on finite distributions.
@@ -45,6 +57,27 @@ SCOPE_BOUNDARY = "misclassified_and_boundary"
 # logical kernel evaluations performed so far; one per (pixel, key) pair.
 # The complexity contract is Theta(n_pixels * n_key) and tests pin it.
 kernel_eval_count = 0
+
+# Multiply-adds per GEMM of a kde_calibrate_batch block. OpenBLAS, the BLAS
+# in numpy's wheels, runs a GEMM of at most 2**18 multiply-adds on the
+# calling thread and splits a larger one across its threads; a block within
+# this budget never waits on another thread, and each of its (rows, n_key)
+# float64 arrays is at most 8 * 2**18 / 3 bytes, 0.7 MB. With 2048-row
+# blocks (threaded at n_key = 128) the calibrate-c2 benchmark's throughput
+# spread twice as widely over 8 runs on a 2-vCPU Xeon: interquartile range
+# 11% of the median, against 5.6% within the budget.
+_BLOCK_MADDS = 2 ** 18
+
+# exp(x) is exactly 0.0 for every x below this: it is under e**-1 of the
+# smallest subnormal, which rounds to 0.
+_EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).smallest_subnormal)) - 1.0
+
+
+def _block_rows(n_key: int, c: int) -> int:
+    """Pixel rows per block against n_key keys with c classes: both block
+    GEMMs, (rows, D + 1) @ (D + 1, n_key) with D = max(c, 2) and
+    (rows, n_key) @ (n_key, c + 1), stay within _BLOCK_MADDS."""
+    return max(1, _BLOCK_MADDS // (n_key * (max(c, 2) + 1)))
 
 
 def reset_kernel_eval_count() -> None:
@@ -126,14 +159,41 @@ def _check_unit(name, v):
     return v
 
 
+def _log_kernel_rows(P, Q, h: float) -> np.ndarray:
+    """(m, n) log Dirichlet densities at the rows of P (m, D) with
+    concentrations Q / h + 1 from the rows of Q (n, D), both on the simplex.
+
+    One GEMM: [log P, 1] @ [alpha - 1; log normaliser]. Rows of P with an
+    exact 0 take the xlogy form, which keeps 0 * log 0 = 0 (a key with a 0
+    in the same class) apart from a vanishing density (log -inf)."""
+    a = Q / h + 1.0
+    coef = np.vstack([(a - 1.0).T, gammaln(a.sum(axis=1)) - np.sum(gammaln(a), axis=1)])
+    zero = P == 0.0
+    # log 1 = 0 stands in for log 0 until the edge rows are redone below
+    logs = np.hstack([np.log(np.where(zero, 1.0, P)), np.ones((P.shape[0], 1))])
+    lk = logs @ coef
+    edge = np.flatnonzero(zero.any(axis=1))
+    if edge.size:
+        lk[edge] = np.sum(xlogy(coef[:-1].T, P[edge][:, None, :]), axis=2) + coef[-1]
+    return lk
+
+
 def log_beta_kernel(fj, fi, h: float):
     """Log Beta(alpha_i, beta_i) density at fj, alpha_i = fi/h + 1,
     beta_i = (1 - fi)/h + 1. Broadcasts over arrays; -inf where the density
-    vanishes at the endpoints."""
+    vanishes at the endpoints.
+
+    A column fj (m, 1) against a row fi (1, n) is the calibration layout:
+    it is the Dirichlet GEMM of the rows (fj, 1 - fj) against (fi, 1 - fi),
+    with logs taken once per fj and gammaln once per fi. Other shapes are
+    evaluated pair by pair with xlogy."""
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     fj = _check_unit("fj", fj)
     fi = _check_unit("fi", fi)
+    if fj.ndim == 2 and fi.ndim == 2 and fj.shape[1] == 1 and fi.shape[0] == 1:
+        return _log_kernel_rows(np.hstack([fj, 1.0 - fj]),
+                                np.hstack([fi.T, 1.0 - fi.T]), h)
     a = fi / h + 1.0
     b = (1.0 - fi) / h + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -152,7 +212,7 @@ def _check_simplex_rows(name, v):
     if not np.all(np.isfinite(v)) or v.min() < -SIMPLEX_TOL:
         raise SimplexViolationError(f"{name} is not on the simplex")
     sums = v.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
+    if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
         raise SimplexViolationError(f"{name} rows do not sum to 1")
     return np.clip(v, 0.0, 1.0)
 
@@ -163,12 +223,8 @@ def log_dirichlet_kernel(fj, fi, h: float):
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     fj = _check_simplex_rows("fj", fj)
-    fi = _check_simplex_rows("fi", fi)[0]
-    a = fi / h + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lk = (np.sum(xlogy(a - 1.0, fj), axis=1)
-              + gammaln(a.sum()) - np.sum(gammaln(a)))
-    return np.where(np.isnan(lk), -np.inf, lk)
+    fi = _check_simplex_rows("fi", fi)[:1]
+    return _log_kernel_rows(fj, fi, h)[:, 0]
 
 
 def dirichlet_kernel(fj, fi, h: float):
@@ -224,47 +280,47 @@ def sample_key_points(confidences, labels, spec: KdeSpec) -> KeyPointSet:
     return KeyPointSet(conf[idx], lab[idx], idx)
 
 
-def _log_weights(F: np.ndarray, keys: KeyPointSet, h: float) -> np.ndarray:
-    """(m, n) log kernel weights of every pixel row against every key."""
-    global kernel_eval_count
-    n, c = keys.confidences.shape
-    kernel_eval_count += F.shape[0] * n
-    if c == 1:
-        return log_beta_kernel(F[:, 0:1], keys.confidences[:, 0][None, :], h)
-    fj = _check_simplex_rows("fj", F)
-    fi = _check_simplex_rows("fi", keys.confidences)
-    a = fi / h + 1.0  # (n, C)
-    norm = gammaln(a.sum(axis=1)) - np.sum(gammaln(a), axis=1)
-    # broadcast to (m, n, C); xlogy gives 0*log(0) = 0 at exact endpoints
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lk = np.sum(xlogy(a[None, :, :] - 1.0, fj[:, None, :]), axis=2)
-    lk = np.where(np.isnan(lk), -np.inf, lk)
-    return lk + norm[None, :]
-
-
 def kde_calibrate_batch(F, keys: KeyPointSet, h: float) -> np.ndarray:
     """Recalibrate rows of confidences against the key set.
 
     Returns the (m, C) convex combinations of key labels under normalized
     kernel weights. Rows whose weights all underflow to zero are returned
-    unchanged with a DegenerateWeightsWarning.
+    unchanged, and one DegenerateWeightsWarning counts them.
     """
+    global kernel_eval_count
     F = _as_rows(F)
-    if F.shape[1] != keys.n_classes:
-        raise ShapeMismatchError(f"{F.shape[1]} classes vs keys {keys.n_classes}")
-    lw = _log_weights(F, keys, h)
-    top = np.max(lw, axis=1, keepdims=True)
-    dead = ~np.isfinite(top[:, 0])
-    with np.errstate(invalid="ignore"):
-        w = np.exp(lw - np.where(np.isfinite(top), top, 0.0))
-    w = np.where(np.isfinite(lw), w, 0.0)
-    totals = w.sum(axis=1, keepdims=True)
-    safe = np.where(totals > 0.0, totals, 1.0)
-    out = (w @ keys.labels) / safe
-    if np.any(dead):
-        warnings.warn(f"{int(dead.sum())} pixel(s) matched no key point; "
+    m, c = F.shape
+    if c != keys.n_classes:
+        raise ShapeMismatchError(f"{c} classes vs keys {keys.n_classes}")
+    n = len(keys)
+    kernel_eval_count += m * n
+    if c == 1:
+        fi = keys.confidences.T
+    else:
+        pix = _check_simplex_rows("fj", F)
+        fi = _check_simplex_rows("fi", keys.confidences)
+    labels_and_one = np.hstack([keys.labels, np.ones((n, 1))])
+    out = np.empty((m, c))
+    n_dead = 0
+    step = _block_rows(n, c)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        lw = (log_beta_kernel(F[rows], fi, h) if c == 1
+              else _log_kernel_rows(pix[rows], fi, h))
+        top = lw.max(axis=1)
+        dead = top == -np.inf
+        top[dead] = 0.0
+        lw -= top[:, None]
+        w = np.exp(lw, out=np.zeros_like(lw), where=lw >= _EXP_ZERO_BELOW)
+        sums = w @ labels_and_one
+        # a live row's top weight is exp(0) = 1, so only dead rows total 0
+        block = sums[:, :c] / np.where(dead, 1.0, sums[:, c])[:, None]
+        block[dead] = F[rows][dead]
+        out[rows] = block
+        n_dead += int(dead.sum())
+    if n_dead:
+        warnings.warn(f"{n_dead} pixel(s) matched no key point; "
                       "leaving them uncalibrated", DegenerateWeightsWarning)
-        out[dead] = F[dead]
     return out
 
 

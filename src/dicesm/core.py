@@ -8,6 +8,7 @@ Arithmetic everywhere is float64; files store float32 and readers up-convert.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"SDT1"
-SIMPLEX_TOL = 1e-9
+
+# Largest |row sum - 1| accepted for C >= 2 probabilities. SDT1 stores
+# float32, and rounding a value to float32 moves it by at most 2**-24 of
+# itself, so a row on the simplex comes back with a sum within 2**-24 of 1;
+# 2**-40 more covers the float64 sums, which err by under 2**-53 per class
+# for up to 2**12 classes.
+SIMPLEX_TOL = 2.0 ** -24 + 2.0 ** -40
 
 _MAX_RANK = 16
 _MAX_ELEMS = 1 << 31
@@ -105,7 +112,7 @@ class TensorF:
             raise DimOverflowError(f"rank must be in 1..{_MAX_RANK}, got {len(dims)}")
         if any(d <= 0 for d in dims):
             raise DimOverflowError(f"dims must be positive, got {dims}")
-        n = int(np.prod(dims))
+        n = math.prod(dims)
         if n > _MAX_ELEMS:
             raise DimOverflowError(f"{n} elements exceeds the {_MAX_ELEMS} cap")
         data = np.array(self.data, dtype=np.float64, copy=True).reshape(-1)

@@ -1,6 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import gammaln, xlogy
 
 from dicesm import calibration
 from dicesm.calibration import (
@@ -14,12 +20,13 @@ from dicesm.calibration import (
     dirichlet_kernel,
     kde_calibrate,
     kde_calibrate_batch,
+    log_beta_kernel,
     reset_kernel_eval_count,
     sample_key_points,
     select_scope_pixels,
     verify_bias_bound,
 )
-from dicesm.core import LabelField, NonFiniteError, ProbField
+from dicesm.core import LabelField, NonFiniteError, ProbField, SimplexViolationError
 
 
 class TestBetaKernel:
@@ -180,6 +187,14 @@ class TestKdeCalibrate:
             out = kde_calibrate(np.array([0.0]), keys, h=0.5)
         assert out[0] == 0.0  # unchanged input
 
+    def test_rows_off_the_simplex_raise(self, rng):
+        conf = rng.dirichlet(np.ones(2), size=5)
+        keys = KeyPointSet(conf, np.eye(2)[[0, 1, 0, 1, 0]], np.arange(5))
+        rows = rng.dirichlet(np.ones(2), size=3)
+        rows[1, 0] += 1e-5
+        with pytest.raises(SimplexViolationError):
+            kde_calibrate_batch(rows, keys, 0.1)
+
     def test_complexity_counter(self, rng):
         n, m = 37, 11
         keys = KeyPointSet(rng.random((n, 1)), (rng.random((n, 1)) < 0.5).astype(float),
@@ -243,3 +258,210 @@ class TestBiasBound:
             verify_bias_bound([0.5, 0.4], [0.1, 0.2], [0.1, 0.2])
         with pytest.raises(InvalidDistributionError):
             verify_bias_bound([1.0], [1.4], [0.5])
+
+
+# --------------------------------------------------------------------------
+# Blocked GEMM kernel against a pair-by-pair oracle
+# --------------------------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def _simplex_rows(rows):
+    rows = np.asarray(rows, dtype=np.float64)
+    return np.hstack([rows, 1.0 - rows]) if rows.shape[1] == 1 else rows
+
+
+def _oracle_terms(F, conf, h):
+    """(m, n, D) terms (alpha - 1) * log f by xlogy on every (pixel, key,
+    class) triple, and the (n,) log normalisers."""
+    P, Q = _simplex_rows(F), _simplex_rows(conf)
+    a = Q / h + 1.0
+    with np.errstate(divide="ignore"):
+        terms = xlogy(a[None, :, :] - 1.0, P[:, None, :])
+    return terms, gammaln(a.sum(axis=1)) - np.sum(gammaln(a), axis=1)
+
+
+def _oracle_calibrate(F, keys, h):
+    """Calibrated rows and dead-row count, from the full (m, n) weights."""
+    terms, norm = _oracle_terms(F, keys.confidences, h)
+    lw = terms.sum(axis=2) + norm
+    top = lw.max(axis=1, keepdims=True)
+    dead = top[:, 0] == -np.inf
+    w = np.exp(lw - np.where(dead[:, None], 0.0, top))
+    totals = w.sum(axis=1, keepdims=True)
+    out = (w @ keys.labels) / np.where(totals > 0.0, totals, 1.0)
+    out[dead] = F[dead]
+    return out, int(dead.sum())
+
+
+def _log_tol(F, conf, h):
+    """Bound on a log weight's rounding error, fixed from float64: it is a
+    sum of D + 1 terms, so it errs by under (D + 3) eps times the largest
+    sum of their magnitudes among finite pairs."""
+    terms, norm = _oracle_terms(F, conf, h)
+    finite = np.isfinite(terms).all(axis=2)
+    mag = np.abs(np.where(finite[:, :, None], terms, 0.0)).sum(axis=2) + np.abs(norm)
+    return (terms.shape[2] + 3) * EPS * float(mag[finite].max(initial=0.0))
+
+
+def _output_tol(F, keys, h):
+    """A weight errs by the log weight's error, relatively; a ratio of sums
+    of n nonnegative weights by twice that plus n + 2 eps."""
+    return 2 * _log_tol(F, keys.confidences, h) + (len(keys) + 2) * EPS
+
+
+def _calibrate_recording(F, keys, h):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = kde_calibrate_batch(F, keys, h)
+    return out, [w for w in caught if w.category is DegenerateWeightsWarning]
+
+
+def _dead_count(caught):
+    assert len(caught) <= 1, "one DegenerateWeightsWarning per call at most"
+    return int(str(caught[0].message).split()[0]) if caught else 0
+
+
+def _rows_with_endpoints(rng, m, c):
+    """m confidence rows with exact 0 and 1 entries mixed in."""
+    if c == 1:
+        rows = rng.random((m, 1))
+        rows[::5] = 0.0
+        rows[1::5] = 1.0
+        return rows
+    rows = rng.dirichlet(np.ones(c), size=m)
+    rows[::5] = np.eye(c)[0]
+    rows[1::5] = 0.0
+    rows[1::5, :2] = 0.5
+    return rows
+
+
+def _keys_with_endpoints(rng, n, c):
+    conf = _rows_with_endpoints(rng, n, c)
+    if c == 1:
+        lab = (rng.random((n, 1)) < 0.5).astype(float)
+    else:
+        lab = np.eye(c)[rng.integers(0, c, n)]
+    return KeyPointSet(conf, lab, np.arange(n))
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 7)])
+    def test_matches_pairwise_oracle(self, blocks, extra, c):
+        n = 11
+        m = blocks * calibration._block_rows(n, c) + extra
+        rng = np.random.default_rng(1000 * c + m)
+        keys = _keys_with_endpoints(rng, n, c)
+        F = _rows_with_endpoints(rng, m, c)
+        h = 0.05
+        reset_kernel_eval_count()
+        out, caught = _calibrate_recording(F, keys, h)
+        assert calibration.kernel_eval_count == m * len(keys)
+        want, n_dead = _oracle_calibrate(F, keys, h)
+        np.testing.assert_allclose(out, want, rtol=0, atol=_output_tol(F, keys, h))
+        assert _dead_count(caught) == n_dead
+
+    def test_dead_rows_are_counted_across_blocks(self):
+        # a pixel at exactly 0 has zero density under a key at 1
+        keys = KeyPointSet(np.array([[1.0]]), np.array([[1.0]]), np.array([0]))
+        block = calibration._block_rows(1, 1)
+        F = np.full((2 * block + 7, 1), 0.5)
+        dead = [0, block - 1, block, 2 * block + 6]
+        F[dead] = 0.0
+        out, caught = _calibrate_recording(F, keys, 0.5)
+        assert _dead_count(caught) == len(dead) and len(caught) == 1
+        np.testing.assert_array_equal(out[dead], 0.0)
+        live = np.setdiff1d(np.arange(F.shape[0]), dead)
+        np.testing.assert_array_equal(out[live], 1.0)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 11, 128, 4096, 2 ** 20])
+    def test_block_gemms_stay_within_budget(self, n, c):
+        rows = calibration._block_rows(n, c)
+        assert rows >= 1
+        if rows > 1:
+            assert rows * n * (max(c, 2) + 1) <= calibration._BLOCK_MADDS
+            assert (rows + 1) * n * (max(c, 2) + 1) > calibration._BLOCK_MADDS
+
+    def test_exp_skip_is_exact(self):
+        # weights below the threshold are set to 0 without calling exp,
+        # which must round every one of them to 0 as well
+        below = calibration._EXP_ZERO_BELOW - np.linspace(0.0, 50.0, 10_001)[1:]
+        assert np.all(np.exp(below) == 0.0)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 147,456 pixels (a 384 x 384 two-class field read back from float32)
+        # against 128 keys. Design bound, fixed before measuring: six (m, C)
+        # float64 arrays (the clipped copy, the output and the simplex
+        # check's row sums) plus four (block, n) ones (log weights, weights,
+        # the exp mask and GEMM operands). The (m, n) weight matrix alone
+        # would be 151 MB.
+        rng = np.random.default_rng(5)
+        m, n, c = 147_456, 128, 2
+        p = rng.random(m)
+        F = np.stack([1.0 - p, p], axis=1).astype(np.float32).astype(np.float64)
+        keys = KeyPointSet(F[rng.choice(m, n, replace=False)],
+                           np.eye(c)[rng.integers(0, c, n)], np.arange(n))
+        bound = 8 * (6 * m * c + 4 * calibration._block_rows(n, c) * n)
+        tracemalloc.start()
+        try:
+            kde_calibrate_batch(F, keys, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), c=st.integers(1, 3), m=st.integers(1, 12),
+           n=st.integers(1, 8), h=st.sampled_from([1e-3, 0.05, 1.0]))
+    def test_arbitrary_rows_match_oracle(self, data, c, m, n, h):
+        unit = st.floats(0.0, 1.0)
+
+        def rows(k):
+            vals = np.array(data.draw(st.lists(unit, min_size=k * c, max_size=k * c)))
+            vals = vals.reshape(k, c)
+            if c == 1:
+                return vals
+            vals[vals.sum(axis=1) == 0.0, 0] = 1.0
+            return vals / vals.sum(axis=1, keepdims=True)
+
+        classes = data.draw(st.lists(st.integers(0, max(c, 2) - 1),
+                                     min_size=n, max_size=n))
+        labels = np.eye(max(c, 2))[classes][:, :c]
+        keys = KeyPointSet(rows(n), labels, np.arange(n))
+        F = rows(m)
+        out, caught = _calibrate_recording(F, keys, h)
+        want, n_dead = _oracle_calibrate(F, keys, h)
+        np.testing.assert_allclose(out, want, rtol=0, atol=_output_tol(F, keys, h))
+        assert _dead_count(caught) == n_dead
+
+    def test_log_beta_kernel_broadcasts_general_shapes(self, rng):
+        fj = rng.random((3, 1, 4))
+        fj[0, 0, :2] = [0.0, 1.0]
+        fi = rng.random((2, 1))
+        fi[0, 0] = 0.0
+        h = 0.1
+        got = log_beta_kernel(fj, fi, h)
+        assert got.shape == (3, 2, 4)
+        for idx in np.ndindex(got.shape):
+            x, k = fj[idx[0], 0, idx[2]], fi[idx[1], 0]
+            a, b = k / h + 1.0, (1.0 - k) / h + 1.0
+            want = (xlogy(a - 1.0, x) + xlogy(b - 1.0, 1.0 - x)
+                    + gammaln(a + b) - gammaln(a) - gammaln(b))
+            assert got[idx] == want
+
+    def test_gemm_layout_matches_broadcast_layout(self, rng):
+        # a column against a row takes the GEMM; against a 1-D array, xlogy
+        col = rng.random((40, 1))
+        col[:4, 0] = [0.0, 1.0, 0.0, 1.0]
+        row = rng.random((1, 9))
+        row[0, :2] = [0.0, 1.0]
+        h = 1e-2
+        gemm = log_beta_kernel(col, row, h)
+        pairwise = log_beta_kernel(col, row[0], h)
+        np.testing.assert_array_equal(np.isneginf(gemm), np.isneginf(pairwise))
+        fin = np.isfinite(pairwise)
+        np.testing.assert_allclose(gemm[fin], pairwise[fin], rtol=0,
+                                   atol=_log_tol(col, row.T, h))

@@ -15,6 +15,7 @@ from dicesm.core import (
     SimplexViolationError,
     TensorF,
     TruncatedFileError,
+    read_prob_field,
     read_tensor,
     validate,
     write_tensor,
@@ -50,6 +51,11 @@ class TestTensorF:
             TensorF((0, 2), np.zeros(0))
         with pytest.raises(DimOverflowError):
             TensorF((), np.zeros(1))
+
+    def test_element_count_does_not_wrap(self):
+        # 2**32 * 2**32 is 0 in int64 arithmetic
+        with pytest.raises(DimOverflowError):
+            TensorF((2**32, 2**32), np.zeros(1))
 
 
 class TestValidate:
@@ -87,6 +93,22 @@ class TestValidate:
         a = np.full((2, 1, 1), 0.5)
         a[0, 0, 0] += 5e-10
         validate(ProbField.from_array(a))
+
+    def test_two_class_field_survives_float32_storage(self, tmp_path):
+        rng = np.random.default_rng(3)
+        p = rng.random((64, 64))
+        path = tmp_path / "p.sdt"
+        write_tensor(path, TensorF.from_array(np.stack([1.0 - p, p])))
+        back = read_prob_field(path)
+        assert np.abs(back.array.sum(axis=0) - 1.0).max() > 1e-9
+        validate(back)
+
+    def test_row_off_by_1e_5_raises(self):
+        a = np.full((2, 2, 2), 0.5)
+        a[1, 1, 0] += 1e-5
+        with pytest.raises(SimplexViolationError) as e:
+            validate(ProbField.from_array(a))
+        assert e.value.flat_index == 2
 
     def test_needs_chw(self):
         with pytest.raises(ShapeMismatchError):
