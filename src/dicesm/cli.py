@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +32,21 @@ from .core import (
     ProbField,
     RaterStack,
     TensorF,
+    from_json,
     read_label_field,
     read_prob_field,
     read_tensor,
     write_field,
     write_tensor,
 )
-from .losses import ReductionSpec, TverskyParams, make_loss
+from .losses import (
+    LOSSES,
+    OVERLAP_NAMES,
+    CompoundParams,
+    ReductionSpec,
+    TverskyParams,
+    make_loss,
+)
 from .metrics import (
     BDiceSpec,
     CalibRecord,
@@ -73,7 +81,11 @@ class UsageError(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("DICESM_SEED", "42"))
+    raw = os.environ.get("DICESM_SEED", "42")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"DICESM_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(obj) -> None:
@@ -100,20 +112,23 @@ def _reduction_from_args(args) -> ReductionSpec:
 
 
 def _loss_params_from_args(args) -> dict | None:
-    if args.loss in ("stl", "ctl", "cftl"):
-        params = {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
-        if args.loss == "stl" and args.soft_ok:
-            params["allow_soft"] = True
-        return params
-    if args.loss == "compound":
-        return {"w_ce": args.w_ce, "w_dml": args.w_dml, "overlap": args.overlap}
-    return None
+    """JSON params of --loss from the flags named after its params fields."""
+    entry = LOSSES[args.loss]
+    if entry.params is None:
+        return None
+    params = {f.name: getattr(args, f.name) for f in fields(entry.params)}
+    if entry.hard_only and args.soft_ok:
+        params["allow_soft"] = True
+    return params
 
 
 def cmd_eval_loss(args) -> int:
     if args.curve:
-        tv = TverskyParams(args.alpha, args.beta, args.gamma)
-        params = tv if args.loss in ("stl", "ctl", "cftl") else None
+        if not 0.0 <= args.label_value <= 1.0:
+            raise UsageError(f"--label-value must be in [0, 1], got {args.label_value!r}")
+        if args.curve_points < 2:
+            raise UsageError(f"--curve-points must be at least 2, got {args.curve_points}")
+        params, _ = losses_mod.parse_loss_params(args.loss, _loss_params_from_args(args))
         grid = np.linspace(0.0, 1.0, args.curve_points)
         vals = losses_mod.pairwise_values(args.loss, grid[:, None],
                                           np.full((grid.size, 1), args.label_value),
@@ -289,23 +304,10 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _synth_spec_from_json(d: dict) -> SynthSpec:
-    _require_keys(d, {"n_images", "height", "width", "n_classes", "k_raters",
-                      "noise", "image_noise", "seed"}, "synth spec")
-    noise = d.get("noise", {})
-    _require_keys(noise, {"dilate_erode_radius", "boundary_flip_prob"}, "noise")
-    kwargs = {k: v for k, v in d.items() if k != "noise"}
-    if noise:
-        kwargs["noise"] = RaterNoise(
-            tuple(noise.get("dilate_erode_radius", (0, 2))),
-            noise.get("boundary_flip_prob", 0.1))
-    return SynthSpec(**kwargs)
-
-
 def load_dataset_dir(path) -> SynthDataset:
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
-    spec = _synth_spec_from_json(manifest["spec"])
+    spec = from_json(SynthSpec, manifest["spec"])
     images = []
     for e in manifest["images"]:
         img = read_tensor(root / e["image"]).as_array()
@@ -322,60 +324,29 @@ def _dataset_from_config(cfg: dict) -> SynthDataset:
         raise UsageError("data needs exactly one of 'dir' or 'synth'")
     if "dir" in cfg:
         return load_dataset_dir(cfg["dir"])
-    return generate_synthetic(_synth_spec_from_json(cfg["synth"]))
+    return generate_synthetic(from_json(SynthSpec, cfg["synth"]))
 
 
 # --------------------------------------------------------------------------
 # train / distill configs
 # --------------------------------------------------------------------------
 
-def _model_spec_from_json(d: dict) -> ModelSpec:
-    _require_keys(d, {"kind", "feature_set", "radii", "channels", "n_classes",
-                      "seed"}, "model spec")
+def _train_spec(d) -> TrainSpec:
+    """TrainSpec from JSON; the loss is one object {name, params}."""
+    if not isinstance(d, dict) or "loss_name" in d or "loss_params" in d:
+        raise UsageError("train needs a JSON object that gives the loss as {name, params}")
     kwargs = dict(d)
-    if "radii" in kwargs:
-        kwargs["radii"] = tuple(kwargs["radii"])
-    return ModelSpec(**kwargs)
-
-
-def _label_source_from_json(d: dict) -> SoftLabelSpec:
-    _require_keys(d, {"strategy", "epsilon", "seed", "tie_break",
-                      "weights_scope"}, "label_source")
-    return SoftLabelSpec(**d)
-
-
-def _train_spec_from_json(d: dict) -> TrainSpec:
-    _require_keys(d, {"lr0", "momentum", "weight_decay", "epochs", "batch_size",
-                      "poly_power", "loss", "label_source", "reduction", "seed"},
-                  "train spec")
-    kwargs = dict(d)
-    loss = kwargs.pop("loss", {"name": "compound"})
+    loss = kwargs.pop("loss", {})
+    if not isinstance(loss, dict):
+        raise UsageError("train.loss needs a JSON object")
     _require_keys(loss, {"name", "params"}, "loss")
-    kwargs["loss_name"] = loss.get("name", "compound")
-    kwargs["loss_params"] = loss.get("params")
-    if "label_source" in kwargs:
-        kwargs["label_source"] = _label_source_from_json(kwargs["label_source"])
-    if "reduction" in kwargs:
-        kwargs["reduction"] = losses_mod.reduction_from_json(kwargs["reduction"])
-    return TrainSpec(**kwargs)
-
-
-def _kde_spec_from_json(d: dict) -> KdeSpec:
-    _require_keys(d, {"bandwidth", "n_key", "pixel_scope", "boundary_radius",
-                      "seed"}, "kde spec")
-    return KdeSpec(**d)
-
-
-def _kd_spec_from_json(d: dict) -> KdSpec:
-    _require_keys(d, {"teacher_checkpoint", "use_kde", "kde", "kd_weight",
-                      "kd_terms"}, "kd spec")
-    kwargs = dict(d)
-    if "kde" in kwargs:
-        kwargs["kde"] = _kde_spec_from_json(kwargs["kde"])
-    return KdSpec(**kwargs)
+    return from_json(TrainSpec, {**kwargs, "loss_name": loss.get("name", TrainSpec.loss_name),
+                                 "loss_params": loss.get("params")})
 
 
 def _split(dataset: SynthDataset, val_fraction: float, seed: int):
+    if not 0.0 <= val_fraction < 1.0:
+        raise UsageError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
     n = len(dataset)
     n_val = int(round(val_fraction * n))
     if n_val == 0:
@@ -400,8 +371,8 @@ def cmd_train(args) -> int:
     _require_keys(cfg, {"data", "model", "train", "val_fraction", "eval_every",
                         "out_dir"}, "config")
     dataset = _dataset_from_config(cfg["data"])
-    model_spec = _model_spec_from_json(cfg.get("model", {}))
-    train_spec = _train_spec_from_json(cfg.get("train", {}))
+    model_spec = from_json(ModelSpec, cfg.get("model", {}))
+    train_spec = _train_spec(cfg.get("train", {}))
     tr, va = _split(dataset, cfg.get("val_fraction", 0.0), train_spec.seed)
     result = train(tr, model_spec, train_spec, va, cfg.get("eval_every", 1))
     _finish_training(result, cfg.get("out_dir", "train_out"))
@@ -413,9 +384,9 @@ def cmd_distill(args) -> int:
     _require_keys(cfg, {"data", "student", "train", "kd", "val_fraction",
                         "eval_every", "out_dir"}, "config")
     dataset = _dataset_from_config(cfg["data"])
-    student_spec = _model_spec_from_json(cfg.get("student", {}))
-    train_spec = _train_spec_from_json(cfg.get("train", {}))
-    kd_spec = _kd_spec_from_json(cfg.get("kd", {}))
+    student_spec = from_json(ModelSpec, cfg.get("student", {}))
+    train_spec = _train_spec(cfg.get("train", {}))
+    kd_spec = from_json(KdSpec, cfg.get("kd", {}))
     if not kd_spec.teacher_checkpoint:
         raise UsageError("kd.teacher_checkpoint is required")
     teacher = load_model(kd_spec.teacher_checkpoint)
@@ -449,13 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", required=True, choices=losses_mod.LOSS_NAMES)
     p.add_argument("--pred", help="prediction .sdt file")
     p.add_argument("--label", help="label .sdt file")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--w-ce", type=float, default=0.25)
-    p.add_argument("--w-dml", type=float, default=0.75)
-    p.add_argument("--overlap", default="dml1",
-                   choices=("sdl", "sjl", "jml1", "jml2", "dml1", "dml2"))
+    # dests are the field names of TverskyParams and CompoundParams
+    p.add_argument("--alpha", type=float, default=TverskyParams.alpha)
+    p.add_argument("--beta", type=float, default=TverskyParams.beta)
+    p.add_argument("--gamma", type=float, default=TverskyParams.gamma)
+    p.add_argument("--w-ce", type=float, default=CompoundParams.w_ce)
+    p.add_argument("--w-dml", type=float, default=CompoundParams.w_dml)
+    p.add_argument("--overlap", default=CompoundParams.overlap, choices=OVERLAP_NAMES)
     p.add_argument("--class-mode", default="mean_present",
                    choices=("mean_present", "mean_all"))
     p.add_argument("--batch-mode", default="per_image_then_mean",
@@ -544,11 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    except UsageError as e:
+        _log(f"usage error: {e}")
+        return 2
     try:
         return args.fn(args)
     except UsageError as e:

@@ -1,6 +1,7 @@
 """Value types shared by every module: dense float64 tensors, probability and
-label fields over a [C, H, W] grid, multi-rater stacks, their validation, and
-the SDT1 binary tensor file format.
+label fields over a [C, H, W] grid, multi-rater stacks, their validation,
+the SDT1 binary tensor file format, and ``from_json``, which builds every
+spec dataclass from its JSON config.
 
 All types are immutable after construction and safe to share across workers.
 Arithmetic everywhere is float64; files store float32 and readers up-convert.
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +287,28 @@ def validate(f: ProbField | LabelField) -> None:
 def check_same_dims(a, b) -> None:
     if a.dims != b.dims:
         raise ShapeMismatchError(f"dims {a.dims} vs {b.dims}")
+
+
+# --------------------------------------------------------------------------
+# Spec dataclasses from JSON
+# --------------------------------------------------------------------------
+
+def from_json(cls, d):
+    """Build the spec dataclass ``cls`` from a JSON object.
+
+    Keys are field names and a missing key keeps the field's default. A
+    field typed as a dataclass is built from its own nested object. The
+    dataclass's ``__post_init__`` checks the values. Non-object input and
+    unknown keys raise ValueError.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} needs a JSON object, got {type(d).__name__}")
+    types = typing.get_type_hints(cls)
+    extra = sorted(set(d) - {f.name for f in fields(cls)})
+    if extra:
+        raise ValueError(f"unknown {cls.__name__} keys: {extra}")
+    return cls(**{k: from_json(types[k], v) if is_dataclass(types[k]) else v
+                  for k, v in d.items()})
 
 
 # --------------------------------------------------------------------------

@@ -15,17 +15,25 @@ X = ||x||_1, Y = ||y||_1, S = X + Y, D = ||x - y||_1, P = ||x * y||_1
     compound  w_ce*ce + w_dml*dml1 (overlap term swappable)
 
 The D-based losses use the subgradient d|x_i - y_i|/dx_i = sign(x_i - y_i)
-with sign(0) = 0, and d||x||_1/dx_i = 1 on the domain [0, 1]. A class whose
+with sign(0) = 0, and d||x||_1/dx_i = 1 on the domain [0, 1]. ``pairwise``
+takes ``sign_at_zero`` to evaluate them under another convention; the
+property suite passes 1.0 to show that its kink check notices. A class whose
 denominator vanishes (both maps empty) contributes ReductionSpec.
 empty_both_value with zero gradient. Reduction order over pixels is fixed,
 so results are deterministic bit for bit.
+
+``LOSSES`` is the one registry. Each name maps to its row kernel, its
+parameter type (None, TverskyParams or CompoundParams) and whether it
+refuses soft labels (only stl does). LOSS_NAMES, the overlap terms that
+compound accepts, ``make_loss`` and ``pairwise`` all read it. Every public
+field op takes one path: check dims, validate x and y once each, evaluate
+the row kernel per class, reduce.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +44,7 @@ from .core import (
     ShapeMismatchError,
     TensorF,
     check_same_dims,
+    from_json,
     validate,
 )
 
@@ -45,11 +54,6 @@ MEAN_PRESENT = "mean_present"
 MEAN_ALL = "mean_all"
 PER_IMAGE_THEN_MEAN = "per_image_then_mean"
 POOLED = "pooled"
-
-LOSS_NAMES = ("sdl", "sjl", "jml1", "jml2", "dml1", "dml2",
-              "stl", "ctl", "cftl", "ce", "compound")
-
-_OVERLAP_NAMES = ("sdl", "sjl", "jml1", "jml2", "dml1", "dml2")
 
 
 class SoftLabelIncompatibleError(DicesmError):
@@ -92,6 +96,22 @@ class TverskyParams:
 
 
 @dataclass(frozen=True)
+class CompoundParams:
+    """Weights of the training mixture w_ce * ce + w_dml * overlap and the
+    name of its overlap term, one of OVERLAP_NAMES."""
+
+    w_ce: float = 0.25
+    w_dml: float = 0.75
+    overlap: str = "dml1"
+
+    def __post_init__(self):
+        if self.w_ce < 0 or self.w_dml < 0:
+            raise ValueError("mixture weights must be nonnegative")
+        if self.overlap not in OVERLAP_NAMES:
+            raise ValueError(f"overlap must be one of {OVERLAP_NAMES}")
+
+
+@dataclass(frozen=True)
 class GradPair:
     """Loss value plus d(loss)/dx of the prediction's shape."""
 
@@ -100,47 +120,20 @@ class GradPair:
 
 
 DEFAULT_REDUCTION = ReductionSpec()
-DEFAULT_TVERSKY = TverskyParams()
-
-
-def reduction_from_json(d: dict) -> ReductionSpec:
-    """Build a ReductionSpec from a JSON object; unknown keys are rejected."""
-    allowed = {"class_mode", "batch_mode", "empty_both_value"}
-    extra = set(d) - allowed
-    if extra:
-        raise ValueError(f"unknown reduction keys: {sorted(extra)}")
-    return ReductionSpec(**d)
-
-
-def tversky_from_json(d: dict) -> TverskyParams:
-    allowed = {"alpha", "beta", "gamma"}
-    extra = set(d) - allowed
-    if extra:
-        raise ValueError(f"unknown Tversky keys: {sorted(extra)}")
-    return TverskyParams(**d)
 
 
 # --------------------------------------------------------------------------
-# Row kernels. X, Y are (N, p) arrays; each row is one independent
-# per-class vector pair. Returns (values (N,), grads (N, p), ok (N,)) where
+# Row kernels, kernel(X, Y, params, s0). X, Y are (N, p) arrays; each row is
+# one independent per-class vector pair. s0 is the value taken for sign(0)
+# by the D-based kernels. Returns (values (N,), grads (N, p), ok (N,)) where
 # ok is False for rows whose denominator vanished; such rows carry value 0
 # and zero gradient and the caller substitutes empty_both_value.
 # --------------------------------------------------------------------------
 
-# sign(0) convention; check-properties --mutate sign flips this to expose
-# how the suite reacts to a wrong kink convention.
-_SIGN_AT_ZERO = 0.0
-
-
-def set_sign_at_zero(v: float) -> None:
-    global _SIGN_AT_ZERO
-    _SIGN_AT_ZERO = float(v)
-
-
-def _sign(d: np.ndarray) -> np.ndarray:
+def _sign(d: np.ndarray, s0: float) -> np.ndarray:
     s = np.sign(d)
-    if _SIGN_AT_ZERO != 0.0:
-        s = np.where(d == 0.0, _SIGN_AT_ZERO, s)
+    if s0 != 0.0:
+        s = np.where(d == 0.0, s0, s)
     return s
 
 
@@ -156,7 +149,7 @@ def _finish(vals, grads, ok):
     return vals, grads, ok
 
 
-def _kernel_sdl(X, Y, params=None):
+def _kernel_sdl(X, Y, params, s0):
     P = np.sum(X * Y, axis=1)
     S = np.sum(X, axis=1) + np.sum(Y, axis=1)
     ok = S > 0.0
@@ -165,7 +158,7 @@ def _kernel_sdl(X, Y, params=None):
     return _finish(vals, grads, ok)
 
 
-def _kernel_sjl(X, Y, params=None):
+def _kernel_sjl(X, Y, params, s0):
     P = np.sum(X * Y, axis=1)
     S = np.sum(X, axis=1) + np.sum(Y, axis=1)
     U = S - P
@@ -175,54 +168,54 @@ def _kernel_sjl(X, Y, params=None):
     return _finish(vals, grads, ok)
 
 
-def _kernel_jml1(X, Y, params=None):
+def _kernel_jml1(X, Y, params, s0):
     S = np.sum(X, axis=1) + np.sum(Y, axis=1)
     diff = X - Y
     D = np.sum(np.abs(diff), axis=1)
     den = S + D
     ok = den > 0.0
     vals = _safe_div(2.0 * D, den)
-    sg = _sign(diff)
+    sg = _sign(diff, s0)
     grads = _safe_div(2.0 * (sg * S[:, None] - D[:, None]), (den * den)[:, None])
     return _finish(vals, grads, ok)
 
 
-def _kernel_jml2(X, Y, params=None):
+def _kernel_jml2(X, Y, params, s0):
     P = np.sum(X * Y, axis=1)
     diff = X - Y
     D = np.sum(np.abs(diff), axis=1)
     den = P + D
     ok = den > 0.0
     vals = _safe_div(D, den)
-    sg = _sign(diff)
+    sg = _sign(diff, s0)
     grads = _safe_div(sg * P[:, None] - Y * D[:, None], (den * den)[:, None])
     return _finish(vals, grads, ok)
 
 
-def _kernel_dml1(X, Y, params=None):
+def _kernel_dml1(X, Y, params, s0):
     S = np.sum(X, axis=1) + np.sum(Y, axis=1)
     diff = X - Y
     D = np.sum(np.abs(diff), axis=1)
     ok = S > 0.0
     vals = _safe_div(D, S)
-    sg = _sign(diff)
+    sg = _sign(diff, s0)
     grads = _safe_div(sg * S[:, None] - D[:, None], (S * S)[:, None])
     return _finish(vals, grads, ok)
 
 
-def _kernel_dml2(X, Y, params=None):
+def _kernel_dml2(X, Y, params, s0):
     P = np.sum(X * Y, axis=1)
     diff = X - Y
     D = np.sum(np.abs(diff), axis=1)
     den = 2.0 * P + D
     ok = den > 0.0
     vals = _safe_div(D, den)
-    sg = _sign(diff)
+    sg = _sign(diff, s0)
     grads = _safe_div(2.0 * (sg * P[:, None] - Y * D[:, None]), (den * den)[:, None])
     return _finish(vals, grads, ok)
 
 
-def _kernel_stl(X, Y, params):
+def _kernel_stl(X, Y, params, s0):
     a, b = params.alpha, params.beta
     P = np.sum(X * Y, axis=1)
     SX = np.sum(X, axis=1)
@@ -235,7 +228,7 @@ def _kernel_stl(X, Y, params):
     return _finish(vals, grads, ok)
 
 
-def _kernel_ctl(X, Y, params):
+def _kernel_ctl(X, Y, params, s0):
     a, b = params.alpha, params.beta
     SX = np.sum(X, axis=1)
     SY = np.sum(Y, axis=1)
@@ -245,15 +238,15 @@ def _kernel_ctl(X, Y, params):
     T = 2.0 * a * SX + 2.0 * b * SY + (1.0 - a - b) * N
     ok = T > 0.0
     vals = 1.0 - _safe_div(N, T)
-    sg = _sign(diff)
+    sg = _sign(diff, s0)
     dN = 1.0 - sg
     dT = 2.0 * a + (1.0 - a - b) * dN
     grads = _safe_div(N[:, None] * dT - dN * T[:, None], (T * T)[:, None])
     return _finish(vals, grads, ok)
 
 
-def _kernel_cftl(X, Y, params):
-    vals, grads, ok = _kernel_ctl(X, Y, params)
+def _kernel_cftl(X, Y, params, s0):
+    vals, grads, ok = _kernel_ctl(X, Y, params, s0)
     g = params.gamma
     if g == 1.0:
         return vals, grads, ok
@@ -265,7 +258,7 @@ def _kernel_cftl(X, Y, params):
     return _finish(np.power(vals, g), factor[:, None] * grads, ok)
 
 
-def _kernel_ce(X, Y, params=None):
+def _kernel_ce(X, Y, params, s0):
     p = X.shape[1]
     Xc = np.clip(X, CE_CLAMP, 1.0 - CE_CLAMP)
     vals = -np.sum(Y * np.log(Xc) + (1.0 - Y) * np.log1p(-Xc), axis=1) / p
@@ -274,52 +267,62 @@ def _kernel_ce(X, Y, params=None):
     return vals, grads, ok
 
 
-def _kernel_compound(X, Y, params):
-    w_ce, w_dml, overlap = params
-    cv, cg, _ = _kernel_ce(X, Y)
-    ov, og, ok = _KERNELS[overlap](X, Y, None)
+def _kernel_compound(X, Y, params, s0):
+    cv, cg, _ = _kernel_ce(X, Y, None, s0)
+    ov, og, ok = LOSSES[params.overlap].kernel(X, Y, None, s0)
     ov = np.where(ok, ov, 0.0)  # empty-both overlap term contributes 0
-    vals = w_ce * cv + w_dml * ov
-    grads = w_ce * cg + w_dml * og
+    vals = params.w_ce * cv + params.w_dml * ov
+    grads = params.w_ce * cg + params.w_dml * og
     return vals, grads, np.ones(X.shape[0], dtype=bool)
 
 
-_KERNELS: dict[str, Callable] = {
-    "sdl": _kernel_sdl,
-    "sjl": _kernel_sjl,
-    "jml1": _kernel_jml1,
-    "jml2": _kernel_jml2,
-    "dml1": _kernel_dml1,
-    "dml2": _kernel_dml2,
-    "stl": _kernel_stl,
-    "ctl": _kernel_ctl,
-    "cftl": _kernel_cftl,
-    "ce": _kernel_ce,
-    "compound": _kernel_compound,
+class LossEntry(NamedTuple):
+    """Everything the library decides per loss."""
+
+    kernel: Callable
+    params: type | None = None  # TverskyParams, CompoundParams or None
+    hard_only: bool = False  # refuses soft labels unless allow_soft is set
+
+
+LOSSES: dict[str, LossEntry] = {
+    "sdl": LossEntry(_kernel_sdl),
+    "sjl": LossEntry(_kernel_sjl),
+    "jml1": LossEntry(_kernel_jml1),
+    "jml2": LossEntry(_kernel_jml2),
+    "dml1": LossEntry(_kernel_dml1),
+    "dml2": LossEntry(_kernel_dml2),
+    "stl": LossEntry(_kernel_stl, TverskyParams, hard_only=True),
+    "ctl": LossEntry(_kernel_ctl, TverskyParams),
+    "cftl": LossEntry(_kernel_cftl, TverskyParams),
+    "ce": LossEntry(_kernel_ce),
+    "compound": LossEntry(_kernel_compound, CompoundParams),
 }
 
+LOSS_NAMES = tuple(LOSSES)
 
-def _pairwise_params(name: str, params):
-    if name in ("stl", "ctl", "cftl"):
-        return params if params is not None else DEFAULT_TVERSKY
-    if name == "compound":
-        return params if params is not None else (0.25, 0.75, "dml1")
-    return None
+# compound's overlap term: any region loss without parameters
+OVERLAP_NAMES = tuple(n for n, e in LOSSES.items() if e.params is None and n != "ce")
 
 
-def pairwise(name: str, X, Y, params=None):
+def _with_defaults(entry: LossEntry, params):
+    return entry.params() if params is None and entry.params is not None else params
+
+
+def pairwise(name: str, X, Y, params=None, sign_at_zero: float = 0.0):
     """Vectorized row-batched evaluation: row i of X against row i of Y.
 
     Returns (values, grads, ok). Rows are treated like independent C == 1
     fields (the ce/compound rows take the pixel mean over the row). This is
     the exact kernel the public field ops reduce over; the property suites
-    use it to hit their runtime budgets.
+    use it to hit their runtime budgets. sign_at_zero is the subgradient the
+    D-based losses take where x_i == y_i.
     """
+    entry = LOSSES[name]
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape != Y.shape:
         raise ShapeMismatchError(f"{X.shape} vs {Y.shape}")
-    return _KERNELS[name](X, Y, _pairwise_params(name, params))
+    return entry.kernel(X, Y, _with_defaults(entry, params), sign_at_zero)
 
 
 def pairwise_values(name: str, X, Y, params=None, empty_both_value=0.0):
@@ -331,71 +334,91 @@ def pairwise_values(name: str, X, Y, params=None, empty_both_value=0.0):
 # Field-level ops
 # --------------------------------------------------------------------------
 
-def _check_fields(x: ProbField, y: LabelField) -> None:
+def _overlap_terms(name: str, x: ProbField, y: LabelField, red: ReductionSpec, params):
+    """Value and (C, p) gradient of a region loss reduced over classes."""
+    C = x.n_classes
+    vals, grads, ok = LOSSES[name].kernel(x.array.reshape(C, -1), y.array.reshape(C, -1),
+                                          params, 0.0)
+    if red.class_mode == MEAN_PRESENT:
+        idx = np.flatnonzero(ok)
+        grad = np.zeros_like(grads)
+        if idx.size == 0:
+            return red.empty_both_value, grad
+        grad[idx] = grads[idx] / idx.size
+        return float(np.mean(vals[idx])), grad
+    return float(np.mean(np.where(ok, vals, red.empty_both_value))), grads / C
+
+
+def _ce_terms(x: ProbField, y: LabelField):
+    """Value and (C, p) gradient of the pixel-mean cross-entropy: the binary
+    row kernel at C == 1, the categorical -sum_c y log x / p at C >= 2."""
+    C = x.n_classes
+    if C == 1:
+        vals, grads, _ = _kernel_ce(x.array.reshape(1, -1), y.array.reshape(1, -1), None, 0.0)
+        return float(vals[0]), grads
+    p = x.dims[1] * x.dims[2]
+    Xc = np.clip(x.array, CE_CLAMP, 1.0 - CE_CLAMP)
+    Ya = y.array
+    return float(-np.sum(Ya * np.log(Xc)) / p), (-(Ya / Xc) / p).reshape(C, -1)
+
+
+def _field_op(name: str, x: ProbField, y: LabelField, red: ReductionSpec | None,
+              params=None, allow_soft: bool = False) -> GradPair:
+    """The path of every public field op: the soft-label guard, one dims
+    check and one validate of x and of y, then the loss's terms."""
+    entry = LOSSES[name]
+    if entry.hard_only and not y.is_hard and not allow_soft:
+        raise SoftLabelIncompatibleError(
+            f"{name} is minimized at a vertex under soft labels; pass "
+            "allow_soft=True only to demonstrate that")
     check_same_dims(x, y)
     validate(x)
     validate(y)
-
-
-def _reduce_classes(x: ProbField, vals, grads, ok, red: ReductionSpec) -> GradPair:
-    C = x.n_classes
-    if red.class_mode == MEAN_PRESENT:
-        idx = np.flatnonzero(ok)
-        if idx.size == 0:
-            value = red.empty_both_value
-            grad = np.zeros_like(grads)
-        else:
-            value = float(np.mean(vals[idx]))
-            grad = np.zeros_like(grads)
-            grad[idx] = grads[idx] / idx.size
-    else:
-        value = float(np.mean(np.where(ok, vals, red.empty_both_value)))
-        grad = grads / C
-    return GradPair(value, TensorF(x.dims, grad.reshape(-1)))
-
-
-def _overlap_field_op(name: str, x: ProbField, y: LabelField,
-                      red: ReductionSpec | None, params=None) -> GradPair:
     red = red if red is not None else DEFAULT_REDUCTION
-    _check_fields(x, y)
-    C = x.n_classes
-    X = x.array.reshape(C, -1)
-    Y = y.array.reshape(C, -1)
-    vals, grads, ok = _KERNELS[name](X, Y, params)
-    return _reduce_classes(x, vals, grads, ok, red)
+    params = _with_defaults(entry, params)
+    if name == "ce":
+        value, grad = _ce_terms(x, y)
+    elif name == "compound":
+        cv, cg = _ce_terms(x, y)
+        ov, og = _overlap_terms(params.overlap, x, y, red, None)
+        value = params.w_ce * cv + params.w_dml * ov
+        grad = params.w_ce * cg + params.w_dml * og
+    else:
+        value, grad = _overlap_terms(name, x, y, red, params)
+    return GradPair(value, TensorF(x.dims, grad.reshape(-1)))
 
 
 def sdl(x: ProbField, y: LabelField, red: ReductionSpec | None = None) -> GradPair:
     """Classic overlap relaxation 1 - 2P/S. Valid for hard targets; with soft
     targets its minimum sits at a vertex, not at x == y."""
-    return _overlap_field_op("sdl", x, y, red)
+    return _field_op("sdl", x, y, red)
 
 
 def sjl(x: ProbField, y: LabelField, red: ReductionSpec | None = None) -> GradPair:
     """Intersection-over-union relaxation 1 - P/(S - P); same vertex-seeking
     behavior as sdl under soft targets."""
-    return _overlap_field_op("sjl", x, y, red)
+    return _field_op("sjl", x, y, red)
 
 
 def jml1(x: ProbField, y: LabelField, red: ReductionSpec | None = None) -> GradPair:
     """Soft-label-compatible IoU loss 2D/(S + D); a metric on [0, 1]^p."""
-    return _overlap_field_op("jml1", x, y, red)
+    return _field_op("jml1", x, y, red)
 
 
 def jml2(x: ProbField, y: LabelField, red: ReductionSpec | None = None) -> GradPair:
     """Soft-label-compatible IoU loss D/(P + D); a metric on [0, 1]^p."""
-    return _overlap_field_op("jml2", x, y, red)
+    return _field_op("jml2", x, y, red)
 
 
 def dml1(x: ProbField, y: LabelField, red: ReductionSpec | None = None) -> GradPair:
     """Soft-label-compatible Dice loss D/S; a semimetric on [0, 1]^p that
     collapses to sdl whenever either argument is hard."""
-    return _overlap_field_op("dml1", x, y, red)
+    return _field_op("dml1", x, y, red)
 
 
 def dml2(x: ProbField, y: LabelField, red: ReductionSpec | None = None) -> GradPair:
     """Soft-label-compatible Dice loss D/(2P + D); dominates dml1."""
-    return _overlap_field_op("dml2", x, y, red)
+    return _field_op("dml2", x, y, red)
 
 
 def stl(x: ProbField, y: LabelField, params: TverskyParams | None = None,
@@ -406,12 +429,7 @@ def stl(x: ProbField, y: LabelField, params: TverskyParams | None = None,
     (the loss is vertex-seeking, like sdl); the override exists so the
     incompatibility can be demonstrated, not so it can be ignored.
     """
-    if not y.is_hard and not allow_soft:
-        raise SoftLabelIncompatibleError(
-            "stl is minimized at a vertex under soft labels; pass "
-            "allow_soft=True only to demonstrate that")
-    return _overlap_field_op("stl", x, y, red,
-                             params if params is not None else DEFAULT_TVERSKY)
+    return _field_op("stl", x, y, red, params, allow_soft)
 
 
 def ctl(x: ProbField, y: LabelField, params: TverskyParams | None = None,
@@ -419,16 +437,14 @@ def ctl(x: ProbField, y: LabelField, params: TverskyParams | None = None,
     """Soft-label-compatible Tversky loss; reflexive and positive for
     alpha, beta > 0, equal to stl on hard targets and to dml1 at
     alpha == beta == 0.5."""
-    return _overlap_field_op("ctl", x, y, red,
-                             params if params is not None else DEFAULT_TVERSKY)
+    return _field_op("ctl", x, y, red, params)
 
 
 def cftl(x: ProbField, y: LabelField, params: TverskyParams | None = None,
          red: ReductionSpec | None = None) -> GradPair:
     """ctl raised to the focal exponent gamma; gamma > 1 flattens the loss
     near its minimum and steepens it far away."""
-    return _overlap_field_op("cftl", x, y, red,
-                             params if params is not None else DEFAULT_TVERSKY)
+    return _field_op("cftl", x, y, red, params)
 
 
 def ce(x: ProbField, y: LabelField, red: ReductionSpec | None = None) -> GradPair:
@@ -437,67 +453,54 @@ def ce(x: ProbField, y: LabelField, red: ReductionSpec | None = None) -> GradPai
     Probabilities are clamped to [1e-7, 1 - 1e-7] before the log. C == 1
     fields are scored over the implicit {background, foreground} pair.
     """
-    _check_fields(x, y)
-    C = x.n_classes
-    p = x.dims[1] * x.dims[2]
-    Xc = np.clip(x.array, CE_CLAMP, 1.0 - CE_CLAMP)
-    Ya = y.array
-    if C == 1:
-        value = float(-np.sum(Ya * np.log(Xc) + (1.0 - Ya) * np.log1p(-Xc)) / p)
-        grad = -(Ya / Xc - (1.0 - Ya) / (1.0 - Xc)) / p
-    else:
-        value = float(-np.sum(Ya * np.log(Xc)) / p)
-        grad = -(Ya / Xc) / p
-    return GradPair(value, TensorF(x.dims, grad.reshape(-1)))
+    return _field_op("ce", x, y, red)
 
 
 def compound(x: ProbField, y: LabelField, red: ReductionSpec | None = None,
-             w_ce: float = 0.25, w_dml: float = 0.75,
-             overlap: str = "dml1") -> GradPair:
+             w_ce: float = CompoundParams.w_ce, w_dml: float = CompoundParams.w_dml,
+             overlap: str = CompoundParams.overlap) -> GradPair:
     """Training mixture w_ce * ce + w_dml * overlap (default dml1)."""
-    if w_ce < 0 or w_dml < 0:
-        raise ValueError("mixture weights must be nonnegative")
-    if overlap not in _OVERLAP_NAMES:
-        raise ValueError(f"overlap must be one of {_OVERLAP_NAMES}")
-    c = ce(x, y, red)
-    o = _overlap_field_op(overlap, x, y, red)
-    grad = w_ce * c.grad.as_array() + w_dml * o.grad.as_array()
-    return GradPair(w_ce * c.value + w_dml * o.value, TensorF(x.dims, grad.reshape(-1)))
+    return _field_op("compound", x, y, red, CompoundParams(w_ce, w_dml, overlap))
 
 
 # --------------------------------------------------------------------------
-# Loss registry and batch reduction
+# Binding by name and batch reduction
 # --------------------------------------------------------------------------
+
+def parse_loss_params(name: str, params: dict | None):
+    """Check a loss name and its JSON params against the registry.
+
+    Returns (the loss's params object or None, allow_soft). Unknown names
+    and unknown keys raise ValueError; only a loss that refuses soft labels
+    takes the allow_soft key.
+    """
+    if name not in LOSSES:
+        raise ValueError(f"unknown loss {name!r}; choose from {LOSS_NAMES}")
+    entry = LOSSES[name]
+    params = dict(params or {})
+    allow_soft = bool(params.pop("allow_soft", False)) if entry.hard_only else False
+    if entry.params is None:
+        if params:
+            raise ValueError(f"loss {name!r} takes no params, got {sorted(params)}")
+        return None, allow_soft
+    return from_json(entry.params, params), allow_soft
+
 
 def make_loss(name: str, params: dict | None = None) -> Callable:
     """Bind a loss identifier plus JSON params into fn(x, y, red) -> GradPair.
 
-    Unknown names and unknown parameter keys are rejected.
+    Unknown names and unknown parameter keys are rejected. The public field
+    op is looked up on this module when make_loss is called.
     """
-    if name not in LOSS_NAMES:
-        raise ValueError(f"unknown loss {name!r}; choose from {LOSS_NAMES}")
-    params = dict(params or {})
-    if name in ("stl", "ctl", "cftl"):
-        allow_soft = bool(params.pop("allow_soft", False))
-        tp = tversky_from_json(params)
-        if name == "stl":
-            return lambda x, y, red=None: stl(x, y, tp, red, allow_soft=allow_soft)
-        fn = ctl if name == "ctl" else cftl
-        return lambda x, y, red=None: fn(x, y, tp, red)
-    if name == "compound":
-        allowed = {"w_ce", "w_dml", "overlap"}
-        extra = set(params) - allowed
-        if extra:
-            raise ValueError(f"unknown compound keys: {sorted(extra)}")
-        w_ce = float(params.get("w_ce", 0.25))
-        w_dml = float(params.get("w_dml", 0.75))
-        overlap = params.get("overlap", "dml1")
-        return lambda x, y, red=None: compound(x, y, red, w_ce, w_dml, overlap)
-    if params:
-        raise ValueError(f"loss {name!r} takes no params, got {sorted(params)}")
-    plain = {"sdl": sdl, "sjl": sjl, "jml1": jml1, "jml2": jml2,
-             "dml1": dml1, "dml2": dml2, "ce": ce}
-    return plain[name]
+    bound, allow_soft = parse_loss_params(name, params)
+    if isinstance(bound, CompoundParams):
+        kwargs = asdict(bound)
+    else:
+        kwargs = {} if bound is None else {"params": bound}
+    if allow_soft:
+        kwargs["allow_soft"] = True
+    fn = globals()[name]
+    return lambda x, y, red=None: fn(x, y, red=red, **kwargs)
 
 
 def batch_loss(loss_fn: Callable, xs: Sequence[ProbField], ys: Sequence[LabelField],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import DicesmError, LabelField, ProbField
-from ..losses import ReductionSpec, batch_loss, make_loss
+from ..losses import ReductionSpec, batch_loss, make_loss, parse_loss_params
 from ..metrics import BDiceSpec, CalibRecord, EceSpec, bdice, ece, hard_dice
 from ..softlabels import SoftLabelSpec, build_labels_dataset, majority_vote, uniform_average
 from .models import ModelSpec, build_model
@@ -50,7 +50,7 @@ class TrainSpec:
     def __post_init__(self):
         if self.lr0 <= 0 or self.epochs < 0 or self.batch_size <= 0:
             raise ValueError("lr0 must be positive, epochs >= 0, batch_size > 0")
-        make_loss(self.loss_name, self.loss_params)  # fail fast on bad ids
+        parse_loss_params(self.loss_name, self.loss_params)  # fail fast on bad ids
 
 
 @dataclass

@@ -201,3 +201,37 @@ class TestTensorFile:
         assert core.read_label_field(path).is_hard
         core.write_field(path, LabelField.from_array(np.full((1, 2, 2), 0.5), "soft"))
         assert not core.read_label_field(path).is_hard
+
+
+class TestFromJson:
+    def test_defaults_and_nested_dataclass(self):
+        from dicesm.calibration import KdeSpec
+        from dicesm.training import KdSpec
+
+        spec = core.from_json(KdSpec, {"use_kde": True, "kde": {"n_key": 16}})
+        assert spec == KdSpec(use_kde=True, kde=KdeSpec(n_key=16))
+        assert core.from_json(KdSpec, {}) == KdSpec()
+
+    def test_post_init_converts_json_lists(self):
+        from dicesm.training import RaterNoise, SynthSpec
+
+        spec = core.from_json(SynthSpec, {"noise": {"dilate_erode_radius": [1, 2],
+                                                    "boundary_flip_prob": [0.1, 0.3]},
+                                          "blob_radius": [0.1, 0.2]})
+        assert spec.noise == RaterNoise((1, 2), (0.1, 0.3))
+        assert spec.blob_radius == (0.1, 0.2)
+
+    @pytest.mark.parametrize("d", [{"bogus": 1}, {"kde": {"bogus": 1}}, {"kde": None},
+                                   {"kde": [1]}])
+    def test_rejects_unknown_keys_and_non_objects(self, d):
+        from dicesm.training import KdSpec
+
+        with pytest.raises(ValueError):
+            core.from_json(KdSpec, d)
+
+    @pytest.mark.parametrize("d", [None, [], "spec", 3])
+    def test_rejects_non_object_input(self, d):
+        from dicesm.losses import ReductionSpec
+
+        with pytest.raises(ValueError):
+            core.from_json(ReductionSpec, d)

@@ -4,6 +4,10 @@ import pytest
 from dicesm import losses
 from dicesm.core import ProbField, LabelField, ShapeMismatchError
 from dicesm.losses import (
+    LOSS_NAMES,
+    LOSSES,
+    OVERLAP_NAMES,
+    CompoundParams,
     GradPair,
     ReductionSpec,
     SoftLabelIncompatibleError,
@@ -372,3 +376,57 @@ class TestRegistry:
             TverskyParams(0.5, 0.5, 0.0)
         with pytest.raises(ValueError):
             TverskyParams(-0.1, 0.5)
+
+    def test_registry_derives_every_name_list(self):
+        assert LOSS_NAMES == tuple(LOSSES)
+        assert OVERLAP_NAMES == ("sdl", "sjl", "jml1", "jml2", "dml1", "dml2")
+        assert [n for n, e in LOSSES.items() if e.params is TverskyParams] == ["stl", "ctl", "cftl"]
+        assert [n for n, e in LOSSES.items() if e.hard_only] == ["stl"]
+
+    def test_compound_params_validation(self):
+        with pytest.raises(ValueError):
+            CompoundParams(w_ce=-0.1)
+        with pytest.raises(ValueError):
+            CompoundParams(overlap="ce")
+        with pytest.raises(ValueError):
+            make_loss("compound", {"overlap": "ctl"})
+        with pytest.raises(ValueError):
+            compound(vec_prob([0.5]), vec_label([1.0]), overlap="stl")
+
+    def test_allow_soft_only_for_the_guarded_loss(self):
+        x, y = vec_prob([0.5]), vec_label([0.5])
+        assert make_loss("stl", {"allow_soft": True})(x, y).value == pytest.approx(0.5)
+        with pytest.raises(SoftLabelIncompatibleError):
+            make_loss("stl")(x, y)
+        with pytest.raises(ValueError):
+            make_loss("ctl", {"allow_soft": True})
+
+    def test_make_loss_calls_the_module_attribute(self, monkeypatch):
+        calls = []
+        original = losses.ctl
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "ctl", spy)
+        make_loss("ctl", {"alpha": 0.7})(vec_prob([0.3]), vec_label([1.0]))
+        assert calls == [{"red": None, "params": TverskyParams(alpha=0.7)}]
+
+
+class TestSinglePath:
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_validate_runs_once_per_field(self, monkeypatch, name):
+        count = []
+        monkeypatch.setattr(losses, "validate", lambda f: count.append(f))
+        x, y = vec_prob([0.3, 0.9]), vec_label([1.0, 0.0])
+        getattr(losses, name)(x, y)
+        assert count == [x, y]
+
+    def test_sign_at_zero_is_an_argument(self):
+        X = np.array([[0.4, 0.6]])
+        for name in ("jml1", "jml2", "dml1", "dml2", "ctl", "cftl", "compound"):
+            _, flipped, _ = losses.pairwise(name, X, X, None, 1.0)
+            _, grads, _ = losses.pairwise(name, X, X)
+            assert np.any(flipped != grads), name
+        np.testing.assert_array_equal(losses.pairwise("dml1", X, X)[1], 0.0)
