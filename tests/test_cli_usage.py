@@ -1,8 +1,10 @@
-"""Usage errors of the command line (exit code 2) that used to pass or crash."""
+"""Command-line inputs that must exit 2 as usage errors: a non-integer
+DICESM_SEED, an --curve grid outside the loss domain or under two points,
+and a val_fraction outside [0, 1). Also: the compound curve honours its flags.
+"""
 
 import json
 
-import numpy as np
 import pytest
 
 from dicesm import cli
