@@ -23,9 +23,12 @@ exp is skipped where it would round to 0 anyway, and one product with
 _BLOCK_MADDS / 3 (pixel, key) pairs, so working memory is bounded
 whatever the number of pixels and keys.
 
-Also here: class-stratified key-point sampling, restriction of the
-calibrated set to misclassified/boundary pixels, and an exact verifier for
-the bound |bias| <= calibration error on finite distributions.
+kde_calibrate_batch is the one recalibration pass: it takes the pixel
+scope (every row, or the rows that select_scope_pixels picks out, the
+misclassified and boundary pixels), recalibrates the rows in scope, keeps
+the others and clips the result to [0, 1]. Also here: class-stratified
+key-point sampling and an exact verifier for the bound
+|bias| <= calibration error on finite distributions.
 """
 
 from __future__ import annotations
@@ -209,7 +212,7 @@ def beta_kernel(fj, fi, h: float):
 
 def _check_simplex_rows(name, v):
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    if not np.all(np.isfinite(v)) or v.min() < -SIMPLEX_TOL:
+    if not np.all(np.isfinite(v)) or v.min(initial=0.0) < -SIMPLEX_TOL:
         raise SimplexViolationError(f"{name} is not on the simplex")
     sums = v.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
@@ -280,47 +283,51 @@ def sample_key_points(confidences, labels, spec: KdeSpec) -> KeyPointSet:
     return KeyPointSet(conf[idx], lab[idx], idx)
 
 
-def kde_calibrate_batch(F, keys: KeyPointSet, h: float) -> np.ndarray:
+def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarray:
     """Recalibrate rows of confidences against the key set.
 
-    Returns the (m, C) convex combinations of key labels under normalized
-    kernel weights. Rows whose weights all underflow to zero are returned
-    unchanged, and one DegenerateWeightsWarning counts them.
+    Returns (m, C), clipped to [0, 1]. The rows that scope indexes (every
+    row when scope is None) become convex combinations of key labels under
+    normalized kernel weights; the other rows are returned unchanged, and
+    so are rows whose weights all underflow to zero, which one
+    DegenerateWeightsWarning counts. kernel_eval_count grows by one per
+    recalibrated row and key.
     """
     global kernel_eval_count
     F = _as_rows(F)
     m, c = F.shape
     if c != keys.n_classes:
         raise ShapeMismatchError(f"{c} classes vs keys {keys.n_classes}")
+    rows = np.arange(m) if scope is None else np.arange(m)[scope]
+    sel = F if scope is None else F[rows]
     n = len(keys)
-    kernel_eval_count += m * n
+    kernel_eval_count += rows.size * n
     if c == 1:
         fi = keys.confidences.T
     else:
-        pix = _check_simplex_rows("fj", F)
+        pix = _check_simplex_rows("fj", sel)
         fi = _check_simplex_rows("fi", keys.confidences)
     labels_and_one = np.hstack([keys.labels, np.ones((n, 1))])
-    out = np.empty((m, c))
+    out = F.copy()
     n_dead = 0
     step = _block_rows(n, c)
-    for lo in range(0, m, step):
-        rows = slice(lo, lo + step)
-        lw = (log_beta_kernel(F[rows], fi, h) if c == 1
-              else _log_kernel_rows(pix[rows], fi, h))
+    for lo in range(0, rows.size, step):
+        block = slice(lo, lo + step)
+        lw = (log_beta_kernel(sel[block], fi, h) if c == 1
+              else _log_kernel_rows(pix[block], fi, h))
         top = lw.max(axis=1)
-        dead = top == -np.inf
-        top[dead] = 0.0
+        live = top > -np.inf
+        top[~live] = 0.0
         lw -= top[:, None]
         w = np.exp(lw, out=np.zeros_like(lw), where=lw >= _EXP_ZERO_BELOW)
         sums = w @ labels_and_one
-        # a live row's top weight is exp(0) = 1, so only dead rows total 0
-        block = sums[:, :c] / np.where(dead, 1.0, sums[:, c])[:, None]
-        block[dead] = F[rows][dead]
-        out[rows] = block
-        n_dead += int(dead.sum())
+        # a live row's top weight is exp(0) = 1, so its total is at least 1
+        out[rows[block][live]] = sums[live, :c] / sums[live, c:]
+        n_dead += int(live.size - live.sum())
     if n_dead:
         warnings.warn(f"{n_dead} pixel(s) matched no key point; "
                       "leaving them uncalibrated", DegenerateWeightsWarning)
+    np.clip(out, 0.0, 1.0, out=out)
     return out
 
 

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ from .losses import (
     make_loss,
 )
 from .metrics import (
+    DEFAULT_THRESHOLDS,
     BDiceSpec,
     CalibRecord,
     EceSpec,
@@ -56,7 +57,8 @@ from .metrics import (
     hard_dice,
 )
 from .properties import run_suite
-from .softlabels import STRATEGIES, SoftLabelSpec, build_labels, build_labels_dataset
+from .softlabels import (STRATEGIES, TIE_BREAKS, WEIGHT_SCOPES, SoftLabelSpec, build_labels,
+                         build_labels_dataset)
 from .training import (
     KdSpec,
     ModelSpec,
@@ -96,10 +98,13 @@ def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _require_keys(d: dict, allowed: set, where: str) -> None:
+def _require_keys(d: dict, allowed: set, where: str, required=()) -> None:
     extra = sorted(set(d) - allowed)
     if extra:
         raise UsageError(f"unknown keys in {where}: {extra}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise UsageError(f"{where} needs the keys {missing}")
 
 
 # --------------------------------------------------------------------------
@@ -153,6 +158,12 @@ def cmd_eval_loss(args) -> int:
 # eval
 # --------------------------------------------------------------------------
 
+def _binary_ece(pred: ProbField, label: LabelField, n_bins=EceSpec.n_bins) -> float:
+    fg = 0 if pred.n_classes == 1 else 1
+    record = CalibRecord(pred.array[fg].ravel(), label.array[fg].ravel())
+    return ece(record, EceSpec(n_bins=n_bins))
+
+
 def cmd_eval(args) -> int:
     pred = read_prob_field(args.pred)
     label = read_label_field(args.label)
@@ -163,12 +174,10 @@ def cmd_eval(args) -> int:
         thresholds = tuple(float(t) for t in args.thresholds.split(","))
         spec = BDiceSpec(thresholds=thresholds)
         per_class = [bdice(pred, label, spec, c) for c in range(pred.n_classes)]
+    elif pred.n_classes > 2:
+        raise UsageError("ece supports binary tasks (C <= 2)")
     else:
-        fg = 0 if pred.n_classes == 1 else 1
-        if pred.n_classes > 2:
-            raise UsageError("ece supports binary tasks (C <= 2)")
-        record = CalibRecord(pred.array[fg].ravel(), label.array[fg].ravel())
-        per_class = [ece(record, EceSpec(n_bins=args.bins))]
+        per_class = [_binary_ece(pred, label, args.bins)]
     value = float(np.mean(per_class))
     _emit({"metric": args.metric, "value": value, "per_class": per_class})
     return 0
@@ -188,8 +197,10 @@ def cmd_make_soft_labels(args) -> int:
                          weights_scope=args.weights)
     if args.manifest:
         manifest = json.loads(Path(args.manifest).read_text())
-        _require_keys(manifest, {"images"}, "manifest")
+        _require_keys(manifest, {"images"}, "manifest", ("images",))
         entries = manifest["images"]
+        for i, e in enumerate(entries):
+            _require_keys(e, {"raters", "out"}, f"manifest image {i}", ("raters", "out"))
         stacks = [_stack_from_files(e["raters"]) for e in entries]
         outs = build_labels_dataset(stacks, spec)
         for e, field in zip(entries, outs):
@@ -214,52 +225,35 @@ def cmd_make_soft_labels(args) -> int:
 def _calibration_pass(pred: ProbField, label: LabelField, spec: KdeSpec):
     c = pred.n_classes
     conf_rows = pred.array.reshape(c, -1).T
-    lab_rows = label.array.reshape(c, -1).T
-    keys = sample_key_points(conf_rows, lab_rows, spec)
-    if spec.pixel_scope == SCOPE_ALL:
-        out = kde_calibrate_batch(conf_rows, keys, spec.bandwidth)
-        n_scope = conf_rows.shape[0]
-    else:
-        idx = select_scope_pixels(pred, label, spec)
-        out = conf_rows.copy()
-        if idx.size:
-            out[idx] = kde_calibrate_batch(conf_rows[idx], keys, spec.bandwidth)
-        n_scope = int(idx.size)
-    arr = np.clip(out.T.reshape(pred.dims), 0.0, 1.0)
-    return ProbField.from_array(arr), keys, n_scope
-
-
-def _binary_ece(pred: ProbField, label: LabelField, n_bins=15) -> float:
-    fg = 0 if pred.n_classes == 1 else 1
-    record = CalibRecord(pred.array[fg].ravel(), label.array[fg].ravel())
-    return ece(record, EceSpec(n_bins=n_bins))
+    keys = sample_key_points(conf_rows, label.array.reshape(c, -1).T, spec)
+    scope = None if spec.pixel_scope == SCOPE_ALL else select_scope_pixels(pred, label, spec)
+    out = kde_calibrate_batch(conf_rows, keys, spec.bandwidth, scope)
+    n_scope = len(conf_rows if scope is None else scope)
+    return ProbField.from_array(out.T.reshape(pred.dims)), keys, n_scope
 
 
 def cmd_calibrate(args) -> int:
     pred = read_prob_field(args.pred)
     label = read_label_field(args.label, "hard")
-    scope = SCOPE_ALL if args.scope == "all" else SCOPE_BOUNDARY
+    spec = KdeSpec(bandwidth=args.bandwidth, n_key=args.n_key,
+                   pixel_scope=SCOPE_ALL if args.scope == "all" else SCOPE_BOUNDARY,
+                   boundary_radius=args.boundary_radius, seed=args.seed)
+    ece_before = _binary_ece(pred, label)
     if args.sweep:
         rows = []
         for h in (float(tok) for tok in args.sweep.split(",")):
-            spec = KdeSpec(bandwidth=h, n_key=args.n_key, pixel_scope=scope,
-                           boundary_radius=args.boundary_radius, seed=args.seed)
-            calibrated, _, n_scope = _calibration_pass(pred, label, spec)
-            rows.append({"bandwidth": h,
-                         "ece_before": _binary_ece(pred, label),
+            calibrated, _, n_scope = _calibration_pass(pred, label, replace(spec, bandwidth=h))
+            rows.append({"bandwidth": h, "ece_before": ece_before,
                          "ece_after": _binary_ece(calibrated, label),
                          "scope_pixels": n_scope})
         _emit({"sweep": rows})
         return 0
     if not args.out:
         raise UsageError("--out is required without --sweep")
-    spec = KdeSpec(bandwidth=args.bandwidth, n_key=args.n_key, pixel_scope=scope,
-                   boundary_radius=args.boundary_radius, seed=args.seed)
     calibrated, keys, n_scope = _calibration_pass(pred, label, spec)
     write_field(args.out, calibrated)
     _emit({"out": args.out, "n_key": len(keys), "scope_pixels": n_scope,
-           "ece_before": _binary_ece(pred, label),
-           "ece_after": _binary_ece(calibrated, label)})
+           "ece_before": ece_before, "ece_after": _binary_ece(calibrated, label)})
     return 0
 
 
@@ -304,17 +298,24 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+class DatasetDirError(DicesmError):
+    """A dataset directory's manifest.json lacks a key."""
+
+
 def load_dataset_dir(path) -> SynthDataset:
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
-    spec = from_json(SynthSpec, manifest["spec"])
+    try:
+        spec_json = manifest["spec"]
+        entries = [(e["image"], e["raters"], e["clean"]) for e in manifest["images"]]
+    except KeyError as e:
+        raise DatasetDirError(f"{root / 'manifest.json'} lacks the key {e}") from None
+    spec = from_json(SynthSpec, spec_json)
     images = []
-    for e in manifest["images"]:
-        img = read_tensor(root / e["image"]).as_array()
-        raters = RaterStack(tuple(read_label_field(root / p, "hard")
-                                  for p in e["raters"]))
-        clean = read_label_field(root / e["clean"], "hard")
-        images.append(SynthImage(img, raters, clean))
+    for image, raters, clean in entries:
+        img = read_tensor(root / image).as_array()
+        stack = _stack_from_files(root / p for p in raters)
+        images.append(SynthImage(img, stack, read_label_field(root / clean, "hard")))
     return SynthDataset(spec, tuple(images))
 
 
@@ -349,6 +350,8 @@ def _split(dataset: SynthDataset, val_fraction: float, seed: int):
         raise UsageError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
     n = len(dataset)
     n_val = int(round(val_fraction * n))
+    if n_val == n:
+        raise UsageError(f"val_fraction {val_fraction!r} leaves no training image")
     if n_val == 0:
         return dataset, None
     order = np.random.default_rng(np.random.SeedSequence([seed, 104729])).permutation(n)
@@ -366,10 +369,15 @@ def _finish_training(result, out_dir) -> None:
     _emit({"out": str(out), **metrics})
 
 
+def _read_config(path, allowed: set) -> dict:
+    cfg = json.loads(Path(path).read_text())
+    _require_keys(cfg, allowed, "config", ("data",))
+    return cfg
+
+
 def cmd_train(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
-    _require_keys(cfg, {"data", "model", "train", "val_fraction", "eval_every",
-                        "out_dir"}, "config")
+    cfg = _read_config(args.config, {"data", "model", "train", "val_fraction",
+                                     "eval_every", "out_dir"})
     dataset = _dataset_from_config(cfg["data"])
     model_spec = from_json(ModelSpec, cfg.get("model", {}))
     train_spec = _train_spec(cfg.get("train", {}))
@@ -380,9 +388,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
-    _require_keys(cfg, {"data", "student", "train", "kd", "val_fraction",
-                        "eval_every", "out_dir"}, "config")
+    cfg = _read_config(args.config, {"data", "student", "train", "kd", "val_fraction",
+                                     "eval_every", "out_dir"})
     dataset = _dataset_from_config(cfg["data"])
     student_spec = from_json(ModelSpec, cfg.get("student", {}))
     train_spec = _train_spec(cfg.get("train", {}))
@@ -427,11 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-ce", type=float, default=CompoundParams.w_ce)
     p.add_argument("--w-dml", type=float, default=CompoundParams.w_dml)
     p.add_argument("--overlap", default=CompoundParams.overlap, choices=OVERLAP_NAMES)
-    p.add_argument("--class-mode", default="mean_present",
-                   choices=("mean_present", "mean_all"))
-    p.add_argument("--batch-mode", default="per_image_then_mean",
-                   choices=("per_image_then_mean", "pooled"))
-    p.add_argument("--empty-both-value", type=float, default=0.0)
+    p.add_argument("--class-mode", default=ReductionSpec.class_mode,
+                   choices=(losses_mod.MEAN_PRESENT, losses_mod.MEAN_ALL))
+    p.add_argument("--batch-mode", default=ReductionSpec.batch_mode,
+                   choices=(losses_mod.PER_IMAGE_THEN_MEAN, losses_mod.POOLED))
+    p.add_argument("--empty-both-value", type=float, default=ReductionSpec.empty_both_value)
     p.add_argument("--soft-ok", action="store_true",
                    help="let stl accept soft labels (demonstration only)")
     p.add_argument("--grad-out", help="write d(loss)/dx as an .sdt tensor")
@@ -447,19 +454,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--metric", required=True, choices=("dice", "bdice", "ece"))
-    p.add_argument("--thresholds", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--thresholds", default=",".join(map(str, DEFAULT_THRESHOLDS)))
+    p.add_argument("--bins", type=int, default=EceSpec.n_bins)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("make-soft-labels", formatter_class=fmt,
                        help="build training targets from rater annotations")
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, default=SoftLabelSpec.epsilon)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tie-break", default="background",
-                   choices=("background", "lowest_class"))
-    p.add_argument("--weights", default="per_image",
-                   choices=("per_image", "per_dataset"))
+    p.add_argument("--tie-break", default=SoftLabelSpec.tie_break,
+                   choices=TIE_BREAKS)
+    p.add_argument("--weights", default=SoftLabelSpec.weights_scope, choices=WEIGHT_SCOPES)
     p.add_argument("--raters", nargs="+", help="one .sdt file per rater")
     p.add_argument("--out", help="output .sdt file")
     p.add_argument("--manifest", help="JSON manifest for multi-image runs")
@@ -469,10 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="KDE-recalibrate a probability field")
     p.add_argument("--pred", required=True)
     p.add_argument("--label", required=True)
-    p.add_argument("--bandwidth", type=float, default=1e-3)
-    p.add_argument("--n-key", type=int, default=128)
+    p.add_argument("--bandwidth", type=float, default=KdeSpec.bandwidth)
+    p.add_argument("--n-key", type=int, default=KdeSpec.n_key)
     p.add_argument("--scope", default="all", choices=("all", "boundary"))
-    p.add_argument("--boundary-radius", type=int, default=1)
+    p.add_argument("--boundary-radius", type=int, default=KdeSpec.boundary_radius)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", help="output .sdt file")
     p.add_argument("--sweep", help="comma-separated bandwidths to compare")
@@ -481,15 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", formatter_class=fmt,
                        help="generate a synthetic multi-rater dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-images", type=int, default=50)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--n-classes", type=int, default=1)
-    p.add_argument("--k-raters", type=int, default=5)
-    p.add_argument("--radius-lo", type=int, default=0)
-    p.add_argument("--radius-hi", type=int, default=2)
-    p.add_argument("--flip-prob", type=float, default=0.1)
-    p.add_argument("--image-noise", type=float, default=0.25)
+    p.add_argument("--n-images", type=int, default=SynthSpec.n_images)
+    p.add_argument("--height", type=int, default=SynthSpec.height)
+    p.add_argument("--width", type=int, default=SynthSpec.width)
+    p.add_argument("--n-classes", type=int, default=SynthSpec.n_classes)
+    p.add_argument("--k-raters", type=int, default=SynthSpec.k_raters)
+    p.add_argument("--radius-lo", type=int, default=RaterNoise.dilate_erode_radius[0])
+    p.add_argument("--radius-hi", type=int, default=RaterNoise.dilate_erode_radius[1])
+    p.add_argument("--flip-prob", type=float, default=RaterNoise.boundary_flip_prob)
+    p.add_argument("--image-noise", type=float, default=SynthSpec.image_noise)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(fn=cmd_gen_data)
 

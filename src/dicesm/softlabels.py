@@ -24,6 +24,8 @@ STRATEGIES = ("majority", "random_rater", "uniform_avg", "weighted_avg",
 
 TIE_LOWEST = "lowest_class"
 TIE_BACKGROUND = "background"
+TIE_BREAKS = (TIE_BACKGROUND, TIE_LOWEST)
+WEIGHT_SCOPES = ("per_image", "per_dataset")
 
 
 class BadEpsilonError(DicesmError):
@@ -47,14 +49,14 @@ class SoftLabelSpec:
     epsilon: float = 0.1
     seed: int = 0
     tie_break: str = TIE_BACKGROUND
-    weights_scope: str = "per_image"
+    weights_scope: str = WEIGHT_SCOPES[0]
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.tie_break not in (TIE_LOWEST, TIE_BACKGROUND):
+        if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
-        if self.weights_scope not in ("per_image", "per_dataset"):
+        if self.weights_scope not in WEIGHT_SCOPES:
             raise ValueError(f"unknown weights_scope {self.weights_scope!r}")
         if self.strategy == "label_smoothing" and not 0.0 <= self.epsilon < 1.0:
             raise BadEpsilonError(f"epsilon {self.epsilon!r} outside [0, 1)")
@@ -72,7 +74,7 @@ def majority_vote(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelFi
     lowest_class picks the smallest tied index and background prefers class
     0 whenever it is among the tied leaders.
     """
-    if tie_break not in (TIE_LOWEST, TIE_BACKGROUND):
+    if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
     votes = _stack_votes(stack)
     k = len(stack)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..calibration import KdeSpec, kde_calibrate_batch, sample_key_points, select_scope_pixels
-from ..core import LabelField, ProbField
+from ..calibration import (SCOPE_ALL, KdeSpec, kde_calibrate_batch, sample_key_points,
+                           select_scope_pixels)
+from ..core import LabelField
 from ..losses import batch_loss, ce as ce_loss, dml1 as dml1_loss
 from ..softlabels import majority_vote
 from .loop import TrainResult, TrainSpec, build_targets, run_sgd
@@ -47,58 +48,36 @@ class TeacherSignal:
     def __init__(self, dataset: SynthDataset, teacher, kd_spec: KdSpec):
         self.kd_spec = kd_spec
         self.weight = kd_spec.kd_weight
-        self.n_classes = dataset.spec.n_classes
-        self.teacher_probs = []
-        self.hard_refs = []
-        self.scopes = []
+        n_classes = dataset.spec.n_classes
+        kde = kd_spec.kde
+        # per image; with use_kde also its (pixels, C) confidence and
+        # hard-label rows and its pixel scope (None for every pixel)
+        self.teacher_probs, self.conf_rows, self.label_rows, self.scopes = [], [], [], []
         for im in dataset.images:
             probs, _ = teacher.forward(teacher.prepare(im.image))
-            if probs.n_classes != self.n_classes:
+            if probs.n_classes != n_classes:
                 raise CheckpointMismatchError(
-                    f"teacher emits {probs.n_classes} classes, task has {self.n_classes}")
-            maj = majority_vote(im.raters)
+                    f"teacher emits {probs.n_classes} classes, task has {n_classes}")
             self.teacher_probs.append(probs)
-            self.hard_refs.append(maj)
-            if kd_spec.use_kde and kd_spec.kde.pixel_scope != "all":
-                self.scopes.append(select_scope_pixels(probs, maj, kd_spec.kde))
-            else:
-                self.scopes.append(None)
-
-    def _rows(self, i):
-        """Confidence and label rows of image i, shaped (pixels, columns)."""
-        p = self.teacher_probs[i].array
-        y = self.hard_refs[i].array
-        c = p.shape[0]
-        return p.reshape(c, -1).T, y.reshape(c, -1).T
+            if kd_spec.use_kde:
+                maj = majority_vote(im.raters)
+                self.conf_rows.append(probs.array.reshape(n_classes, -1).T)
+                self.label_rows.append(maj.array.reshape(n_classes, -1).T)
+                self.scopes.append(None if kde.pixel_scope == SCOPE_ALL
+                                   else select_scope_pixels(probs, maj, kde))
 
     def _signal_fields(self, idx, epoch, batch_idx):
         if not self.kd_spec.use_kde:
             return [LabelField(self.teacher_probs[i].tensor, "soft") for i in idx]
-        conf_rows = []
-        lab_rows = []
-        for i in idx:
-            cr, lr = self._rows(i)
-            conf_rows.append(cr)
-            lab_rows.append(lr)
-        pool_conf = np.concatenate(conf_rows)
-        pool_lab = np.concatenate(lab_rows)
-        seed = int(np.random.SeedSequence(
-            [self.kd_spec.kde.seed, epoch, batch_idx]).generate_state(1)[0])
-        keys = sample_key_points(pool_conf, pool_lab,
-                                 replace(self.kd_spec.kde, seed=seed))
-        fields = []
-        for i, cr in zip(idx, conf_rows):
-            scope = self.scopes[i]
-            if scope is None:
-                out = kde_calibrate_batch(cr, keys, self.kd_spec.kde.bandwidth)
-            else:
-                out = cr.copy()
-                if scope.size:
-                    out[scope] = kde_calibrate_batch(cr[scope], keys,
-                                                     self.kd_spec.kde.bandwidth)
-            arr = out.T.reshape(self.teacher_probs[i].dims)
-            fields.append(LabelField.from_array(np.clip(arr, 0.0, 1.0), "soft"))
-        return fields
+        kde = self.kd_spec.kde
+        seed = int(np.random.SeedSequence([kde.seed, epoch, batch_idx]).generate_state(1)[0])
+        keys = sample_key_points(np.concatenate([self.conf_rows[i] for i in idx]),
+                                 np.concatenate([self.label_rows[i] for i in idx]),
+                                 replace(kde, seed=seed))
+        return [LabelField.from_array(
+                    kde_calibrate_batch(self.conf_rows[i], keys, kde.bandwidth, self.scopes[i])
+                    .T.reshape(self.teacher_probs[i].dims), "soft")
+                for i in idx]
 
     def batch_terms(self, idx, student_probs, red, epoch, batch_idx):
         """KD loss value and per-image gradients for one batch."""

@@ -204,6 +204,40 @@ class TestKdeCalibrate:
         assert calibration.kernel_eval_count == m * n
 
 
+class TestScopedPass:
+    """With a scope, kde_calibrate_batch is the pass that copies F and
+    replaces F[scope] by the recalibration of those rows alone, bit for bit,
+    at block edges included."""
+
+    @pytest.mark.filterwarnings("ignore::dicesm.calibration.DegenerateWeightsWarning")
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("size", ["0", "1", "B-1", "B", "B+1", "m"])
+    def test_matches_recalibrating_the_scoped_rows(self, size, c):
+        n, h = 11, 0.05
+        block = calibration._block_rows(n, c)
+        m = 2 * block + 7
+        k = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "m": m}[size]
+        rng = np.random.default_rng(100 * c + k)
+        keys = _keys_with_endpoints(rng, n, c)
+        F = _rows_with_endpoints(rng, m, c)
+        scope = np.sort(rng.choice(m, size=k, replace=False))
+        want = F.copy()
+        want[scope] = kde_calibrate_batch(F[scope], keys, h)
+        reset_kernel_eval_count()
+        got = kde_calibrate_batch(F, keys, h, scope)
+        assert calibration.kernel_eval_count == k * n
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_scope_returns_the_rows(self, rng):
+        F = rng.dirichlet(np.ones(2), size=9)
+        keys = KeyPointSet(F[:4], np.eye(2)[[0, 1, 1, 0]], np.arange(4))
+        reset_kernel_eval_count()
+        out = kde_calibrate_batch(F, keys, 0.1, np.array([], dtype=np.intp))
+        assert calibration.kernel_eval_count == 0
+        np.testing.assert_array_equal(out, F)
+        assert out is not F
+
+
 class TestSelectScopePixels:
     def test_perfect_prediction_no_boundary(self):
         pred = ProbField.from_array(np.full((1, 4, 4), 0.9))

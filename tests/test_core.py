@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dicesm import core
 from dicesm.core import (
@@ -14,6 +19,7 @@ from dicesm.core import (
     ShapeMismatchError,
     SimplexViolationError,
     TensorF,
+    TensorIOError,
     TruncatedFileError,
     read_prob_field,
     read_tensor,
@@ -201,6 +207,97 @@ class TestTensorFile:
         assert core.read_label_field(path).is_hard
         core.write_field(path, LabelField.from_array(np.full((1, 2, 2), 0.5), "soft"))
         assert not core.read_label_field(path).is_hard
+
+
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _sdt_files(draw):
+    """SDT1 files built from dims and a float32 payload, with at most one
+    fault: a wrong magic, rank or dim, or the file cut short or extended."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    values = draw(st.lists(st.floats(width=32), min_size=math.prod(dims),
+                           max_size=math.prod(dims)))
+    magic, rank = core.MAGIC, len(dims)
+    fault = draw(st.sampled_from(["none", "magic", "rank", "dim", "cut", "extend"]))
+    if fault == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != core.MAGIC))
+    elif fault == "rank":
+        rank = draw(st.sampled_from([0, rank - 1, rank + 1, 17, 2**32 - 1]))
+    elif fault == "dim":
+        dims[draw(st.integers(0, len(dims) - 1))] = draw(st.sampled_from([0, 2**16, 2**32 - 1]))
+    raw = (magic + struct.pack("<I", rank) + struct.pack(f"<{len(dims)}I", *dims)
+           + struct.pack(f"<{len(values)}f", *values))
+    if fault == "cut":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    elif fault == "extend":
+        raw += draw(st.binary(min_size=1, max_size=8))
+    return raw
+
+
+def _sound_sdt(raw):
+    """(dims, float32 payload) of a structurally sound SDT1 file, else None:
+    magic "SDT1", rank 1..16, positive dims with at most 2**31 elements, and
+    exactly 4 bytes per element after the header."""
+    if len(raw) < 8 or raw[:4] != core.MAGIC:
+        return None
+    (rank,) = struct.unpack_from("<I", raw, 4)
+    if not 1 <= rank <= 16 or len(raw) < 8 + 4 * rank:
+        return None
+    dims = struct.unpack_from(f"<{rank}I", raw, 8)
+    n = math.prod(dims)
+    if n == 0 or n > 1 << 31 or len(raw) != 8 + 4 * rank + 4 * n:
+        return None
+    return dims, np.frombuffer(raw, dtype="<f4", offset=8 + 4 * rank)
+
+
+class TestReadTensorFuzz:
+    """read_tensor raises nothing but DicesmError subclasses. A structural
+    fault (magic, rank, a zero or overflowing dim, a length that disagrees
+    with the dims) raises TensorIOError. A sound file whose payload holds a
+    NaN or an infinity raises NonFiniteError, which is a ValidationError and
+    not a TensorIOError: the file is intact, its values are not."""
+
+    @_FUZZ
+    @given(raw=st.one_of(_sdt_files(), st.binary(max_size=64),
+                         st.binary(max_size=64).map(core.MAGIC.__add__)))
+    def test_only_the_documented_errors(self, raw, tmp_path):
+        path = tmp_path / "t.sdt"
+        path.write_bytes(raw)
+        sound = _sound_sdt(raw)
+        if sound is None:
+            with pytest.raises(TensorIOError):
+                read_tensor(path)
+            return
+        dims, payload = sound
+        if not np.all(np.isfinite(payload)):
+            with pytest.raises(NonFiniteError):
+                read_tensor(path)
+            return
+        t = read_tensor(path)
+        assert t.dims == dims
+        assert t.data.tobytes() == payload.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_value(self, bad, tmp_path):
+        path = tmp_path / "t.sdt"
+        path.write_bytes(core.MAGIC + struct.pack("<2I", 1, 1) + struct.pack("<f", bad))
+        with pytest.raises(NonFiniteError) as e:
+            read_tensor(path)
+        assert not isinstance(e.value, TensorIOError)
+
+    @_FUZZ
+    @given(values=st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=64))
+    def test_float32_round_trip_is_exact(self, values, tmp_path):
+        t = TensorF((len(values),), np.array(values, dtype=np.float32).astype(np.float64))
+        path = tmp_path / "t.sdt"
+        write_tensor(path, t)
+        back = read_tensor(path)
+        assert back.dims == t.dims
+        assert back.data.tobytes() == t.data.tobytes()
 
 
 class TestFromJson:
