@@ -52,7 +52,7 @@ from .core import (
     check_same_dims,
     validate,
 )
-from .metrics import SoftInputError
+from .metrics import SoftInputError, class_map
 
 SCOPE_ALL = "all"
 SCOPE_BOUNDARY = "misclassified_and_boundary"
@@ -248,12 +248,6 @@ def _as_rows(arr) -> np.ndarray:
     return a
 
 
-def _point_classes(labels: np.ndarray) -> np.ndarray:
-    if labels.shape[1] == 1:
-        return (labels[:, 0] > 0.5).astype(np.int64)
-    return np.argmax(labels, axis=1)
-
-
 def sample_key_points(confidences, labels, spec: KdeSpec) -> KeyPointSet:
     """Class-stratified sample of n_key points from a batch.
 
@@ -270,7 +264,7 @@ def sample_key_points(confidences, labels, spec: KdeSpec) -> KeyPointSet:
         raise EmptyBatchError("empty batch")
     if spec.n_key >= n:
         return KeyPointSet(conf, lab, np.arange(n))
-    classes = _point_classes(lab)
+    classes = class_map(lab.T)
     uniques = np.unique(classes)
     quota = -(-spec.n_key // uniques.size)  # ceil
     rng = np.random.default_rng(spec.seed)
@@ -341,13 +335,6 @@ def kde_calibrate(f_x, keys: KeyPointSet, h: float) -> np.ndarray:
 # Pixel scope
 # --------------------------------------------------------------------------
 
-def _class_map(f) -> np.ndarray:
-    arr = f.array
-    if arr.shape[0] == 1:
-        return (arr[0] > 0.5).astype(np.int64)
-    return np.argmax(arr, axis=0)
-
-
 def select_scope_pixels(pred: ProbField, label: LabelField,
                         spec: KdeSpec) -> np.ndarray:
     """Flat pixel indices where argmax(pred) != argmax(label), plus pixels
@@ -357,8 +344,8 @@ def select_scope_pixels(pred: ProbField, label: LabelField,
         raise SoftInputError("select_scope_pixels requires a hard label map")
     validate(pred)
     validate(label)
-    pc = _class_map(pred)
-    lc = _class_map(label)
+    pc = class_map(pred.array)
+    lc = class_map(label.array)
     wrong = pc != lc
     size = 2 * spec.boundary_radius + 1
     near_edge = (maximum_filter(lc, size=size, mode="nearest")

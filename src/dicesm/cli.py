@@ -54,6 +54,7 @@ from .metrics import (
     EceSpec,
     bdice,
     ece,
+    foreground_class,
     hard_dice,
 )
 from .properties import run_suite
@@ -159,7 +160,9 @@ def cmd_eval_loss(args) -> int:
 # --------------------------------------------------------------------------
 
 def _binary_ece(pred: ProbField, label: LabelField, n_bins=EceSpec.n_bins) -> float:
-    fg = 0 if pred.n_classes == 1 else 1
+    if pred.n_classes > 2:
+        raise UsageError("ece supports binary tasks (C <= 2)")
+    fg = foreground_class(pred.n_classes)
     record = CalibRecord(pred.array[fg].ravel(), label.array[fg].ravel())
     return ece(record, EceSpec(n_bins=n_bins))
 
@@ -174,8 +177,6 @@ def cmd_eval(args) -> int:
         thresholds = tuple(float(t) for t in args.thresholds.split(","))
         spec = BDiceSpec(thresholds=thresholds)
         per_class = [bdice(pred, label, spec, c) for c in range(pred.n_classes)]
-    elif pred.n_classes > 2:
-        raise UsageError("ece supports binary tasks (C <= 2)")
     else:
         per_class = [_binary_ece(pred, label, args.bins)]
     value = float(np.mean(per_class))
@@ -299,23 +300,27 @@ def cmd_gen_data(args) -> int:
 
 
 class DatasetDirError(DicesmError):
-    """A dataset directory's manifest.json lacks a key."""
+    """A dataset directory's manifest.json is not a dataset manifest."""
 
 
 def load_dataset_dir(path) -> SynthDataset:
+    """The dataset that gen-data wrote to path. A manifest that is not JSON,
+    lacks a key or holds a bad spec is bad data, not bad usage."""
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
+    where = root / "manifest.json"
     try:
-        spec_json = manifest["spec"]
-        entries = [(e["image"], e["raters"], e["clean"]) for e in manifest["images"]]
+        manifest = json.loads(where.read_text())
+        spec = from_json(SynthSpec, manifest["spec"])
+        entries = [(root / e["image"], [root / p for p in e["raters"]], root / e["clean"])
+                   for e in manifest["images"]]
     except KeyError as e:
-        raise DatasetDirError(f"{root / 'manifest.json'} lacks the key {e}") from None
-    spec = from_json(SynthSpec, spec_json)
+        raise DatasetDirError(f"{where} lacks the key {e}") from None
+    except (TypeError, ValueError, DicesmError) as e:
+        raise DatasetDirError(f"{where} is malformed: {e}") from None
     images = []
     for image, raters, clean in entries:
-        img = read_tensor(root / image).as_array()
-        stack = _stack_from_files(root / p for p in raters)
-        images.append(SynthImage(img, stack, read_label_field(root / clean, "hard")))
+        images.append(SynthImage(read_tensor(image).as_array(), _stack_from_files(raters),
+                                 read_label_field(clean, "hard")))
     return SynthDataset(spec, tuple(images))
 
 

@@ -144,7 +144,9 @@ def _safe_div(num, den):
 
 
 def _finish(vals, grads, ok):
-    vals = np.where(ok, vals, 0.0)
+    # no region loss exceeds 1, but D and S summed in different orders can
+    # put D / S one ulp above it where x and y have disjoint supports
+    vals = np.where(ok, np.minimum(vals, 1.0), 0.0)
     grads = np.where(ok[:, None], grads, 0.0)
     return vals, grads, ok
 

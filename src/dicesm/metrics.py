@@ -3,11 +3,14 @@ Dice over threshold sweeps, and binned expected calibration error.
 
 hard_dice counts set memberships with integers and is the independent oracle
 for the overlap losses (1 - sdl on hard pairs must match it exactly).
+
+class_map and foreground_class are the one statement of the class rule: a
+C == 1 field is a foreground probability with an implicit background.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +36,28 @@ class EmptyRecordsError(DicesmError):
     pass
 
 
+def class_map(arr) -> np.ndarray:
+    """Class index of each position of a (C, ...) array: p > 0.5 at C == 1,
+    the argmax over classes otherwise."""
+    if arr.shape[0] == 1:
+        return (arr[0] > 0.5).astype(np.int64)
+    return np.argmax(arr, axis=0)
+
+
+def foreground_class(n_classes: int) -> int:
+    """Channel of the foreground probability: 0 at C == 1, 1 otherwise."""
+    return 0 if n_classes == 1 else 1
+
+
 @dataclass(frozen=True)
 class EceSpec:
     """Equal-width binning of foreground confidence, pooled over pixels."""
 
     n_bins: int = 15
-    binning: str = "equal_width"
-    scope: str = "foreground_prob"
 
     def __post_init__(self):
         if self.n_bins <= 0:
             raise ValueError("n_bins must be positive")
-        if self.binning != "equal_width":
-            raise ValueError(f"unknown binning {self.binning!r}")
-        if self.scope != "foreground_prob":
-            raise ValueError(f"unknown scope {self.scope!r}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,6 @@ class BDiceSpec:
     """Joint thresholding levels for prediction and soft label."""
 
     thresholds: tuple = DEFAULT_THRESHOLDS
-    empty_both_dice: float = 1.0
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.thresholds)
@@ -137,7 +146,7 @@ def bdice(x: ProbField, y: LabelField, spec: BDiceSpec | None = None,
 
     Both maps are thresholded with strict `> t` at every level of the spec
     and scored with set-based Dice; levels where both maps come up empty
-    count spec.empty_both_dice.
+    count 1.
     """
     spec = spec or BDiceSpec()
     check_same_dims(x, y)
@@ -145,8 +154,7 @@ def bdice(x: ProbField, y: LabelField, spec: BDiceSpec | None = None,
     validate(y)
     xa = x.array[class_idx]
     ya = y.array[class_idx]
-    scores = [_count_dice(xa > t, ya > t, spec.empty_both_dice)
-              for t in spec.thresholds]
+    scores = [_count_dice(xa > t, ya > t, 1.0) for t in spec.thresholds]
     return float(np.mean(scores))
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..core import DicesmError, LabelField, ProbField
 from ..losses import ReductionSpec, batch_loss, make_loss, parse_loss_params
-from ..metrics import BDiceSpec, CalibRecord, EceSpec, bdice, ece, hard_dice
+from ..metrics import (BDiceSpec, CalibRecord, EceSpec, bdice, class_map, ece,
+                       foreground_class, hard_dice)
 from ..softlabels import SoftLabelSpec, build_labels_dataset, majority_vote, uniform_average
 from .models import ModelSpec, build_model
 from .synth import SynthDataset
@@ -67,30 +68,22 @@ def poly_lr(lr0: float, t: int, total: int, power: float) -> float:
     return lr0 * (1.0 - t / total) ** power
 
 
-def foreground_class(n_classes: int) -> int:
-    return 0 if n_classes == 1 else 1
-
-
 def binarize(probs: ProbField) -> LabelField:
-    arr = probs.array
+    """One-hot field of the class map (the map itself at C == 1)."""
+    winner = class_map(probs.array)
     if probs.n_classes == 1:
-        out = (arr[0] > 0.5).astype(np.float64)[None]
+        out = winner[None]
     else:
-        winner = np.argmax(arr, axis=0)
-        out = np.zeros_like(arr)
-        np.put_along_axis(out, winner[None], 1.0, axis=0)
-    return LabelField.from_array(out, "hard")
+        out = np.arange(probs.n_classes).reshape((-1,) + (1,) * winner.ndim) == winner
+    return LabelField.from_array(out.astype(np.float64), "hard")
 
 
-def evaluate(model, dataset: SynthDataset, indices=None) -> dict:
+def evaluate(model, dataset: SynthDataset) -> dict:
     """Dice/ECE against per-image majority votes, BDice against the uniform
     rater average, per the multi-rater evaluation protocol."""
-    if indices is None:
-        indices = range(len(dataset))
     fg = foreground_class(dataset.spec.n_classes)
     dices, bdices, confs, labels = [], [], [], []
-    for i in indices:
-        im = dataset[i]
+    for im in dataset.images:
         probs, _ = model.forward(model.prepare(im.image))
         maj = majority_vote(im.raters)
         soft = uniform_average(im.raters)
@@ -133,7 +126,9 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     batches_per_epoch = -(-n // spec.batch_size)
     total_steps = spec.epochs * batches_per_epoch
+    ds, split = (dataset, "train") if val_dataset is None else (val_dataset, "val")
     trace = []
+    m = None
     t = 0
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
@@ -168,20 +163,13 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
             _sgd_step(model.params, velocity, param_grads, lr,
                       spec.momentum, spec.weight_decay)
             t += 1
-        mean_loss = float(np.mean(epoch_losses))
-        is_last = epoch == spec.epochs - 1
-        if eval_every and (is_last or (epoch + 1) % eval_every == 0):
-            ds = val_dataset if val_dataset is not None else dataset
-            split = "val" if val_dataset is not None else "train"
-            m = evaluate(model, ds)
-            trace.append({"epoch": epoch, "split": split, "dice": m["dice"],
-                          "bdice": m["bdice"], "ece": m["ece"], "loss": mean_loss})
-        else:
-            trace.append({"epoch": epoch, "split": "train", "dice": float("nan"),
-                          "bdice": float("nan"), "ece": float("nan"),
-                          "loss": mean_loss})
-    ds = val_dataset if val_dataset is not None else dataset
-    return TrainResult(model, trace, evaluate(model, ds))
+        due = eval_every and (epoch == spec.epochs - 1 or (epoch + 1) % eval_every == 0)
+        m = evaluate(model, ds) if due else None
+        trace.append({"epoch": epoch, "split": split if m else "train",
+                      **{k: m[k] if m else float("nan") for k in ("dice", "bdice", "ece")},
+                      "loss": float(np.mean(epoch_losses))})
+    # the last epoch is due unless eval_every == 0; m scores the final model
+    return TrainResult(model, trace, m or evaluate(model, ds))
 
 
 def build_targets(dataset: SynthDataset, spec: SoftLabelSpec):
@@ -209,16 +197,11 @@ def crossval_folds(n: int, k_folds: int, seed: int):
 
 
 def crossval(dataset: SynthDataset, model_spec: ModelSpec, train_spec: TrainSpec,
-             k_folds: int = 5, seed: int | None = None, eval_every: int = 0,
-             train_fn=None) -> dict:
-    """k-fold cross-validation; each image lands in exactly one validation
-    fold; metrics aggregate over the union of validation predictions.
-
-    train_fn(train_subset, val_subset) may override the default train() to
-    reuse the folds for distillation arms.
-    """
-    seed = train_spec.seed if seed is None else seed
-    folds = crossval_folds(len(dataset), k_folds, seed)
+             k_folds: int = 5) -> dict:
+    """k-fold cross-validation with folds seeded by train_spec.seed; each
+    image lands in exactly one validation fold; metrics aggregate over the
+    union of validation predictions. Folds train without a trace."""
+    folds = crossval_folds(len(dataset), k_folds, train_spec.seed)
     per_image_dice = []
     per_image_bdice = []
     records = []
@@ -226,11 +209,7 @@ def crossval(dataset: SynthDataset, model_spec: ModelSpec, train_spec: TrainSpec
     for fold_idx, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(len(dataset)), val_idx)
         tr, va = subset(dataset, train_idx), subset(dataset, val_idx)
-        if train_fn is None:
-            result = train(tr, model_spec, train_spec, va, eval_every)
-        else:
-            result = train_fn(tr, va)
-        m = result.final_metrics
+        m = train(tr, model_spec, train_spec, va, eval_every=0).final_metrics
         per_image_dice.extend(m["per_image_dice"])
         per_image_bdice.append(m["bdice"] * len(val_idx))
         records.append(m["record"])

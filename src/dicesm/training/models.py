@@ -209,18 +209,19 @@ def load_model(model_dir):
     path = Path(model_dir) / "manifest.json"
     if not path.exists():
         raise CheckpointMismatchError(f"no manifest at {path}")
-    manifest = json.loads(path.read_text())
     try:
+        manifest = json.loads(path.read_text())
         spec = ModelSpec(kind=manifest["kind"], feature_set=manifest["feature_set"],
                          radii=tuple(manifest["radii"]), channels=manifest["channels"],
                          n_classes=manifest["n_classes"], seed=manifest["seed"])
-    except (KeyError, ValueError) as e:
-        raise CheckpointMismatchError(f"bad manifest: {e}") from e
+        files = dict(manifest["params"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointMismatchError(f"bad manifest {path}: {e}") from None
     model = build_model(spec)
     for name, ref in model.params.items():
-        if name not in manifest["params"]:
-            raise CheckpointMismatchError(f"missing parameter {name!r}")
-        arr = read_tensor(Path(model_dir) / manifest["params"][name]).as_array()
+        if name not in files:
+            raise CheckpointMismatchError(f"{path} lacks the parameter {name!r}")
+        arr = read_tensor(Path(model_dir) / files[name]).as_array()
         if arr.shape != ref.shape:
             raise CheckpointMismatchError(
                 f"parameter {name!r} has shape {arr.shape}, expected {ref.shape}")

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion
 
 from ..core import DicesmError, LabelField, RaterStack
+from ..metrics import foreground_class, hard_dice
 
 
 class BadSpecError(DicesmError):
@@ -161,9 +162,7 @@ def generate_synthetic(spec: SynthSpec) -> SynthDataset:
 
 def mean_pairwise_rater_dice(ds: SynthDataset) -> float:
     """Monte Carlo agreement level of the rater pool (foreground class)."""
-    from ..metrics import hard_dice
-
-    c = 1 if ds.spec.n_classes == 2 else 0
+    c = foreground_class(ds.spec.n_classes)
     scores = []
     for im in ds.images:
         rs = im.raters.raters

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dicesm import LabelField, ProbField
+
+# Property tests draw the same examples on every run; per-test settings keep
+# their own max_examples and deadline on top of this profile.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def vec_prob(values) -> ProbField:

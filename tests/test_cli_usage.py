@@ -1,16 +1,22 @@
 """Command-line inputs that must exit 2 as usage errors: a non-integer
 DICESM_SEED, an --curve grid outside the loss domain or under two points,
-a val_fraction outside [0, 1) or one that leaves no training image, and
-JSON inputs that lack a required key. A dataset directory whose manifest
-lacks a key is bad data: exit 1 with one stderr line. Also: the compound
-curve honours its flags.
+a val_fraction outside [0, 1) or one that leaves no training image, JSON
+inputs that lack a required key, and calibrate on a three-class field
+(ECE is binary; nothing is written). Data files are bad data, exit 1 with
+one stderr line that names the file: a dataset manifest that lacks a key,
+is not JSON, is not an object or has an unknown spec key, and a teacher
+checkpoint manifest that is not JSON or lacks its params. Also: the
+compound curve honours its flags.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from dicesm import cli
+from dicesm.core import LabelField, ProbField, write_field
+from dicesm.training import ModelSpec, build_model, save_model
 
 
 def _curve(capsys, *argv):
@@ -115,3 +121,55 @@ def test_dataset_manifest_without_clean_is_bad_data(monkeypatch, tmp_path, capsy
     assert cli.main(["train", "--config", "c.json"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "clean" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt", [lambda m: "{not json", lambda m: "[1, 2]",
+                                     lambda m: json.dumps({**m, "spec": {**m["spec"], "bogus": 1}})],
+                         ids=["not_json", "list", "unknown_spec_key"])
+def test_malformed_dataset_manifest_is_bad_data(corrupt, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    _gen_data(tmp_path / "data")
+    path = tmp_path / "data" / "manifest.json"
+    path.write_text(corrupt(json.loads(path.read_text())))
+    (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "data"},
+                                                 "train": {"epochs": 1}, "out_dir": "out"}))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", "c.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "manifest.json" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("corrupt", [lambda m: "{not json",
+                                     lambda m: json.dumps({k: v for k, v in m.items()
+                                                           if k != "params"})],
+                         ids=["not_json", "no_params"])
+def test_malformed_teacher_checkpoint_is_bad_data(corrupt, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_model(build_model(ModelSpec(feature_set="intensity")), tmp_path / "teacher")
+    path = tmp_path / "teacher" / "manifest.json"
+    path.write_text(corrupt(json.loads(path.read_text())))
+    (tmp_path / "c.json").write_text(json.dumps({
+        "data": {"synth": {"n_images": 2, "height": 8, "width": 8, "k_raters": 2}},
+        "train": {"epochs": 1}, "kd": {"teacher_checkpoint": "teacher"},
+        "eval_every": 0, "out_dir": "out"}))
+    assert cli.main(["distill", "--config", "c.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "manifest.json" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [["--out", "cal.sdt"], ["--sweep", "0.01,0.1"]])
+def test_calibrate_refuses_three_classes(extra, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(3)
+    write_field("pred.sdt", ProbField.from_array(
+        rng.dirichlet(np.ones(3), size=(8, 8)).transpose(2, 0, 1)))
+    winner = rng.integers(0, 3, size=(8, 8))
+    write_field("label.sdt", LabelField.from_array(
+        (np.arange(3)[:, None, None] == winner).astype(np.float64), "hard"))
+    code = cli.main(["calibrate", "--pred", "pred.sdt", "--label", "label.sdt", *extra])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "ece supports binary tasks (C <= 2)" in captured.err
+    assert not (tmp_path / "cal.sdt").exists()

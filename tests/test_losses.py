@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dicesm import losses
 from dicesm.core import ProbField, LabelField, ShapeMismatchError
@@ -430,3 +433,93 @@ class TestSinglePath:
             _, grads, _ = losses.pairwise(name, X, X)
             assert np.any(flipped != grads), name
         np.testing.assert_array_equal(losses.pairwise("dml1", X, X)[1], 0.0)
+
+
+@st.composite
+def _simplex_field(draw, c, h, w, hard):
+    """(c, h, w) array on the simplex. C == 1 holds the foreground value; for
+    C >= 2 a pixel is a vertex (exact 0/1 entries) when hard, otherwise its
+    drawn weights (exact 0 and 1 among them) normalised to sum 1."""
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    if c == 1:
+        values = st.sampled_from([0.0, 1.0]) if hard else unit
+        return draw(hnp.arrays(np.float64, (1, h, w), elements=values))
+    if hard:
+        winner = draw(hnp.arrays(np.int64, (h, w), elements=st.integers(0, c - 1)))
+        return (np.arange(c)[:, None, None] == winner).astype(np.float64)
+    raw = draw(hnp.arrays(np.float64, (c, h, w), elements=unit))
+    raw[0][raw.sum(axis=0) == 0.0] = 1.0
+    return raw / raw.sum(axis=0)
+
+
+def _rounding_bound(k: int, value: float) -> float:
+    """Largest |v1 - v2| between two evaluations of value whose terms are
+    the same but summed in another order.
+
+    Each evaluation is a sum of n same-sign terms followed by r more
+    correctly rounded operations, k = n - 1 + r in all. In any summation
+    order each term passes through at most k roundings (1 + delta),
+    |delta| <= u = eps / 2, so each result is within gamma_k |v| of the
+    exact v, gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3-4); two results are within
+    2 gamma_k |v| of each other, k eps |v| to first order. A product or
+    quotient that underflows adds an absolute error of at most half the
+    smallest subnormal instead; k of them on each side add k times that.
+    """
+    u = np.finfo(np.float64).eps / 2
+    gamma = k * u / (1 - k * u)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    return 2 * gamma / (1 - gamma) * abs(value) + k * tiny
+
+
+class TestFieldOpFuzz:
+    """Every registered loss on random fields: finite values and gradients,
+    the loss's range, and class permutation equivariance. Relabelling the
+    classes of x and y permutes the gradient bit for bit, because every
+    per-class term is computed from its own class alone. The value moves
+    only by the order of the class mean (n = C terms, then the division
+    by the count: k = C) or of the categorical cross-entropy sum (n = C H W
+    terms, then the division by H W: k = C H W); compound also scales and
+    adds its two parts (k = C H W + 2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(LOSS_NAMES),
+           class_mode=st.sampled_from([losses.MEAN_PRESENT, losses.MEAN_ALL]),
+           c=st.integers(1, 4), h=st.integers(1, 4), w=st.integers(1, 4),
+           hard=st.booleans())
+    def test_range_and_class_permutation(self, data, name, class_mode, c, h, w, hard):
+        xa = data.draw(_simplex_field(c, h, w, hard=False))
+        ya = data.draw(_simplex_field(c, h, w, hard=hard))
+        perm = data.draw(st.permutations(range(c)))
+        fn = make_loss(name, {"allow_soft": True} if LOSSES[name].hard_only else None)
+        red = ReductionSpec(class_mode=class_mode)
+
+        def run(x, y):
+            pair = fn(ProbField.from_array(x), LabelField.from_array(y, "hard" if hard else "soft"),
+                      red)
+            return pair.value, pair.grad.as_array()
+
+        value, grad = run(xa, ya)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        if name in ("ce", "compound"):
+            assert value >= 0.0
+        else:
+            assert 0.0 <= value <= 1.0
+        p_value, p_grad = run(xa[perm], ya[perm])
+        np.testing.assert_array_equal(p_grad, grad[perm])
+        if name == "compound" and c > 1:
+            k = c * h * w + 2
+        elif name == "ce" and c > 1:
+            k = c * h * w
+        else:
+            k = c
+        assert abs(p_value - value) <= _rounding_bound(k, value)
+
+    @pytest.mark.parametrize("name", [n for n in LOSS_NAMES if n not in ("ce", "compound")])
+    def test_disjoint_supports_stay_at_most_one(self, name):
+        # D and S sum the same terms in another order; unclamped, D / S
+        # read 1 + 2**-52 here for dml1, jml1, ctl and cftl
+        a = 0.04097352393619469
+        fn = make_loss(name, {"allow_soft": True} if LOSSES[name].hard_only else None)
+        pair = fn(vec_prob([a, 0.0, 0.0]), vec_label([0.0, a, 1.0]))
+        assert pair.value <= 1.0

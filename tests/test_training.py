@@ -29,6 +29,7 @@ from dicesm.training import (
     subset,
     train,
 )
+from dicesm.training import loop
 from dicesm.training.loop import build_targets, run_sgd
 
 
@@ -229,6 +230,24 @@ class TestTrainLoop:
 
         assert abs(descend("dml1") - y) < 0.01
         assert descend("sdl") > 0.9
+
+    @pytest.mark.parametrize("epochs,eval_every,calls", [(3, 1, 3), (3, 2, 2), (3, 0, 1),
+                                                         (0, 1, 1)])
+    def test_one_evaluation_per_model_state(self, epochs, eval_every, calls, monkeypatch):
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(loop, "evaluate", counting)
+        res = train(tiny_dataset(n=4), ModelSpec(feature_set="intensity"),
+                    TrainSpec(epochs=epochs, batch_size=2, seed=3), eval_every=eval_every)
+        assert len(seen) == calls
+        scored = [row for row in res.trace if not np.isnan(row["dice"])]
+        if scored:
+            assert ({k: scored[-1][k] for k in ("dice", "bdice", "ece")}
+                    == {k: res.final_metrics[k] for k in ("dice", "bdice", "ece")})
 
     def test_label_sources_change_targets(self):
         ds = tiny_dataset()
