@@ -10,7 +10,6 @@ gradient check notices.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from . import losses
 from .calibration import (
@@ -265,6 +264,8 @@ def check_kink_gradients(rng, n_points=200, sign_at_zero=0.0):
 
 def check_beta_normalization():
     """Quadrature of the Beta kernel over [0, 1] (tol 1e-6)."""
+    from scipy import integrate  # only here: importing it doubles start-up
+
     failures = 0
     worst = 0.0
     cases = [(0.5, 1.0), (0.3, 0.1), (0.9, 0.01), (0.2, 1e-3), (0.7, 1e-3)]

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import uniform_filter
 
+from .._filters import box_mean
 from ..core import (
     DicesmError,
     ProbField,
@@ -90,7 +90,7 @@ def extract_features(image: np.ndarray, spec: ModelSpec) -> np.ndarray:
     feats = [np.ones_like(img), img]
     if spec.feature_set == "box_means":
         for r in spec.radii:
-            feats.append(uniform_filter(img, size=2 * r + 1, mode="reflect"))
+            feats.append(box_mean(img, 2 * r + 1))
     return np.stack(feats)
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_dilation, binary_erosion
 
+from .._filters import dilate3, erode3
 from ..core import DicesmError, LabelField, RaterStack
 from ..metrics import foreground_class, hard_dice
 
@@ -122,9 +122,7 @@ def _blob_field(rng, h, w, radius_frac):
 
 
 def _boundary_band(mask: np.ndarray) -> np.ndarray:
-    grown = binary_dilation(mask, np.ones((3, 3), bool))
-    shrunk = binary_erosion(mask, np.ones((3, 3), bool))
-    return grown & ~shrunk
+    return dilate3(mask) & ~erode3(mask)
 
 
 def _perturb(rng, mask: np.ndarray, noise: RaterNoise, flip_prob: float) -> np.ndarray:
@@ -132,8 +130,8 @@ def _perturb(rng, mask: np.ndarray, noise: RaterNoise, flip_prob: float) -> np.n
     radius = int(rng.integers(lo, hi + 1))
     out = mask.copy()
     if radius > 0:
-        op = binary_dilation if rng.random() < 0.5 else binary_erosion
-        out = op(out, np.ones((3, 3), bool), iterations=radius)
+        op = dilate3 if rng.random() < 0.5 else erode3
+        out = op(out, radius)
     if flip_prob > 0.0:
         band = _boundary_band(out)
         flips = band & (rng.random(out.shape) < flip_prob)
