@@ -78,13 +78,16 @@ def binarize(probs: ProbField) -> LabelField:
     return LabelField.from_array(out.astype(np.float64), "hard")
 
 
-def evaluate(model, dataset: SynthDataset) -> dict:
+def evaluate(model, dataset: SynthDataset, feats=None) -> dict:
     """Dice/ECE against per-image majority votes, BDice against the uniform
-    rater average, per the multi-rater evaluation protocol."""
+    rater average, per the multi-rater evaluation protocol. feats holds the
+    dataset's prepared features when the caller has them already."""
     fg = foreground_class(dataset.spec.n_classes)
+    if feats is None:
+        feats = [model.prepare(im.image) for im in dataset.images]
     dices, bdices, confs, labels = [], [], [], []
-    for im in dataset.images:
-        probs, _ = model.forward(model.prepare(im.image))
+    for im, x in zip(dataset.images, feats):
+        probs, _ = model.forward(x)
         maj = majority_vote(im.raters)
         soft = uniform_average(im.raters)
         dices.append(hard_dice(binarize(probs), maj, fg))
@@ -127,6 +130,7 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
     batches_per_epoch = -(-n // spec.batch_size)
     total_steps = spec.epochs * batches_per_epoch
     ds, split = (dataset, "train") if val_dataset is None else (val_dataset, "val")
+    ds_feats = feats if ds is dataset else [model.prepare(im.image) for im in ds.images]
     trace = []
     m = None
     t = 0
@@ -164,12 +168,12 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
                       spec.momentum, spec.weight_decay)
             t += 1
         due = eval_every and (epoch == spec.epochs - 1 or (epoch + 1) % eval_every == 0)
-        m = evaluate(model, ds) if due else None
+        m = evaluate(model, ds, ds_feats) if due else None
         trace.append({"epoch": epoch, "split": split if m else "train",
                       **{k: m[k] if m else float("nan") for k in ("dice", "bdice", "ece")},
                       "loss": float(np.mean(epoch_losses))})
     # the last epoch is due unless eval_every == 0; m scores the final model
-    return TrainResult(model, trace, m or evaluate(model, ds))
+    return TrainResult(model, trace, m or evaluate(model, ds, ds_feats))
 
 
 def build_targets(dataset: SynthDataset, spec: SoftLabelSpec):

@@ -249,6 +249,21 @@ class TestTrainLoop:
             assert ({k: scored[-1][k] for k in ("dice", "bdice", "ece")}
                     == {k: res.final_metrics[k] for k in ("dice", "bdice", "ece")})
 
+    @pytest.mark.parametrize("n_val", [0, 3])
+    def test_features_prepared_once_per_image(self, n_val, monkeypatch):
+        prepared = []
+        prepare = PerPixelLogistic.prepare
+
+        def counting(self, image):
+            prepared.append(image)
+            return prepare(self, image)
+
+        monkeypatch.setattr(PerPixelLogistic, "prepare", counting)
+        val = tiny_dataset(n=n_val, seed=6) if n_val else None
+        train(tiny_dataset(n=4), ModelSpec(), TrainSpec(epochs=3, batch_size=2, seed=3),
+              val, eval_every=1)
+        assert len(prepared) == 4 + n_val
+
     def test_label_sources_change_targets(self):
         ds = tiny_dataset()
         soft = build_targets(ds, SoftLabelSpec(strategy="uniform_avg"))
