@@ -327,12 +327,6 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     return out
 
 
-def kde_calibrate(f_x, keys: KeyPointSet, h: float) -> np.ndarray:
-    """Single-row convenience wrapper around kde_calibrate_batch."""
-    row = np.asarray(f_x, dtype=np.float64).reshape(1, -1)
-    return kde_calibrate_batch(row, keys, h)[0]
-
-
 # --------------------------------------------------------------------------
 # Pixel scope
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dicesm.calibration import (
     KeyPointSet,
     beta_kernel,
     dirichlet_kernel,
-    kde_calibrate,
     kde_calibrate_batch,
     log_beta_kernel,
     reset_kernel_eval_count,
@@ -147,7 +146,7 @@ class TestSampleKeyPoints:
 class TestKdeCalibrate:
     def test_single_key_returns_its_label(self):
         keys = KeyPointSet(np.array([[0.7]]), np.array([[1.0]]), np.array([0]))
-        out = kde_calibrate(np.array([0.2]), keys, h=0.1)
+        out = kde_calibrate_batch(np.array([[0.2]]), keys, h=0.1)[0]
         assert out[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_identical_confidences_average_labels(self):
@@ -155,7 +154,7 @@ class TestKdeCalibrate:
                            np.array([[1.0], [0.0], [1.0], [1.0]]),
                            np.arange(4))
         for f in (0.1, 0.5, 0.9):
-            out = kde_calibrate(np.array([f]), keys, h=0.05)
+            out = kde_calibrate_batch(np.array([[f]]), keys, h=0.05)[0]
             assert out[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_output_on_simplex_multiclass(self, rng):
@@ -184,7 +183,7 @@ class TestKdeCalibrate:
         # gets exactly zero density under h small
         keys = KeyPointSet(np.array([[1.0]]), np.array([[1.0]]), np.array([0]))
         with pytest.warns(DegenerateWeightsWarning):
-            out = kde_calibrate(np.array([0.0]), keys, h=0.5)
+            out = kde_calibrate_batch(np.array([[0.0]]), keys, h=0.5)[0]
         assert out[0] == 0.0  # unchanged input
 
     def test_rows_off_the_simplex_raise(self, rng):
