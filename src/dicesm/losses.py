@@ -144,9 +144,11 @@ def _safe_div(num, den):
 
 
 def _finish(vals, grads, ok):
-    # no region loss exceeds 1, but D and S summed in different orders can
-    # put D / S one ulp above it where x and y have disjoint supports
-    vals = np.where(ok, np.minimum(vals, 1.0), 0.0)
+    # region losses lie in [0, 1], but rounding can step one ulp outside:
+    # D and S summed in different orders put D / S above 1 where x and y
+    # have disjoint supports, and ctl's N / T rounds above 1 at x == y
+    # when alpha + beta == 1 and alpha != beta
+    vals = np.where(ok, np.clip(vals, 0.0, 1.0), 0.0)
     grads = np.where(ok[:, None], grads, 0.0)
     return vals, grads, ok
 

@@ -136,8 +136,16 @@ class TestHandValues:
             v = cftl(vec_prob([0.8]), vec_label([0.8]), TverskyParams(0.7, 0.3, g)).value
             assert abs(v) < 1e-12
 
+    def test_asymmetric_tversky_is_exactly_zero_at_x_equal_y(self):
+        # at alpha + beta = 1 with alpha != beta, N / T rounds to one ulp
+        # above 1; unclamped, ctl read -2.2e-16 and cftl (gamma 4) 2.4e-63
+        params = TverskyParams(0.7, 0.3, 4.0)
+        for name in ("ctl", "cftl"):
+            assert pairwise_values(name, np.array([[0.8]]), np.array([[0.8]]), params)[0] == 0.0
+        assert cftl(vec_prob([0.8]), vec_label([0.8]), params).value == 0.0
+
     def test_ce(self):
-        one = ProbField.from_array(np.array([0.5, 0.5]).reshape(2, 1, 1))
+        one =ProbField.from_array(np.array([0.5, 0.5]).reshape(2, 1, 1))
         lab = LabelField.from_array(np.array([1.0, 0.0]).reshape(2, 1, 1))
         assert ce(one, lab).value == pytest.approx(np.log(2), abs=1e-12)
         # exact one-hot match costs only the clamp
