@@ -526,7 +526,7 @@ GOLDEN = {'calibrate': {'all': {'code': 0,
  'eval_loss_curve': {'ce': {'code': 0,
                             'stdout_sha256': '888463a322ede6290edaf212e625f41c98c6c777e88b0597083f667da856fe8b'},
                      'cftl': {'code': 0,
-                              'stdout_sha256': '5eff5d7dd026698a7ebe7149826b0bb437b81022493c4b066de51d91f1b3113d'},
+                              'stdout_sha256': 'e2656c73b0c17a6691931baf659eded6387dabd653fe8644f487d7d91f039d8c'},
                      'compound': {'code': 0,
                                   'stdout_sha256': '889f75a2b74e14b6a0652e746258fb12482780cb26026d16b5efb889dfcbd6b1'},
                      'dml1': {'code': 0,
