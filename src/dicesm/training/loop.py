@@ -78,13 +78,11 @@ def binarize(probs: ProbField) -> LabelField:
     return LabelField.from_array(out.astype(np.float64), "hard")
 
 
-def evaluate(model, dataset: SynthDataset, feats=None) -> dict:
+def evaluate(model, dataset: SynthDataset, feats) -> dict:
     """Dice/ECE against per-image majority votes, BDice against the uniform
-    rater average, per the multi-rater evaluation protocol. feats holds the
-    dataset's prepared features when the caller has them already."""
+    rater average, per the multi-rater evaluation protocol. feats[i] is
+    model.prepare of image i, prepared once by the caller."""
     fg = foreground_class(dataset.spec.n_classes)
-    if feats is None:
-        feats = [model.prepare(im.image) for im in dataset.images]
     dices, bdices, confs, labels = [], [], [], []
     for im, x in zip(dataset.images, feats):
         probs, _ = model.forward(x)

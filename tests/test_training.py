@@ -293,9 +293,6 @@ class TestEvaluate:
         ds = tiny_dataset(noise=RaterNoise((0, 0), 0.0))
 
         class Oracle:
-            def prepare(self, image):
-                return image
-
             def forward(self, img):
                 # look the clean mask up by matching the stored image
                 for im in ds.images:
@@ -304,7 +301,7 @@ class TestEvaluate:
                         return ProbField.from_array(arr), None
                 raise AssertionError
 
-        m = evaluate(Oracle(), ds)
+        m = evaluate(Oracle(), ds, [im.image for im in ds.images])
         assert m["dice"] == 1.0
         assert m["bdice"] == 1.0
 
