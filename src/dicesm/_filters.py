@@ -13,8 +13,8 @@ box_mean(a, size)
     dimension. scipy filters axis 0, then axis 1, each as a running sum:
     the sum of the first window, then + (in[i + size - 1] - in[i - 1]) per
     step, each partial sum divided by size. A cumulative sum of those
-    steps adds in the same order, so it rounds the same way. At size 1
-    both return a copy of a.
+    steps adds in the same order, so it rounds the same way. At a size
+    of 1 or less both return a copy of a.
 window_max(a, size), window_min(a, size)
     maximum_filter / minimum_filter(a, size=size, mode="nearest"): the
     edge value repeats outward. Max and min are exact whatever the order.
@@ -40,7 +40,7 @@ def _pad_axis(a, axis, size, mode):
 
 def box_mean(a, size: int) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
-    if size == 1:  # scipy copies the input; a running sum would round
+    if size <= 1:  # scipy copies the input; a running sum would round
         return out
     for axis in range(out.ndim):
         p = np.moveaxis(_pad_axis(out, axis, size, "symmetric"), axis, 0)

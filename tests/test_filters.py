@@ -23,7 +23,7 @@ from dicesm._filters import box_mean, dilate3, erode3, window_max, window_min
 
 SQUARE = np.ones((3, 3), bool)
 SHAPES = [(1, 1), (1, 9), (9, 1), (2, 3), (6, 6), (17, 11)]
-RADII = [0, 1, 2, 4, 12]  # 12 reaches past every side in SHAPES
+RADII = [0, 1, 2, 4, 12]  # 0: a one-pixel window; 12 reaches past every side
 SIDES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)
 
 
@@ -55,9 +55,11 @@ class TestBoxMean:
         a = np.random.default_rng(sum(shape) + r).standard_normal(shape)
         assert_same(box_mean(a, 2 * r + 1), scipy_box(a, r))
 
-    def test_size_one_is_a_copy(self):
+    @pytest.mark.parametrize("size", [1, 0, -1])
+    def test_size_one_or_less_is_a_copy(self, size):
         a = np.arange(6.0).reshape(2, 3) / 7.0
-        out = box_mean(a, 1)
+        out = box_mean(a, size)
+        assert_same(out, ndimage.uniform_filter(a, size=size, mode="reflect"))
         assert_same(out, a)
         assert out is not a
 
