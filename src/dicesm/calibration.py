@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-# eager: a lazy import would move its ~0.4 s from start-up into the first
-# calibration call, inside the run time of every KDE job
+# eager: imported lazily, its ~0.3 s would move from start-up into the
+# first kernel call and count as run time of every KDE job
 from scipy.special import gammaln, xlogy
 
 from ._filters import window_max, window_min
