@@ -145,7 +145,7 @@ class TestHandValues:
         assert cftl(vec_prob([0.8]), vec_label([0.8]), params).value == 0.0
 
     def test_ce(self):
-        one =ProbField.from_array(np.array([0.5, 0.5]).reshape(2, 1, 1))
+        one = ProbField.from_array(np.array([0.5, 0.5]).reshape(2, 1, 1))
         lab = LabelField.from_array(np.array([1.0, 0.0]).reshape(2, 1, 1))
         assert ce(one, lab).value == pytest.approx(np.log(2), abs=1e-12)
         # exact one-hot match costs only the clamp
