@@ -220,7 +220,9 @@ class LabelField:
 
 @dataclass(frozen=True)
 class RaterStack:
-    """K independent hard annotations of one image, identical dims."""
+    """K independent hard annotations of one image, identical dims. Each
+    rater is validated here, where it enters, so every consumer of a stack
+    can count votes without checking values again."""
 
     raters: tuple[LabelField, ...]
 
@@ -236,6 +238,7 @@ class RaterStack:
                 )
             if not r.is_hard:
                 raise HardnessViolationError(f"rater {k} is not hard")
+            validate(r)
         object.__setattr__(self, "raters", raters)
 
     def __len__(self) -> int:

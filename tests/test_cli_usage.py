@@ -5,8 +5,10 @@ inputs that lack a required key, and calibrate on a three-class field
 (ECE is binary; nothing is written). Data files are bad data, exit 1 with
 one stderr line that names the file: a dataset manifest that lacks a key,
 is not JSON, is not an object or has an unknown spec key, and a teacher
-checkpoint manifest that is not JSON or lacks its params. Also: the
-compound curve honours its flags.
+checkpoint manifest that is not JSON or lacks its params, and a rater
+file that holds a value other than 0 or 1, under every soft-label
+strategy and in a training dataset. Also: the compound curve honours its
+flags.
 """
 
 import json
@@ -16,6 +18,7 @@ import pytest
 
 from dicesm import cli
 from dicesm.core import LabelField, ProbField, write_field
+from dicesm.softlabels import STRATEGIES
 from dicesm.training import ModelSpec, build_model, save_model
 
 
@@ -173,3 +176,42 @@ def test_calibrate_refuses_three_classes(extra, monkeypatch, tmp_path, capsys):
     assert (code, captured.out) == (2, "")
     assert "ece supports binary tasks (C <= 2)" in captured.err
     assert not (tmp_path / "cal.sdt").exists()
+
+
+# a rater file is read as hard: 0.5 breaks hardness, 1.5 the [0, 1] range
+BAD_RATER_VALUES = [(0.5, "HardnessViolationError"), (1.5, "OutOfRangeError")]
+
+
+@pytest.mark.parametrize("value,error", BAD_RATER_VALUES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_make_soft_labels_rejects_a_bad_rater(strategy, value, error, monkeypatch,
+                                              tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    good = (np.arange(16).reshape(1, 4, 4) % 3 == 0).astype(np.float64)
+    write_field("a.sdt", LabelField.from_array(good))
+    bad = good.copy()
+    bad[0, 1, 2] = value
+    write_field("b.sdt", LabelField.from_array(bad, "soft"))
+    code = cli.main(["make-soft-labels", "--strategy", strategy,
+                     "--raters", "a.sdt", "b.sdt", "a.sdt", "--out", "soft.sdt"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert error in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "soft.sdt").exists()
+
+
+@pytest.mark.parametrize("value,error", BAD_RATER_VALUES)
+def test_train_rejects_a_bad_rater(value, error, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    _gen_data(tmp_path / "data")
+    path = tmp_path / "data" / "raters" / "img_0002_rater_1.sdt"
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "data"},
+                                                 "train": {"epochs": 1}, "out_dir": "out"}))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", "c.json"]) == 1
+    err = capsys.readouterr().err
+    assert error in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

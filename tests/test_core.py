@@ -137,6 +137,14 @@ class TestRaterStack:
         with pytest.raises(HardnessViolationError):
             RaterStack((soft,))
 
+    @pytest.mark.parametrize("value,error", [(0.5, HardnessViolationError),
+                                             (1.5, core.OutOfRangeError)])
+    def test_member_labelled_hard_is_validated(self, value, error):
+        good = LabelField.from_array(np.ones((1, 2, 2)))
+        bad = LabelField.from_array(np.full((1, 2, 2), value), "hard")
+        with pytest.raises(error):
+            RaterStack((good, bad))
+
     def test_dim_mismatch(self):
         a = LabelField.from_array(np.ones((1, 2, 2)))
         b = LabelField.from_array(np.ones((1, 2, 3)))
