@@ -54,6 +54,8 @@ class ModelSpec:
         if self.channels <= 0 or self.n_classes <= 0:
             raise ValueError("channels and n_classes must be positive")
         object.__setattr__(self, "radii", tuple(int(r) for r in self.radii))
+        if any(r < 0 for r in self.radii):
+            raise ValueError(f"radii must be nonnegative, got {self.radii}")
 
 
 def _sigmoid(z):

@@ -1,6 +1,7 @@
 """Command-line inputs that must exit 2 as usage errors: a non-integer
 DICESM_SEED, an --curve grid outside the loss domain or under two points,
-a val_fraction outside [0, 1) or one that leaves no training image, JSON
+a val_fraction outside [0, 1) or one that leaves no training image, a
+negative box-mean radius in a model config, JSON
 inputs that lack a required key, and calibrate on a three-class field
 (ECE is binary; nothing is written). Data files are bad data, exit 1 with
 one stderr line that names the file: a dataset manifest that lacks a key,
@@ -85,6 +86,16 @@ def test_val_fraction_that_takes_every_image(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["train", "--config", "c.json"]) == 2
     assert "val_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_radius_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({
+        "data": {"synth": {"n_images": 2, "height": 8, "width": 8, "k_raters": 2}},
+        "model": {"radii": [1, -1]}, "train": {"epochs": 1}, "out_dir": "out"}))
+    assert cli.main(["train", "--config", "c.json"]) == 2
+    assert "radii" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
