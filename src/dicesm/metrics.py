@@ -2,7 +2,9 @@
 Dice over threshold sweeps, and binned expected calibration error.
 
 hard_dice counts set memberships with integers and is the independent oracle
-for the overlap losses (1 - sdl on hard pairs must match it exactly).
+for the overlap losses (1 - sdl on hard pairs must match it exactly). Its
+count, mask_dice, is the one integer Dice count: bdice, the training loop's
+evaluation and the rater weights of softlabels use it on bool masks.
 
 class_map and foreground_class are the one statement of the class rule: a
 C == 1 field is a foreground probability with an implicit background.
@@ -41,7 +43,29 @@ def class_map(arr) -> np.ndarray:
     the argmax over classes otherwise."""
     if arr.shape[0] == 1:
         return (arr[0] > 0.5).astype(np.int64)
-    return np.argmax(arr, axis=0)
+    return argmax_classes(arr)
+
+
+def argmax_classes(arr) -> np.ndarray:
+    """np.argmax(arr, axis=0) of a (C, ...) array of finite values: the first
+    class among tied maxima. It keeps a running maximum over the class axis;
+    np.argmax along that strided axis took about 0.9 ms on a 2 x 192 x 192
+    array, this about 0.1 ms (2-vCPU Xeon VM)."""
+    best = arr[0]
+    winner = np.zeros(arr.shape[1:], dtype=np.intp)
+    for c in range(1, arr.shape[0]):
+        above = arr[c] > best  # strictly: a tie keeps the earlier class
+        winner += above * (c - winner)
+        best = np.maximum(best, arr[c])
+    return winner
+
+
+def one_hot(classes: np.ndarray, n_classes: int) -> np.ndarray:
+    """(C, ...) bool masks of a class map; at C == 1 the one mask is class 1,
+    the foreground, as class_map gives it."""
+    if n_classes == 1:
+        return classes[None] == 1
+    return np.arange(n_classes).reshape((-1,) + (1,) * classes.ndim) == classes
 
 
 def foreground_class(n_classes: int) -> int:
@@ -105,7 +129,8 @@ class CalibRecord:
                    np.concatenate([r.labels for r in records]))
 
 
-def _count_dice(a: np.ndarray, b: np.ndarray, empty_both: float) -> float:
+def mask_dice(a: np.ndarray, b: np.ndarray, empty_both: float = 1.0) -> float:
+    """Dice 2|A∩B| / (|A|+|B|) of two bool masks, by integer counting."""
     na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
     if na + nb == 0:
         return float(empty_both)
@@ -123,7 +148,7 @@ def hard_dice(a: LabelField, b: LabelField, class_idx: int = 0,
     validate(b)
     if not 0 <= class_idx < a.n_classes:
         raise ShapeMismatchError(f"class {class_idx} outside 0..{a.n_classes - 1}")
-    return _count_dice(a.array[class_idx] == 1.0, b.array[class_idx] == 1.0, empty_both)
+    return mask_dice(a.array[class_idx] == 1.0, b.array[class_idx] == 1.0, empty_both)
 
 
 def dice_from_iou(iou: float) -> float:
@@ -154,7 +179,7 @@ def bdice(x: ProbField, y: LabelField, spec: BDiceSpec | None = None,
     validate(y)
     xa = x.array[class_idx]
     ya = y.array[class_idx]
-    scores = [_count_dice(xa > t, ya > t, 1.0) for t in spec.thresholds]
+    scores = [mask_dice(xa > t, ya > t, 1.0) for t in spec.thresholds]
     return float(np.mean(scores))
 
 

@@ -17,7 +17,7 @@ from .core import (
     RaterStack,
     validate,
 )
-from .metrics import hard_dice
+from .metrics import argmax_classes, mask_dice, one_hot
 
 STRATEGIES = ("majority", "random_rater", "uniform_avg", "weighted_avg",
               "label_smoothing")
@@ -62,13 +62,19 @@ class SoftLabelSpec:
             raise BadEpsilonError(f"epsilon {self.epsilon!r} outside [0, 1)")
 
 
-def _stack_votes(stack: RaterStack) -> np.ndarray:
-    """Per-class vote counts, shape (C, H, W)."""
-    return np.sum([r.array for r in stack.raters], axis=0)
+def vote_counts(stack: RaterStack) -> np.ndarray:
+    """Per-class vote counts, shape (C, H, W), in the smallest unsigned
+    integer dtype that holds K. The raters are added in place, one at a time;
+    RaterStack has checked that each holds only 0 and 1."""
+    votes = np.zeros(stack.dims, dtype=np.min_scalar_type(len(stack)))
+    for r in stack.raters:
+        votes += r.array == 1.0
+    return votes
 
 
-def majority_vote(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelField:
-    """Per pixel, the class backed by the most raters.
+def majority_map(votes: np.ndarray, k: int, tie_break: str = TIE_BACKGROUND) -> np.ndarray:
+    """Class map of the majority vote of k raters, from their (C, H, W) vote
+    counts, in metrics.class_map's convention: at C == 1, 1 marks foreground.
 
     Binary (C == 1) ties go to background under either rule; for C >= 2,
     lowest_class picks the smallest tied index and background prefers class
@@ -76,18 +82,22 @@ def majority_vote(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelFi
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    votes = _stack_votes(stack)
-    k = len(stack)
-    if stack.dims[0] == 1:
-        fg = votes[0] > k / 2.0  # ties (== k/2) resolve to background
-        out = fg.astype(np.float64)[None]
-    else:
-        winner = np.argmax(votes, axis=0)
-        if tie_break == TIE_BACKGROUND:
-            winner = np.where(votes[0] == votes.max(axis=0), 0, winner)
-        out = np.zeros_like(votes)
-        np.put_along_axis(out, winner[None], 1.0, axis=0)
-    field = LabelField.from_array(out, "hard")
+    if votes.shape[0] == 1:
+        return (votes[0] > k / 2.0).astype(np.int64)  # ties (== k/2) go to background
+    winner = argmax_classes(votes)
+    if tie_break == TIE_BACKGROUND:
+        winner = np.where(votes[0] == votes.max(axis=0), 0, winner)
+    return winner
+
+
+def _majority_masks(stack: RaterStack, tie_break: str) -> np.ndarray:
+    """(C, H, W) bool one-hot of the majority vote."""
+    return one_hot(majority_map(vote_counts(stack), len(stack), tie_break), stack.dims[0])
+
+
+def majority_vote(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelField:
+    """Per pixel, the class backed by the most raters; ties as in majority_map."""
+    field = LabelField.from_array(_majority_masks(stack, tie_break), "hard")
     validate(field)
     return field
 
@@ -99,21 +109,26 @@ def random_rater(stack: RaterStack, seed: int) -> LabelField:
     return stack.raters[idx]
 
 
-def uniform_average(stack: RaterStack) -> LabelField:
-    """Per pixel-class mean over raters; values land on {0, 1/K, ..., 1}."""
-    k = len(stack)
-    avg = _stack_votes(stack) / k
+def average_field(votes: np.ndarray, k: int) -> LabelField:
+    """The mean of k raters from their vote counts; values land on
+    {0, 1/K, ..., 1}."""
+    avg = votes / k
     hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
-    field = LabelField.from_array(avg, hardness)
+    return LabelField.from_array(avg, hardness)
+
+
+def uniform_average(stack: RaterStack) -> LabelField:
+    """Per pixel-class mean over raters."""
+    field = average_field(vote_counts(stack), len(stack))
     validate(field)
     return field
 
 
 def rater_weights(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> np.ndarray:
     """Dice of each rater against the majority vote, averaged over classes."""
-    maj = majority_vote(stack, tie_break)
-    c = stack.dims[0]
-    return np.array([np.mean([hard_dice(r, maj, ci) for ci in range(c)])
+    maj = _majority_masks(stack, tie_break)
+    return np.array([np.mean([mask_dice(r.array[ci] == 1.0, maj[ci])
+                              for ci in range(len(maj))])
                      for r in stack.raters])
 
 
@@ -158,10 +173,10 @@ def weighted_average_dataset(stacks, tie_break: str = TIE_BACKGROUND):
     inter = np.zeros(k)
     sizes = np.zeros(k)
     for s in stacks:
-        maj = majority_vote(s, tie_break).array
+        maj = _majority_masks(s, tie_break)
         for i, r in enumerate(s.raters):
-            inter[i] += np.count_nonzero((r.array == 1.0) & (maj == 1.0))
-            sizes[i] += np.count_nonzero(r.array == 1.0) + np.count_nonzero(maj == 1.0)
+            inter[i] += np.count_nonzero((r.array == 1.0) & maj)
+            sizes[i] += np.count_nonzero(r.array == 1.0) + np.count_nonzero(maj)
     with np.errstate(invalid="ignore"):
         weights = np.where(sizes > 0, 2.0 * inter / np.where(sizes > 0, sizes, 1.0), 1.0)
     return [_weighted_combine(s, weights) for s in stacks]

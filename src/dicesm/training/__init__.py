@@ -6,6 +6,7 @@ from .distill import KdSpec, TeacherSignal, distill
 from .loop import (
     DivergedLossError,
     EmptyDatasetError,
+    References,
     TooFewImagesError,
     TrainResult,
     TrainSpec,

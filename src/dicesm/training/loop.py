@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import DicesmError, LabelField, ProbField
+from ..core import DicesmError, LabelField, ProbField, RaterStack
 from ..losses import ReductionSpec, batch_loss, make_loss, parse_loss_params
 from ..metrics import (BDiceSpec, CalibRecord, EceSpec, bdice, class_map, ece,
-                       foreground_class, hard_dice)
-from ..softlabels import SoftLabelSpec, build_labels_dataset, majority_vote, uniform_average
+                       foreground_class, mask_dice, one_hot)
+from ..softlabels import (SoftLabelSpec, average_field, build_labels_dataset, majority_map,
+                          vote_counts)
 from .models import ModelSpec, build_model
 from .synth import SynthDataset
 
@@ -70,28 +71,49 @@ def poly_lr(lr0: float, t: int, total: int, power: float) -> float:
 
 def binarize(probs: ProbField) -> LabelField:
     """One-hot field of the class map (the map itself at C == 1)."""
-    winner = class_map(probs.array)
-    if probs.n_classes == 1:
-        out = winner[None]
-    else:
-        out = np.arange(probs.n_classes).reshape((-1,) + (1,) * winner.ndim) == winner
-    return LabelField.from_array(out.astype(np.float64), "hard")
+    return LabelField.from_array(one_hot(class_map(probs.array), probs.n_classes), "hard")
 
 
-def evaluate(model, dataset: SynthDataset, feats) -> dict:
+@dataclass(frozen=True)
+class References:
+    """What scoring needs of one image's rater stack, kept compact.
+
+    majority_fg is the (H, W) bool foreground mask of the majority vote,
+    for Dice and ECE; votes holds the (C, H, W) per-class vote counts of
+    the k raters in an unsigned integer dtype, from which the rater average
+    for BDice is rebuilt.
+    """
+
+    majority_fg: np.ndarray
+    votes: np.ndarray
+    k: int
+
+    @classmethod
+    def of(cls, stack: RaterStack) -> "References":
+        votes = vote_counts(stack)
+        k = len(stack)
+        # class 1 is the foreground of a class map at every C
+        return cls(majority_map(votes, k) == 1, votes, k)
+
+
+def evaluate(model, feats, refs) -> dict:
     """Dice/ECE against per-image majority votes, BDice against the uniform
-    rater average, per the multi-rater evaluation protocol. feats[i] is
-    model.prepare of image i, prepared once by the caller."""
-    fg = foreground_class(dataset.spec.n_classes)
+    rater average, per the multi-rater evaluation protocol.
+
+    feats[i] is model.prepare of image i and refs[i] its References. The
+    caller builds both once per run, since neither changes while the model
+    trains. Only the majority's foreground mask and the vote counts are
+    kept between evaluations: the rater-average field is rebuilt from the
+    counts for each image and dropped once the image is scored.
+    """
     dices, bdices, confs, labels = [], [], [], []
-    for im, x in zip(dataset.images, feats):
+    for x, ref in zip(feats, refs):
         probs, _ = model.forward(x)
-        maj = majority_vote(im.raters)
-        soft = uniform_average(im.raters)
-        dices.append(hard_dice(binarize(probs), maj, fg))
-        bdices.append(bdice(probs, soft, BDiceSpec(), fg))
-        confs.append(probs.array[fg].ravel())
-        labels.append(maj.array[fg].ravel())
+        fg = foreground_class(ref.votes.shape[0])
+        dices.append(mask_dice(class_map(probs.array) == 1, ref.majority_fg))
+        bdices.append(bdice(probs, average_field(ref.votes, ref.k), BDiceSpec(), fg))
+        confs.append(probs.array[fg].flatten())  # a copy, so probs can be freed
+        labels.append(ref.majority_fg.ravel())
     record = CalibRecord(np.concatenate(confs), np.concatenate(labels))
     return {
         "dice": float(np.mean(dices)),
@@ -129,6 +151,7 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
     total_steps = spec.epochs * batches_per_epoch
     ds, split = (dataset, "train") if val_dataset is None else (val_dataset, "val")
     ds_feats = feats if ds is dataset else [model.prepare(im.image) for im in ds.images]
+    ds_refs = [References.of(im.raters) for im in ds.images]
     trace = []
     m = None
     t = 0
@@ -166,12 +189,12 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
                       spec.momentum, spec.weight_decay)
             t += 1
         due = eval_every and (epoch == spec.epochs - 1 or (epoch + 1) % eval_every == 0)
-        m = evaluate(model, ds, ds_feats) if due else None
+        m = evaluate(model, ds_feats, ds_refs) if due else None
         trace.append({"epoch": epoch, "split": split if m else "train",
                       **{k: m[k] if m else float("nan") for k in ("dice", "bdice", "ece")},
                       "loss": float(np.mean(epoch_losses))})
     # the last epoch is due unless eval_every == 0; m scores the final model
-    return TrainResult(model, trace, m or evaluate(model, ds, ds_feats))
+    return TrainResult(model, trace, m or evaluate(model, ds_feats, ds_refs))
 
 
 def build_targets(dataset: SynthDataset, spec: SoftLabelSpec):

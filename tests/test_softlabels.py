@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dicesm.core import LabelField, RaterStack, validate
+from dicesm.metrics import hard_dice
 from dicesm.softlabels import (
     AllZeroWeightsWarning,
     BadEpsilonError,
@@ -151,6 +152,21 @@ class TestWeightedAverage:
     def test_output_validates(self, rng):
         masks = (rng.random((5, 16)) < 0.5).astype(float)
         validate(weighted_average(stack_of(*masks)))
+
+
+    @pytest.mark.parametrize("tie_break", ["background", "lowest_class"])
+    @pytest.mark.parametrize("c,k", [(1, 4), (2, 4), (3, 5)])
+    def test_weights_match_hard_dice(self, c, k, tie_break, rng):
+        """rater_weights counts on arrays what hard_dice counts on fields."""
+        raters = []
+        for _ in range(k):
+            winner = rng.integers(0, max(c, 2), size=(5, 6))
+            arr = (winner[None] == 1) if c == 1 else np.arange(c)[:, None, None] == winner
+            raters.append(LabelField.from_array(arr.astype(float)))
+        s = RaterStack(tuple(raters))
+        maj = majority_vote(s, tie_break)
+        expected = [np.mean([hard_dice(r, maj, ci) for ci in range(c)]) for r in s.raters]
+        assert rater_weights(s, tie_break).tolist() == expected
 
 
 class TestLabelSmoothing:

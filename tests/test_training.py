@@ -11,6 +11,7 @@ from dicesm.training import (
     ModelSpec,
     PerPixelLogistic,
     RaterNoise,
+    References,
     SynthSpec,
     TooFewImagesError,
     TrainSpec,
@@ -152,6 +153,12 @@ class TestModels:
                 an = grads[name].reshape(-1)[j]
                 assert abs(fd - an) / max(abs(fd), abs(an), 1e-6) < 1e-4
 
+    def test_radii_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="radii"):
+            ModelSpec(radii=(1, -1))
+        m = build_model(ModelSpec(radii=(0, 2)))
+        assert forward(m, np.zeros((6, 6))).dims == (1, 6, 6)
+
     def test_save_load_round_trip(self, tmp_path):
         spec = ModelSpec(kind="conv2", channels=3, seed=2)
         m = build_model(spec)
@@ -264,6 +271,45 @@ class TestTrainLoop:
               val, eval_every=1)
         assert len(prepared) == 4 + n_val
 
+    @pytest.mark.parametrize("strategy", ["random_rater", "weighted_avg"])
+    @pytest.mark.parametrize("epochs,eval_every,n_val", [(3, 1, 0), (3, 2, 3), (2, 0, 3),
+                                                         (0, 1, 0)])
+    def test_references_built_once_per_run(self, strategy, epochs, eval_every, n_val,
+                                           monkeypatch):
+        """One majority vote per scored image per run, plus one per training
+        image where the targets need it (weighted_avg), and no hard_dice."""
+        import sys
+
+        from dicesm import metrics, softlabels
+
+        built = []
+        majority_map = softlabels.majority_map
+
+        def counting(votes, *args):
+            built.append(votes.shape)
+            return majority_map(votes, *args)
+
+        for mod in (softlabels, loop):
+            monkeypatch.setattr(mod, "majority_map", counting)
+        dice_calls = []
+        hard_dice = metrics.hard_dice
+
+        def counting_dice(*args, **kwargs):
+            dice_calls.append(args)
+            return hard_dice(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("dicesm") and getattr(mod, "hard_dice", None) is hard_dice:
+                monkeypatch.setattr(mod, "hard_dice", counting_dice)
+        val = tiny_dataset(n=n_val, seed=6) if n_val else None
+        train(tiny_dataset(n=4), ModelSpec(feature_set="intensity"),
+              TrainSpec(epochs=epochs, batch_size=2, seed=3,
+                        label_source=SoftLabelSpec(strategy=strategy)),
+              val, eval_every=eval_every)
+        n_targets = 4 if strategy == "weighted_avg" else 0
+        assert len(built) == n_targets + (n_val or 4)
+        assert dice_calls == []
+
     def test_label_sources_change_targets(self):
         ds = tiny_dataset()
         soft = build_targets(ds, SoftLabelSpec(strategy="uniform_avg"))
@@ -301,9 +347,54 @@ class TestEvaluate:
                         return ProbField.from_array(arr), None
                 raise AssertionError
 
-        m = evaluate(Oracle(), ds, [im.image for im in ds.images])
+        m = evaluate(Oracle(), [im.image for im in ds.images],
+                     [References.of(im.raters) for im in ds.images])
         assert m["dice"] == 1.0
         assert m["bdice"] == 1.0
+
+
+    @pytest.mark.parametrize("n_classes", [1, 2])
+    def test_matches_the_field_references(self, n_classes):
+        """Scores against compact references equal scores against the
+        majority-vote and rater-average fields, bit for bit."""
+        from dicesm.metrics import BDiceSpec, bdice, ece, foreground_class, hard_dice
+        from dicesm.softlabels import majority_vote
+
+        ds = generate_synthetic(SynthSpec(n_images=4, height=12, width=12, k_raters=4,
+                                          n_classes=n_classes, seed=2))
+        model = build_model(ModelSpec(feature_set="box_means", radii=(1,),
+                                      n_classes=n_classes))
+        model.params["w"] = np.random.default_rng(4).normal(0, 2.0, model.params["w"].shape)
+        feats = [model.prepare(im.image) for im in ds.images]
+        m = evaluate(model, feats, [References.of(im.raters) for im in ds.images])
+        fg = foreground_class(n_classes)
+        dices, bdices, confs, labels = [], [], [], []
+        for im, x in zip(ds.images, feats):
+            probs, _ = model.forward(x)
+            maj = majority_vote(im.raters)
+            dices.append(hard_dice(binarize(probs), maj, fg))
+            bdices.append(bdice(probs, uniform_average(im.raters), BDiceSpec(), fg))
+            confs.append(probs.array[fg].ravel())
+            labels.append(maj.array[fg].ravel())
+        assert m["per_image_dice"] == dices
+        assert m["bdice"] == float(np.mean(bdices))
+        record = m["record"]
+        np.testing.assert_array_equal(record.confidences, np.concatenate(confs))
+        np.testing.assert_array_equal(record.labels, np.concatenate(labels))
+        assert m["ece"] == ece(record)
+
+    def test_references_are_smaller_than_a_float_channel(self):
+        """References are kept for a whole run: every field together, fields
+        counted by their arrays, stays below one float64 (H, W) channel."""
+        import dataclasses
+
+        ds = generate_synthetic(SynthSpec(n_images=3, height=20, width=24, k_raters=5,
+                                          n_classes=2, seed=7))
+        for im in ds.images:
+            ref = References.of(im.raters)
+            total = sum(np.asarray(getattr(v, "array", v)).nbytes
+                        for v in (getattr(ref, f.name) for f in dataclasses.fields(ref)))
+            assert total < 8 * 20 * 24
 
 
 class TestCrossval:
