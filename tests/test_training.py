@@ -352,12 +352,11 @@ class TestEvaluate:
         assert m["dice"] == 1.0
         assert m["bdice"] == 1.0
 
-
     @pytest.mark.parametrize("n_classes", [1, 2])
     def test_matches_the_field_references(self, n_classes):
         """Scores against compact references equal scores against the
         majority-vote and rater-average fields, bit for bit."""
-        from dicesm.metrics import BDiceSpec, bdice, ece, foreground_class, hard_dice
+        from dicesm.metrics import BDiceSpec, CalibRecord, bdice, ece, foreground_class, hard_dice
         from dicesm.softlabels import majority_vote
 
         ds = generate_synthetic(SynthSpec(n_images=4, height=12, width=12, k_raters=4,
@@ -376,11 +375,11 @@ class TestEvaluate:
             bdices.append(bdice(probs, uniform_average(im.raters), BDiceSpec(), fg))
             confs.append(probs.array[fg].ravel())
             labels.append(maj.array[fg].ravel())
+        record = CalibRecord(np.concatenate(confs), np.concatenate(labels))
         assert m["per_image_dice"] == dices
         assert m["bdice"] == float(np.mean(bdices))
-        record = m["record"]
-        np.testing.assert_array_equal(record.confidences, np.concatenate(confs))
-        np.testing.assert_array_equal(record.labels, np.concatenate(labels))
+        np.testing.assert_array_equal(m["record"].confidences, record.confidences)
+        np.testing.assert_array_equal(m["record"].labels, record.labels)
         assert m["ece"] == ece(record)
 
     def test_references_are_smaller_than_a_float_channel(self):
