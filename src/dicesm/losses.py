@@ -149,8 +149,7 @@ def _finish(vals, grads, ok):
     # have disjoint supports, and ctl's N / T rounds above 1 at x == y
     # when alpha + beta == 1 and alpha != beta
     vals = np.where(ok, np.clip(vals, 0.0, 1.0), 0.0)
-    if not ok.all():
-        grads = np.where(ok[:, None], grads, 0.0)
+    grads = np.where(ok[:, None], grads, 0.0)
     return vals, grads, ok
 
 
@@ -344,8 +343,6 @@ def _overlap_terms(name: str, x: ProbField, y: LabelField, red: ReductionSpec, p
     C = x.n_classes
     vals, grads, ok = LOSSES[name].kernel(x.array.reshape(C, -1), y.array.reshape(C, -1),
                                           params, 0.0)
-    if ok.all():  # both class modes agree; skip the masking copies
-        return float(np.mean(vals)), grads / C
     if red.class_mode == MEAN_PRESENT:
         idx = np.flatnonzero(ok)
         grad = np.zeros_like(grads)

@@ -17,7 +17,7 @@ from .core import (
     RaterStack,
     validate,
 )
-from .metrics import argmax_classes, mask_dice, one_hot
+from .metrics import mask_dice, one_hot
 
 STRATEGIES = ("majority", "random_rater", "uniform_avg", "weighted_avg",
               "label_smoothing")
@@ -84,7 +84,7 @@ def majority_map(votes: np.ndarray, k: int, tie_break: str = TIE_BACKGROUND) -> 
         raise ValueError(f"unknown tie_break {tie_break!r}")
     if votes.shape[0] == 1:
         return (votes[0] > k / 2.0).astype(np.int64)  # ties (== k/2) go to background
-    winner = argmax_classes(votes)
+    winner = np.argmax(votes, axis=0)
     if tie_break == TIE_BACKGROUND:
         winner = np.where(votes[0] == votes.max(axis=0), 0, winner)
     return winner

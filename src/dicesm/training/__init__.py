@@ -6,7 +6,6 @@ from .distill import KdSpec, TeacherSignal, distill
 from .loop import (
     DivergedLossError,
     EmptyDatasetError,
-    References,
     TooFewImagesError,
     TrainResult,
     TrainSpec,

@@ -49,23 +49,6 @@ class TestHardDice:
             hard_dice(soft, mask_field([0, 0]))
 
 
-class TestClassMap:
-    @pytest.mark.parametrize("shape", [(2, 1), (2, 9, 7), (3, 40), (5, 4, 3, 2)])
-    @pytest.mark.parametrize("kind", ["float", "small_ints", "transposed"])
-    def test_argmax_classes_is_numpy_argmax(self, shape, kind, rng):
-        """Ties (small integers, as vote counts give) go to the first class."""
-        if kind == "float":
-            arr = rng.random(shape)
-        elif kind == "small_ints":
-            arr = rng.integers(0, 3, shape).astype(np.uint8)
-        else:  # (C, m) view of (m, C) rows, as the calibration code passes
-            arr = rng.integers(0, 2, shape[::-1]).astype(np.float64).T
-        out = metrics.argmax_classes(arr)
-        expected = np.argmax(arr, axis=0)
-        assert out.dtype == expected.dtype
-        np.testing.assert_array_equal(out, expected)
-
-
 class TestDiceIouBridge:
     def test_fixed_points(self):
         assert dice_from_iou(0.0) == 0.0

@@ -11,7 +11,6 @@ from dicesm.training import (
     ModelSpec,
     PerPixelLogistic,
     RaterNoise,
-    References,
     SynthSpec,
     TooFewImagesError,
     TrainSpec,
@@ -31,7 +30,7 @@ from dicesm.training import (
     train,
 )
 from dicesm.training import loop
-from dicesm.training.loop import build_targets, run_sgd
+from dicesm.training.loop import References, build_targets, run_sgd
 
 
 def tiny_dataset(n=6, hw=16, k=3, noise=RaterNoise((0, 1), 0.1), seed=5):
