@@ -200,6 +200,40 @@ def case_calibrate(capsys):
     return out
 
 
+def _overconfident_field(size: int, seed: int):
+    """A smooth foreground probability that is too sure of itself, and the
+    hard foreground mask it was drawn around."""
+    rng = np.random.default_rng(seed)
+    y, x = np.mgrid[0:size, 0:size] / size
+
+    def waves(n):
+        k = rng.integers(-3, 4, (n, 2))
+        phase = rng.uniform(0.0, 2 * np.pi, n)
+        f = sum(np.cos(2 * np.pi * (kx * x + ky * y) + ph) for (kx, ky), ph in zip(k, phase))
+        return (f - f.mean()) / f.std()
+
+    truth = waves(4)
+    seen = truth + 0.6 * waves(12)
+    return 1.0 / (1.0 + np.exp(-6.0 * seen)), (truth > 0.0).astype(np.float64)
+
+
+def case_calibrate_blocks(capsys):
+    # 48 x 48 pixels against 128 keys at h = 1e-3 make four blocks of rows,
+    # in which kept and underflowing kernel weights interleave
+    p, fg = _overconfident_field(48, 21)
+    _write_sdt("blocks1.sdt", p[None])
+    _write_sdt("blocks1_label.sdt", fg[None])
+    _write_sdt("blocks2.sdt", np.stack([1.0 - p, p]))
+    _write_sdt("blocks2_label.sdt", np.stack([1.0 - fg, fg]))
+    out = {}
+    for c in (1, 2):
+        res = _json_run(capsys, ["calibrate", "--pred", f"blocks{c}.sdt",
+                                 "--label", f"blocks{c}_label.sdt", "--bandwidth", "0.001",
+                                 "--n-key", "128", "--seed", "4", "--out", f"cal_blocks{c}.sdt"])
+        out[f"c{c}"] = {**res, "files": _files(f"cal_blocks{c}.sdt")}
+    return out
+
+
 TRAIN_CONFIGS = {
     "c1_compound": {
         "data": {"dir": "data"},
@@ -422,6 +456,20 @@ GOLDEN = {'calibrate': {'all': {'code': 0,
                                                'ece_after': 0.3263043484570488,
                                                'ece_before': 0.31965619946519536,
                                                'scope_pixels': 144}]}}},
+ 'calibrate_blocks': {'c1': {'code': 0,
+                             'files': {'cal_blocks1.sdt': '5ecd08625a0344dde0ce0e8591ac6ba2ec7cc3fe9e240f1825d89f0baffcbf66'},
+                             'stdout': {'ece_after': 0.08738144730535696,
+                                        'ece_before': 0.11729758736636182,
+                                        'n_key': 128,
+                                        'out': 'cal_blocks1.sdt',
+                                        'scope_pixels': 2304}},
+                      'c2': {'code': 0,
+                             'files': {'cal_blocks2.sdt': 'c330b48f28d6d8c7888571e9e9d9ebbcfd859beb5e87c59708c2efb668c25f07'},
+                             'stdout': {'ece_after': 0.08738269099731705,
+                                        'ece_before': 0.11729758736636182,
+                                        'n_key': 128,
+                                        'out': 'cal_blocks2.sdt',
+                                        'scope_pixels': 2304}}},
  'check_properties': {'mutate_sign': {'code': 1,
                                       'stdout_sha256': '8a471697da92bdc3d2193320b991bbe5fdc9fd21adbe89968e5e409a5883bd74'},
                       'pass': {'code': 0,
