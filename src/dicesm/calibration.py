@@ -18,8 +18,8 @@ logs and gammaln are taken once per pixel and per key, not per pair.
 Pixel rows with an exact 0 entry, where 0 * log 0 must be 0, take the
 elementwise xlogy form instead. Calibration runs over blocks of pixel
 rows: per block the log weights are shifted by their row max in place,
-exp is skipped where it would round to 0 anyway, and one product with
-[labels | 1] yields numerators and totals together. A block holds at most
+exponentiated with those that would round to 0 set to 0, and one product
+with [labels | 1] yields numerators and totals together. A block holds at most
 _BLOCK_MADDS / 3 (pixel, key) pairs, so working memory is bounded
 whatever the number of pixels and keys.
 
@@ -74,7 +74,14 @@ kernel_eval_count = 0
 _BLOCK_MADDS = 2 ** 18
 
 # exp(x) is exactly 0.0 for every x below this: it is under e**-1 of the
-# smallest subnormal, which rounds to 0.
+# smallest subnormal, which rounds to 0. _kernel_weights zeroes these entries
+# (and -inf and NaN) after one plain exp over the block instead of calling a
+# masked np.exp(..., where=): a masked ufunc runs its inner loop once per run
+# of kept entries, and at h = 1e-3 kept and dropped weights interleave at
+# random. On a 682 x 128 block of the calibrate-c2 benchmark (about 47% kept)
+# the masked exp took 1.32-1.42 ms and the plain one 0.61-0.69 ms, with equal
+# bits, on a 2-vCPU Xeon; a block where every weight is kept takes the exp in
+# place, 0.15 ms against the masked 0.28 ms.
 _EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).smallest_subnormal)) - 1.0
 
 
@@ -83,6 +90,17 @@ def _block_rows(n_key: int, c: int) -> int:
     GEMMs, (rows, D + 1) @ (D + 1, n_key) with D = max(c, 2) and
     (rows, n_key) @ (n_key, c + 1), stay within _BLOCK_MADDS."""
     return max(1, _BLOCK_MADDS // (n_key * (max(c, 2) + 1)))
+
+
+def _kernel_weights(lw: np.ndarray) -> np.ndarray:
+    """exp of a block of shifted log weights, 0 where lw < _EXP_ZERO_BELOW,
+    -inf or NaN. Overwrites lw when no entry is dropped."""
+    keep = lw >= _EXP_ZERO_BELOW
+    if keep.all():
+        return np.exp(lw, out=lw)
+    w = np.where(keep, lw, 0.0)
+    np.exp(w, out=w)
+    return np.multiply(w, keep, out=w)
 
 
 def reset_kernel_eval_count() -> None:
@@ -315,8 +333,7 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
         live = top > -np.inf
         top[~live] = 0.0
         lw -= top[:, None]
-        w = np.exp(lw, out=np.zeros_like(lw), where=lw >= _EXP_ZERO_BELOW)
-        sums = w @ labels_and_one
+        sums = _kernel_weights(lw) @ labels_and_one
         # a live row's top weight is exp(0) = 1, so its total is at least 1
         out[rows[block][live]] = sums[live, :c] / sums[live, c:]
         n_dead += int(live.size - live.sum())

@@ -419,10 +419,39 @@ class TestBlockedKernel:
             assert (rows + 1) * n * (max(c, 2) + 1) > calibration._BLOCK_MADDS
 
     def test_exp_skip_is_exact(self):
-        # weights below the threshold are set to 0 without calling exp,
-        # which must round every one of them to 0 as well
+        # weights below the threshold are set to 0 instead of exponentiated,
+        # and exp must round every one of them to 0 as well
         below = calibration._EXP_ZERO_BELOW - np.linspace(0.0, 50.0, 10_001)[1:]
         assert np.all(np.exp(below) == 0.0)
+
+    @staticmethod
+    def _masked_exp(lw):
+        thr = calibration._EXP_ZERO_BELOW
+        return np.exp(lw, out=np.zeros_like(lw), where=lw >= thr)
+
+    def test_kernel_weights_match_the_masked_exp(self, rng):
+        thr = calibration._EXP_ZERO_BELOW
+        tiny = float(np.log(np.finfo(np.float64).tiny))
+        lw = np.concatenate([
+            rng.uniform(-700.0, 0.0, 400),               # normal results
+            rng.uniform(thr, tiny, 400),                 # subnormal results
+            np.nextafter(thr, np.inf) + np.arange(4) * 1e-13,
+            np.nextafter(thr, -np.inf) - np.arange(4) * 1e-13,
+            [thr, 0.0, -1.0, -745.0, -746.0, -np.inf, -np.inf, -np.inf,
+             np.nan, np.nan, np.nan, -np.nan],
+            rng.uniform(-2000.0, thr, 400),              # below the threshold
+        ])
+        lw = rng.permutation(lw).reshape(61, 20)
+        assert np.any(lw >= thr) and not np.all(lw >= thr)
+        want = self._masked_exp(lw)
+        assert np.count_nonzero((want > 0.0) & (want < np.finfo(np.float64).tiny)) > 100
+        np.testing.assert_array_equal(calibration._kernel_weights(lw.copy()), want)
+
+    def test_kernel_weights_when_every_weight_is_kept(self, rng):
+        lw = rng.uniform(-700.0, 0.0, (64, 9))
+        lw[:, 0] = 0.0
+        want = self._masked_exp(lw)
+        np.testing.assert_array_equal(calibration._kernel_weights(lw.copy()), want)
 
     def test_memory_is_bounded_by_the_block(self):
         # 147,456 pixels (a 384 x 384 two-class field read back from float32)
