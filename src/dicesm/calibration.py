@@ -120,6 +120,11 @@ class DegenerateWeightsWarning(UserWarning):
     pass
 
 
+def _check_bandwidth(h) -> None:
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
+
+
 @dataclass(frozen=True)
 class KdeSpec:
     """Bandwidth, key-point budget, pixel scope and sampling seed."""
@@ -131,8 +136,7 @@ class KdeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        _check_bandwidth(self.bandwidth)
         if self.n_key <= 0:
             raise ValueError("n_key must be positive")
         if self.pixel_scope not in (SCOPE_ALL, SCOPE_BOUNDARY):
@@ -210,8 +214,7 @@ def log_beta_kernel(fj, fi, h: float):
     it is the Dirichlet GEMM of the rows (fj, 1 - fj) against (fi, 1 - fi),
     with logs taken once per fj and gammaln once per fi. Other shapes are
     evaluated pair by pair with xlogy."""
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(h)
     fj = _check_unit("fj", fj)
     fi = _check_unit("fi", fi)
     if fj.ndim == 2 and fi.ndim == 2 and fj.shape[1] == 1 and fi.shape[0] == 1:
@@ -243,8 +246,7 @@ def _check_simplex_rows(name, v):
 def log_dirichlet_kernel(fj, fi, h: float):
     """Log Dirichlet density at simplex row(s) fj with concentration
     alpha_k = fi_k / h + 1. fj may be (C,) or (m, C); fi is a single row."""
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(h)
     fj = _check_simplex_rows("fj", fj)
     fi = _check_simplex_rows("fi", fi)[:1]
     return _log_kernel_rows(fj, fi, h)[:, 0]
@@ -308,6 +310,7 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     recalibrated row and key.
     """
     global kernel_eval_count
+    _check_bandwidth(h)
     F = _as_rows(F)
     m, c = F.shape
     if c != keys.n_classes:

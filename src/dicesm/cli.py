@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -242,9 +243,10 @@ def cmd_calibrate(args) -> int:
     ece_before = _binary_ece(pred, label)
     if args.sweep:
         rows = []
-        for h in (float(tok) for tok in args.sweep.split(",")):
-            calibrated, _, n_scope = _calibration_pass(pred, label, replace(spec, bandwidth=h))
-            rows.append({"bandwidth": h, "ece_before": ece_before,
+        # every bandwidth is checked before the first pass runs
+        for swept in [replace(spec, bandwidth=float(tok)) for tok in args.sweep.split(",")]:
+            calibrated, _, n_scope = _calibration_pass(pred, label, swept)
+            rows.append({"bandwidth": swept.bandwidth, "ece_before": ece_before,
                          "ece_after": _binary_ece(calibrated, label),
                          "scope_pixels": n_scope})
         _emit({"sweep": rows})
@@ -374,8 +376,17 @@ def _finish_training(result, out_dir) -> None:
     _emit({"out": str(out), **metrics})
 
 
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise UsageError(f"config holds {token}, which is not a finite number")
+    return value
+
+
 def _read_config(path, allowed: set) -> dict:
-    cfg = json.loads(Path(path).read_text())
+    # json.loads reads NaN, Infinity and -Infinity, and 1e400 as inf
+    cfg = json.loads(Path(path).read_text(), parse_float=_finite_number,
+                     parse_constant=_finite_number)
     _require_keys(cfg, allowed, "config", ("data",))
     return cfg
 

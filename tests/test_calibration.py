@@ -20,6 +20,7 @@ from dicesm.calibration import (
     dirichlet_kernel,
     kde_calibrate_batch,
     log_beta_kernel,
+    log_dirichlet_kernel,
     reset_kernel_eval_count,
     sample_key_points,
     select_scope_pixels,
@@ -235,6 +236,34 @@ class TestScopedPass:
         assert calibration.kernel_eval_count == 0
         np.testing.assert_array_equal(out, F)
         assert out is not F
+
+
+BAD_BANDWIDTHS = [0.0, -0.1, np.nan, np.inf, -np.inf]
+
+
+class TestBandwidth:
+    # one check at every entry that takes a bandwidth: positive and finite
+    @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
+    def test_spec_rejects(self, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KdeSpec(bandwidth=h)
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
+    def test_calibration_rejects(self, h, c, rng):
+        rows = rng.dirichlet(np.ones(2), size=6)[:, :c] if c == 2 else rng.random((6, 1))
+        keys = KeyPointSet(rows, np.eye(2)[[0, 1, 0, 1, 0, 1]][:, :c], np.arange(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                kde_calibrate_batch(rows, keys, h)
+
+    @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
+    def test_kernels_reject(self, h):
+        with pytest.raises(ValueError, match="positive and finite"):
+            log_beta_kernel(0.5, 0.3, h)
+        with pytest.raises(ValueError, match="positive and finite"):
+            log_dirichlet_kernel([0.5, 0.5], [0.3, 0.7], h)
 
 
 class TestSelectScopePixels:

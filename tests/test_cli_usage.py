@@ -1,15 +1,16 @@
 """Command-line inputs that must exit 2 as usage errors: a non-integer
 DICESM_SEED, an --curve grid outside the loss domain or under two points,
 a val_fraction outside [0, 1) or one that leaves no training image, a
-negative box-mean radius in a model config, JSON
-inputs that lack a required key, and calibrate on a three-class field
-(ECE is binary; nothing is written). Data files are bad data, exit 1 with
-one stderr line that names the file: a dataset manifest that lacks a key,
-is not JSON, is not an object or has an unknown spec key, and a teacher
-checkpoint manifest that is not JSON or lacks its params, and a rater
-file that holds a value other than 0 or 1, under every soft-label
-strategy and in a training dataset. Also: the compound curve honours its
-flags.
+negative box-mean radius in a model config, JSON inputs that lack a
+required key, calibrate on a three-class field (ECE is binary; nothing is
+written), a calibrate bandwidth or sweep entry that is not positive and
+finite, and a config number that is NaN, Infinity, -Infinity or
+overflows to inf. Data files are bad data, exit 1 with one stderr line
+that names the file: a dataset manifest that lacks a key, is not JSON, is
+not an object or has an unknown spec key, and a teacher checkpoint
+manifest that is not JSON or lacks its params, and a rater file that
+holds a value other than 0 or 1, under every soft-label strategy and in a
+training dataset. Also: the compound curve honours its flags.
 """
 
 import json
@@ -226,3 +227,70 @@ def test_train_rejects_a_bad_rater(value, error, monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert error in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _two_class_field() -> None:
+    rng = np.random.default_rng(4)
+    p = rng.random((8, 8))
+    write_field("pred.sdt", ProbField.from_array(np.stack([1.0 - p, p])))
+    fg = (p > 0.5).astype(np.float64)
+    write_field("label.sdt", LabelField.from_array(np.stack([1.0 - fg, fg]), "hard"))
+
+
+@pytest.mark.parametrize("flags", [["--bandwidth", "nan", "--out", "cal.sdt"],
+                                   ["--bandwidth", "inf", "--out", "cal.sdt"],
+                                   ["--sweep", "1e-3,nan"], ["--sweep", "nan,1e-3"]])
+def test_calibrate_rejects_a_bad_bandwidth(flags, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    _two_class_field()
+    code = cli.main(["calibrate", "--pred", "pred.sdt", "--label", "label.sdt", *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "bandwidth must be positive and finite" in captured.err
+    assert not (tmp_path / "cal.sdt").exists()
+
+
+# (command, path to the key in the config); each run exits 0 with a finite
+# value in its place
+NUMBER_KEYS = {
+    "kd_weight": ("distill", ("kd", "kd_weight")),
+    "kde_bandwidth": ("distill", ("kd", "kde", "bandwidth")),
+    "lr0": ("train", ("train", "lr0")),
+    "momentum": ("train", ("train", "momentum")),
+}
+
+
+def _config_with(command, path, literal) -> str:
+    cfg = {"data": {"synth": {"n_images": 2, "height": 8, "width": 8, "k_raters": 2}},
+           "train": {"epochs": 1}, "eval_every": 0, "out_dir": "out"}
+    if command == "distill":
+        cfg["kd"] = {"teacher_checkpoint": "teacher", "use_kde": True}
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = "@"
+    return json.dumps(cfg).replace('"@"', literal)
+
+
+def _run_config(key, literal, tmp_path) -> int:
+    save_model(build_model(ModelSpec(feature_set="intensity")), tmp_path / "teacher")
+    command, path = NUMBER_KEYS[key]
+    (tmp_path / "c.json").write_text(_config_with(command, path, literal))
+    return cli.main([command, "--config", "c.json"])
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("key", sorted(NUMBER_KEYS))
+def test_non_finite_config_number_is_a_usage_error(key, literal, monkeypatch, tmp_path,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run_config(key, literal, tmp_path) == 2
+    assert f"config holds {literal}, which is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", sorted(NUMBER_KEYS))
+def test_finite_config_number_runs(key, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run_config(key, "0.5", tmp_path) == 0
+    assert (tmp_path / "out").exists()
