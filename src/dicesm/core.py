@@ -122,11 +122,7 @@ class TensorF:
             raise ShapeMismatchError(
                 f"dims {dims} imply {n} elements, data has {data.size}"
             )
-        bad = np.flatnonzero(~np.isfinite(data))
-        if bad.size:
-            raise NonFiniteError(
-                f"non-finite value at flat index {bad[0]}", flat_index=int(bad[0])
-            )
+        check_finite(data)
         data.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
@@ -253,6 +249,14 @@ class RaterStack:
 # Validation
 # --------------------------------------------------------------------------
 
+def check_finite(arr: np.ndarray) -> None:
+    """Raise NonFiniteError at the first NaN or infinity of arr, with its
+    flat index in row-major order."""
+    if not np.isfinite(arr).all():
+        i = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise NonFiniteError(f"non-finite value at flat index {i}", flat_index=i)
+
+
 def validate(f: ProbField | LabelField) -> None:
     """Check every invariant of the field; raise on the first violation.
 
@@ -261,10 +265,7 @@ def validate(f: ProbField | LabelField) -> None:
     offending element.
     """
     data = f.tensor.data
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise NonFiniteError(f"non-finite value at flat index {bad[0]}",
-                             flat_index=int(bad[0]))
+    check_finite(data)
     bad = np.flatnonzero((data < 0.0) | (data > 1.0))
     if bad.size:
         i = int(bad[0])

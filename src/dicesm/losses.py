@@ -25,9 +25,18 @@ so results are deterministic bit for bit.
 ``LOSSES`` is the one registry. Each name maps to its row kernel, its
 parameter type (None, TverskyParams or CompoundParams) and whether it
 refuses soft labels (only stl does). LOSS_NAMES, the overlap terms that
-compound accepts, ``make_loss`` and ``pairwise`` all read it. Every public
-field op takes one path: check dims, validate x and y once each, evaluate
-the row kernel per class, reduce.
+compound accepts, ``make_loss`` and ``pairwise`` all read it.
+
+Fields are validated at the public entries only. Every public field op
+takes one path: the soft-label guard, a dims check, one validate of x and
+of y, then ``_terms``, which evaluates the row kernel per class and
+reduces over classes on plain (C, H, W) arrays. ``_reduce_batch`` reduces
+a terms function over a batch of arrays; ``batch_loss`` runs it with a
+field op as the terms, and the training loop runs it on arrays it has
+checked itself, with ``_terms`` bound by ``_loss_terms``. There is one
+copy of each kernel's arithmetic: the kernels and the terms work in place
+only on temporaries of their own, never on their inputs, and form the
+same IEEE operations in the same order on every path.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    HARD,
+    SOFT,
     DicesmError,
     LabelField,
     ProbField,
@@ -140,16 +151,20 @@ def _sign(d: np.ndarray, s0: float) -> np.ndarray:
 def _safe_div(num, den):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
-    return np.where(den == 0.0, 0.0, out)
+    np.copyto(out, 0.0, where=den == 0.0)
+    return out
 
 
 def _finish(vals, grads, ok):
+    """Clip vals to [0, 1] and zero the rows that are not ok, in place:
+    every kernel hands over arrays of its own."""
     # region losses lie in [0, 1], but rounding can step one ulp outside:
     # D and S summed in different orders put D / S above 1 where x and y
     # have disjoint supports, and ctl's N / T rounds above 1 at x == y
     # when alpha + beta == 1 and alpha != beta
-    vals = np.where(ok, np.clip(vals, 0.0, 1.0), 0.0)
-    grads = np.where(ok[:, None], grads, 0.0)
+    np.clip(vals, 0.0, 1.0, out=vals)
+    vals[~ok] = 0.0
+    grads[~ok] = 0.0
     return vals, grads, ok
 
 
@@ -263,20 +278,42 @@ def _kernel_cftl(X, Y, params, s0):
 
 
 def _kernel_ce(X, Y, params, s0):
+    # -sum(Y log Xc + (1 - Y) log(1 - Xc)) / p and its gradient
+    # -(Y / Xc - (1 - Y) / (1 - Xc)) / p, each product and quotient formed
+    # in a temporary of its own
     p = X.shape[1]
     Xc = np.clip(X, CE_CLAMP, 1.0 - CE_CLAMP)
-    vals = -np.sum(Y * np.log(Xc) + (1.0 - Y) * np.log1p(-Xc), axis=1) / p
-    grads = -(Y / Xc - (1.0 - Y) / (1.0 - Xc)) / p
+    Y1 = 1.0 - Y
+    t = np.log(Xc)
+    t *= Y
+    u = np.log1p(-Xc)
+    u *= Y1
+    t += u
+    vals = -np.sum(t, axis=1) / p
+    grads = np.divide(Y, Xc, out=t)
+    np.subtract(1.0, Xc, out=u)
+    np.divide(Y1, u, out=u)
+    grads -= u
+    np.negative(grads, out=grads)
+    grads /= p
     ok = np.ones(X.shape[0], dtype=bool)
     return vals, grads, ok
+
+
+def _mix(w_ce, ce_grad, w_dml, overlap_grad):
+    """w_ce * ce_grad + w_dml * overlap_grad, in place in ce_grad."""
+    ce_grad *= w_ce
+    overlap_grad *= w_dml
+    ce_grad += overlap_grad
+    return ce_grad
 
 
 def _kernel_compound(X, Y, params, s0):
     cv, cg, _ = _kernel_ce(X, Y, None, s0)
     ov, og, ok = LOSSES[params.overlap].kernel(X, Y, None, s0)
-    ov = np.where(ok, ov, 0.0)  # empty-both overlap term contributes 0
+    ov[~ok] = 0.0  # empty-both overlap term contributes 0
     vals = params.w_ce * cv + params.w_dml * ov
-    grads = params.w_ce * cg + params.w_dml * og
+    grads = _mix(params.w_ce, cg, params.w_dml, og)
     return vals, grads, np.ones(X.shape[0], dtype=bool)
 
 
@@ -338,57 +375,75 @@ def pairwise_values(name: str, X, Y, params=None, empty_both_value=0.0):
 # Field-level ops
 # --------------------------------------------------------------------------
 
-def _overlap_terms(name: str, x: ProbField, y: LabelField, red: ReductionSpec, params):
+# The terms below take (C, H, W) arrays that the caller has checked: equal
+# shapes, finite values in [0, 1], and the soft-label guard passed.
+
+def _overlap_terms(name: str, x: np.ndarray, y: np.ndarray, red: ReductionSpec, params):
     """Value and (C, p) gradient of a region loss reduced over classes."""
-    C = x.n_classes
-    vals, grads, ok = LOSSES[name].kernel(x.array.reshape(C, -1), y.array.reshape(C, -1),
-                                          params, 0.0)
+    C = x.shape[0]
+    vals, grads, ok = LOSSES[name].kernel(x.reshape(C, -1), y.reshape(C, -1), params, 0.0)
+    # _finish has zeroed the gradient rows that are not ok
     if red.class_mode == MEAN_PRESENT:
         idx = np.flatnonzero(ok)
-        grad = np.zeros_like(grads)
         if idx.size == 0:
-            return red.empty_both_value, grad
-        grad[idx] = grads[idx] / idx.size
-        return float(np.mean(vals[idx])), grad
-    return float(np.mean(np.where(ok, vals, red.empty_both_value))), grads / C
+            return red.empty_both_value, grads
+        grads /= idx.size
+        return float(np.mean(vals[idx])), grads
+    vals[~ok] = red.empty_both_value
+    grads /= C
+    return float(np.mean(vals)), grads
 
 
-def _ce_terms(x: ProbField, y: LabelField):
+def _ce_terms(x: np.ndarray, y: np.ndarray):
     """Value and (C, p) gradient of the pixel-mean cross-entropy: the binary
     row kernel at C == 1, the categorical -sum_c y log x / p at C >= 2."""
-    C = x.n_classes
+    C = x.shape[0]
     if C == 1:
-        vals, grads, _ = _kernel_ce(x.array.reshape(1, -1), y.array.reshape(1, -1), None, 0.0)
+        vals, grads, _ = _kernel_ce(x.reshape(1, -1), y.reshape(1, -1), None, 0.0)
         return float(vals[0]), grads
-    p = x.dims[1] * x.dims[2]
-    Xc = np.clip(x.array, CE_CLAMP, 1.0 - CE_CLAMP)
-    Ya = y.array
-    return float(-np.sum(Ya * np.log(Xc)) / p), (-(Ya / Xc) / p).reshape(C, -1)
+    p = x.shape[1] * x.shape[2]
+    Xc = np.clip(x, CE_CLAMP, 1.0 - CE_CLAMP)
+    t = np.log(Xc)
+    t *= y
+    value = float(-np.sum(t) / p)
+    grad = np.divide(y, Xc, out=t)
+    np.negative(grad, out=grad)
+    grad /= p
+    return value, grad.reshape(C, -1)
+
+
+def _terms(name: str, x: np.ndarray, y: np.ndarray, red: ReductionSpec, params):
+    """Value and (C, p) gradient of loss `name` on checked (C, H, W) arrays:
+    the arithmetic that every field op, batch_loss and the training loop
+    share. params is the loss's params object, defaults filled in."""
+    if name == "ce":
+        return _ce_terms(x, y)
+    if name == "compound":
+        cv, cg = _ce_terms(x, y)
+        ov, og = _overlap_terms(params.overlap, x, y, red, None)
+        return params.w_ce * cv + params.w_dml * ov, _mix(params.w_ce, cg, params.w_dml, og)
+    return _overlap_terms(name, x, y, red, params)
+
+
+def _guard_soft(name: str, hard: bool, allow_soft: bool) -> None:
+    """The soft-label guard: a loss that refuses soft labels raises on a
+    soft target unless allow_soft is set."""
+    if LOSSES[name].hard_only and not hard and not allow_soft:
+        raise SoftLabelIncompatibleError(
+            f"{name} is minimized at a vertex under soft labels; pass "
+            "allow_soft=True only to demonstrate that")
 
 
 def _field_op(name: str, x: ProbField, y: LabelField, red: ReductionSpec | None,
               params=None, allow_soft: bool = False) -> GradPair:
     """The path of every public field op: the soft-label guard, one dims
     check and one validate of x and of y, then the loss's terms."""
-    entry = LOSSES[name]
-    if entry.hard_only and not y.is_hard and not allow_soft:
-        raise SoftLabelIncompatibleError(
-            f"{name} is minimized at a vertex under soft labels; pass "
-            "allow_soft=True only to demonstrate that")
+    _guard_soft(name, y.is_hard, allow_soft)
     check_same_dims(x, y)
     validate(x)
     validate(y)
     red = red if red is not None else DEFAULT_REDUCTION
-    params = _with_defaults(entry, params)
-    if name == "ce":
-        value, grad = _ce_terms(x, y)
-    elif name == "compound":
-        cv, cg = _ce_terms(x, y)
-        ov, og = _overlap_terms(params.overlap, x, y, red, None)
-        value = params.w_ce * cv + params.w_dml * ov
-        grad = params.w_ce * cg + params.w_dml * og
-    else:
-        value, grad = _overlap_terms(name, x, y, red, params)
+    value, grad = _terms(name, x.array, y.array, red, _with_defaults(LOSSES[name], params))
     return GradPair(value, TensorF(x.dims, grad.reshape(-1)))
 
 
@@ -507,39 +562,71 @@ def make_loss(name: str, params: dict | None = None) -> Callable:
     return lambda x, y, red=None: fn(x, y, red=red, **kwargs)
 
 
+def _loss_terms(name: str, params: dict | None = None):
+    """Bind a loss identifier plus JSON params into the array-level
+    terms(x, y, red) -> (value, (C, p) gradient) that the training loop
+    reduces with _reduce_batch, and the allow_soft flag for _guard_soft.
+    The arrays are trusted: nothing is validated."""
+    bound, allow_soft = parse_loss_params(name, params)
+    bound = _with_defaults(LOSSES[name], bound)
+    return (lambda x, y, red: _terms(name, x, y, red, bound)), allow_soft
+
+
+def _reduce_batch(terms: Callable, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],
+                  red: ReductionSpec):
+    """Reduce terms(x, y, red) over a batch of (C, H, W) arrays per
+    red.batch_mode; returns (value, grads) with grads[i] shaped as xs[i].
+
+    per_image_then_mean averages per-image values and divides each
+    gradient by the batch size; pooled concatenates every image's pixels,
+    class by class, into one (C, 1, sum p) evaluation.
+    """
+    if len(xs) != len(ys) or not xs:
+        raise ShapeMismatchError("batch needs equal, nonzero counts of x and y")
+    for x, y in zip(xs, ys):
+        if x.shape != y.shape:
+            raise ShapeMismatchError(f"dims {x.shape} vs {y.shape}")
+    if red.batch_mode == PER_IMAGE_THEN_MEAN:
+        pairs = [terms(x, y, red) for x, y in zip(xs, ys)]
+        n = len(pairs)
+        grads = []
+        for x, (_, g) in zip(xs, pairs):
+            g /= n
+            grads.append(g.reshape(x.shape))
+        return float(np.mean([v for v, _ in pairs])), grads
+    C = xs[0].shape[0]
+    if any(x.shape[0] != C for x in xs):
+        raise ShapeMismatchError("pooled batch requires a common class count")
+    value, g = terms(np.concatenate([x.reshape(C, 1, -1) for x in xs], axis=2),
+                     np.concatenate([y.reshape(C, 1, -1) for y in ys], axis=2), red)
+    g = g.reshape(C, -1)
+    grads = []
+    off = 0
+    for x in xs:
+        p = x.shape[1] * x.shape[2]
+        grads.append(g[:, off:off + p].reshape(x.shape))
+        off += p
+    return value, grads
+
+
 def batch_loss(loss_fn: Callable, xs: Sequence[ProbField], ys: Sequence[LabelField],
                red: ReductionSpec | None = None):
     """Aggregate a loss over a batch per ReductionSpec.batch_mode.
 
     Returns (value, grads) where grads[i] is d(value)/d(xs[i]) as a TensorF.
     per_image_then_mean averages per-image losses; pooled concatenates all
-    pixels into one evaluation (classes stay aligned).
+    pixels into one evaluation (classes stay aligned). loss_fn is a field
+    op, which validates what it is given.
     """
     red = red if red is not None else DEFAULT_REDUCTION
-    if len(xs) != len(ys) or not xs:
-        raise ShapeMismatchError("batch needs equal, nonzero counts of x and y")
-    if red.batch_mode == PER_IMAGE_THEN_MEAN:
-        pairs = [loss_fn(x, y, red) for x, y in zip(xs, ys)]
-        n = len(pairs)
-        value = float(np.mean([p.value for p in pairs]))
-        grads = [TensorF(x.dims, p.grad.data / n) for x, p in zip(xs, pairs)]
-        return value, grads
-    C = xs[0].n_classes
-    for x, y in zip(xs, ys):
-        check_same_dims(x, y)
-        if x.n_classes != C:
-            raise ShapeMismatchError("pooled batch requires a common class count")
-    flat_x = [x.array.reshape(C, 1, -1) for x in xs]
-    flat_y = [y.array.reshape(C, 1, -1) for y in ys]
-    pooled_x = ProbField.from_array(np.concatenate(flat_x, axis=2))
-    hardness = "hard" if all(y.is_hard for y in ys) else "soft"
-    pooled_y = LabelField.from_array(np.concatenate(flat_y, axis=2), hardness)
-    pair = loss_fn(pooled_x, pooled_y, red)
-    g = pair.grad.as_array().reshape(C, -1)
-    grads = []
-    off = 0
-    for x in xs:
-        p = x.dims[1] * x.dims[2]
-        grads.append(TensorF(x.dims, g[:, off:off + p].reshape(-1)))
-        off += p
-    return pair.value, grads
+    # _reduce_batch calls terms once per image, in order, or once on the pooled
+    # arrays; each call rebuilds the fields with the hardness of its targets
+    hardness = iter([y.hardness for y in ys] if red.batch_mode == PER_IMAGE_THEN_MEAN
+                    else [HARD if all(y.is_hard for y in ys) else SOFT])
+
+    def terms(x, y, red):
+        pair = loss_fn(ProbField.from_array(x), LabelField.from_array(y, next(hardness)), red)
+        return pair.value, pair.grad.data.reshape(x.shape[0], -1).copy()
+
+    value, grads = _reduce_batch(terms, [x.array for x in xs], [y.array for y in ys], red)
+    return value, [TensorF.from_array(g) for g in grads]

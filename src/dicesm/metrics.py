@@ -8,6 +8,10 @@ evaluation and the rater weights of softlabels use it on bool masks.
 
 class_map and foreground_class are the one statement of the class rule: a
 C == 1 field is a foreground probability with an implicit background.
+
+Public metrics on fields validate them once on entry. Callers that hold
+checked arrays (the training loop's evaluation, the CLI after reading its
+files) score through the array cores, such as _bdice, directly.
 """
 
 from __future__ import annotations
@@ -163,10 +167,13 @@ def bdice(x: ProbField, y: LabelField, spec: BDiceSpec | None = None,
     check_same_dims(x, y)
     validate(x)
     validate(y)
-    xa = x.array[class_idx]
-    ya = y.array[class_idx]
-    scores = [mask_dice(xa > t, ya > t, 1.0) for t in spec.thresholds]
-    return float(np.mean(scores))
+    return _bdice(x.array[class_idx], y.array[class_idx], spec.thresholds)
+
+
+def _bdice(x: np.ndarray, y: np.ndarray, thresholds) -> float:
+    """The bdice score of one class's (H, W) prediction and label arrays,
+    which the caller has checked."""
+    return float(np.mean([mask_dice(x > t, y > t, 1.0) for t in thresholds]))
 
 
 def ece(records: CalibRecord, spec: EceSpec | None = None) -> float:

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..calibration import (SCOPE_ALL, KdeSpec, kde_calibrate_batch, sample_key_points,
                            select_scope_pixels)
-from ..core import LabelField
-from ..losses import batch_loss, ce as ce_loss, dml1 as dml1_loss
+from ..core import ProbField, check_finite
+from ..losses import _loss_terms, _reduce_batch
 from ..softlabels import majority_vote
 from .loop import TrainResult, TrainSpec, build_targets, run_sgd
 from .models import CheckpointMismatchError, ModelSpec, build_model
@@ -43,7 +43,12 @@ class KdSpec:
 
 
 class TeacherSignal:
-    """Per-batch provider of distillation targets and their gradients."""
+    """Per-batch provider of distillation targets and their gradients.
+
+    The teacher's probabilities are (C, H, W) arrays, checked for
+    finiteness once per image here; the KDE signals and the KD gradients
+    are arrays too. A ProbField is built only for select_scope_pixels.
+    """
 
     def __init__(self, dataset: SynthDataset, teacher, kd_spec: KdSpec):
         self.kd_spec = kd_spec
@@ -55,44 +60,47 @@ class TeacherSignal:
         self.teacher_probs, self.conf_rows, self.label_rows, self.scopes = [], [], [], []
         for im in dataset.images:
             probs, _ = teacher.forward(teacher.prepare(im.image))
-            if probs.n_classes != n_classes:
+            check_finite(probs)
+            if probs.shape[0] != n_classes:
                 raise CheckpointMismatchError(
-                    f"teacher emits {probs.n_classes} classes, task has {n_classes}")
+                    f"teacher emits {probs.shape[0]} classes, task has {n_classes}")
             self.teacher_probs.append(probs)
             if kd_spec.use_kde:
                 maj = majority_vote(im.raters)
-                self.conf_rows.append(probs.array.reshape(n_classes, -1).T)
+                self.conf_rows.append(probs.reshape(n_classes, -1).T)
                 self.label_rows.append(maj.array.reshape(n_classes, -1).T)
-                self.scopes.append(None if kde.pixel_scope == SCOPE_ALL
-                                   else select_scope_pixels(probs, maj, kde))
+                self.scopes.append(
+                    None if kde.pixel_scope == SCOPE_ALL
+                    else select_scope_pixels(ProbField.from_array(probs), maj, kde))
+        self.terms = [_loss_terms(name)[0] for name, on in (
+            ("ce", kd_spec.kd_terms in ("ce", "both")),
+            ("dml1", kd_spec.kd_terms in ("dml", "both"))) if on]
 
-    def _signal_fields(self, idx, epoch, batch_idx):
+    def _signals(self, idx, epoch, batch_idx):
+        """The (C, H, W) teacher signal of each image in idx: its
+        probabilities, recalibrated by KDE with use_kde."""
         if not self.kd_spec.use_kde:
-            return [LabelField(self.teacher_probs[i].tensor, "soft") for i in idx]
+            return [self.teacher_probs[i] for i in idx]
         kde = self.kd_spec.kde
         seed = int(np.random.SeedSequence([kde.seed, epoch, batch_idx]).generate_state(1)[0])
         keys = sample_key_points(np.concatenate([self.conf_rows[i] for i in idx]),
                                  np.concatenate([self.label_rows[i] for i in idx]),
                                  replace(kde, seed=seed))
-        return [LabelField.from_array(
+        return [np.ascontiguousarray(
                     kde_calibrate_batch(self.conf_rows[i], keys, kde.bandwidth, self.scopes[i])
-                    .T.reshape(self.teacher_probs[i].dims), "soft")
+                    .T.reshape(self.teacher_probs[i].shape))
                 for i in idx]
 
     def batch_terms(self, idx, student_probs, red, epoch, batch_idx):
-        """KD loss value and per-image gradients for one batch."""
-        signals = self._signal_fields(idx, epoch, batch_idx)
-        terms = []
-        if self.kd_spec.kd_terms in ("ce", "both"):
-            terms.append(ce_loss)
-        if self.kd_spec.kd_terms in ("dml", "both"):
-            terms.append(dml1_loss)
+        """KD loss value and per-image gradient arrays for one batch."""
+        signals = self._signals(idx, epoch, batch_idx)
         value = 0.0
-        grads = [np.zeros(x.dims) for x in student_probs]
-        for fn in terms:
-            v, g = batch_loss(fn, student_probs, signals, red)
+        grads = [np.zeros(x.shape) for x in student_probs]
+        for terms in self.terms:
+            v, g = _reduce_batch(terms, student_probs, signals, red)
             value += v
-            grads = [acc + t.as_array() for acc, t in zip(grads, g)]
+            for acc, t in zip(grads, g):
+                acc += t
         return value, grads
 
 

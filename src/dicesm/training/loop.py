@@ -4,6 +4,16 @@ schedule, plus validation metrics and k-fold cross-validation.
 Everything is deterministic given (dataset seed, model seed, train seed):
 shuffling is the only random element, the gradient reduction order over a
 batch is fixed, and evaluation is pure.
+
+Fields are checked where they are built, not here: the targets by
+softlabels, the teacher signal's inputs by distill, files by core. Inside
+run_sgd and evaluate everything is a plain array. Model outputs come from
+model.forward as (C, H, W) arrays (see models), and the loss terms and
+their batch reduction are the array functions that losses' field ops also
+use, so the loop builds no TensorF and calls no validate. What the loop
+checks itself: the soft-label guard once per run, and per step one
+finiteness check of the probabilities and one of the gradients, which
+raise NonFiniteError as a field's construction would.
 """
 
 from __future__ import annotations
@@ -13,12 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import DicesmError, LabelField, ProbField, RaterStack
-from ..losses import ReductionSpec, batch_loss, make_loss, parse_loss_params
-from ..metrics import (BDiceSpec, CalibRecord, EceSpec, bdice, class_map, ece,
+from ..core import (DicesmError, LabelField, ProbField, RaterStack, ShapeMismatchError,
+                    check_finite)
+from ..losses import ReductionSpec, _guard_soft, _loss_terms, _reduce_batch, parse_loss_params
+# not called here: perfbench's tracer self-test checks that tracing restores
+# this binding
+from ..losses import batch_loss  # noqa: F401
+from ..metrics import (BDiceSpec, CalibRecord, EceSpec, _bdice, class_map, ece,
                        foreground_class, mask_dice, one_hot)
-from ..softlabels import (SoftLabelSpec, average_field, build_labels_dataset, majority_map,
-                          vote_counts)
+from ..softlabels import SoftLabelSpec, build_labels_dataset, majority_map, vote_counts
 from .models import ModelSpec, build_model
 from .synth import SynthDataset
 
@@ -103,16 +116,22 @@ def evaluate(model, feats, refs) -> dict:
     feats[i] is model.prepare of image i and refs[i] its References. The
     caller builds both once per run, since neither changes while the model
     trains. Only the majority's foreground mask and the vote counts are
-    kept between evaluations: the rater-average field is rebuilt from the
-    counts for each image and dropped once the image is scored.
+    kept between evaluations: the rater average of the foreground channel
+    is rebuilt from the counts for each image and dropped once the image
+    is scored. Scoring runs on arrays; the predictions are checked for
+    finiteness and shape, and the references are valid by construction.
     """
+    thresholds = BDiceSpec().thresholds
     dices, bdices, confs, labels = [], [], [], []
     for x, ref in zip(feats, refs):
         probs, _ = model.forward(x)
+        check_finite(probs)
+        if probs.shape != ref.votes.shape:
+            raise ShapeMismatchError(f"dims {probs.shape} vs {ref.votes.shape}")
         fg = foreground_class(ref.votes.shape[0])
-        dices.append(mask_dice(class_map(probs.array) == 1, ref.majority_fg))
-        bdices.append(bdice(probs, average_field(ref.votes, ref.k), BDiceSpec(), fg))
-        confs.append(probs.array[fg].flatten())  # a copy, so probs can be freed
+        dices.append(mask_dice(class_map(probs) == 1, ref.majority_fg))
+        bdices.append(_bdice(probs[fg], ref.votes[fg] / ref.k, thresholds))
+        confs.append(probs[fg].flatten())  # a copy, so probs can be freed
         labels.append(ref.majority_fg.ravel())
     record = CalibRecord(np.concatenate(confs), np.concatenate(labels))
     return {
@@ -136,19 +155,24 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
             kd_provider=None) -> TrainResult:
     """Core loop shared by train() and distill().
 
-    targets[i] is the supervised LabelField for image i; kd_provider, when
-    given, contributes extra loss terms against a teacher signal.
+    targets[i] is the supervised LabelField for image i, valid as built;
+    kd_provider, when given, contributes extra loss terms and their
+    gradients, as arrays, against a teacher signal.
     """
     n = len(dataset)
     if n == 0:
         raise EmptyDatasetError("no images")
-    loss_fn = make_loss(spec.loss_name, spec.loss_params)
+    terms, allow_soft = _loss_terms(spec.loss_name, spec.loss_params)
     red = spec.reduction
     feats = [model.prepare(im.image) for im in dataset.images]
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     batches_per_epoch = -(-n // spec.batch_size)
     total_steps = spec.epochs * batches_per_epoch
+    if total_steps:
+        _guard_soft(spec.loss_name, all(y.is_hard for y in targets), allow_soft)
+    ys = [y.array for y in targets]
+    kd = kd_provider if kd_provider is not None and kd_provider.weight > 0.0 else None
     ds, split = (dataset, "train") if val_dataset is None else (val_dataset, "val")
     ds_feats = feats if ds is dataset else [model.prepare(im.image) for im in ds.images]
     ds_refs = [References.of(im.raters) for im in ds.images]
@@ -165,14 +189,17 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
                 probs, cache = model.forward(feats[i])
                 xs.append(probs)
                 caches.append(cache)
-            ys = [targets[i] for i in idx]
-            value, grads_x = batch_loss(loss_fn, xs, ys, red)
-            grads_x = [g.as_array() for g in grads_x]
-            if kd_provider is not None and kd_provider.weight > 0.0:
-                kd_value, kd_grads = kd_provider.batch_terms(idx, xs, red, epoch, b)
-                value += kd_provider.weight * kd_value
-                grads_x = [g + kd_provider.weight * kg
-                           for g, kg in zip(grads_x, kd_grads)]
+            for x in xs:
+                check_finite(x)
+            value, grads_x = _reduce_batch(terms, xs, [ys[i] for i in idx], red)
+            if kd is not None:
+                kd_value, kd_grads = kd.batch_terms(idx, xs, red, epoch, b)
+                value += kd.weight * kd_value
+                for g, kg in zip(grads_x, kd_grads):
+                    kg *= kd.weight
+                    g += kg
+            for g in grads_x:
+                check_finite(g)
             if not np.isfinite(value):
                 raise DivergedLossError(f"loss {value!r} at epoch {epoch}")
             epoch_losses.append(value)

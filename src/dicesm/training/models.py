@@ -5,9 +5,14 @@ Two kinds:
                       (bias + intensity, optionally box means at several radii)
   conv2               two 3x3 convolution layers with a tanh hidden activation
 
-Both expose prepare/forward/backward; backward consumes d(loss)/d(probs)
-from a GradPair and returns parameter gradients, which a finite-difference
-probe checks in the tests. Checkpoints are SDT1 tensors plus a JSON manifest.
+Both expose prepare/forward/backward. forward(feats) returns (probs, cache):
+probs is a plain (C, H, W) float64 array of sigmoid (C == 1) or softmax
+probabilities, unchecked, which the training loop checks for finiteness once
+per step; nothing here builds or validates a field. The module function
+forward(model, image) is the boundary for other callers and returns a
+ProbField. backward(cache, dprob) takes d(loss)/d(probs) as an array of the
+same shape and returns parameter gradients, which a finite-difference probe
+checks in the tests. Checkpoints are SDT1 tensors plus a JSON manifest.
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ class PerPixelLogistic:
             raise ShapeMismatchError("feature count does not match the weights")
         z = np.tensordot(self.params["w"], feats, axes=([1], [0]))
         probs = _probs_from_logits(z, self.spec.n_classes)
-        return ProbField.from_array(probs), {"feats": feats, "probs": probs}
+        return probs, {"feats": feats, "probs": probs}
 
     def backward(self, cache, dprob: np.ndarray):
         dz = _dlogits(cache["probs"], dprob, self.spec.n_classes)
@@ -165,7 +170,7 @@ class Conv2Net:
         a1 = np.tanh(z1)
         z2 = _conv3(a1, self.params["w2"], self.params["b2"])
         probs = _probs_from_logits(z2, self.spec.n_classes)
-        return ProbField.from_array(probs), {"x": feats, "a1": a1, "probs": probs}
+        return probs, {"x": feats, "a1": a1, "probs": probs}
 
     def backward(self, cache, dprob: np.ndarray):
         dz2 = _dlogits(cache["probs"], dprob, self.spec.n_classes)
@@ -182,9 +187,11 @@ def build_model(spec: ModelSpec):
 
 
 def forward(model, image) -> ProbField:
-    """One-call convenience: prepare + forward, dropping the cache."""
+    """One-call convenience: prepare + forward, dropping the cache; the
+    probabilities come back as a ProbField, whose construction checks that
+    they are finite."""
     probs, _ = model.forward(model.prepare(image))
-    return probs
+    return ProbField.from_array(probs)
 
 
 def save_model(model, out_dir) -> None:

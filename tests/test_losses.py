@@ -531,3 +531,118 @@ class TestFieldOpFuzz:
         fn = make_loss(name, {"allow_soft": True} if LOSSES[name].hard_only else None)
         pair = fn(vec_prob([a, 0.0, 0.0]), vec_label([0.0, a, 1.0]))
         assert pair.value <= 1.0
+
+
+def _batch_arrays(rng, c, hard, empty):
+    """Three (c, h, w) prediction/target pairs of different sizes, with
+    exact 0 and 1 entries on both sides. With empty, the last class (the
+    only class at c == 1) is 0 in every prediction and target."""
+    xs, ys = [], []
+    for h, w in ((4, 5), (3, 7), (6, 2)):
+        r = rng.random((c, h, w))
+        r[:, 0, 0] = 0.0
+        r[0, 0, 0] = 1.0  # a vertex pixel
+        if c == 1:
+            r[0, 1, 1] = 0.0
+            y = (rng.random((1, h, w)) < 0.5).astype(float) if hard else \
+                rng.integers(0, 5, (1, h, w)) / 4.0
+        else:
+            if empty:
+                r[-1] = 0.0
+            x_classes = c - 1 if empty else c
+            winner = rng.integers(0, x_classes, (h, w))
+            onehot = (np.arange(c)[:, None, None] == winner).astype(float)
+            if hard:
+                y = onehot
+            else:
+                s = rng.integers(0, 3, (c, h, w)).astype(float)
+                if empty:
+                    s[-1] = 0.0
+                s[:, 0, :] = onehot[:, 0, :]  # a row of vertex pixels
+                s[0][s.sum(axis=0) == 0.0] = 1.0
+                y = s / s.sum(axis=0)
+            r = r / r.sum(axis=0)
+        if empty:
+            r[-1] = 0.0
+            y[-1] = 0.0
+        xs.append(r)
+        ys.append(y)
+    return xs, ys
+
+
+def _parent_batch(fn, xs, ys, red):
+    """The batch reduction written out on public field ops: the mean of
+    per-image values with each gradient divided by the batch size, or one
+    op on every image's pixels concatenated class by class."""
+    hardness = ["hard" if np.all((y == 0.0) | (y == 1.0)) else "soft" for y in ys]
+    if red.batch_mode == losses.PER_IMAGE_THEN_MEAN:
+        pairs = [fn(ProbField.from_array(x), LabelField.from_array(y, h), red)
+                 for x, y, h in zip(xs, ys, hardness)]
+        return (float(np.mean([p.value for p in pairs])),
+                [p.grad.data.reshape(x.shape) / len(xs) for x, p in zip(xs, pairs)])
+    c = xs[0].shape[0]
+    pair = fn(ProbField.from_array(np.concatenate([x.reshape(c, 1, -1) for x in xs], axis=2)),
+              LabelField.from_array(np.concatenate([y.reshape(c, 1, -1) for y in ys], axis=2),
+                                    "hard" if hardness == ["hard"] * len(ys) else "soft"),
+              red)
+    g = pair.grad.as_array().reshape(c, -1)
+    grads, off = [], 0
+    for x in xs:
+        p = x.shape[1] * x.shape[2]
+        grads.append(g[:, off:off + p].reshape(x.shape))
+        off += p
+    return pair.value, grads
+
+
+_ARRAY_PATH_LOSSES = [(n, None) for n in LOSS_NAMES if n not in ("stl", "ctl", "cftl", "compound")] + [
+    ("stl", {"allow_soft": True}),
+    ("ctl", {"alpha": 0.7, "beta": 0.3}),
+    ("cftl", {"alpha": 0.3, "beta": 0.6, "gamma": 2.0}),
+    *[("compound", {"overlap": o, "w_ce": 0.3}) for o in OVERLAP_NAMES],
+]
+
+
+class TestArrayPath:
+    """The training loop's array path, _loss_terms reduced by _reduce_batch,
+    gives the public field path's values and gradients bit for bit: the
+    field ops reduced as batch_loss documents, and batch_loss itself."""
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("name,params", _ARRAY_PATH_LOSSES)
+    def test_matches_the_field_path(self, name, params, c):
+        fn = make_loss(name, params)
+        terms, _ = losses._loss_terms(name, params)
+        rng = np.random.default_rng(c)
+        for batch_mode in (losses.PER_IMAGE_THEN_MEAN, losses.POOLED):
+            for class_mode in (losses.MEAN_PRESENT, losses.MEAN_ALL):
+                red = ReductionSpec(class_mode=class_mode, batch_mode=batch_mode)
+                for hard in (True, False):
+                    for empty in (False, True):
+                        xs, ys = _batch_arrays(rng, c, hard, empty)
+                        kept = [x.copy() for x in xs] + [y.copy() for y in ys]
+                        value, grads = losses._reduce_batch(terms, xs, ys, red)
+                        ref_value, ref_grads = _parent_batch(fn, xs, ys, red)
+                        fields = ([ProbField.from_array(x) for x in xs],
+                                  [LabelField.from_array(y, "hard" if hard else "soft")
+                                   for y in ys])
+                        bl_value, bl_grads = batch_loss(fn, *fields, red)
+                        case = (batch_mode, class_mode, hard, empty)
+                        assert value == ref_value == bl_value, case
+                        for g, r, b in zip(grads, ref_grads, bl_grads):
+                            assert np.array_equal(g, r), case
+                            assert np.array_equal(g, b.as_array()), case
+                        # the inputs are read, never written
+                        for a, b in zip(xs + ys, kept):
+                            assert np.array_equal(a, b), case
+
+    def test_pooled_needs_a_common_class_count(self):
+        xs = [np.full((1, 2, 2), 0.5), np.full((2, 2, 2), 0.5)]
+        terms, _ = losses._loss_terms("dml1")
+        with pytest.raises(ShapeMismatchError, match="common class count"):
+            losses._reduce_batch(terms, xs, xs, ReductionSpec(batch_mode="pooled"))
+
+    def test_shapes_must_match(self):
+        terms, _ = losses._loss_terms("dml1")
+        with pytest.raises(ShapeMismatchError, match=r"dims \(1, 2, 2\) vs \(1, 2, 3\)"):
+            losses._reduce_batch(terms, [np.zeros((1, 2, 2))], [np.zeros((1, 2, 3))],
+                                 ReductionSpec())

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dicesm
 from dicesm.core import LabelField, ProbField
 from dicesm.losses import ReductionSpec, pairwise
 from dicesm.softlabels import SoftLabelSpec, uniform_average
@@ -130,11 +137,10 @@ class TestModels:
             target = LabelField.from_array(np.stack([1 - fg, fg]))
 
         def total_loss():
-            probs, _ = model.forward(model.prepare(img))
-            return compound(probs, target)
+            return compound(forward(model, img), target)
 
         pair = total_loss()
-        probs, cache = model.forward(model.prepare(img))
+        _, cache = model.forward(model.prepare(img))
         grads = model.backward(cache, pair.grad.as_array())
 
         h = 1e-6
@@ -342,8 +348,7 @@ class TestEvaluate:
                 # look the clean mask up by matching the stored image
                 for im in ds.images:
                     if im.image is img:
-                        arr = np.clip(im.clean.array, 0.02, 0.98)
-                        return ProbField.from_array(arr), None
+                        return np.clip(im.clean.array, 0.02, 0.98), None
                 raise AssertionError
 
         m = evaluate(Oracle(), [im.image for im in ds.images],
@@ -368,7 +373,7 @@ class TestEvaluate:
         fg = foreground_class(n_classes)
         dices, bdices, confs, labels = [], [], [], []
         for im, x in zip(ds.images, feats):
-            probs, _ = model.forward(x)
+            probs = ProbField.from_array(model.forward(x)[0])
             maj = majority_vote(im.raters)
             dices.append(hard_dice(binarize(probs), maj, fg))
             bdices.append(bdice(probs, uniform_average(im.raters), BDiceSpec(), fg))
@@ -458,8 +463,7 @@ class TestDistill:
             def forward(self, img):
                 for im in ds.images:
                     if im.image is img:
-                        arr = np.clip(im.clean.array, 0.05, 0.95)
-                        return ProbField.from_array(arr), None
+                        return np.clip(im.clean.array, 0.05, 0.95), None
                 raise AssertionError
 
         ms = ModelSpec(feature_set="box_means", radii=(1, 2))
@@ -488,9 +492,121 @@ class TestDistill:
                       kde=KSpec(bandwidth=1e-2, n_key=16,
                                 pixel_scope="misclassified_and_boundary"))
         signal = TeacherSignal(ds, teacher, spec)
-        fields = signal._signal_fields([0, 1, 2, 3], epoch=0, batch_idx=0)
-        for f in fields:
-            validate(f)
-        again = signal._signal_fields([0, 1, 2, 3], epoch=0, batch_idx=0)
-        for a, b in zip(fields, again):
-            np.testing.assert_array_equal(a.array, b.array)
+        signals = signal._signals([0, 1, 2, 3], epoch=0, batch_idx=0)
+        for a in signals:
+            validate(LabelField.from_array(a, "soft"))
+        again = signal._signals([0, 1, 2, 3], epoch=0, batch_idx=0)
+        for a, b in zip(signals, again):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture
+def field_counts(monkeypatch):
+    """Counts of core.validate calls and TensorF constructions, through every
+    dicesm module that binds validate."""
+    from dicesm import core
+
+    counts = {"validate": 0, "tensorf": 0}
+    validate, post_init = core.validate, core.TensorF.__post_init__
+
+    def counted_validate(f):
+        counts["validate"] += 1
+        return validate(f)
+
+    def counted_post_init(self):
+        counts["tensorf"] += 1
+        return post_init(self)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dicesm" and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted_validate)
+    monkeypatch.setattr(core.TensorF, "__post_init__", counted_post_init)
+    return counts
+
+
+class TestArrayLoop:
+    """SGD steps and evaluations run on arrays: a run with one more epoch
+    (its steps and one more evaluate) makes no more validate calls and
+    builds no more TensorFs. Fields are checked where targets, teacher
+    rows and files are built, once per run."""
+
+    @staticmethod
+    def _per_epoch(counts, run):
+        seen = []
+        for epochs in (1, 2):
+            before = dict(counts)
+            run(epochs)
+            seen.append({k: counts[k] - before[k] for k in counts})
+        assert seen[0]["validate"] > 0  # the counters do see the set-up
+        return {k: seen[1][k] - seen[0][k] for k in counts}
+
+    @pytest.mark.parametrize("batch_mode", ["per_image_then_mean", "pooled"])
+    @pytest.mark.parametrize("n_classes", [1, 2])
+    def test_train_steps_build_no_fields(self, field_counts, batch_mode, n_classes):
+        ds = generate_synthetic(SynthSpec(n_images=5, height=12, width=12, k_raters=3,
+                                          n_classes=n_classes, seed=3))
+        ms = ModelSpec(feature_set="box_means", radii=(1,), n_classes=n_classes)
+
+        def run(epochs):
+            ts = TrainSpec(epochs=epochs, batch_size=3, lr0=0.5, seed=1,
+                           loss_params={"overlap": "dml2"},
+                           reduction=ReductionSpec(batch_mode=batch_mode))
+            train(ds, ms, ts, eval_every=1)
+
+        assert self._per_epoch(field_counts, run) == {"validate": 0, "tensorf": 0}
+
+    @pytest.mark.parametrize("scope", ["all", "misclassified_and_boundary"])
+    def test_distill_steps_build_no_fields(self, field_counts, scope):
+        from dicesm.calibration import KdeSpec as KSpec
+
+        ds = tiny_dataset(n=5, hw=12, seed=8)
+        teacher = build_model(ModelSpec(feature_set="box_means", radii=(1,)))
+        teacher.params["w"] = np.random.default_rng(0).normal(0, 1.0, teacher.params["w"].shape)
+        kd = KdSpec(use_kde=True, kde=KSpec(bandwidth=1e-2, n_key=16, pixel_scope=scope))
+
+        def run(epochs):
+            ts = TrainSpec(epochs=epochs, batch_size=3, lr0=0.5, seed=1)
+            distill(ds, teacher, ModelSpec(feature_set="intensity"), ts, kd, eval_every=1)
+
+        assert self._per_epoch(field_counts, run) == {"validate": 0, "tensorf": 0}
+
+
+class TestTrainingGuards:
+    """The loop's own checks, through the CLI: a loss that refuses soft
+    labels exits 1 on soft targets unless allow_soft is set, and a run whose
+    parameters overflow exits 1 with NonFiniteError and writes nothing."""
+
+    @staticmethod
+    def _config(tmp_path, loss, lr0=0.5, n_classes=1):
+        (tmp_path / "c.json").write_text(json.dumps({
+            "data": {"synth": {"n_images": 4, "height": 12, "width": 12, "k_raters": 3,
+                               "n_classes": n_classes, "seed": 2}},
+            "model": {"n_classes": n_classes},
+            "train": {"epochs": 3, "batch_size": 2, "lr0": lr0, "loss": loss,
+                      "label_source": {"strategy": "uniform_avg"}},
+            "out_dir": "out"}))
+
+    def test_stl_refuses_soft_targets(self, monkeypatch, tmp_path, capsys):
+        from dicesm import cli
+
+        monkeypatch.chdir(tmp_path)
+        self._config(tmp_path, {"name": "stl"})
+        assert cli.main(["train", "--config", "c.json"]) == 1
+        assert capsys.readouterr().err.startswith("SoftLabelIncompatibleError: stl ")
+        assert not (tmp_path / "out").exists()
+        self._config(tmp_path, {"name": "stl", "params": {"allow_soft": True}})
+        assert cli.main(["train", "--config", "c.json"]) == 0
+        assert (tmp_path / "out" / "trace.csv").is_file()
+
+    @pytest.mark.parametrize("n_classes", [1, 2])
+    def test_diverging_run_exits_1(self, tmp_path, n_classes):
+        # a subprocess: the overflow warnings on the way are not errors there
+        self._config(tmp_path, {"name": "compound"}, lr0=1e300, n_classes=n_classes)
+        env = {**os.environ, "PYTHONPATH": str(Path(dicesm.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "dicesm", "train", "--config", "c.json"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("NonFiniteError: non-finite value")
+        assert not (tmp_path / "out").exists()
