@@ -33,10 +33,12 @@ from .core import (
     ProbField,
     RaterStack,
     TensorF,
+    check_same_dims,
     from_json,
     read_label_field,
     read_prob_field,
     read_tensor,
+    validate,
     write_field,
     write_tensor,
 )
@@ -53,7 +55,7 @@ from .metrics import (
     BDiceSpec,
     CalibRecord,
     EceSpec,
-    bdice,
+    _bdice,
     ece,
     foreground_class,
     hard_dice,
@@ -177,7 +179,11 @@ def cmd_eval(args) -> int:
     elif args.metric == "bdice":
         thresholds = tuple(float(t) for t in args.thresholds.split(","))
         spec = BDiceSpec(thresholds=thresholds)
-        per_class = [bdice(pred, label, spec, c) for c in range(pred.n_classes)]
+        check_same_dims(pred, label)
+        validate(pred)
+        validate(label)
+        per_class = [_bdice(pred.array[c], label.array[c], spec.thresholds)
+                     for c in range(pred.n_classes)]
     else:
         per_class = [_binary_ece(pred, label, args.bins)]
     value = float(np.mean(per_class))
