@@ -140,8 +140,13 @@ def _weighted_combine(stack: RaterStack, weights: np.ndarray) -> LabelField:
         weights = np.ones(len(stack))
         total = float(len(stack))
     w = weights / total
-    avg = np.sum([wi * r.array for wi, r in zip(w, stack.raters)], axis=0)
-    avg = np.clip(avg, 0.0, 1.0)
+    # the raters' weighted sum, added in place in rater order
+    avg = w[0] * stack.raters[0].array
+    term = np.empty_like(avg)
+    for wi, r in zip(w[1:], stack.raters[1:]):
+        np.multiply(r.array, wi, out=term)
+        avg += term
+    np.clip(avg, 0.0, 1.0, out=avg)
     hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
     field = LabelField.from_array(avg, hardness)
     validate(field)
