@@ -24,7 +24,9 @@ from .loop import TrainResult, TrainSpec, build_targets, run_sgd
 from .models import CheckpointMismatchError, ModelSpec, build_model
 from .synth import SynthDataset
 
-KD_TERMS = ("ce", "dml", "both")
+# the losses each kd_terms setting adds, in the order they are summed
+KD_LOSSES = {"ce": ("ce",), "dml": ("dml1",), "both": ("ce", "dml1")}
+KD_TERMS = tuple(KD_LOSSES)
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,7 @@ class TeacherSignal:
                 self.scopes.append(
                     None if kde.pixel_scope == SCOPE_ALL
                     else select_scope_pixels(ProbField.from_array(probs), maj, kde))
-        self.terms = [_loss_terms(name)[0] for name, on in (
-            ("ce", kd_spec.kd_terms in ("ce", "both")),
-            ("dml1", kd_spec.kd_terms in ("dml", "both"))) if on]
+        self.terms = [_loss_terms(name)[0] for name in KD_LOSSES[kd_spec.kd_terms]]
 
     def _signals(self, idx, epoch, batch_idx):
         """The (C, H, W) teacher signal of each image in idx: its

@@ -153,6 +153,19 @@ class TestWeightedAverage:
         masks = (rng.random((5, 16)) < 0.5).astype(float)
         validate(weighted_average(stack_of(*masks)))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 17])
+    def test_equals_the_stacked_sum(self, k, rng):
+        """The running sum gives np.sum over the K scaled raters, bit for bit."""
+        winner = rng.integers(0, 3, (k, 9, 11))
+        stack = RaterStack(tuple(
+            LabelField.from_array((np.arange(3)[:, None, None] == w).astype(float))
+            for w in winner))
+        w = rater_weights(stack)
+        w = w / float(np.sum(w))
+        expected = np.clip(np.sum([wi * r.array for wi, r in zip(w, stack.raters)], axis=0),
+                           0.0, 1.0)
+        np.testing.assert_array_equal(weighted_average(stack).array, expected)
+
 
     @pytest.mark.parametrize("tie_break", ["background", "lowest_class"])
     @pytest.mark.parametrize("c,k", [(1, 4), (2, 4), (3, 5)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dicesm
-from dicesm.core import LabelField, ProbField
+from dicesm.core import LabelField, ProbField, ShapeMismatchError
 from dicesm.losses import ReductionSpec, pairwise
 from dicesm.softlabels import SoftLabelSpec, uniform_average
 from dicesm.training import (
@@ -385,6 +385,13 @@ class TestEvaluate:
         np.testing.assert_array_equal(m["record"].confidences, record.confidences)
         np.testing.assert_array_equal(m["record"].labels, record.labels)
         assert m["ece"] == ece(record)
+
+    def test_class_count_must_match_the_references(self):
+        ds = tiny_dataset(n=2)
+        model = build_model(ModelSpec(feature_set="intensity", n_classes=2))
+        with pytest.raises(ShapeMismatchError, match=r"dims \(2, 16, 16\) vs \(1, 16, 16\)"):
+            evaluate(model, [model.prepare(im.image) for im in ds.images],
+                     [References.of(im.raters) for im in ds.images])
 
     def test_references_are_smaller_than_a_float_channel(self):
         """References are kept for a whole run: every field together, fields
