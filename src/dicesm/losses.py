@@ -278,24 +278,10 @@ def _kernel_cftl(X, Y, params, s0):
 
 
 def _kernel_ce(X, Y, params, s0):
-    # -sum(Y log Xc + (1 - Y) log(1 - Xc)) / p and its gradient
-    # -(Y / Xc - (1 - Y) / (1 - Xc)) / p, each product and quotient formed
-    # in a temporary of its own
     p = X.shape[1]
     Xc = np.clip(X, CE_CLAMP, 1.0 - CE_CLAMP)
-    Y1 = 1.0 - Y
-    t = np.log(Xc)
-    t *= Y
-    u = np.log1p(-Xc)
-    u *= Y1
-    t += u
-    vals = -np.sum(t, axis=1) / p
-    grads = np.divide(Y, Xc, out=t)
-    np.subtract(1.0, Xc, out=u)
-    np.divide(Y1, u, out=u)
-    grads -= u
-    np.negative(grads, out=grads)
-    grads /= p
+    vals = -np.sum(Y * np.log(Xc) + (1.0 - Y) * np.log1p(-Xc), axis=1) / p
+    grads = -(Y / Xc - (1.0 - Y) / (1.0 - Xc)) / p
     ok = np.ones(X.shape[0], dtype=bool)
     return vals, grads, ok
 
@@ -588,25 +574,18 @@ def _reduce_batch(terms: Callable, xs: Sequence[np.ndarray], ys: Sequence[np.nda
             raise ShapeMismatchError(f"dims {x.shape} vs {y.shape}")
     if red.batch_mode == PER_IMAGE_THEN_MEAN:
         pairs = [terms(x, y, red) for x, y in zip(xs, ys)]
-        n = len(pairs)
-        grads = []
-        for x, (_, g) in zip(xs, pairs):
-            g /= n
-            grads.append(g.reshape(x.shape))
-        return float(np.mean([v for v, _ in pairs])), grads
+        for _, g in pairs:
+            g /= len(pairs)
+        return (float(np.mean([v for v, _ in pairs])),
+                [g.reshape(x.shape) for x, (_, g) in zip(xs, pairs)])
     C = xs[0].shape[0]
     if any(x.shape[0] != C for x in xs):
         raise ShapeMismatchError("pooled batch requires a common class count")
     value, g = terms(np.concatenate([x.reshape(C, 1, -1) for x in xs], axis=2),
                      np.concatenate([y.reshape(C, 1, -1) for y in ys], axis=2), red)
-    g = g.reshape(C, -1)
-    grads = []
-    off = 0
-    for x in xs:
-        p = x.shape[1] * x.shape[2]
-        grads.append(g[:, off:off + p].reshape(x.shape))
-        off += p
-    return value, grads
+    ends = np.cumsum([x.shape[1] * x.shape[2] for x in xs])[:-1]
+    return value, [part.reshape(x.shape)
+                   for x, part in zip(xs, np.split(g.reshape(C, -1), ends, axis=1))]
 
 
 def batch_loss(loss_fn: Callable, xs: Sequence[ProbField], ys: Sequence[LabelField],

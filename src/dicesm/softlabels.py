@@ -109,17 +109,12 @@ def random_rater(stack: RaterStack, seed: int) -> LabelField:
     return stack.raters[idx]
 
 
-def average_field(votes: np.ndarray, k: int) -> LabelField:
-    """The mean of k raters from their vote counts; values land on
-    {0, 1/K, ..., 1}."""
-    avg = votes / k
-    hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
-    return LabelField.from_array(avg, hardness)
-
-
 def uniform_average(stack: RaterStack) -> LabelField:
-    """Per pixel-class mean over raters."""
-    field = average_field(vote_counts(stack), len(stack))
+    """Per pixel-class mean over raters, from their vote counts; values land
+    on {0, 1/K, ..., 1}."""
+    avg = vote_counts(stack) / len(stack)
+    hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
+    field = LabelField.from_array(avg, hardness)
     validate(field)
     return field
 
