@@ -548,9 +548,8 @@ def _batch_arrays(rng, c, hard, empty):
                 rng.integers(0, 5, (1, h, w)) / 4.0
         else:
             if empty:
-                r[-1] = 0.0
-            x_classes = c - 1 if empty else c
-            winner = rng.integers(0, x_classes, (h, w))
+                r[-1] = 0.0  # before normalising, so each pixel sums to 1
+            winner = rng.integers(0, c - 1 if empty else c, (h, w))
             onehot = (np.arange(c)[:, None, None] == winner).astype(float)
             if hard:
                 y = onehot
@@ -594,7 +593,8 @@ def _parent_batch(fn, xs, ys, red):
     return pair.value, grads
 
 
-_ARRAY_PATH_LOSSES = [(n, None) for n in LOSS_NAMES if n not in ("stl", "ctl", "cftl", "compound")] + [
+_ARRAY_PATH_LOSSES = [
+    *[(n, None) for n in LOSS_NAMES if n not in ("stl", "ctl", "cftl", "compound")],
     ("stl", {"allow_soft": True}),
     ("ctl", {"alpha": 0.7, "beta": 0.3}),
     ("cftl", {"alpha": 0.3, "beta": 0.6, "gamma": 2.0}),
