@@ -11,9 +11,10 @@ run_sgd and evaluate everything is a plain array. Model outputs come from
 model.forward as (C, H, W) arrays (see models), and the loss terms and
 their batch reduction are the array functions that losses' field ops also
 use, so the loop builds no TensorF and calls no validate. What the loop
-checks itself: the soft-label guard once per run, and per step one
-finiteness check of the probabilities and one of the gradients, which
-raise NonFiniteError as a field's construction would.
+checks itself: the soft-label guard once per run; per step, one
+finiteness check of the probabilities and one of the gradients; per
+scored image, the prediction's finiteness and shape. They raise the
+NonFiniteError and ShapeMismatchError that the fields' checks would.
 """
 
 from __future__ import annotations
