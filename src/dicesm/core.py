@@ -214,19 +214,27 @@ class LabelField:
         return self.hardness == HARD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RaterStack:
-    """K independent hard annotations of one image, identical dims. Each
-    rater is validated here, where it enters, so every consumer of a stack
-    can count votes without checking values again."""
+    """K independent hard annotations of one image, identical dims.
 
-    raters: tuple[LabelField, ...]
+    The constructor takes the K hard LabelFields and validates each rater
+    once, here, where it enters. It keeps only ``masks``, the raters as one
+    read-only (K, C, H, W) bool array (True where a rater marks 1), an
+    eighth of the float64 fields' memory; no field is retained. Every
+    consumer counts votes and combines raters on ``masks`` without checking
+    values again. ``raters`` rebuilds the hard fields on demand, for callers
+    that want fields (tests, gen-data, mean_pairwise_rater_dice); no
+    training, scoring or soft-label path reads it."""
 
-    def __post_init__(self):
-        raters = tuple(self.raters)
+    masks: np.ndarray
+
+    def __init__(self, raters):
+        raters = tuple(raters)
         if not raters:
             raise EmptyStackError("a RaterStack needs at least one rater")
         dims = raters[0].dims
+        masks = np.empty((len(raters),) + dims, dtype=bool)
         for k, r in enumerate(raters):
             if r.dims != dims:
                 raise ShapeMismatchError(
@@ -235,14 +243,21 @@ class RaterStack:
             if not r.is_hard:
                 raise HardnessViolationError(f"rater {k} is not hard")
             validate(r)
-        object.__setattr__(self, "raters", raters)
+            np.equal(r.array, 1.0, out=masks[k])
+        masks.flags.writeable = False
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
-        return len(self.raters)
+        return self.masks.shape[0]
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.raters[0].dims
+        return self.masks.shape[1:]
+
+    @property
+    def raters(self) -> tuple[LabelField, ...]:
+        """The K hard LabelFields, rebuilt from the masks on each call."""
+        return tuple(LabelField.from_array(m, HARD) for m in self.masks)
 
 
 # --------------------------------------------------------------------------
@@ -330,6 +345,8 @@ def write_tensor(path, t: TensorF) -> None:
 
 
 def read_tensor(path) -> TensorF:
+    """Read one SDT1 file. The float32 payload is viewed in place and
+    converted to float64 once, by TensorF's own copy."""
     raw = Path(path).read_bytes()
     if len(raw) < 4:
         raise TruncatedFileError(f"{path}: only {len(raw)} bytes")
@@ -355,8 +372,8 @@ def read_tensor(path) -> TensorF:
     if len(raw) != expected:
         raise TruncatedFileError(
             f"{path}: expected {expected} bytes for {n} elements, found {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f4", count=n, offset=offset).astype(np.float64)
-    return TensorF(tuple(int(d) for d in dims), values)
+    return TensorF(tuple(int(d) for d in dims),
+                   np.frombuffer(raw, dtype="<f4", count=n, offset=offset))
 
 
 def write_field(path, f: ProbField | LabelField) -> None:

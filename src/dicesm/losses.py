@@ -141,16 +141,17 @@ DEFAULT_REDUCTION = ReductionSpec()
 # and zero gradient and the caller substitutes empty_both_value.
 # --------------------------------------------------------------------------
 
-def _sign(d: np.ndarray, s0: float) -> np.ndarray:
-    s = np.sign(d)
+def _sign(d: np.ndarray, s0: float, out=None) -> np.ndarray:
+    s = np.sign(d, out=out)
     if s0 != 0.0:
-        s = np.where(d == 0.0, s0, s)
+        np.copyto(s, s0, where=s == 0.0)  # sign(d) is 0 exactly where d is
     return s
 
 
-def _safe_div(num, den):
+def _safe_div(num, den, out=None):
+    """num / den, 0 where den == 0; out may be num."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
+        out = np.divide(num, den, out=out)
     np.copyto(out, 0.0, where=den == 0.0)
     return out
 
@@ -211,27 +212,38 @@ def _kernel_jml2(X, Y, params, s0):
     return _finish(vals, grads, ok)
 
 
+# dml1 and dml2 run the training and distillation losses. Their (N, p)
+# arithmetic works in one or two buffers of their own, with the operations
+# of the closed forms in the same order: the gradient rows become
+# sign(x - y), then the numerator, then the quotient, in the buffer that
+# held x - y.
+
 def _kernel_dml1(X, Y, params, s0):
     S = np.sum(X, axis=1) + np.sum(Y, axis=1)
-    diff = X - Y
-    D = np.sum(np.abs(diff), axis=1)
+    g = np.subtract(X, Y)
+    D = np.sum(np.abs(g), axis=1)
     ok = S > 0.0
     vals = _safe_div(D, S)
-    sg = _sign(diff, s0)
-    grads = _safe_div(sg * S[:, None] - D[:, None], (S * S)[:, None])
-    return _finish(vals, grads, ok)
+    _sign(g, s0, out=g)
+    g *= S[:, None]
+    g -= D[:, None]
+    return _finish(vals, _safe_div(g, (S * S)[:, None], out=g), ok)
 
 
 def _kernel_dml2(X, Y, params, s0):
-    P = np.sum(X * Y, axis=1)
-    diff = X - Y
-    D = np.sum(np.abs(diff), axis=1)
+    buf = np.multiply(X, Y)
+    P = np.sum(buf, axis=1)
+    g = np.subtract(X, Y)
+    D = np.sum(np.abs(g, out=buf), axis=1)
     den = 2.0 * P + D
     ok = den > 0.0
     vals = _safe_div(D, den)
-    sg = _sign(diff, s0)
-    grads = _safe_div(2.0 * (sg * P[:, None] - Y * D[:, None]), (den * den)[:, None])
-    return _finish(vals, grads, ok)
+    _sign(g, s0, out=g)
+    g *= P[:, None]
+    g -= np.multiply(Y, D[:, None], out=buf)
+    g *= 2.0
+    # den * den can underflow to 0 where den does not: those rows are 0 too
+    return _finish(vals, _safe_div(g, (den * den)[:, None], out=g), ok)
 
 
 def _kernel_stl(X, Y, params, s0):

@@ -44,10 +44,22 @@ class EmptyRecordsError(DicesmError):
 
 def class_map(arr) -> np.ndarray:
     """Class index of each position of a (C, ...) array: p > 0.5 at C == 1,
-    the argmax over classes otherwise."""
+    the argmax over classes otherwise.
+
+    The argmax equals np.argmax(arr, axis=0) but runs as a running maximum
+    over the classes, many times faster than argmax along the outer axis.
+    A strict > keeps the first of tied maxima, as argmax does; np.maximum
+    carries any NaN into the running maximum, and there argmax answers."""
     if arr.shape[0] == 1:
         return (arr[0] > 0.5).astype(np.int64)
-    return np.argmax(arr, axis=0)
+    winner = (arr[1] > arr[0]).astype(np.intp)
+    best = np.maximum(arr[0], arr[1])
+    for c in range(2, arr.shape[0]):
+        winner += (arr[c] > best) * (c - winner)  # c where class c beats the max
+        best = np.maximum(best, arr[c])
+    if best.dtype.kind == "f" and np.isnan(best).any():
+        return np.argmax(arr, axis=0)
+    return winner
 
 
 def one_hot(classes: np.ndarray, n_classes: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from .core import (
     RaterStack,
     validate,
 )
-from .metrics import mask_dice, one_hot
+from .metrics import class_map, mask_dice, one_hot
 
 STRATEGIES = ("majority", "random_rater", "uniform_avg", "weighted_avg",
               "label_smoothing")
@@ -64,12 +64,9 @@ class SoftLabelSpec:
 
 def vote_counts(stack: RaterStack) -> np.ndarray:
     """Per-class vote counts, shape (C, H, W), in the smallest unsigned
-    integer dtype that holds K. The raters are added in place, one at a time;
-    RaterStack has checked that each holds only 0 and 1."""
-    votes = np.zeros(stack.dims, dtype=np.min_scalar_type(len(stack)))
-    for r in stack.raters:
-        votes += r.array == 1.0
-    return votes
+    integer dtype that holds K: the stack's (K, C, H, W) bool masks summed
+    over raters, in rater order. Integer sums are exact."""
+    return np.sum(stack.masks, axis=0, dtype=np.min_scalar_type(len(stack)))
 
 
 def majority_map(votes: np.ndarray, k: int, tie_break: str = TIE_BACKGROUND) -> np.ndarray:
@@ -84,7 +81,7 @@ def majority_map(votes: np.ndarray, k: int, tie_break: str = TIE_BACKGROUND) -> 
         raise ValueError(f"unknown tie_break {tie_break!r}")
     if votes.shape[0] == 1:
         return (votes[0] > k / 2.0).astype(np.int64)  # ties (== k/2) go to background
-    winner = np.argmax(votes, axis=0)
+    winner = class_map(votes)
     if tie_break == TIE_BACKGROUND:
         winner = np.where(votes[0] == votes.max(axis=0), 0, winner)
     return winner
@@ -106,7 +103,7 @@ def random_rater(stack: RaterStack, seed: int) -> LabelField:
     """One whole rater chosen uniformly by the seed (per image, not per pixel)."""
     u = np.random.default_rng(seed).random()
     idx = min(int(u * len(stack)), len(stack) - 1)
-    return stack.raters[idx]
+    return LabelField.from_array(stack.masks[idx], "hard")
 
 
 def uniform_average(stack: RaterStack) -> LabelField:
@@ -122,9 +119,8 @@ def uniform_average(stack: RaterStack) -> LabelField:
 def rater_weights(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> np.ndarray:
     """Dice of each rater against the majority vote, averaged over classes."""
     maj = _majority_masks(stack, tie_break)
-    return np.array([np.mean([mask_dice(r.array[ci] == 1.0, maj[ci])
-                              for ci in range(len(maj))])
-                     for r in stack.raters])
+    return np.array([np.mean([mask_dice(r[ci], maj[ci]) for ci in range(len(maj))])
+                     for r in stack.masks])
 
 
 def _weighted_combine(stack: RaterStack, weights: np.ndarray) -> LabelField:
@@ -135,11 +131,13 @@ def _weighted_combine(stack: RaterStack, weights: np.ndarray) -> LabelField:
         weights = np.ones(len(stack))
         total = float(len(stack))
     w = weights / total
-    # the raters' weighted sum, added in place in rater order
-    avg = w[0] * stack.raters[0].array
+    # the raters' weighted sum, added in place in rater order; a bool mask
+    # times w gives the bits of 0.0 or 1.0 times w
+    masks = stack.masks
+    avg = np.multiply(masks[0], w[0], dtype=np.float64)
     term = np.empty_like(avg)
-    for wi, r in zip(w[1:], stack.raters[1:]):
-        np.multiply(r.array, wi, out=term)
+    for wi, m in zip(w[1:], masks[1:]):
+        np.multiply(m, wi, out=term)
         avg += term
     np.clip(avg, 0.0, 1.0, out=avg)
     hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
@@ -174,9 +172,9 @@ def weighted_average_dataset(stacks, tie_break: str = TIE_BACKGROUND):
     sizes = np.zeros(k)
     for s in stacks:
         maj = _majority_masks(s, tie_break)
-        for i, r in enumerate(s.raters):
-            inter[i] += np.count_nonzero((r.array == 1.0) & maj)
-            sizes[i] += np.count_nonzero(r.array == 1.0) + np.count_nonzero(maj)
+        for i, r in enumerate(s.masks):
+            inter[i] += np.count_nonzero(r & maj)
+            sizes[i] += np.count_nonzero(r) + np.count_nonzero(maj)
     with np.errstate(invalid="ignore"):
         weights = np.where(sizes > 0, 2.0 * inter / np.where(sizes > 0, sizes, 1.0), 1.0)
     return [_weighted_combine(s, weights) for s in stacks]

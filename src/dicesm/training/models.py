@@ -73,9 +73,11 @@ def _sigmoid(z):
 
 
 def _softmax(z):
-    m = z.max(axis=0, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=0, keepdims=True)
+    """Softmax over the class axis: subtract, exp and divide in one array."""
+    e = z - z.max(axis=0, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 def _probs_from_logits(z, n_classes):

@@ -646,3 +646,111 @@ class TestArrayPath:
         with pytest.raises(ShapeMismatchError, match=r"dims \(1, 2, 2\) vs \(1, 2, 3\)"):
             losses._reduce_batch(terms, [np.zeros((1, 2, 2))], [np.zeros((1, 2, 3))],
                                  ReductionSpec())
+
+
+# The dml1 and dml2 kernels as closed forms with a new array per operation,
+# as they were written before they worked in buffers of their own: the
+# oracles of TestInPlaceKernels.
+
+def _sign_ref(d, s0):
+    s = np.sign(d)
+    if s0 != 0.0:
+        s = np.where(d == 0.0, s0, s)
+    return s
+
+
+def _safe_div_ref(num, den):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    np.copyto(out, 0.0, where=den == 0.0)
+    return out
+
+
+def _finish_ref(vals, grads, ok):
+    np.clip(vals, 0.0, 1.0, out=vals)
+    vals[~ok] = 0.0
+    grads[~ok] = 0.0
+    return vals, grads, ok
+
+
+def _dml1_ref(X, Y, s0):
+    S = np.sum(X, axis=1) + np.sum(Y, axis=1)
+    diff = X - Y
+    D = np.sum(np.abs(diff), axis=1)
+    ok = S > 0.0
+    vals = _safe_div_ref(D, S)
+    sg = _sign_ref(diff, s0)
+    grads = _safe_div_ref(sg * S[:, None] - D[:, None], (S * S)[:, None])
+    return _finish_ref(vals, grads, ok)
+
+
+def _dml2_ref(X, Y, s0):
+    P = np.sum(X * Y, axis=1)
+    diff = X - Y
+    D = np.sum(np.abs(diff), axis=1)
+    den = 2.0 * P + D
+    ok = den > 0.0
+    vals = _safe_div_ref(D, den)
+    sg = _sign_ref(diff, s0)
+    grads = _safe_div_ref(2.0 * (sg * P[:, None] - Y * D[:, None]), (den * den)[:, None])
+    return _finish_ref(vals, grads, ok)
+
+
+def _kernel_row(rng, kind, p=6):
+    """One (x, y) row pair of a kind: "empty" (x = y = 0, so every
+    denominator is 0), "tiny" (entries near 1e-170: the denominators are
+    positive but their squares underflow to 0), "subnormal" (entries near
+    1e-160, whose products are subnormal, and one x entry of 0.7), "hard"
+    (0/1 entries) or "soft" (random, with exact 0 and 1 entries)."""
+    if kind == "empty":
+        return np.zeros(p), np.zeros(p)
+    if kind in ("tiny", "subnormal"):
+        scale = 1e-170 if kind == "tiny" else 1e-160
+        x = scale * np.array([1.0, 0.0, 2.0, 3.0, 0.0, 1.0])[:p]
+        y = scale * np.array([0.0, 1.0, 2.0, 1.0, 0.0, 0.0])[:p]
+        if kind == "subnormal":
+            x[4] = 0.7
+        return x, y
+    if kind == "hard":
+        return (rng.integers(0, 2, p).astype(np.float64),
+                rng.integers(0, 2, p).astype(np.float64))
+    x, y = rng.random(p), rng.random(p)
+    x[:2] = (0.0, 1.0)
+    y[1:3] = (0.0, 1.0)
+    return x, y
+
+
+class TestInPlaceKernels:
+    """dml1 and dml2 work in buffers of their own and must give the bits of
+    their closed forms, for C in {1, 2, 3} rows of every kind."""
+
+    KINDS = ("empty", "tiny", "subnormal", "hard", "soft")
+
+    def test_tiny_rows_underflow_only_in_the_square(self):
+        x, y = _kernel_row(None, "tiny")
+        den2 = 2.0 * np.sum(x * y) + np.sum(np.abs(x - y))
+        den1 = np.sum(x) + np.sum(y)
+        for den in (den1, den2):
+            assert den > 0.0 and den * den == 0.0
+
+    @pytest.mark.parametrize("name,ref", [("dml1", _dml1_ref), ("dml2", _dml2_ref)])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_equal_to_the_closed_forms(self, name, ref, c):
+        rng = np.random.default_rng(c)
+        kernel = LOSSES[name].kernel
+        for kinds in np.ndindex(*(len(self.KINDS),) * c):
+            rows = [_kernel_row(rng, self.KINDS[i]) for i in kinds]
+            X = np.array([x for x, _ in rows])
+            Y = np.array([y for _, y in rows])
+            kept = X.copy(), Y.copy()
+            for s0 in (0.0, 1.0):
+                vals, grads, ok = kernel(X, Y, None, s0)
+                r_vals, r_grads, r_ok = ref(X, Y, s0)
+                case = (name, kinds, s0)
+                assert (vals == r_vals).all(), case
+                assert np.array_equal(vals.view(np.uint64), r_vals.view(np.uint64)), case
+                assert np.array_equal(grads, r_grads), case
+                assert np.array_equal(grads.view(np.uint64), r_grads.view(np.uint64)), case
+                assert np.array_equal(ok, r_ok), case
+                assert np.all(np.isfinite(grads)), case
+                assert np.array_equal(X, kept[0]) and np.array_equal(Y, kept[1]), case

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dicesm import metrics, sdl
 from dicesm.core import LabelField, OutOfRangeError, ProbField
@@ -10,6 +13,7 @@ from dicesm.metrics import (
     EmptyRecordsError,
     SoftInputError,
     bdice,
+    class_map,
     dice_from_iou,
     ece,
     hard_dice,
@@ -166,3 +170,39 @@ class TestSoftDiceScore:
                 continue
             assert soft_dice_score(x, y) == pytest.approx(
                 hard_dice(mask_field(xv), mask_field(yv)), abs=1e-12)
+
+
+class TestClassMap:
+    """class_map takes a running maximum over the classes; at C >= 2 it must
+    answer as np.argmax over the class axis does on every input: the first
+    of tied maxima, and the first NaN where there is one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), c=st.sampled_from([2, 3, 5]),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    def test_ties_equal_argmax(self, data, c, shape):
+        # few distinct values, so most pixels hold tied maxima
+        values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+        arr = data.draw(hnp.arrays(np.float64, (c,) + shape, elements=values))
+        got = class_map(arr)
+        assert got.dtype == np.argmax(arr, axis=0).dtype
+        assert np.array_equal(got, np.argmax(arr, axis=0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), c=st.sampled_from([2, 3, 5]),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    def test_uint8_votes_equal_argmax(self, data, c, shape):
+        votes = data.draw(hnp.arrays(np.uint8, (c,) + shape, elements=st.integers(0, 7)))
+        assert np.array_equal(class_map(votes), np.argmax(votes, axis=0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), c=st.sampled_from([2, 3, 5]),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    def test_nan_equals_argmax(self, data, c, shape):
+        values = st.sampled_from([0.0, 0.5, 1.0, np.nan])
+        arr = data.draw(hnp.arrays(np.float64, (c,) + shape, elements=values))
+        assert np.array_equal(class_map(arr), np.argmax(arr, axis=0))
+
+    def test_nan_after_the_maximum(self):
+        arr = np.array([[0.9, np.nan], [np.nan, 0.1], [0.5, 0.5]])[:, None]
+        assert class_map(arr).tolist() == [[1, 0]]

@@ -117,6 +117,24 @@ class TestModels:
         probs = forward(m, np.random.default_rng(1).random((9, 9)))
         validate(probs)
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_softmax_in_place_equals_its_closed_form(self, c):
+        from dicesm.training.models import _softmax
+
+        rng = np.random.default_rng(c)
+        z = rng.normal(0.0, 30.0, (c, 7, 5))
+        z[:, 0, 0] = 0.0  # a pixel of equal logits
+        z[:, 1, :2] = 700.0  # exp of the raw logit would overflow
+        z[-1, 2, 0] = -800.0  # exp underflows to 0
+        kept = z.copy()
+        m = z.max(axis=0, keepdims=True)
+        e = np.exp(z - m)
+        expected = e / e.sum(axis=0, keepdims=True)
+        got = _softmax(z)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(z, kept)
+
     @pytest.mark.parametrize("spec", [
         ModelSpec(kind="per_pixel_logistic", feature_set="box_means", radii=(1, 2)),
         ModelSpec(kind="conv2", channels=3, seed=7),
