@@ -213,34 +213,35 @@ def _kernel_jml2(X, Y, params, s0):
 
 
 # dml1 and dml2 run the training and distillation losses. Their (N, p)
-# arithmetic works in one or two buffers of their own, with the operations
-# of the closed forms in the same order: the gradient rows become
-# sign(x - y), then the numerator, then the quotient, in the buffer that
-# held x - y.
+# arithmetic works in two buffers of their own, with the operations of the
+# closed forms in the same order. sign(x - y) is written into the other
+# buffer, because numpy's sign runs several times slower in place, and the
+# gradient rows become the numerator, then the quotient, in that buffer.
 
 def _kernel_dml1(X, Y, params, s0):
     S = np.sum(X, axis=1) + np.sum(Y, axis=1)
-    g = np.subtract(X, Y)
-    D = np.sum(np.abs(g), axis=1)
+    diff = np.subtract(X, Y)
+    g = np.abs(diff)
+    D = np.sum(g, axis=1)
     ok = S > 0.0
     vals = _safe_div(D, S)
-    _sign(g, s0, out=g)
+    _sign(diff, s0, out=g)
     g *= S[:, None]
     g -= D[:, None]
     return _finish(vals, _safe_div(g, (S * S)[:, None], out=g), ok)
 
 
 def _kernel_dml2(X, Y, params, s0):
-    buf = np.multiply(X, Y)
-    P = np.sum(buf, axis=1)
-    g = np.subtract(X, Y)
-    D = np.sum(np.abs(g, out=buf), axis=1)
+    g = np.multiply(X, Y)
+    P = np.sum(g, axis=1)
+    diff = np.subtract(X, Y)
+    D = np.sum(np.abs(diff, out=g), axis=1)
     den = 2.0 * P + D
     ok = den > 0.0
     vals = _safe_div(D, den)
-    _sign(g, s0, out=g)
+    _sign(diff, s0, out=g)
     g *= P[:, None]
-    g -= np.multiply(Y, D[:, None], out=buf)
+    g -= np.multiply(Y, D[:, None], out=diff)
     g *= 2.0
     # den * den can underflow to 0 where den does not: those rows are 0 too
     return _finish(vals, _safe_div(g, (den * den)[:, None], out=g), ok)
