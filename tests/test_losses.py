@@ -648,9 +648,8 @@ class TestArrayPath:
                                  ReductionSpec())
 
 
-# The dml1 and dml2 kernels as closed forms with a new array per operation,
-# as they were written before they worked in buffers of their own: the
-# oracles of TestInPlaceKernels.
+# The dml1 and dml2 kernels as closed forms with a new array per
+# operation: the oracles of TestInPlaceKernels.
 
 def _sign_ref(d, s0):
     s = np.sign(d)

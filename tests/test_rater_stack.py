@@ -1,7 +1,6 @@
 """RaterStack holds its raters as one (K, C, H, W) bool array. Every
-builder that reads the stack is checked here against an oracle that works
-on the float64 LabelFields the stack was built from, with the arithmetic
-the builders had when the stack kept those fields."""
+function that reads the stack is checked here against an oracle that works
+on the float64 LabelFields the stack was built from."""
 
 import math
 import tracemalloc
@@ -156,7 +155,7 @@ class TestStackHoldsMasks:
         assert retained <= k * math.prod(dims) + 4096
 
 
-class TestBuildersMatchFieldOracles:
+class TestReadersMatchFieldOracles:
     @_PROPS
     @given(raters=_raters())
     def test_vote_counts(self, raters):
