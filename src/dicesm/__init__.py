@@ -6,7 +6,7 @@ The package is organized as:
     core         tensors, probability/label fields, validation, SDT1 file IO
     losses       every loss with value + analytic gradient, loss registry
     softlabels   majority vote, rater sampling, averaging, label smoothing
-    metrics      hard Dice, Dice/IoU bridges, binarized Dice, binned ECE
+    metrics      hard Dice, binarized Dice, binned ECE
     calibration  Beta/Dirichlet kernel recalibration and the bias bound
     training     synthetic multi-rater data, tiny models, SGD, distillation
     properties   the invariant suite behind `dicesm check-properties`
@@ -40,7 +40,7 @@ from .losses import (
     dml2,
     jml1,
     jml2,
-    make_loss,
+    loss,
     sdl,
     sjl,
     stl,

@@ -252,11 +252,6 @@ def log_dirichlet_kernel(fj, fi, h: float):
     return _log_kernel_rows(fj, fi, h)[:, 0]
 
 
-def dirichlet_kernel(fj, fi, h: float):
-    out = np.exp(log_dirichlet_kernel(fj, fi, h))
-    return float(out[0]) if out.size == 1 else out
-
-
 # --------------------------------------------------------------------------
 # Key points and calibration
 # --------------------------------------------------------------------------

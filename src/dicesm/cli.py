@@ -48,7 +48,6 @@ from .losses import (
     CompoundParams,
     ReductionSpec,
     TverskyParams,
-    make_loss,
 )
 from .metrics import (
     DEFAULT_THRESHOLDS,
@@ -150,8 +149,8 @@ def cmd_eval_loss(args) -> int:
         raise UsageError("--pred and --label are required without --curve")
     x = read_prob_field(args.pred)
     y = read_label_field(args.label)
-    fn = make_loss(args.loss, _loss_params_from_args(args))
-    pair = fn(x, y, _reduction_from_args(args))
+    pair = losses_mod.loss(args.loss, x, y, _reduction_from_args(args),
+                           _loss_params_from_args(args))
     if args.grad_out:
         write_tensor(args.grad_out, pair.grad)
     _emit({"loss": args.loss, "value": pair.value})
@@ -163,6 +162,7 @@ def cmd_eval_loss(args) -> int:
 # --------------------------------------------------------------------------
 
 def _binary_ece(pred: ProbField, label: LabelField, n_bins=EceSpec.n_bins) -> float:
+    check_same_dims(pred, label)
     if pred.n_classes > 2:
         raise UsageError("ece supports binary tasks (C <= 2)")
     fg = foreground_class(pred.n_classes)

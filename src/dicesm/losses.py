@@ -25,30 +25,35 @@ so results are deterministic bit for bit.
 ``LOSSES`` is the one registry. Each name maps to its row kernel, its
 parameter type (None, TverskyParams or CompoundParams) and whether it
 refuses soft labels (only stl does). LOSS_NAMES, the overlap terms that
-compound accepts, ``make_loss`` and ``pairwise`` all read it.
+compound accepts, ``pairwise`` and ``parse_loss_params``, the one binder
+of a loss name and its JSON params, all read it.
 
-Fields are validated at the public entries only. Every public field op
-takes one path: the soft-label guard, a dims check, one validate of x and
-of y, then ``_terms``, which evaluates the row kernel per class and
-reduces over classes on plain (C, H, W) arrays. ``_reduce_batch`` reduces
-a terms function over a batch of arrays; ``batch_loss`` runs it with a
-field op as the terms, and the training loop runs it on arrays it has
-checked itself, with ``_terms`` bound by ``_loss_terms``. There is one
-copy of each kernel's arithmetic: the kernels and the terms work in place
-only on temporaries of their own, never on their inputs, and form the
-same IEEE operations in the same order on every path.
+``_terms`` evaluates the row kernel per class and reduces over classes on
+plain (C, H, W) arrays. Three entries run it:
+
+* ``loss(name, x, y, red, params)`` on one prediction/target pair;
+* ``batch_loss(name, xs, ys, red, params)`` on a batch of fields;
+* ``_reduce_batch(name, params, xs, ys, red)`` on a batch of arrays that
+  the caller has checked itself, as the training loop does.
+
+Fields are validated at the entries only: the soft-label guard, a dims
+check and one validate of each field, then ``_terms``. The eleven field
+ops, ``sdl`` to ``compound``, are ``loss`` with the name fixed and the
+params typed. They and ``batch_loss`` stay module functions because
+perfbench's tracer binds them by name. There is one copy of each
+kernel's arithmetic: the kernels and the terms work in place only on
+temporaries of their own, never on their inputs, and form the same IEEE
+operations in the same order on every path.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
-    HARD,
-    SOFT,
     DicesmError,
     LabelField,
     ProbField,
@@ -544,37 +549,19 @@ def parse_loss_params(name: str, params: dict | None):
     return from_json(entry.params, params), allow_soft
 
 
-def make_loss(name: str, params: dict | None = None) -> Callable:
-    """Bind a loss identifier plus JSON params into fn(x, y, red) -> GradPair.
-
-    Unknown names and unknown parameter keys are rejected. The public field
-    op is looked up on this module when make_loss is called.
-    """
+def loss(name: str, x: ProbField, y: LabelField, red: ReductionSpec | None = None,
+         params: dict | None = None) -> GradPair:
+    """Loss `name` with its JSON params, as parse_loss_params reads them,
+    on one prediction/target pair: the path of the field ops."""
     bound, allow_soft = parse_loss_params(name, params)
-    if isinstance(bound, CompoundParams):
-        kwargs = asdict(bound)
-    else:
-        kwargs = {} if bound is None else {"params": bound}
-    if allow_soft:
-        kwargs["allow_soft"] = True
-    fn = globals()[name]
-    return lambda x, y, red=None: fn(x, y, red=red, **kwargs)
+    return _field_op(name, x, y, red, bound, allow_soft)
 
 
-def _loss_terms(name: str, params: dict | None = None):
-    """Bind a loss identifier plus JSON params into the array-level
-    terms(x, y, red) -> (value, (C, p) gradient) that the training loop
-    reduces with _reduce_batch, and the allow_soft flag for _guard_soft.
-    The arrays are trusted: nothing is validated."""
-    bound, allow_soft = parse_loss_params(name, params)
-    bound = _with_defaults(LOSSES[name], bound)
-    return (lambda x, y, red: _terms(name, x, y, red, bound)), allow_soft
-
-
-def _reduce_batch(terms: Callable, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],
+def _reduce_batch(name: str, params, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],
                   red: ReductionSpec):
-    """Reduce terms(x, y, red) over a batch of (C, H, W) arrays per
-    red.batch_mode; returns (value, grads) with grads[i] shaped as xs[i].
+    """Reduce the terms of loss `name` over a batch of checked (C, H, W)
+    arrays per red.batch_mode; returns (value, grads) with grads[i] shaped
+    as xs[i]. params is parse_loss_params's bound params object.
 
     per_image_then_mean averages per-image values and divides each
     gradient by the batch size; pooled concatenates every image's pixels,
@@ -586,7 +573,7 @@ def _reduce_batch(terms: Callable, xs: Sequence[np.ndarray], ys: Sequence[np.nda
         if x.shape != y.shape:
             raise ShapeMismatchError(f"dims {x.shape} vs {y.shape}")
     if red.batch_mode == PER_IMAGE_THEN_MEAN:
-        pairs = [terms(x, y, red) for x, y in zip(xs, ys)]
+        pairs = [_terms(name, x, y, red, params) for x, y in zip(xs, ys)]
         for _, g in pairs:
             g /= len(pairs)
         return (float(np.mean([v for v, _ in pairs])),
@@ -594,31 +581,29 @@ def _reduce_batch(terms: Callable, xs: Sequence[np.ndarray], ys: Sequence[np.nda
     C = xs[0].shape[0]
     if any(x.shape[0] != C for x in xs):
         raise ShapeMismatchError("pooled batch requires a common class count")
-    value, g = terms(np.concatenate([x.reshape(C, 1, -1) for x in xs], axis=2),
-                     np.concatenate([y.reshape(C, 1, -1) for y in ys], axis=2), red)
+    value, g = _terms(name, np.concatenate([x.reshape(C, 1, -1) for x in xs], axis=2),
+                      np.concatenate([y.reshape(C, 1, -1) for y in ys], axis=2), red, params)
     ends = np.cumsum([x.shape[1] * x.shape[2] for x in xs])[:-1]
     return value, [part.reshape(x.shape)
                    for x, part in zip(xs, np.split(g.reshape(C, -1), ends, axis=1))]
 
 
-def batch_loss(loss_fn: Callable, xs: Sequence[ProbField], ys: Sequence[LabelField],
-               red: ReductionSpec | None = None):
-    """Aggregate a loss over a batch per ReductionSpec.batch_mode.
+def batch_loss(name: str, xs: Sequence[ProbField], ys: Sequence[LabelField],
+               red: ReductionSpec | None = None, params: dict | None = None):
+    """Loss `name` with its JSON params over a batch, per
+    ReductionSpec.batch_mode.
 
     Returns (value, grads) where grads[i] is d(value)/d(xs[i]) as a TensorF.
     per_image_then_mean averages per-image losses; pooled concatenates all
-    pixels into one evaluation (classes stay aligned). loss_fn is a field
-    op, which validates what it is given.
+    pixels into one evaluation (classes stay aligned). The soft-label guard
+    sees the batch as soft if any target is; each field is validated once.
     """
+    bound, allow_soft = parse_loss_params(name, params)
+    _guard_soft(name, all(y.is_hard for y in ys), allow_soft)
+    for x, y in zip(xs, ys):
+        check_same_dims(x, y)
+        validate(x)
+        validate(y)
     red = red if red is not None else DEFAULT_REDUCTION
-    # _reduce_batch calls terms once per image, in order, or once on the pooled
-    # arrays; each call rebuilds the fields with the hardness of its targets
-    hardness = iter([y.hardness for y in ys] if red.batch_mode == PER_IMAGE_THEN_MEAN
-                    else [HARD if all(y.is_hard for y in ys) else SOFT])
-
-    def terms(x, y, red):
-        pair = loss_fn(ProbField.from_array(x), LabelField.from_array(y, next(hardness)), red)
-        return pair.value, pair.grad.data.reshape(x.shape[0], -1).copy()
-
-    value, grads = _reduce_batch(terms, [x.array for x in xs], [y.array for y in ys], red)
+    value, grads = _reduce_batch(name, bound, [x.array for x in xs], [y.array for y in ys], red)
     return value, [TensorF.from_array(g) for g in grads]

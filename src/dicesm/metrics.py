@@ -1,5 +1,5 @@
-"""Evaluation metrics: set-based hard Dice, Dice/IoU conversions, binarized
-Dice over threshold sweeps, and binned expected calibration error.
+"""Evaluation metrics: set-based hard Dice, binarized Dice over threshold
+sweeps, and binned expected calibration error.
 
 hard_dice counts set memberships with integers and is the independent oracle
 for the overlap losses (1 - sdl on hard pairs must match it exactly). Its
@@ -29,7 +29,6 @@ from .core import (
     check_same_dims,
     validate,
 )
-from . import losses as _losses
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -153,20 +152,6 @@ def hard_dice(a: LabelField, b: LabelField, class_idx: int = 0,
     return mask_dice(a.array[class_idx] == 1.0, b.array[class_idx] == 1.0, empty_both)
 
 
-def dice_from_iou(iou: float) -> float:
-    """Monotone bijection 2*IoU / (1 + IoU) of [0, 1]."""
-    if not 0.0 <= iou <= 1.0:
-        raise OutOfRangeError(f"iou {iou!r} outside [0, 1]")
-    return 2.0 * iou / (1.0 + iou)
-
-
-def iou_from_dice(d: float) -> float:
-    """Inverse of dice_from_iou: d / (2 - d)."""
-    if not 0.0 <= d <= 1.0:
-        raise OutOfRangeError(f"dice {d!r} outside [0, 1]")
-    return d / (2.0 - d)
-
-
 def bdice(x: ProbField, y: LabelField, spec: BDiceSpec | None = None,
           class_idx: int = 0) -> float:
     """Mean Dice over joint binarizations of prediction and (soft) label.
@@ -202,11 +187,3 @@ def ece(records: CalibRecord, spec: EceSpec | None = None) -> float:
     occupied = counts > 0
     gaps = np.abs(acc_sum[occupied] - conf_sum[occupied]) / counts[occupied]
     return float(np.sum(counts[occupied] * gaps) / n)
-
-
-def soft_dice_score(x: ProbField, y: LabelField,
-                    red: _losses.ReductionSpec | None = None) -> float:
-    """Validation-time Dice: 1 - sdl value (y must be hard)."""
-    if not y.is_hard:
-        raise SoftInputError("soft_dice_score requires a hard reference")
-    return 1.0 - _losses.sdl(x, y, red).value

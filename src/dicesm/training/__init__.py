@@ -1,17 +1,14 @@
 """Desk-scale training harness: synthetic multi-rater data, tiny reference
-models with manual backprop, SGD with a poly schedule, cross-validation,
-and teacher-student distillation."""
+models with manual backprop, SGD with a poly schedule, and
+teacher-student distillation."""
 
 from .distill import KdSpec, TeacherSignal, distill
 from .loop import (
     DivergedLossError,
     EmptyDatasetError,
-    TooFewImagesError,
     TrainResult,
     TrainSpec,
     binarize,
-    crossval,
-    crossval_folds,
     evaluate,
     poly_lr,
     subset,

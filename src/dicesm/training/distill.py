@@ -18,7 +18,7 @@ import numpy as np
 from ..calibration import (SCOPE_ALL, KdeSpec, kde_calibrate_batch, sample_key_points,
                            select_scope_pixels)
 from ..core import ProbField, check_finite
-from ..losses import _loss_terms, _reduce_batch
+from ..losses import _reduce_batch, parse_loss_params
 from ..softlabels import majority_vote
 from .loop import TrainResult, TrainSpec, build_targets, run_sgd
 from .models import CheckpointMismatchError, ModelSpec, build_model
@@ -74,7 +74,8 @@ class TeacherSignal:
                 self.scopes.append(
                     None if kde.pixel_scope == SCOPE_ALL
                     else select_scope_pixels(ProbField.from_array(probs), maj, kde))
-        self.terms = [_loss_terms(name)[0] for name in KD_LOSSES[kd_spec.kd_terms]]
+        self.losses = [(name, parse_loss_params(name, None)[0])
+                       for name in KD_LOSSES[kd_spec.kd_terms]]
 
     def _signals(self, idx, epoch, batch_idx):
         """The (C, H, W) teacher signal of each image in idx: its
@@ -96,8 +97,8 @@ class TeacherSignal:
         signals = self._signals(idx, epoch, batch_idx)
         value = 0.0
         grads = [np.zeros(x.shape) for x in student_probs]
-        for terms in self.terms:
-            v, g = _reduce_batch(terms, student_probs, signals, red)
+        for name, params in self.losses:
+            v, g = _reduce_batch(name, params, student_probs, signals, red)
             value += v
             for acc, t in zip(grads, g):
                 acc += t

@@ -1,5 +1,5 @@
 """Mini-batch SGD with momentum, weight decay and a poly learning-rate
-schedule, plus validation metrics and k-fold cross-validation.
+schedule, plus validation metrics.
 
 Everything is deterministic given (dataset seed, model seed, train seed):
 shuffling is the only random element, the gradient reduction order over a
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core import (DicesmError, LabelField, ProbField, RaterStack, ShapeMismatchError,
                     check_finite)
-from ..losses import ReductionSpec, _guard_soft, _loss_terms, _reduce_batch, parse_loss_params
+from ..losses import ReductionSpec, _guard_soft, _reduce_batch, parse_loss_params
 # not called here: perfbench's tracer self-test checks that tracing restores
 # this binding
 from ..losses import batch_loss  # noqa: F401
@@ -42,10 +42,6 @@ class DivergedLossError(DicesmError):
 
 
 class EmptyDatasetError(DicesmError):
-    pass
-
-
-class TooFewImagesError(DicesmError):
     pass
 
 
@@ -134,13 +130,10 @@ def evaluate(model, feats, refs) -> dict:
         bdices.append(_bdice(probs[fg], ref.votes[fg] / ref.k, thresholds))
         confs.append(probs[fg].flatten())  # a copy, so probs can be freed
         labels.append(ref.majority_fg.ravel())
-    record = CalibRecord(np.concatenate(confs), np.concatenate(labels))
     return {
         "dice": float(np.mean(dices)),
         "bdice": float(np.mean(bdices)),
-        "ece": ece(record, EceSpec()),
-        "per_image_dice": dices,
-        "record": record,
+        "ece": ece(CalibRecord(np.concatenate(confs), np.concatenate(labels)), EceSpec()),
     }
 
 
@@ -163,7 +156,7 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
     n = len(dataset)
     if n == 0:
         raise EmptyDatasetError("no images")
-    terms, allow_soft = _loss_terms(spec.loss_name, spec.loss_params)
+    params, allow_soft = parse_loss_params(spec.loss_name, spec.loss_params)
     red = spec.reduction
     feats = [model.prepare(im.image) for im in dataset.images]
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -192,7 +185,7 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
                 caches.append(cache)
             for x in xs:
                 check_finite(x)
-            value, grads_x = _reduce_batch(terms, xs, [ys[i] for i in idx], red)
+            value, grads_x = _reduce_batch(spec.loss_name, params, xs, [ys[i] for i in idx], red)
             if kd is not None:
                 kd_value, kd_grads = kd.batch_terms(idx, xs, red, epoch, b)
                 value += kd.weight * kd_value
@@ -239,44 +232,6 @@ def train(dataset: SynthDataset, model_spec: ModelSpec, train_spec: TrainSpec,
 
 def subset(dataset: SynthDataset, indices) -> SynthDataset:
     return SynthDataset(dataset.spec, tuple(dataset.images[i] for i in indices))
-
-
-def crossval_folds(n: int, k_folds: int, seed: int):
-    """Seeded shuffle chopped into k contiguous folds covering every index."""
-    if n < k_folds:
-        raise TooFewImagesError(f"{n} images cannot fill {k_folds} folds")
-    order = np.random.default_rng(np.random.SeedSequence([seed, k_folds])).permutation(n)
-    return [np.sort(chunk) for chunk in np.array_split(order, k_folds)]
-
-
-def crossval(dataset: SynthDataset, model_spec: ModelSpec, train_spec: TrainSpec,
-             k_folds: int = 5) -> dict:
-    """k-fold cross-validation with folds seeded by train_spec.seed; each
-    image lands in exactly one validation fold; metrics aggregate over the
-    union of validation predictions. Folds train without a trace."""
-    folds = crossval_folds(len(dataset), k_folds, train_spec.seed)
-    per_image_dice = []
-    per_image_bdice = []
-    records = []
-    per_fold = []
-    for fold_idx, val_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(len(dataset)), val_idx)
-        tr, va = subset(dataset, train_idx), subset(dataset, val_idx)
-        m = train(tr, model_spec, train_spec, va, eval_every=0).final_metrics
-        per_image_dice.extend(m["per_image_dice"])
-        per_image_bdice.append(m["bdice"] * len(val_idx))
-        records.append(m["record"])
-        per_fold.append({"fold": fold_idx, "dice": m["dice"],
-                         "bdice": m["bdice"], "ece": m["ece"]})
-    pooled = CalibRecord.concat(records)
-    return {
-        "dice": float(np.mean(per_image_dice)),
-        "bdice": float(np.sum(per_image_bdice) / len(dataset)),
-        "ece": ece(pooled, EceSpec()),
-        "folds": per_fold,
-        "fold_indices": [f.tolist() for f in folds],
-        "per_image_dice": per_image_dice,
-    }
 
 
 def write_trace_csv(path, trace) -> None:

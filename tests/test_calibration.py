@@ -17,7 +17,6 @@ from dicesm.calibration import (
     KdeSpec,
     KeyPointSet,
     beta_kernel,
-    dirichlet_kernel,
     kde_calibrate_batch,
     log_beta_kernel,
     log_dirichlet_kernel,
@@ -73,35 +72,40 @@ class TestBetaKernel:
             beta_kernel(0.5, 0.5, 0.0)
 
 
+def dirichlet_pdf(fj, fi, h):
+    """The Dirichlet density at one simplex row fj."""
+    return float(np.exp(log_dirichlet_kernel(fj, fi, h))[0])
+
+
 class TestDirichletKernel:
     def test_two_class_reduces_to_beta(self, rng):
         for _ in range(100):
             fi = rng.random()
             fj = rng.random()
             h = 10 ** rng.uniform(-3, 0.5)
-            d = dirichlet_kernel([fj, 1 - fj], [fi, 1 - fi], h)
+            d = dirichlet_pdf([fj, 1 - fj], [fi, 1 - fi], h)
             b = beta_kernel(fj, fi, h)
             assert d == pytest.approx(b, rel=1e-12, abs=1e-300)
 
     def test_symmetric_under_joint_permutation(self, rng):
         fj = rng.dirichlet(np.ones(3))
         fi = rng.dirichlet(np.ones(3))
-        ref = dirichlet_kernel(fj, fi, 0.5)
+        ref = dirichlet_pdf(fj, fi, 0.5)
         for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
-            assert dirichlet_kernel(fj[perm], fi[perm], 0.5) == pytest.approx(ref, rel=1e-12)
+            assert dirichlet_pdf(fj[perm], fi[perm], 0.5) == pytest.approx(ref, rel=1e-12)
 
     def test_uniform_center_symmetric_in_fj(self):
         fi = np.full(3, 1 / 3)
         fj = np.array([0.5, 0.3, 0.2])
         for perm in ([1, 0, 2], [2, 0, 1]):
-            assert dirichlet_kernel(fj[perm], fi, 1.0) == pytest.approx(
-                dirichlet_kernel(fj, fi, 1.0), rel=1e-12)
+            assert dirichlet_pdf(fj[perm], fi, 1.0) == pytest.approx(
+                dirichlet_pdf(fj, fi, 1.0), rel=1e-12)
 
     def test_integrates_over_simplex(self):
         fi = np.array([0.5, 0.3, 0.2])
         h = 0.5
         val, _ = integrate.dblquad(
-            lambda x2, x1: dirichlet_kernel([x1, x2, 1.0 - x1 - x2], fi, h),
+            lambda x2, x1: dirichlet_pdf([x1, x2, 1.0 - x1 - x2], fi, h),
             0.0, 1.0, lambda x1: 0.0, lambda x1: 1.0 - x1,
             epsabs=1e-4, epsrel=1e-4)
         assert val == pytest.approx(1.0, abs=1e-2)
@@ -111,7 +115,7 @@ class TestDirichletKernel:
         fj = rng.dirichlet(np.ones(4))
         h = 0.2
         a = fi / h + 1
-        assert dirichlet_kernel(fj, fi, h) == pytest.approx(
+        assert dirichlet_pdf(fj, fi, h) == pytest.approx(
             stats.dirichlet.pdf(fj, a), rel=1e-9)
 
 

@@ -10,7 +10,8 @@ that names the file: a dataset manifest that lacks a key, is not JSON, is
 not an object or has an unknown spec key, and a teacher checkpoint
 manifest that is not JSON or lacks its params, and a rater file that
 holds a value other than 0 or 1, under every soft-label strategy and in a
-training dataset. Also: the compound curve honours its flags.
+training dataset, and an ECE (eval --metric ece, calibrate) of a prediction
+and a label whose dims differ. Also: the compound curve honours its flags.
 """
 
 import json
@@ -187,6 +188,29 @@ def test_calibrate_refuses_three_classes(extra, monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "ece supports binary tasks (C <= 2)" in captured.err
+    assert not (tmp_path / "cal.sdt").exists()
+
+
+# (prediction, label) arrays of different dims: two classes against one, and
+# the same pixel count in another (H, W)
+ECE_DIMS_MISMATCHES = {
+    "classes": (np.full((2, 8, 8), 0.5), np.zeros((1, 8, 8))),
+    "height_width": (np.full((1, 2, 8), 0.5), np.zeros((1, 4, 4))),
+}
+
+
+@pytest.mark.parametrize("argv", [["eval", "--metric", "ece"], ["calibrate", "--out", "cal.sdt"]])
+@pytest.mark.parametrize("case", sorted(ECE_DIMS_MISMATCHES))
+def test_ece_refuses_mismatched_dims(case, argv, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    pred, label = ECE_DIMS_MISMATCHES[case]
+    write_field("pred.sdt", ProbField.from_array(pred))
+    write_field("label.sdt", LabelField.from_array(label, "hard"))
+    code = cli.main([*argv, "--pred", "pred.sdt", "--label", "label.sdt"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.count("\n") == 1 and "ShapeMismatchError" in captured.err
+    assert "Traceback" not in captured.err
     assert not (tmp_path / "cal.sdt").exists()
 
 

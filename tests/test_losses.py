@@ -24,7 +24,7 @@ from dicesm.losses import (
     dml2,
     jml1,
     jml2,
-    make_loss,
+    loss,
     pairwise_values,
     sdl,
     sjl,
@@ -34,11 +34,13 @@ from dicesm.losses import (
 from conftest import vec_prob, vec_label
 
 
-GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
-
-
 def soft_pair(rng, p):
     return rng.random(p), rng.random(p)
+
+
+def soft_ok(name):
+    """JSON params that let `name` take soft labels."""
+    return {"allow_soft": True} if LOSSES[name].hard_only else None
 
 
 class TestHandValues:
@@ -180,45 +182,23 @@ class TestHandValues:
 
 
 class TestProperties:
-    def test_hard_label_identity(self, rng):
-        for _ in range(500):
-            p = int(rng.integers(1, 65))
-            xv = rng.random(p)
-            yv = (rng.random(p) < 0.5).astype(float)
-            x, y = vec_prob(xv), vec_label(yv)
-            s = sdl(x, y).value
-            assert abs(s - dml1(x, y).value) < 1e-12
-            assert abs(s - dml2(x, y).value) < 1e-12
-
-    def test_soft_order_dml1_le_dml2(self, rng):
-        for _ in range(500):
-            p = int(rng.integers(1, 65))
-            xv, yv = soft_pair(rng, p)
-            x, y = vec_prob(xv), vec_label(yv)
-            assert dml1(x, y).value <= dml2(x, y).value + 1e-12
-
-    @pytest.mark.parametrize("f,rho", [(dml1, GOLDEN), (dml2, GOLDEN),
-                                       (jml1, 1.0), (jml2, 1.0)])
-    def test_semimetric_axioms(self, rng, f, rho):
-        for _ in range(200):
-            p = int(rng.integers(1, 33))
-            a, b, c = rng.random(p), rng.random(p), rng.random(p)
-            fa, fb, fc = vec_prob(a), vec_prob(b), vec_prob(c)
-            la, lb, lc = vec_label(a), vec_label(b), vec_label(c)
-            assert abs(f(fa, la).value) < 1e-12
-            if np.max(np.abs(a - b)) > 1e-6:
-                assert f(fa, lb).value > 0.0
-            assert abs(f(fa, lb).value - f(fb, la).value) < 1e-12
-            assert f(fa, lc).value <= rho * (f(fa, lb).value + f(fb, lc).value) + 1e-12
-
-    def test_dice_iou_bridge(self, rng):
-        for _ in range(300):
-            p = int(rng.integers(1, 33))
-            xv, yv = soft_pair(rng, p)
-            x, y = vec_prob(xv), vec_label(yv)
-            j1, j2 = jml1(x, y).value, jml2(x, y).value
-            assert abs(dml1(x, y).value - j1 / (2 - j1)) < 1e-12
-            assert abs(dml2(x, y).value - j2 / (2 - j2)) < 1e-12
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_field_values_equal_pairwise(self, rng, name):
+        """properties.check_* derive the paper's properties through pairwise;
+        on C == 1 vectors the field path gives pairwise's values bit for bit,
+        so they hold for it too."""
+        params = soft_ok(name)
+        bound, _ = losses.parse_loss_params(name, params)
+        for kind in ("hard", "soft", "empty_both"):
+            for _ in range(100):
+                p = int(rng.integers(1, 33))
+                xv, yv = soft_pair(rng, p)
+                if kind == "hard":
+                    yv = (yv < 0.5).astype(float)
+                elif kind == "empty_both":
+                    xv, yv = np.zeros(p), np.zeros(p)
+                value = loss(name, vec_prob(xv), vec_label(yv), params=params).value
+                assert value == pairwise_values(name, xv, yv, bound)[0], (kind, xv, yv)
 
     def test_range(self, rng):
         fns = [sdl, sjl, jml1, jml2, dml1, dml2,
@@ -341,13 +321,13 @@ class TestReduction:
     def test_batch_modes(self, rng):
         xs = [vec_prob(rng.random(4)) for _ in range(3)]
         ys = [vec_label((rng.random(4) < 0.5).astype(float)) for _ in range(3)]
-        v1, g1 = batch_loss(dml1, xs, ys, ReductionSpec())
+        v1, g1 = batch_loss("dml1", xs, ys, ReductionSpec())
         per = [dml1(x, y).value for x, y in zip(xs, ys)]
         assert v1 == pytest.approx(np.mean(per), abs=1e-15)
         np.testing.assert_allclose(
             g1[0].as_array(), dml1(xs[0], ys[0]).grad.as_array() / 3, atol=1e-15)
 
-        v2, g2 = batch_loss(dml1, xs, ys, ReductionSpec(batch_mode="pooled"))
+        v2, g2 = batch_loss("dml1", xs, ys, ReductionSpec(batch_mode="pooled"))
         allx = np.concatenate([x.array.ravel() for x in xs])
         ally = np.concatenate([y.array.ravel() for y in ys])
         ref = dml1(vec_prob(allx), vec_label(ally)).value
@@ -356,29 +336,29 @@ class TestReduction:
 
 
 class TestRegistry:
+    PAIR = (vec_prob([0.3, 0.9]), vec_label([1.0, 0.0]))
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            make_loss("dice")
+            loss("dice", *self.PAIR)
 
     def test_unknown_params(self):
         with pytest.raises(ValueError):
-            make_loss("dml1", {"alpha": 0.5})
+            loss("dml1", *self.PAIR, params={"alpha": 0.5})
         with pytest.raises(ValueError):
-            make_loss("ctl", {"alpha": 0.5, "bogus": 1})
+            loss("ctl", *self.PAIR, params={"alpha": 0.5, "bogus": 1})
 
     def test_bound_params(self):
-        f = make_loss("ctl", {"alpha": 0.5, "beta": 0.5})
         x, y = vec_prob([0.3, 0.9]), vec_label([0.7, 0.4], "soft")
-        assert f(x, y).value == pytest.approx(dml1(x, y).value, abs=1e-12)
-        g = make_loss("compound", {"w_ce": 1.0, "w_dml": 0.0})
-        assert g(x, y).value == pytest.approx(ce(x, y).value, abs=1e-15)
+        assert loss("ctl", x, y, params={"alpha": 0.5, "beta": 0.5}).value == pytest.approx(
+            dml1(x, y).value, abs=1e-12)
+        assert loss("compound", x, y, params={"w_ce": 1.0, "w_dml": 0.0}).value == \
+            pytest.approx(ce(x, y).value, abs=1e-15)
 
     def test_every_name_constructs(self):
         for name in losses.LOSS_NAMES:
             params = {"alpha": 0.6, "beta": 0.4} if name in ("stl", "ctl", "cftl") else None
-            fn = make_loss(name, params)
-            x, y = vec_prob([0.3, 0.9]), vec_label([1.0, 0.0])
-            assert isinstance(fn(x, y), GradPair)
+            assert isinstance(loss(name, *self.PAIR, params=params), GradPair)
 
     def test_tversky_param_validation(self):
         with pytest.raises(ValueError):
@@ -400,29 +380,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             CompoundParams(overlap="ce")
         with pytest.raises(ValueError):
-            make_loss("compound", {"overlap": "ctl"})
+            loss("compound", *self.PAIR, params={"overlap": "ctl"})
         with pytest.raises(ValueError):
             compound(vec_prob([0.5]), vec_label([1.0]), overlap="stl")
 
     def test_allow_soft_only_for_the_guarded_loss(self):
         x, y = vec_prob([0.5]), vec_label([0.5])
-        assert make_loss("stl", {"allow_soft": True})(x, y).value == pytest.approx(0.5)
+        assert loss("stl", x, y, params={"allow_soft": True}).value == pytest.approx(0.5)
         with pytest.raises(SoftLabelIncompatibleError):
-            make_loss("stl")(x, y)
+            loss("stl", x, y)
         with pytest.raises(ValueError):
-            make_loss("ctl", {"allow_soft": True})
-
-    def test_make_loss_calls_the_module_attribute(self, monkeypatch):
-        calls = []
-        original = losses.ctl
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(losses, "ctl", spy)
-        make_loss("ctl", {"alpha": 0.7})(vec_prob([0.3]), vec_label([1.0]))
-        assert calls == [{"red": None, "params": TverskyParams(alpha=0.7)}]
+            loss("ctl", x, y, params={"allow_soft": True})
 
 
 class TestSinglePath:
@@ -433,6 +401,26 @@ class TestSinglePath:
         x, y = vec_prob([0.3, 0.9]), vec_label([1.0, 0.0])
         getattr(losses, name)(x, y)
         assert count == [x, y]
+
+    @pytest.mark.parametrize("batch_mode", [losses.PER_IMAGE_THEN_MEAN, losses.POOLED])
+    def test_batch_loss_validates_each_field_once(self, monkeypatch, batch_mode):
+        count = []
+        monkeypatch.setattr(losses, "validate", lambda f: count.append(f))
+        xs = [vec_prob([0.3, 0.9]), vec_prob([0.5]), vec_prob([0.2, 0.4, 0.6])]
+        ys = [vec_label([1.0, 0.0]), vec_label([0.0]), vec_label([0.0, 1.0, 1.0])]
+        batch_loss("dml1", xs, ys, ReductionSpec(batch_mode=batch_mode))
+        assert count == [f for pair in zip(xs, ys) for f in pair]
+
+    @pytest.mark.parametrize("batch_mode", [losses.PER_IMAGE_THEN_MEAN, losses.POOLED])
+    def test_batch_loss_guards_any_soft_target(self, batch_mode):
+        red = ReductionSpec(batch_mode=batch_mode)
+        hard, soft = vec_label([1.0, 0.0]), vec_label([0.5, 0.0])
+        xs = [vec_prob([0.3, 0.9])] * 3
+        for ys in ([soft, hard, hard], [hard, hard, soft]):
+            with pytest.raises(SoftLabelIncompatibleError):
+                batch_loss("stl", xs, ys, red)
+            batch_loss("stl", xs, ys, red, {"allow_soft": True})
+        batch_loss("stl", xs, [hard] * 3, red)
 
     def test_sign_at_zero_is_an_argument(self):
         X = np.array([[0.4, 0.6]])
@@ -499,12 +487,11 @@ class TestFieldOpFuzz:
         xa = data.draw(_simplex_field(c, h, w, hard=False))
         ya = data.draw(_simplex_field(c, h, w, hard=hard))
         perm = data.draw(st.permutations(range(c)))
-        fn = make_loss(name, {"allow_soft": True} if LOSSES[name].hard_only else None)
         red = ReductionSpec(class_mode=class_mode)
 
         def run(x, y):
-            pair = fn(ProbField.from_array(x), LabelField.from_array(y, "hard" if hard else "soft"),
-                      red)
+            pair = loss(name, ProbField.from_array(x),
+                        LabelField.from_array(y, "hard" if hard else "soft"), red, soft_ok(name))
             return pair.value, pair.grad.as_array()
 
         value, grad = run(xa, ya)
@@ -528,8 +515,8 @@ class TestFieldOpFuzz:
         # D and S sum the same terms in another order; unclamped, D / S
         # read 1 + 2**-52 here for dml1, jml1, ctl and cftl
         a = 0.04097352393619469
-        fn = make_loss(name, {"allow_soft": True} if LOSSES[name].hard_only else None)
-        pair = fn(vec_prob([a, 0.0, 0.0]), vec_label([0.0, a, 1.0]))
+        pair = loss(name, vec_prob([a, 0.0, 0.0]), vec_label([0.0, a, 1.0]),
+                    params=soft_ok(name))
         assert pair.value <= 1.0
 
 
@@ -569,21 +556,22 @@ def _batch_arrays(rng, c, hard, empty):
     return xs, ys
 
 
-def _parent_batch(fn, xs, ys, red):
-    """The batch reduction written out on public field ops: the mean of
+def _parent_batch(name, params, xs, ys, red):
+    """The batch reduction written out on the public loss: the mean of
     per-image values with each gradient divided by the batch size, or one
-    op on every image's pixels concatenated class by class."""
+    loss on every image's pixels concatenated class by class."""
     hardness = ["hard" if np.all((y == 0.0) | (y == 1.0)) else "soft" for y in ys]
     if red.batch_mode == losses.PER_IMAGE_THEN_MEAN:
-        pairs = [fn(ProbField.from_array(x), LabelField.from_array(y, h), red)
+        pairs = [loss(name, ProbField.from_array(x), LabelField.from_array(y, h), red, params)
                  for x, y, h in zip(xs, ys, hardness)]
         return (float(np.mean([p.value for p in pairs])),
                 [p.grad.data.reshape(x.shape) / len(xs) for x, p in zip(xs, pairs)])
     c = xs[0].shape[0]
-    pair = fn(ProbField.from_array(np.concatenate([x.reshape(c, 1, -1) for x in xs], axis=2)),
-              LabelField.from_array(np.concatenate([y.reshape(c, 1, -1) for y in ys], axis=2),
-                                    "hard" if hardness == ["hard"] * len(ys) else "soft"),
-              red)
+    pair = loss(name,
+                ProbField.from_array(np.concatenate([x.reshape(c, 1, -1) for x in xs], axis=2)),
+                LabelField.from_array(np.concatenate([y.reshape(c, 1, -1) for y in ys], axis=2),
+                                      "hard" if hardness == ["hard"] * len(ys) else "soft"),
+                red, params)
     g = pair.grad.as_array().reshape(c, -1)
     grads, off = [], 0
     for x in xs:
@@ -603,15 +591,14 @@ _ARRAY_PATH_LOSSES = [
 
 
 class TestArrayPath:
-    """The training loop's array path, _loss_terms reduced by _reduce_batch,
-    gives the public field path's values and gradients bit for bit: the
-    field ops reduced as batch_loss documents, and batch_loss itself."""
+    """The training loop's array path, _reduce_batch on parse_loss_params's
+    bound params, gives the public field path's values and gradients bit for
+    bit: loss reduced as batch_loss documents, and batch_loss itself."""
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     @pytest.mark.parametrize("name,params", _ARRAY_PATH_LOSSES)
     def test_matches_the_field_path(self, name, params, c):
-        fn = make_loss(name, params)
-        terms, _ = losses._loss_terms(name, params)
+        bound, _ = losses.parse_loss_params(name, params)
         rng = np.random.default_rng(c)
         for batch_mode in (losses.PER_IMAGE_THEN_MEAN, losses.POOLED):
             for class_mode in (losses.MEAN_PRESENT, losses.MEAN_ALL):
@@ -620,12 +607,12 @@ class TestArrayPath:
                     for empty in (False, True):
                         xs, ys = _batch_arrays(rng, c, hard, empty)
                         kept = [x.copy() for x in xs] + [y.copy() for y in ys]
-                        value, grads = losses._reduce_batch(terms, xs, ys, red)
-                        ref_value, ref_grads = _parent_batch(fn, xs, ys, red)
+                        value, grads = losses._reduce_batch(name, bound, xs, ys, red)
+                        ref_value, ref_grads = _parent_batch(name, params, xs, ys, red)
                         fields = ([ProbField.from_array(x) for x in xs],
                                   [LabelField.from_array(y, "hard" if hard else "soft")
                                    for y in ys])
-                        bl_value, bl_grads = batch_loss(fn, *fields, red)
+                        bl_value, bl_grads = batch_loss(name, *fields, red, params)
                         case = (batch_mode, class_mode, hard, empty)
                         assert value == ref_value == bl_value, case
                         for g, r, b in zip(grads, ref_grads, bl_grads):
@@ -637,14 +624,12 @@ class TestArrayPath:
 
     def test_pooled_needs_a_common_class_count(self):
         xs = [np.full((1, 2, 2), 0.5), np.full((2, 2, 2), 0.5)]
-        terms, _ = losses._loss_terms("dml1")
         with pytest.raises(ShapeMismatchError, match="common class count"):
-            losses._reduce_batch(terms, xs, xs, ReductionSpec(batch_mode="pooled"))
+            losses._reduce_batch("dml1", None, xs, xs, ReductionSpec(batch_mode="pooled"))
 
     def test_shapes_must_match(self):
-        terms, _ = losses._loss_terms("dml1")
         with pytest.raises(ShapeMismatchError, match=r"dims \(1, 2, 2\) vs \(1, 2, 3\)"):
-            losses._reduce_batch(terms, [np.zeros((1, 2, 2))], [np.zeros((1, 2, 3))],
+            losses._reduce_batch("dml1", None, [np.zeros((1, 2, 2))], [np.zeros((1, 2, 3))],
                                  ReductionSpec())
 
 

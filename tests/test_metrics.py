@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dicesm import metrics, sdl
-from dicesm.core import LabelField, OutOfRangeError, ProbField
+from dicesm.core import LabelField, ProbField
 from dicesm.metrics import (
     BDiceSpec,
     CalibRecord,
@@ -14,11 +14,8 @@ from dicesm.metrics import (
     SoftInputError,
     bdice,
     class_map,
-    dice_from_iou,
     ece,
     hard_dice,
-    iou_from_dice,
-    soft_dice_score,
 )
 
 from conftest import vec_prob, vec_label
@@ -51,27 +48,6 @@ class TestHardDice:
         soft = LabelField.from_array(np.full((1, 1, 2), 0.5), "soft")
         with pytest.raises(SoftInputError):
             hard_dice(soft, mask_field([0, 0]))
-
-
-class TestDiceIouBridge:
-    def test_fixed_points(self):
-        assert dice_from_iou(0.0) == 0.0
-        assert dice_from_iou(1.0) == 1.0
-        assert dice_from_iou(0.5) == pytest.approx(2 / 3, abs=1e-15)
-
-    def test_round_trip(self):
-        grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-        for v in grid:
-            assert abs(iou_from_dice(dice_from_iou(v)) - v) < 1e-15
-        # strictly increasing
-        d = [dice_from_iou(v) for v in grid]
-        assert np.all(np.diff(d) > 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            dice_from_iou(1.5)
-        with pytest.raises(OutOfRangeError):
-            iou_from_dice(-0.1)
 
 
 class TestBDice:
@@ -150,15 +126,7 @@ class TestEce:
 
 
 class TestSoftDiceScore:
-    def test_exact(self):
-        assert soft_dice_score(vec_prob([1, 0]), vec_label([1, 0])) == 1.0
-
-    def test_hand_value(self):
-        assert soft_dice_score(vec_prob([0.8, 0.2]), vec_label([1, 0])) == pytest.approx(0.8, abs=1e-15)
-
-    def test_soft_reference_rejected(self):
-        with pytest.raises(SoftInputError):
-            soft_dice_score(vec_prob([0.5]), vec_label([0.5]))
+    """The soft Dice score 1 - sdl, against the integer-counting oracle."""
 
     def test_oracle_equivalence(self, rng):
         # 1 - sdl == set-based hard dice when the prediction is binarized
@@ -168,7 +136,7 @@ class TestSoftDiceScore:
             x, y = vec_prob(xv), vec_label(yv)
             if xv.sum() + yv.sum() == 0:
                 continue
-            assert soft_dice_score(x, y) == pytest.approx(
+            assert 1.0 - sdl(x, y).value == pytest.approx(
                 hard_dice(mask_field(xv), mask_field(yv)), abs=1e-12)
 
 
