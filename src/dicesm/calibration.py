@@ -14,9 +14,12 @@ overflow float64 already at h = 1e-3.
 The log kernel of every pixel against every key is one matrix product.
 A pixel row f contributes [log f_1, ..., log f_D, 1] (D = 2 with
 (f, 1 - f) for Beta), a key contributes [alpha - 1, log normaliser], so
-logs and gammaln are taken once per pixel and per key, not per pair.
-Pixel rows with an exact 0 entry, where 0 * log 0 must be 0, take the
-elementwise xlogy form instead. Calibration runs over blocks of pixel
+logs are taken once per pixel and gammaln once per key and call, not per
+pair. Pixel rows with an exact 0 entry, where 0 * log 0 must be 0, take the
+elementwise xlogy form instead. gammaln and xlogy come from dicesm._special,
+ports of scipy.special's on the domain used here (gammaln at x >= 1: every
+alpha and its sum; xlogy at y >= 0) that take each log from the C library,
+as scipy does, and return scipy's bits. Calibration runs over blocks of pixel
 rows: per block the log weights are shifted by their row max in place,
 exponentiated with those that would round to 0 set to 0, and one product
 with [labels | 1] yields numerators and totals together. A block holds at most
@@ -38,11 +41,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-# eager: imported lazily, its ~0.3 s would move from start-up into the
-# first kernel call and count as run time of every KDE job
-from scipy.special import gammaln, xlogy
+import numpy.random  # noqa: F401  numpy loads it lazily, on the first draw
 
 from ._filters import window_max, window_min
+from ._special import gammaln, xlogy
 from .core import (
     DicesmError,
     LabelField,
@@ -181,27 +183,35 @@ class KeyPointSet:
 
 def _check_unit(name, v):
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)) or v.min() < 0.0 or v.max() > 1.0:
+    if (not np.all(np.isfinite(v)) or v.min(initial=0.0) < 0.0
+            or v.max(initial=1.0) > 1.0):
         raise NonFiniteError(f"{name} outside [0, 1]")
     return v
 
 
-def _log_kernel_rows(P, Q, h: float) -> np.ndarray:
-    """(m, n) log Dirichlet densities at the rows of P (m, D) with
-    concentrations Q / h + 1 from the rows of Q (n, D), both on the simplex.
-
-    One GEMM: [log P, 1] @ [alpha - 1; log normaliser]. Rows of P with an
-    exact 0 take the xlogy form, which keeps 0 * log 0 = 0 (a key with a 0
-    in the same class) apart from a vanishing density (log -inf)."""
+def _key_coef(Q, h: float) -> np.ndarray:
+    """(D + 1, n) [alpha - 1; log normaliser] of the Dirichlet keys with
+    concentrations alpha = Q / h + 1 from the rows of Q (n, D)."""
     a = Q / h + 1.0
-    coef = np.vstack([(a - 1.0).T, gammaln(a.sum(axis=1)) - np.sum(gammaln(a), axis=1)])
+    return np.vstack([(a - 1.0).T, gammaln(a.sum(axis=1)) - np.sum(gammaln(a), axis=1)])
+
+
+def _log_kernel_rows(P, coef) -> np.ndarray:
+    """(m, n) log Dirichlet densities at the rows of P (m, D), on the
+    simplex, under the keys of coef = _key_coef(Q, h).
+
+    One GEMM: [log P, 1] @ coef. Rows of P with an exact 0 take the xlogy
+    form, which keeps 0 * log 0 = 0 (a key with a 0 in the same class) apart
+    from a vanishing density (log -inf)."""
     zero = P == 0.0
     # log 1 = 0 stands in for log 0 until the edge rows are redone below
     logs = np.hstack([np.log(np.where(zero, 1.0, P)), np.ones((P.shape[0], 1))])
     lk = logs @ coef
     edge = np.flatnonzero(zero.any(axis=1))
     if edge.size:
-        lk[edge] = np.sum(xlogy(coef[:-1].T, P[edge][:, None, :]), axis=2) + coef[-1]
+        # (D, edge, n), so each pass runs along the keys; summing the classes
+        # in order gives the bits of np.sum over a trailing class axis
+        lk[edge] = np.sum(xlogy(coef[:-1, None, :], P[edge].T[:, :, None]), axis=0) + coef[-1]
     return lk
 
 
@@ -219,7 +229,7 @@ def log_beta_kernel(fj, fi, h: float):
     fi = _check_unit("fi", fi)
     if fj.ndim == 2 and fi.ndim == 2 and fj.shape[1] == 1 and fi.shape[0] == 1:
         return _log_kernel_rows(np.hstack([fj, 1.0 - fj]),
-                                np.hstack([fi.T, 1.0 - fi.T]), h)
+                                _key_coef(np.hstack([fi.T, 1.0 - fi.T]), h))
     a = fi / h + 1.0
     b = (1.0 - fi) / h + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,7 +259,7 @@ def log_dirichlet_kernel(fj, fi, h: float):
     _check_bandwidth(h)
     fj = _check_simplex_rows("fj", fj)
     fi = _check_simplex_rows("fi", fi)[:1]
-    return _log_kernel_rows(fj, fi, h)[:, 0]
+    return _log_kernel_rows(fj, _key_coef(fi, h))[:, 0]
 
 
 # --------------------------------------------------------------------------
@@ -315,18 +325,20 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     n = len(keys)
     kernel_eval_count += rows.size * n
     if c == 1:
-        fi = keys.confidences.T
+        sel = _check_unit("fj", sel)
+        fi = _check_unit("fi", keys.confidences)
+        coef = _key_coef(np.hstack([fi, 1.0 - fi]), h)
     else:
-        pix = _check_simplex_rows("fj", sel)
-        fi = _check_simplex_rows("fi", keys.confidences)
+        sel = _check_simplex_rows("fj", sel)
+        coef = _key_coef(_check_simplex_rows("fi", keys.confidences), h)
     labels_and_one = np.hstack([keys.labels, np.ones((n, 1))])
     out = F.copy()
     n_dead = 0
     step = _block_rows(n, c)
     for lo in range(0, rows.size, step):
         block = slice(lo, lo + step)
-        lw = (log_beta_kernel(sel[block], fi, h) if c == 1
-              else _log_kernel_rows(pix[block], fi, h))
+        pix = np.hstack([sel[block], 1.0 - sel[block]]) if c == 1 else sel[block]
+        lw = _log_kernel_rows(pix, coef)
         top = lw.max(axis=1)
         live = top > -np.inf
         top[~live] = 0.0

@@ -63,6 +63,12 @@ class TestBetaKernel:
         assert beta_kernel(0.0, 0.5, 0.1) == 0.0
         assert beta_kernel(1.0, 0.5, 0.1) == 0.0
 
+    @pytest.mark.parametrize("fj,fi", [(np.zeros((0, 1)), np.array([[0.5]])),
+                                       (np.array([]), 0.5)])
+    def test_empty_input(self, fj, fi):
+        lk = log_beta_kernel(fj, fi, 0.1)
+        assert lk.shape == np.broadcast_shapes(fj.shape, np.shape(fi))
+
     def test_domain_errors(self):
         with pytest.raises(NonFiniteError):
             beta_kernel(1.2, 0.5, 0.1)
@@ -428,6 +434,54 @@ class TestBlockedKernel:
         want, n_dead = _oracle_calibrate(F, keys, h)
         np.testing.assert_allclose(out, want, rtol=0, atol=_output_tol(F, keys, h))
         assert _dead_count(caught) == n_dead
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_edge_rows_keep_the_xlogy_oracles_bits(self, c, monkeypatch):
+        # about a third of the entries are exactly 0 (at C = 1, confidences
+        # exactly 0.0 or 1.0); a row with one takes the xlogy form, whose log
+        # weights must equal the oracle's bit for bit, not just within a bound
+        n, h = 11, 0.05
+        m = calibration._block_rows(n, c) + 7
+        rng = np.random.default_rng(20 + c)
+        keys = _keys_with_endpoints(rng, n, c)
+        if c == 1:
+            F = rng.random((m, 1))
+            F[rng.random(m) < 1 / 3] = 0.0
+            F[rng.random(m) < 1 / 6] = 1.0
+        else:
+            F = rng.dirichlet(np.ones(c), size=m)
+            zero = rng.random((m, c)) < 1 / 3
+            zero[zero.all(axis=1), 0] = False
+            F[zero] = 0.0
+            F /= F.sum(axis=1, keepdims=True)
+        blocks = []
+        log_kernel_rows = calibration._log_kernel_rows
+
+        def recording(P, coef):
+            lw = log_kernel_rows(P, coef)
+            blocks.append(lw.copy())
+            return lw
+
+        monkeypatch.setattr(calibration, "_log_kernel_rows", recording)
+        _calibrate_recording(F, keys, h)
+        assert len(blocks) == 2
+        terms, norm = _oracle_terms(F, keys.confidences, h)
+        edge = (_simplex_rows(F) == 0.0).any(axis=1)
+        assert edge.sum() > m // 4
+        assert np.vstack(blocks)[edge].tobytes() == (terms.sum(axis=2) + norm)[edge].tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_key_normalisers_once_per_call(self, c, monkeypatch):
+        calls = []
+        gammaln_port = calibration.gammaln
+        monkeypatch.setattr(calibration, "gammaln",
+                            lambda x: calls.append(np.shape(x)) or gammaln_port(x))
+        n = 11
+        rng = np.random.default_rng(c)
+        keys = _keys_with_endpoints(rng, n, c)
+        F = _rows_with_endpoints(rng, 3 * calibration._block_rows(n, c), c)
+        _calibrate_recording(F, keys, 0.05)
+        assert sorted(calls) == [(n,), (n, max(c, 2))]
 
     def test_dead_rows_are_counted_across_blocks(self):
         # a pixel at exactly 0 has zero density under a key at 1

@@ -3,8 +3,8 @@
 Every comparison asks for the same dtype and np.array_equal, never a
 tolerance: the helpers stand in for scipy in the feature extractor, the
 KDE pixel scope and the synthetic raters, whose outputs the CLI golden
-tests pin byte for byte. The last test keeps scipy.ndimage and
-scipy.integrate off the import path of the command-line tool.
+tests pin byte for byte. The last tests keep scipy off the import path
+of the command-line tool, and numpy.random on it.
 """
 
 import os
@@ -128,3 +128,16 @@ def test_cli_import_leaves_out_ndimage_and_integrate():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy_and_loads_numpy_random():
+    # numpy.random loads at import so that its cost stays in start-up, not
+    # in the first draw of a timed job
+    src = Path(dicesm.__file__).resolve().parents[1]
+    code = ("import sys, dicesm, dicesm.cli, dicesm.training\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+            "      'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[] True"
