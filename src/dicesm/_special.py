@@ -5,7 +5,8 @@ start-up. These ports return the same float64 as scipy.special.gammaln and
 xlogy, bit for bit, on the domain calibration uses; tests/test_special.py
 checks this against scipy.
 
-gammaln is cephes' lgam for x >= 1 with every operation in cephes' order.
+gammaln is cephes' lgam for x >= 1, taken entry by entry in Python floats
+(IEEE doubles, as in C) with every operation in cephes' order.
 Both functions take each log from the C library's log, through math.log,
 as cephes does: np.log rounds differently in the last bit on some inputs.
 """
@@ -44,59 +45,54 @@ def _horner(x, coef, monic=False):
     return ans
 
 
+def _lgam(x: float) -> float:
+    """cephes lgam at one float x >= 1, in Python floats (IEEE doubles)."""
+    if x < 13.0:
+        # shift x into [2, 3) with the product or quotient z of the steps
+        u, p, z = x, 0.0, 1.0
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        t = x + (p - 2.0)
+        return math.log(z) + t * _horner(t, _B) / _horner(t, _C, monic=True)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    r = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * r
+                     - 2.7777777777777777777778e-3) * r
+                    + 0.0833333333333333333333) / x
+    return q + _horner(r, _A) / x
+
+
 def gammaln(x):
     """log |gamma(x)| for x >= 1 or +inf; ValueError below 1 or at NaN."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(x >= 1.0):
         raise ValueError("gammaln is defined here for x >= 1 only")
-    flat = x.ravel()
-    out = np.full(flat.shape, np.inf)
-
-    small = np.flatnonzero(flat < 13.0)
-    if small.size:
-        # shift x into [2, 3) with the product or quotient z of the steps
-        xs = flat[small]
-        u, p, z = xs.copy(), np.zeros_like(xs), np.ones_like(xs)
-        while (m := u >= 3.0).any():
-            p[m] -= 1.0
-            u[m] = xs[m] + p[m]
-            z[m] *= u[m]
-        while (m := u < 2.0).any():
-            z[m] /= u[m]
-            p[m] += 1.0
-            u[m] = xs[m] + p[m]
-        t = xs + (p - 2.0)
-        rational = t * _horner(t, _B) / _horner(t, _C, monic=True)
-        log_z = _log(z)
-        out[small] = np.where(u == 2.0, log_z, log_z + rational)
-
-    big = np.flatnonzero((flat >= 13.0) & (flat <= _MAXLGM))
-    if big.size:
-        xb = flat[big]
-        q = (xb - 0.5) * _log(xb) - xb + _LS2PI
-        mid = xb <= 1e8
-        xm = xb[mid]
-        r = 1.0 / (xm * xm)
-        series = ((7.9365079365079365079365e-4 * r
-                   - 2.7777777777777777777778e-3) * r
-                  + 0.0833333333333333333333) / xm
-        q[mid] += np.where(xm >= 1000.0, series, _horner(r, _A) / xm)
-        out[big] = q
-    return out.reshape(x.shape)[()]
+    return np.fromiter(map(_lgam, x.ravel().tolist()), np.float64,
+                       x.size).reshape(x.shape)[()]
 
 
 def xlogy(x, y):
     """x * log(y) for y >= 0, 0 where x == 0; broadcasts like a ufunc.
-
-    One log per distinct entry of y, so an (e, 1, D) y against an (n, D) x
-    takes e * D logs at most, not e * n * D."""
+    ValueError for a negative or NaN y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    vals, inv = np.unique(y.ravel(), return_inverse=True)
-    if vals.size and not (vals[0] >= 0.0 and vals[-1] <= np.inf):
+    if not np.all(y >= 0.0):
         raise ValueError("xlogy is defined here for y >= 0 only")
-    logs = np.full(vals.shape, -np.inf)
-    pos = vals > 0.0
-    logs[pos] = _log(vals[pos])
+    pos = y > 0.0
+    logs = np.full(y.shape, -np.inf)
+    logs[pos] = _log(y[pos])
     with np.errstate(invalid="ignore"):  # 0 * -inf, replaced by 0
-        return np.where(x == 0.0, 0.0, x * logs[inv].reshape(y.shape))[()]
+        return np.where(x == 0.0, 0.0, x * logs)[()]

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it lazily, on the first draw
 
 from ._filters import window_max, window_min
 from ._special import gammaln, xlogy
@@ -209,8 +208,9 @@ def _log_kernel_rows(P, coef) -> np.ndarray:
     lk = logs @ coef
     edge = np.flatnonzero(zero.any(axis=1))
     if edge.size:
-        # (D, edge, n), so each pass runs along the keys; summing the classes
-        # in order gives the bits of np.sum over a trailing class axis
+        # (D, edge, n), so each pass runs along the keys. Summing the classes
+        # in order gives the bits of np.sum over a trailing class axis for
+        # D < 8; from 8 terms on, numpy's pairwise sum splits them in 8 lanes
         lk[edge] = np.sum(xlogy(coef[:-1, None, :], P[edge].T[:, :, None]), axis=0) + coef[-1]
     return lk
 
@@ -218,18 +218,10 @@ def _log_kernel_rows(P, coef) -> np.ndarray:
 def log_beta_kernel(fj, fi, h: float):
     """Log Beta(alpha_i, beta_i) density at fj, alpha_i = fi/h + 1,
     beta_i = (1 - fi)/h + 1. Broadcasts over arrays; -inf where the density
-    vanishes at the endpoints.
-
-    A column fj (m, 1) against a row fi (1, n) is the calibration layout:
-    it is the Dirichlet GEMM of the rows (fj, 1 - fj) against (fi, 1 - fi),
-    with logs taken once per fj and gammaln once per fi. Other shapes are
-    evaluated pair by pair with xlogy."""
+    vanishes at the endpoints."""
     _check_bandwidth(h)
     fj = _check_unit("fj", fj)
     fi = _check_unit("fi", fi)
-    if fj.ndim == 2 and fi.ndim == 2 and fj.shape[1] == 1 and fi.shape[0] == 1:
-        return _log_kernel_rows(np.hstack([fj, 1.0 - fj]),
-                                _key_coef(np.hstack([fi.T, 1.0 - fi.T]), h))
     a = fi / h + 1.0
     b = (1.0 - fi) / h + 1.0
     with np.errstate(divide="ignore", invalid="ignore"):

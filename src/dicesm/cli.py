@@ -17,7 +17,6 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it lazily, on the first draw
 
 from . import losses as losses_mod
 from .calibration import (

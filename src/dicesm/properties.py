@@ -10,7 +10,6 @@ gradient check notices.
 from __future__ import annotations
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it lazily, on the first draw
 
 from . import losses
 from .calibration import (

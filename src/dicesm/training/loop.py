@@ -23,7 +23,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it lazily, on the first draw
 
 from ..core import (DicesmError, LabelField, ProbField, RaterStack, ShapeMismatchError,
                     check_finite)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it lazily, on the first draw
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .._filters import box_mean

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it lazily, on the first draw
 
 from .._filters import dilate3, erode3
 from ..core import DicesmError, LabelField, RaterStack

@@ -602,13 +602,16 @@ class TestBlockedKernel:
             assert got[idx] == want
 
     def test_gemm_layout_matches_broadcast_layout(self, rng):
-        # a column against a row takes the GEMM; against a 1-D array, xlogy
+        # the (f, 1 - f) GEMM that kde_calibrate_batch runs at C = 1 against
+        # log_beta_kernel's pair-by-pair xlogy form
         col = rng.random((40, 1))
         col[:4, 0] = [0.0, 1.0, 0.0, 1.0]
         row = rng.random((1, 9))
         row[0, :2] = [0.0, 1.0]
         h = 1e-2
-        gemm = log_beta_kernel(col, row, h)
+        gemm = calibration._log_kernel_rows(
+            np.hstack([col, 1.0 - col]),
+            calibration._key_coef(np.hstack([row.T, 1.0 - row.T]), h))
         pairwise = log_beta_kernel(col, row[0], h)
         np.testing.assert_array_equal(np.isneginf(gemm), np.isneginf(pairwise))
         fin = np.isfinite(pairwise)
