@@ -78,10 +78,15 @@ def _lgam(x: float) -> float:
 def gammaln(x):
     """log |gamma(x)| for x >= 1 or +inf; ValueError below 1 or at NaN."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(x >= 1.0):
-        raise ValueError("gammaln is defined here for x >= 1 only")
-    return np.fromiter(map(_lgam, x.ravel().tolist()), np.float64,
-                       x.size).reshape(x.shape)[()]
+    # scalars skip the array machinery: the property checks make thousands
+    # of scalar calls
+    if x.ndim == 0:
+        if float(x) >= 1.0:
+            return np.float64(_lgam(float(x)))
+    elif np.all(x >= 1.0):
+        return np.fromiter(map(_lgam, x.ravel().tolist()), np.float64,
+                           x.size).reshape(x.shape)
+    raise ValueError("gammaln is defined here for x >= 1 only")
 
 
 def xlogy(x, y):
@@ -89,10 +94,15 @@ def xlogy(x, y):
     ValueError for a negative or NaN y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if not np.all(y >= 0.0):
-        raise ValueError("xlogy is defined here for y >= 0 only")
-    pos = y > 0.0
-    logs = np.full(y.shape, -np.inf)
-    logs[pos] = _log(y[pos])
-    with np.errstate(invalid="ignore"):  # 0 * -inf, replaced by 0
-        return np.where(x == 0.0, 0.0, x * logs)[()]
+    if x.ndim == 0 and y.ndim == 0:  # scalars, as in gammaln
+        xv, yv = float(x), float(y)
+        if yv >= 0.0:
+            log_y = math.log(yv) if yv > 0.0 else -math.inf
+            return np.float64(0.0 if xv == 0.0 else xv * log_y)
+    elif np.all(y >= 0.0):
+        pos = y > 0.0
+        logs = np.full(y.shape, -np.inf)
+        logs[pos] = _log(y[pos])
+        with np.errstate(invalid="ignore"):  # 0 * -inf, replaced by 0
+            return np.where(x == 0.0, 0.0, x * logs)
+    raise ValueError("xlogy is defined here for y >= 0 only")

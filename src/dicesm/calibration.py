@@ -21,10 +21,24 @@ ports of scipy.special's on the domain used here (gammaln at x >= 1: every
 alpha and its sum; xlogy at y >= 0) that take each log from the C library,
 as scipy does, and return scipy's bits. Calibration runs over blocks of pixel
 rows: per block the log weights are shifted by their row max in place,
-exponentiated with those that would round to 0 set to 0, and one product
+exponentiated with those that would be subnormal set to 0, and one product
 with [labels | 1] yields numerators and totals together. A block holds at most
 _BLOCK_MADDS / 3 (pixel, key) pairs, so working memory is bounded
 whatever the number of pixels and keys.
+
+Weights below the smallest normal double, tiny = 2**-1022, are set to 0:
+neither the exp nor the GEMM then sees a subnormal, which costs each of them
+many times a normal operand. This moves a calibrated value by at most
+2 * n * tiny for n keys (5.7e-306 at 128 keys). In a live row the shifted
+maximum is exactly 0, so its weight is exactly 1, and every total T of the
+row is at least 1 (rounding never lowers a sum of nonnegative terms). Let
+N, T be a class's numerator and the total with every weight, and N', T'
+without the dropped ones. Each dropped weight is below tiny and each label
+lies in [0, 1], so N - N' and T - T' lie in [0, n * tiny], and with
+N / T <= 1 and T' >= 1
+    |N / T - N' / T'| = |(N - N') - (N / T) (T - T')| / T' <= 2 * n * tiny.
+Dead rows (every log weight -inf) and their count do not change, and
+kernel_eval_count still grows by one per (pixel, key) pair.
 
 kde_calibrate_batch is the one recalibration pass: it takes the pixel
 scope (every row, or the rows that select_scope_pixels picks out, the
@@ -74,16 +88,20 @@ kernel_eval_count = 0
 # 11% of the median, against 5.6% within the budget.
 _BLOCK_MADDS = 2 ** 18
 
-# exp(x) is exactly 0.0 for every x below this: it is under e**-1 of the
-# smallest subnormal, which rounds to 0. _kernel_weights zeroes these entries
-# (and -inf and NaN) after one plain exp over the block instead of calling a
-# masked np.exp(..., where=): a masked ufunc runs its inner loop once per run
-# of kept entries, and at h = 1e-3 kept and dropped weights interleave at
-# random. On a 682 x 128 block of the calibrate-c2 benchmark (about 47% kept)
-# the masked exp took 1.32-1.42 ms and the plain one 0.61-0.69 ms, with equal
-# bits, on a 2-vCPU Xeon; a block where every weight is kept takes the exp in
-# place, 0.15 ms against the masked 0.28 ms.
-_EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).smallest_subnormal)) - 1.0
+# Smallest log weight that is exponentiated: log(tiny). exp gives at least
+# tiny = 2**-1022 here, and a subnormal for the next double below, so
+# _kernel_weights sets to 0 exactly the weights whose exp would be
+# subnormal (and -inf and NaN); the module docstring bounds the change in
+# the calibrated rows by 2 * n_key * tiny. Subnormal results cost np.exp
+# about 100x a normal one, and subnormal operands slow the [labels | 1]
+# GEMM about 3x. The zeroing follows one plain exp over the block instead of
+# a masked np.exp(..., where=): a masked ufunc runs its inner loop once per
+# run of kept entries, and at h = 1e-3 kept and dropped weights interleave
+# at random. On a 682 x 128 block of the calibrate-c2 benchmark (about 47%
+# kept) the masked exp took 1.32-1.42 ms and the plain one 0.61-0.69 ms,
+# with equal bits, on a 2-vCPU Xeon; a block where every weight is kept
+# takes the exp in place, 0.15 ms against the masked 0.28 ms.
+_EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).tiny))
 
 
 def _block_rows(n_key: int, c: int) -> int:
@@ -95,7 +113,8 @@ def _block_rows(n_key: int, c: int) -> int:
 
 def _kernel_weights(lw: np.ndarray) -> np.ndarray:
     """exp of a block of shifted log weights, 0 where lw < _EXP_ZERO_BELOW,
-    -inf or NaN. Overwrites lw when no entry is dropped."""
+    -inf or NaN, so no weight is subnormal. Overwrites lw when no entry is
+    dropped."""
     keep = lw >= _EXP_ZERO_BELOW
     if keep.all():
         return np.exp(lw, out=lw)
@@ -284,7 +303,8 @@ def sample_key_points(confidences, labels, spec: KdeSpec) -> KeyPointSet:
     if spec.n_key >= n:
         return KeyPointSet(conf, lab, np.arange(n))
     classes = class_map(lab.T)
-    uniques = np.unique(classes)
+    # the sorted class ids; np.unique would import numpy.ma on first use
+    uniques = np.flatnonzero(np.bincount(classes))
     quota = -(-spec.n_key // uniques.size)  # ceil
     rng = np.random.default_rng(spec.seed)
     chosen = []

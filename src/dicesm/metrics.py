@@ -124,11 +124,6 @@ class CalibRecord:
     def __len__(self):
         return self.confidences.size
 
-    @classmethod
-    def concat(cls, records) -> "CalibRecord":
-        return cls(np.concatenate([r.confidences for r in records]),
-                   np.concatenate([r.labels for r in records]))
-
 
 def mask_dice(a: np.ndarray, b: np.ndarray, empty_both: float = 1.0) -> float:
     """Dice 2|A∩B| / (|A|+|B|) of two bool masks, by integer counting."""

@@ -337,6 +337,9 @@ class TestBiasBound:
 # --------------------------------------------------------------------------
 
 EPS = np.finfo(np.float64).eps
+TINY = np.finfo(np.float64).tiny
+# below this exp rounds to 0; from it up to log(TINY) it is subnormal or 0
+SUBNORMAL_BAND_LO = float(np.log(np.finfo(np.float64).smallest_subnormal)) - 1.0
 
 
 def _simplex_rows(rows):
@@ -483,6 +486,29 @@ class TestBlockedKernel:
         _calibrate_recording(F, keys, 0.05)
         assert sorted(calls) == [(n,), (n, max(c, 2))]
 
+    def test_label_weights_in_the_subnormal_band_drop_within_the_bound(self):
+        # each row's only label-1 keys have weights whose exp is subnormal:
+        # the oracle keeps them (a subnormal output > 0), the kernel drops
+        # them (exactly 0), and the module docstring bounds the difference
+        # by 2 * n * TINY
+        h = 1e-3
+        keys = KeyPointSet(np.array([[0.6], [0.038], [0.04], [0.042], [0.045]]),
+                           np.array([[0.0], [1.0], [1.0], [1.0], [1.0]]),
+                           np.arange(5))
+        F = np.array([[0.6], [0.601], [0.599]])
+        lw = calibration._log_kernel_rows(
+            _simplex_rows(F), calibration._key_coef(_simplex_rows(keys.confidences), h))
+        shifted = lw - lw.max(axis=1, keepdims=True)
+        np.testing.assert_array_equal(shifted[:, 0], 0.0)
+        assert np.all((shifted[:, 1:] > SUBNORMAL_BAND_LO)
+                      & (shifted[:, 1:] < calibration._EXP_ZERO_BELOW))
+        out, caught = _calibrate_recording(F, keys, h)
+        want, n_dead = _oracle_calibrate(F, keys, h)
+        assert np.all((want > 0.0) & (want < TINY))
+        np.testing.assert_array_equal(out, 0.0)
+        assert np.all(np.abs(out - want) <= 2 * len(keys) * TINY)
+        assert _dead_count(caught) == n_dead == 0
+
     def test_dead_rows_are_counted_across_blocks(self):
         # a pixel at exactly 0 has zero density under a key at 1
         keys = KeyPointSet(np.array([[1.0]]), np.array([[1.0]]), np.array([0]))
@@ -506,10 +532,16 @@ class TestBlockedKernel:
             assert (rows + 1) * n * (max(c, 2) + 1) > calibration._BLOCK_MADDS
 
     def test_exp_skip_is_exact(self):
-        # weights below the threshold are set to 0 instead of exponentiated,
-        # and exp must round every one of them to 0 as well
-        below = calibration._EXP_ZERO_BELOW - np.linspace(0.0, 50.0, 10_001)[1:]
-        assert np.all(np.exp(below) == 0.0)
+        # the threshold is log(tiny): exp keeps every weight from it up
+        # normal, and the next double below already gives a subnormal
+        thr = calibration._EXP_ZERO_BELOW
+        assert np.exp(thr) >= TINY
+        assert np.exp(np.nextafter(thr, -np.inf)) < TINY
+        # thr < 0, so lowering its bit pattern steps towards 0
+        above = (np.array(thr).view(np.int64) - np.arange(1, 10_001)).view(np.float64)
+        assert above[0] == np.nextafter(thr, np.inf)
+        np.testing.assert_array_equal(np.nextafter(above[:-1], np.inf), above[1:])
+        assert np.all(np.exp(above) >= TINY)
 
     @staticmethod
     def _masked_exp(lw):
@@ -518,21 +550,26 @@ class TestBlockedKernel:
 
     def test_kernel_weights_match_the_masked_exp(self, rng):
         thr = calibration._EXP_ZERO_BELOW
-        tiny = float(np.log(np.finfo(np.float64).tiny))
+        band = rng.uniform(SUBNORMAL_BAND_LO, thr, 400)  # exp is subnormal or 0
         lw = np.concatenate([
             rng.uniform(-700.0, 0.0, 400),               # normal results
-            rng.uniform(thr, tiny, 400),                 # subnormal results
+            band,
+            [SUBNORMAL_BAND_LO, np.nextafter(thr, -np.inf)],
             np.nextafter(thr, np.inf) + np.arange(4) * 1e-13,
             np.nextafter(thr, -np.inf) - np.arange(4) * 1e-13,
             [thr, 0.0, -1.0, -745.0, -746.0, -np.inf, -np.inf, -np.inf,
              np.nan, np.nan, np.nan, -np.nan],
-            rng.uniform(-2000.0, thr, 400),              # below the threshold
+            rng.uniform(-2000.0, SUBNORMAL_BAND_LO, 400),  # exp rounds to 0
         ])
-        lw = rng.permutation(lw).reshape(61, 20)
+        assert np.count_nonzero((np.exp(band) > 0.0) & (np.exp(band) < TINY)) > 300
+        lw = rng.permutation(lw).reshape(47, 26)
         assert np.any(lw >= thr) and not np.all(lw >= thr)
-        want = self._masked_exp(lw)
-        assert np.count_nonzero((want > 0.0) & (want < np.finfo(np.float64).tiny)) > 100
-        np.testing.assert_array_equal(calibration._kernel_weights(lw.copy()), want)
+        got = calibration._kernel_weights(lw.copy())
+        np.testing.assert_array_equal(got, self._masked_exp(lw))
+        in_band = (lw >= SUBNORMAL_BAND_LO) & (lw < thr)
+        assert np.count_nonzero(in_band) >= 400 + 2 + 4
+        assert np.all(got[in_band] == 0.0)
+        assert not np.any((got > 0.0) & (got < TINY))
 
     def test_kernel_weights_when_every_weight_is_kept(self, rng):
         lw = rng.uniform(-700.0, 0.0, (64, 9))

@@ -4,7 +4,8 @@ Every comparison asks for the same dtype and np.array_equal, never a
 tolerance: the helpers stand in for scipy in the feature extractor, the
 KDE pixel scope and the synthetic raters, whose outputs the CLI golden
 tests pin byte for byte. The last tests keep scipy off the import path
-of the command-line tool, and numpy.random on it.
+of the command-line tool and numpy.random on it, and numpy.ma out of a
+calibrate run.
 """
 
 import os
@@ -20,6 +21,7 @@ from scipy import ndimage
 
 import dicesm
 from dicesm._filters import box_mean, dilate3, erode3, window_max, window_min
+from dicesm.core import TensorF, write_tensor
 
 SQUARE = np.ones((3, 3), bool)
 SHAPES = [(1, 1), (1, 9), (9, 1), (2, 3), (6, 6), (17, 11)]
@@ -141,3 +143,23 @@ def test_cli_import_loads_no_scipy_and_loads_numpy_random():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[] True"
+
+
+def test_calibrate_run_leaves_out_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which would put that
+    # import inside the timed part of every calibrate and distill job
+    rng = np.random.default_rng(3)
+    p = rng.random((24, 24))
+    for name, arr in (("pred", np.stack([1.0 - p, p])),
+                      ("label", np.stack([p <= 0.5, p > 0.5]).astype(float))):
+        write_tensor(tmp_path / f"{name}.sdt", TensorF(arr.shape, arr.ravel()))
+    src = Path(dicesm.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from dicesm.cli import main\n"
+            "code = main(['calibrate', '--pred', 'pred.sdt', '--label', 'label.sdt',\n"
+            "             '--n-key', '32', '--bandwidth', '0.05', '--out', 'cal.sdt'])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"

@@ -108,14 +108,6 @@ class TestEce:
         assert ece(r1) == pytest.approx(ece(r2), abs=1e-15)
         assert 0.0 <= ece(r1) <= 1.0
 
-    def test_merge_by_concat(self, rng):
-        conf = rng.random(400)
-        labels = (rng.random(400) < 0.5).astype(float)
-        whole = CalibRecord(conf, labels)
-        parts = CalibRecord.concat([CalibRecord(conf[:150], labels[:150]),
-                                    CalibRecord(conf[150:], labels[150:])])
-        assert ece(whole) == pytest.approx(ece(parts), abs=1e-15)
-
     def test_empty(self):
         with pytest.raises(EmptyRecordsError):
             ece(CalibRecord(np.zeros(0), np.zeros(0)))

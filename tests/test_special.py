@@ -57,6 +57,19 @@ class TestGammaln:
     def test_rejects_outside_domain(self, x):
         with pytest.raises(ValueError):
             gammaln(np.array([2.0, x]))
+        with pytest.raises(ValueError):
+            gammaln(x)
+
+    def test_zero_d_inputs(self, rng):
+        # scalars take their own path; it must give the array path's bits
+        xs = np.concatenate([GAMMALN_EDGES,
+                             np.exp(rng.uniform(0.0, np.log(1e300), 300))])
+        for x in xs:
+            want = scipy.special.gammaln(x)
+            for form in (float(x), np.float64(x), np.array(x)):
+                got = gammaln(form)
+                assert type(got) is np.float64
+                assert_same_bits(got, want)
 
     def test_no_warning_at_huge_x(self):
         with warnings.catch_warnings():
@@ -101,3 +114,19 @@ class TestXlogy:
     def test_rejects_negative_or_nan_y(self, y):
         with pytest.raises(ValueError):
             xlogy(np.array([1.0, 1.0]), np.array([0.5, y]))
+        with pytest.raises(ValueError):
+            xlogy(1.0, y)
+
+    def test_zero_d_inputs(self, rng):
+        xs = np.concatenate([[0.0, -0.0, 1.0, -2.5, TINY, 1e300],
+                             rng.uniform(-50.0, 1000.0, 100)])
+        ys = np.concatenate([[0.0, 1.0, TINY, 1e-310, 0.5, 1e300, np.inf],
+                             rng.random(100)])
+        for x in xs:
+            for y in ys:
+                with np.errstate(divide="ignore", over="ignore"):
+                    want = scipy.special.xlogy(x, y)
+                for form in (float, np.float64, np.array):
+                    got = xlogy(form(x), form(y))
+                    assert type(got) is np.float64
+                    assert_same_bits(got, want)
