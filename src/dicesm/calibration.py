@@ -61,13 +61,13 @@ from ._special import gammaln, xlogy
 from .core import (
     DicesmError,
     LabelField,
-    NonFiniteError,
+    OutOfRangeError,
     ProbField,
     SIMPLEX_TOL,
     ShapeMismatchError,
     SimplexViolationError,
+    check_finite,
     check_same_dims,
-    validate,
 )
 from .metrics import SoftInputError, class_map
 
@@ -202,9 +202,9 @@ class KeyPointSet:
 
 def _check_unit(name, v):
     v = np.asarray(v, dtype=np.float64)
-    if (not np.all(np.isfinite(v)) or v.min(initial=0.0) < 0.0
-            or v.max(initial=1.0) > 1.0):
-        raise NonFiniteError(f"{name} outside [0, 1]")
+    check_finite(v)
+    if v.min(initial=0.0) < 0.0 or v.max(initial=1.0) > 1.0:
+        raise OutOfRangeError(f"{name} outside [0, 1]")
     return v
 
 
@@ -257,7 +257,8 @@ def beta_kernel(fj, fi, h: float):
 
 def _check_simplex_rows(name, v):
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    if not np.all(np.isfinite(v)) or v.min(initial=0.0) < -SIMPLEX_TOL:
+    check_finite(v)
+    if v.min(initial=0.0) < -SIMPLEX_TOL:
         raise SimplexViolationError(f"{name} is not on the simplex")
     sums = v.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
@@ -378,8 +379,6 @@ def select_scope_pixels(pred: ProbField, label: LabelField,
     check_same_dims(pred, label)
     if not label.is_hard:
         raise SoftInputError("select_scope_pixels requires a hard label map")
-    validate(pred)
-    validate(label)
     pc = class_map(pred.array)
     lc = class_map(label.array)
     wrong = pc != lc

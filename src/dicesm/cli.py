@@ -38,7 +38,6 @@ from .core import (
     read_label_field,
     read_prob_field,
     read_tensor,
-    validate,
     write_field,
     write_tensor,
 )
@@ -180,8 +179,6 @@ def cmd_eval(args) -> int:
         thresholds = tuple(float(t) for t in args.thresholds.split(","))
         spec = BDiceSpec(thresholds=thresholds)
         check_same_dims(pred, label)
-        validate(pred)
-        validate(label)
         per_class = [_bdice(pred.array[c], label.array[c], spec.thresholds)
                      for c in range(pred.n_classes)]
     else:

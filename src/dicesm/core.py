@@ -4,6 +4,9 @@ the SDT1 binary tensor file format, and ``from_json``, which builds every
 spec dataclass from its JSON config.
 
 All types are immutable after construction and safe to share across workers.
+Each is valid by construction: a TensorF is finite, and a ProbField or
+LabelField runs :func:`validate` once, in its constructor, so every field
+that exists satisfies its invariants and no consumer checks them again.
 Arithmetic everywhere is float64; files store float32 and readers up-convert.
 """
 
@@ -151,14 +154,15 @@ class ProbField:
     """Per-pixel class probabilities over a [C, H, W] grid.
 
     C == 1 is a binary foreground probability; C >= 2 rows live on the
-    probability simplex per pixel. Numeric invariants are checked by
-    :func:`validate`, which every consumer calls on entry.
+    probability simplex per pixel. The constructor checks the numeric
+    invariants once, with :func:`validate`.
     """
 
     tensor: TensorF
 
     def __post_init__(self):
         _check_chw(self.tensor, "ProbField")
+        validate(self)
 
     @classmethod
     def from_array(cls, arr) -> "ProbField":
@@ -183,6 +187,7 @@ class LabelField:
 
     hardness == "hard" means every value is exactly 0 or 1; "soft" allows
     any value in [0, 1]. The simplex invariant applies for C >= 2 either way.
+    The constructor checks them once, with :func:`validate`.
     """
 
     tensor: TensorF
@@ -192,6 +197,7 @@ class LabelField:
         _check_chw(self.tensor, "LabelField")
         if self.hardness not in (HARD, SOFT):
             raise ValueError(f"hardness must be '{HARD}' or '{SOFT}', got {self.hardness!r}")
+        validate(self)
 
     @classmethod
     def from_array(cls, arr, hardness: str = HARD) -> "LabelField":
@@ -218,14 +224,14 @@ class LabelField:
 class RaterStack:
     """K independent hard annotations of one image, identical dims.
 
-    The constructor takes the K hard LabelFields and validates each rater
-    once, here, where it enters. It keeps only ``masks``, the raters as one
-    read-only (K, C, H, W) bool array (True where a rater marks 1), an
-    eighth of the float64 fields' memory; no field is retained. Every
-    consumer counts votes and combines raters on ``masks`` without checking
-    values again. ``raters`` rebuilds the hard fields on demand, for callers
-    that want fields (tests, gen-data, mean_pairwise_rater_dice); no
-    training, scoring or soft-label path reads it."""
+    The constructor takes the K hard LabelFields, each valid since it was
+    built, and checks only their dims and hardness flags. It keeps only
+    ``masks``, the raters as one read-only (K, C, H, W) bool array (True
+    where a rater marks 1), an eighth of the float64 fields' memory; no
+    field is retained. Every consumer counts votes and combines raters on
+    ``masks``. ``raters`` rebuilds the hard fields on demand, for callers
+    that want fields (tests, gen-data); no training, scoring or soft-label
+    path reads it."""
 
     masks: np.ndarray
 
@@ -242,7 +248,6 @@ class RaterStack:
                 )
             if not r.is_hard:
                 raise HardnessViolationError(f"rater {k} is not hard")
-            validate(r)
             np.equal(r.array, 1.0, out=masks[k])
         masks.flags.writeable = False
         object.__setattr__(self, "masks", masks)
@@ -273,33 +278,32 @@ def check_finite(arr: np.ndarray) -> None:
 
 
 def validate(f: ProbField | LabelField) -> None:
-    """Check every invariant of the field; raise on the first violation.
+    """Check the numeric invariants of a field; raise on the first violation.
 
-    Raises NonFiniteError, OutOfRangeError, SimplexViolationError or
-    HardnessViolationError, each carrying the flat index of the first
-    offending element.
+    The ProbField and LabelField constructors call this once; finiteness is
+    TensorF's own invariant. Each check is one whole-array reduction, and
+    only a failing one looks for its first offending element. Raises
+    OutOfRangeError, HardnessViolationError or SimplexViolationError, each
+    carrying that element's flat index.
     """
     data = f.tensor.data
-    check_finite(data)
-    bad = np.flatnonzero((data < 0.0) | (data > 1.0))
-    if bad.size:
-        i = int(bad[0])
+    if data.min() < 0.0 or data.max() > 1.0:
+        i = int(np.flatnonzero((data < 0.0) | (data > 1.0))[0])
         raise OutOfRangeError(f"value {data[i]!r} outside [0, 1] at flat index {i}",
                               flat_index=i)
-    if isinstance(f, LabelField) and f.is_hard:
-        bad = np.flatnonzero((data != 0.0) & (data != 1.0))
-        if bad.size:
-            i = int(bad[0])
-            raise HardnessViolationError(
-                f"hard label has value {data[i]!r} at flat index {i}", flat_index=i)
-    c = f.n_classes
-    if c >= 2:
-        sums = f.array.sum(axis=0)
-        bad = np.flatnonzero(np.abs(sums.reshape(-1) - 1.0) > SIMPLEX_TOL)
-        if bad.size:
-            pix = int(bad[0])
+    # on [0, 1], a hard field's nonzero values are exactly its ones
+    if (isinstance(f, LabelField) and f.is_hard
+            and np.count_nonzero(data) != np.count_nonzero(data == 1.0)):
+        i = int(np.flatnonzero((data != 0.0) & (data != 1.0))[0])
+        raise HardnessViolationError(
+            f"hard label has value {data[i]!r} at flat index {i}", flat_index=i)
+    if f.n_classes >= 2:
+        sums = f.array.sum(axis=0).reshape(-1)
+        # s - 1 is exact for s in [0.5, 2], so this is max |s - 1| > SIMPLEX_TOL
+        if sums.min() < 1.0 - SIMPLEX_TOL or sums.max() > 1.0 + SIMPLEX_TOL:
+            pix = int(np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_TOL)[0])
             raise SimplexViolationError(
-                f"class sum {sums.reshape(-1)[pix]!r} at pixel {pix} "
+                f"class sum {sums[pix]!r} at pixel {pix} "
                 f"(flat index {pix})", flat_index=pix)
 
 

@@ -9,9 +9,10 @@ evaluation and the rater weights of softlabels use it on bool masks.
 class_map and foreground_class are the one statement of the class rule: a
 C == 1 field is a foreground probability with an implicit background.
 
-Public metrics on fields validate them once on entry. Callers that hold
-checked arrays (the training loop's evaluation, the CLI after reading its
-files) score through the array cores, such as _bdice, directly.
+Public metrics take fields, which were checked once, on construction, and
+check only that their dims agree. Callers that hold checked arrays (the
+training loop's evaluation, the CLI after reading its files) score through
+the array cores, such as _bdice, directly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (
     OutOfRangeError,
     ShapeMismatchError,
     check_same_dims,
-    validate,
 )
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -140,8 +140,6 @@ def hard_dice(a: LabelField, b: LabelField, class_idx: int = 0,
     check_same_dims(a, b)
     if not (a.is_hard and b.is_hard):
         raise SoftInputError("hard_dice requires hard labels on both sides")
-    validate(a)
-    validate(b)
     if not 0 <= class_idx < a.n_classes:
         raise ShapeMismatchError(f"class {class_idx} outside 0..{a.n_classes - 1}")
     return mask_dice(a.array[class_idx] == 1.0, b.array[class_idx] == 1.0, empty_both)
@@ -157,8 +155,6 @@ def bdice(x: ProbField, y: LabelField, spec: BDiceSpec | None = None,
     """
     spec = spec or BDiceSpec()
     check_same_dims(x, y)
-    validate(x)
-    validate(y)
     return _bdice(x.array[class_idx], y.array[class_idx], spec.thresholds)
 
 

@@ -1,6 +1,7 @@
 """Training-target construction from multi-rater stacks: majority vote,
 random rater selection, uniform and Dice-weighted averaging, and label
-smoothing. All outputs validate as LabelFields (range + simplex).
+smoothing. Every output is a LabelField, so its construction checks range,
+hardness and simplex.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .core import (
     EmptyStackError,
     LabelField,
     RaterStack,
-    validate,
 )
 from .metrics import class_map, mask_dice, one_hot
 
@@ -94,9 +94,7 @@ def _majority_masks(stack: RaterStack, tie_break: str) -> np.ndarray:
 
 def majority_vote(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelField:
     """Per pixel, the class backed by the most raters; ties as in majority_map."""
-    field = LabelField.from_array(_majority_masks(stack, tie_break), "hard")
-    validate(field)
-    return field
+    return LabelField.from_array(_majority_masks(stack, tie_break), "hard")
 
 
 def random_rater(stack: RaterStack, seed: int) -> LabelField:
@@ -111,9 +109,7 @@ def uniform_average(stack: RaterStack) -> LabelField:
     on {0, 1/K, ..., 1}."""
     avg = vote_counts(stack) / len(stack)
     hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
-    field = LabelField.from_array(avg, hardness)
-    validate(field)
-    return field
+    return LabelField.from_array(avg, hardness)
 
 
 def rater_weights(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> np.ndarray:
@@ -141,9 +137,7 @@ def _weighted_combine(stack: RaterStack, weights: np.ndarray) -> LabelField:
         avg += term
     np.clip(avg, 0.0, 1.0, out=avg)
     hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
-    field = LabelField.from_array(avg, hardness)
-    validate(field)
-    return field
+    return LabelField.from_array(avg, hardness)
 
 
 def weighted_average(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelField:
@@ -189,14 +183,11 @@ def label_smoothing(y: LabelField, epsilon: float) -> LabelField:
     """
     if not 0.0 <= epsilon < 1.0:
         raise BadEpsilonError(f"epsilon {epsilon!r} outside [0, 1)")
-    validate(y)
     c = y.n_classes
     uniform = 0.5 if c == 1 else 1.0 / c
     arr = (1.0 - epsilon) * y.array + epsilon * uniform
     hardness = y.hardness if epsilon == 0.0 else "soft"
-    out = LabelField.from_array(arr, hardness)
-    validate(out)
-    return out
+    return LabelField.from_array(arr, hardness)
 
 
 def build_labels(stack: RaterStack, spec: SoftLabelSpec) -> LabelField:

@@ -5,16 +5,17 @@ Everything is deterministic given (dataset seed, model seed, train seed):
 shuffling is the only random element, the gradient reduction order over a
 batch is fixed, and evaluation is pure.
 
-Fields are checked where they are built, not here: the targets by
-softlabels, the teacher signal's inputs by distill, files by core. Inside
-run_sgd and evaluate everything is a plain array. Model outputs come from
-model.forward as (C, H, W) arrays (see models), and the loss terms and
-their batch reduction are the array functions that losses' field ops also
-use, so the loop builds no TensorF and calls no validate. What the loop
-checks itself: the soft-label guard once per run; per step, one
-finiteness check of the probabilities and one of the gradients; per
-scored image, the prediction's finiteness and shape. They raise the
-NonFiniteError and ShapeMismatchError that the fields' checks would.
+Fields are checked once, on construction (see core), not here: the
+targets that softlabels builds, the teacher signal's inputs, the fields
+read from files. Inside run_sgd and evaluate everything is a plain array.
+Model outputs come from model.forward as (C, H, W) arrays (see models),
+and the loss terms and their batch reduction are the array functions that
+losses' field ops also use, so the loop builds no TensorF and calls no
+validate. What the loop checks itself: the soft-label guard once per run;
+per step, one finiteness check of the probabilities and one of the
+gradients; per scored image, the prediction's finiteness and shape. They
+raise the NonFiniteError and ShapeMismatchError that the fields' checks
+would.
 """
 
 from __future__ import annotations

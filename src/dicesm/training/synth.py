@@ -14,7 +14,7 @@ import numpy as np
 
 from .._filters import dilate3, erode3
 from ..core import DicesmError, LabelField, RaterStack
-from ..metrics import foreground_class, hard_dice
+from ..metrics import foreground_class, mask_dice
 
 
 class BadSpecError(DicesmError):
@@ -163,8 +163,8 @@ def mean_pairwise_rater_dice(ds: SynthDataset) -> float:
     c = foreground_class(ds.spec.n_classes)
     scores = []
     for im in ds.images:
-        rs = im.raters.raters
-        for i in range(len(rs)):
-            for j in range(i + 1, len(rs)):
-                scores.append(hard_dice(rs[i], rs[j], c))
+        masks = im.raters.masks
+        for i in range(len(masks)):
+            for j in range(i + 1, len(masks)):
+                scores.append(mask_dice(masks[i][c], masks[j][c]))
     return float(np.mean(scores))

@@ -25,7 +25,8 @@ from dicesm.calibration import (
     select_scope_pixels,
     verify_bias_bound,
 )
-from dicesm.core import LabelField, NonFiniteError, ProbField, SimplexViolationError
+from dicesm.core import (LabelField, NonFiniteError, OutOfRangeError, ProbField,
+                         SimplexViolationError)
 
 
 class TestBetaKernel:
@@ -70,10 +71,12 @@ class TestBetaKernel:
         assert lk.shape == np.broadcast_shapes(fj.shape, np.shape(fi))
 
     def test_domain_errors(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(OutOfRangeError):
             beta_kernel(1.2, 0.5, 0.1)
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(OutOfRangeError):
             beta_kernel(0.5, -0.1, 0.1)
+        with pytest.raises(NonFiniteError):
+            beta_kernel(np.nan, 0.5, 0.1)
         with pytest.raises(ValueError):
             beta_kernel(0.5, 0.5, 0.0)
 
@@ -123,6 +126,14 @@ class TestDirichletKernel:
         a = fi / h + 1
         assert dirichlet_pdf(fj, fi, h) == pytest.approx(
             stats.dirichlet.pdf(fj, a), rel=1e-9)
+
+    def test_domain_errors(self):
+        with pytest.raises(NonFiniteError):
+            log_dirichlet_kernel([np.nan, 0.5], [0.5, 0.5], 0.1)
+        with pytest.raises(NonFiniteError):
+            log_dirichlet_kernel([0.5, 0.5], [np.inf, 0.5], 0.1)
+        with pytest.raises(SimplexViolationError):
+            log_dirichlet_kernel([0.7, 0.5], [0.5, 0.5], 0.1)
 
 
 class TestSampleKeyPoints:

@@ -11,7 +11,8 @@ not an object or has an unknown spec key, and a teacher checkpoint
 manifest that is not JSON or lacks its params, and a rater file that
 holds a value other than 0 or 1, under every soft-label strategy and in a
 training dataset, and an ECE (eval --metric ece, calibrate) of a prediction
-and a label whose dims differ. Also: the compound curve honours its flags.
+and a label whose dims differ or whose rows leave the simplex. Also: the
+compound curve honours its flags.
 """
 
 import json
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from dicesm import cli
-from dicesm.core import LabelField, ProbField, write_field
+from dicesm.core import LabelField, ProbField, TensorF, write_field, write_tensor
 from dicesm.softlabels import STRATEGIES
 from dicesm.training import ModelSpec, build_model, save_model
 
@@ -214,6 +215,38 @@ def test_ece_refuses_mismatched_dims(case, argv, monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "cal.sdt").exists()
 
 
+def _off_simplex_files(bad):
+    """Two-class pred.sdt and label.sdt on a 16x16 grid, written as raw
+    tensors. bad == "label": the label's background channel is all 1, so its
+    foreground pixels sum to 2. bad == "pred": one pred row sums to 1.5."""
+    rng = np.random.default_rng(5)
+    p = rng.random((16, 16))
+    fg = (p > 0.5).astype(np.float64)
+    pred, label = np.stack([1.0 - p, p]), np.stack([1.0 - fg, fg])
+    if bad == "label":
+        label[0] = 1.0
+    else:
+        pred[:, 3, 4] = 0.75
+    write_tensor("pred.sdt", TensorF.from_array(pred))
+    write_tensor("label.sdt", TensorF.from_array(label))
+
+
+@pytest.mark.parametrize("bad,argv", [
+    ("label", ["calibrate", "--scope", "all", "--out", "cal.sdt"]),
+    ("label", ["eval", "--metric", "ece"]),
+    ("pred", ["eval", "--metric", "ece"]),
+])
+def test_ece_rejects_rows_off_the_simplex(bad, argv, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    _off_simplex_files(bad)
+    code = cli.main([*argv, "--pred", "pred.sdt", "--label", "label.sdt"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.count("\n") == 1 and "SimplexViolationError" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "cal.sdt").exists()
+
+
 # a rater file is read as hard: 0.5 breaks hardness, 1.5 the [0, 1] range
 BAD_RATER_VALUES = [(0.5, "HardnessViolationError"), (1.5, "OutOfRangeError")]
 
@@ -227,7 +260,7 @@ def test_make_soft_labels_rejects_a_bad_rater(strategy, value, error, monkeypatc
     write_field("a.sdt", LabelField.from_array(good))
     bad = good.copy()
     bad[0, 1, 2] = value
-    write_field("b.sdt", LabelField.from_array(bad, "soft"))
+    write_tensor("b.sdt", TensorF.from_array(bad))
     code = cli.main(["make-soft-labels", "--strategy", strategy,
                      "--raters", "a.sdt", "b.sdt", "a.sdt", "--out", "soft.sdt"])
     captured = capsys.readouterr()

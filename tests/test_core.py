@@ -120,6 +120,69 @@ class TestValidate:
         with pytest.raises(ShapeMismatchError):
             ProbField(TensorF((4,), np.zeros(4)))
 
+    def test_construction_validates_once(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(core, "validate", seen.append)
+        p = ProbField.from_array(np.full((2, 2, 2), 0.5))
+        y = LabelField.from_array(np.ones((1, 2, 2)))
+        assert seen == [p, y]
+
+    @pytest.mark.parametrize("build,values,error,index", [
+        (ProbField.from_array, [[[0.5, -0.25]]], OutOfRangeError, 1),
+        (LabelField.from_array, [[[1.0, 1.5]]], OutOfRangeError, 1),
+        (LabelField.from_array, [[[1.0, 0.0, 0.25]]], HardnessViolationError, 2),
+        (ProbField.from_array, [[[0.5, 0.5]], [[0.5, 0.25]]], SimplexViolationError, 1),
+        (lambda a: LabelField.from_array(a, "soft"), [[[0.5, 1.0]], [[0.5, 1.0]]],
+         SimplexViolationError, 1),
+    ])
+    def test_from_array_rejects(self, build, values, error, index):
+        with pytest.raises(error) as e:
+            build(np.array(values))
+        assert e.value.flat_index == index
+
+
+def _first_violation(a: np.ndarray, hard: bool):
+    """(error type, flat index) of the first violation, found element by
+    element, or None: the reference for validate's reductions."""
+    flat = a.reshape(-1)
+    for i, v in enumerate(flat):
+        if not 0.0 <= v <= 1.0:
+            return OutOfRangeError, i
+    if hard:
+        for i, v in enumerate(flat):
+            if v != 0.0 and v != 1.0:
+                return HardnessViolationError, i
+    if a.shape[0] >= 2:
+        for i, s in enumerate(a.sum(axis=0).reshape(-1)):
+            if abs(s - 1.0) > core.SIMPLEX_TOL:
+                return SimplexViolationError, i
+    return None
+
+
+_EDGE = [0.0, -0.0, 1.0, 0.5, 0.25, 0.75, 1.0 + 2.0 ** -52, -2.0 ** -1074,
+         0.5 + core.SIMPLEX_TOL, 0.5 - core.SIMPLEX_TOL, np.nextafter(1.0, 0.0)]
+
+
+class TestValidateReference:
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.integers(1, 3), n=st.integers(1, 6), hard=st.booleans(),
+           data=st.data())
+    def test_matches_the_elementwise_checks(self, c, n, hard, data):
+        values = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE),
+                                              st.floats(-0.1, 1.1)),
+                                    min_size=c * n, max_size=c * n))
+        a = np.array(values).reshape(c, 1, n)
+        if c >= 2 and data.draw(st.booleans()):
+            a[-1] = 1.0 - a[:-1].sum(axis=0)
+        hardness = "hard" if hard else "soft"
+        expected = _first_violation(a, hard)
+        if expected is None:
+            LabelField.from_array(a, hardness)
+            return
+        with pytest.raises(expected[0]) as e:
+            LabelField.from_array(a, hardness)
+        assert e.value.flat_index == expected[1]
+
 
 class TestRaterStack:
     def test_basic(self):
@@ -141,9 +204,8 @@ class TestRaterStack:
                                              (1.5, core.OutOfRangeError)])
     def test_member_labelled_hard_is_validated(self, value, error):
         good = LabelField.from_array(np.ones((1, 2, 2)))
-        bad = LabelField.from_array(np.full((1, 2, 2), value), "hard")
         with pytest.raises(error):
-            RaterStack((good, bad))
+            RaterStack((good, LabelField.from_array(np.full((1, 2, 2), value), "hard")))
 
     def test_dim_mismatch(self):
         a = LabelField.from_array(np.ones((1, 2, 2)))

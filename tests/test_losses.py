@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,7 +297,6 @@ class TestReduction:
 
     def test_mean_present_vs_mean_all(self):
         # class 0 empty in both; class 1 has loss 0.2
-        x = ProbField.from_array(np.array([[[0.0, 0.0]], [[0.8, 0.2]]]).reshape(2, 1, 2) * 0)
         # build a C=1-style two-class stack without the simplex constraint:
         # use two separate single-class calls instead
         xa = np.zeros((2, 1, 2))
@@ -393,23 +394,42 @@ class TestRegistry:
             loss("ctl", x, y, params={"allow_soft": True})
 
 
+@pytest.fixture
+def validated(monkeypatch):
+    """The fields passed to core.validate, through every dicesm module that
+    binds it."""
+    from dicesm import core
+
+    seen, validate = [], core.validate
+
+    def counted(f):
+        seen.append(f)
+        return validate(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dicesm" and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted)
+    return seen
+
+
 class TestSinglePath:
+    """A field is validated once, when it is built; a field op or batch_loss
+    on existing fields validates nothing again."""
+
     @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_validate_runs_once_per_field(self, monkeypatch, name):
-        count = []
-        monkeypatch.setattr(losses, "validate", lambda f: count.append(f))
+    def test_validate_runs_once_per_field(self, validated, name):
         x, y = vec_prob([0.3, 0.9]), vec_label([1.0, 0.0])
+        assert validated == [x, y]
         getattr(losses, name)(x, y)
-        assert count == [x, y]
+        assert validated == [x, y]
 
     @pytest.mark.parametrize("batch_mode", [losses.PER_IMAGE_THEN_MEAN, losses.POOLED])
-    def test_batch_loss_validates_each_field_once(self, monkeypatch, batch_mode):
-        count = []
-        monkeypatch.setattr(losses, "validate", lambda f: count.append(f))
+    def test_batch_loss_validates_each_field_once(self, validated, batch_mode):
         xs = [vec_prob([0.3, 0.9]), vec_prob([0.5]), vec_prob([0.2, 0.4, 0.6])]
         ys = [vec_label([1.0, 0.0]), vec_label([0.0]), vec_label([0.0, 1.0, 1.0])]
+        assert validated == xs + ys
         batch_loss("dml1", xs, ys, ReductionSpec(batch_mode=batch_mode))
-        assert count == [f for pair in zip(xs, ys) for f in pair]
+        assert validated == xs + ys
 
     @pytest.mark.parametrize("batch_mode", [losses.PER_IMAGE_THEN_MEAN, losses.POOLED])
     def test_batch_loss_guards_any_soft_target(self, batch_mode):

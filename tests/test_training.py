@@ -82,6 +82,21 @@ class TestSynth:
             dices.append(mean_pairwise_rater_dice(ds))
         assert dices[0] > dices[1] > dices[2]
 
+    @pytest.mark.parametrize("n_classes", [1, 2])
+    def test_mean_pairwise_rater_dice_matches_hard_dice(self, n_classes):
+        """Scoring the masks gives the bits of hard_dice on the rater fields."""
+        from dicesm.metrics import foreground_class, hard_dice
+
+        for seed in (0, 3, 7):
+            ds = generate_synthetic(SynthSpec(n_images=4, height=16, width=16,
+                                              n_classes=n_classes, k_raters=4,
+                                              noise=RaterNoise((0, 1), 0.2), seed=seed))
+            c = foreground_class(n_classes)
+            scores = [hard_dice(rs[i], rs[j], c)
+                      for rs in (im.raters.raters for im in ds.images)
+                      for i in range(len(rs)) for j in range(i + 1, len(rs))]
+            assert mean_pairwise_rater_dice(ds) == float(np.mean(scores))
+
     def test_two_class_fields_validate(self):
         ds = generate_synthetic(SynthSpec(n_images=2, height=12, width=12,
                                           n_classes=2, k_raters=2, seed=0))
