@@ -72,6 +72,7 @@ from .training import (
     binarize,
     distill,
     generate_synthetic,
+    generate_with_clean,
     load_model,
     save_model,
     subset,
@@ -268,17 +269,17 @@ def cmd_calibrate(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
+    """Write each image's intensity, rater and clean masks as generated."""
     spec = SynthSpec(n_images=args.n_images, height=args.height, width=args.width,
                      n_classes=args.n_classes, k_raters=args.k_raters,
                      noise=RaterNoise((args.radius_lo, args.radius_hi),
                                       args.flip_prob),
                      image_noise=args.image_noise, seed=args.seed)
-    ds = generate_synthetic(spec)
     out = Path(args.out)
     for sub in ("images", "raters", "clean"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, im in enumerate(ds.images):
+    for i, (im, clean) in enumerate(generate_with_clean(spec)):
         img_path = f"images/img_{i:04d}.sdt"
         write_tensor(out / img_path, TensorF.from_array(im.image))
         rater_paths = []
@@ -287,7 +288,7 @@ def cmd_gen_data(args) -> int:
             write_field(out / rp, r)
             rater_paths.append(rp)
         clean_path = f"clean/img_{i:04d}.sdt"
-        write_field(out / clean_path, im.clean)
+        write_field(out / clean_path, clean)
         entries.append({"image": img_path, "raters": rater_paths,
                         "clean": clean_path})
     manifest = {
@@ -309,24 +310,23 @@ class DatasetDirError(DicesmError):
 
 
 def load_dataset_dir(path) -> SynthDataset:
-    """The dataset that gen-data wrote to path. A manifest that is not JSON,
-    lacks a key or holds a bad spec is bad data, not bad usage."""
+    """The images and rater masks that gen-data wrote to path (no clean mask
+    is read). A manifest that is not JSON, lacks a key (clean included) or
+    holds a bad spec is bad data, not bad usage."""
     root = Path(path)
     where = root / "manifest.json"
     try:
         manifest = json.loads(where.read_text())
         spec = from_json(SynthSpec, manifest["spec"])
-        entries = [(root / e["image"], [root / p for p in e["raters"]], root / e["clean"])
+        entries = [(root / e["image"], [root / p for p in e["raters"]], e["clean"])
                    for e in manifest["images"]]
     except KeyError as e:
         raise DatasetDirError(f"{where} lacks the key {e}") from None
     except (TypeError, ValueError, DicesmError) as e:
         raise DatasetDirError(f"{where} is malformed: {e}") from None
-    images = []
-    for image, raters, clean in entries:
-        images.append(SynthImage(read_tensor(image).as_array(), _stack_from_files(raters),
-                                 read_label_field(clean, "hard")))
-    return SynthDataset(spec, tuple(images))
+    return SynthDataset(spec, tuple(
+        SynthImage(read_tensor(image).as_array(), _stack_from_files(raters))
+        for image, raters, _ in entries))
 
 
 def _dataset_from_config(cfg: dict) -> SynthDataset:

@@ -277,6 +277,12 @@ def check_finite(arr: np.ndarray) -> None:
         raise NonFiniteError(f"non-finite value at flat index {i}", flat_index=i)
 
 
+def _hardness_of(a: np.ndarray) -> str:
+    """HARD if every value of a is 0 or 1, else SOFT: the ones are among the
+    nonzeros (NaN is nonzero, -0.0 is not), so the counts agree iff so."""
+    return HARD if np.count_nonzero(a) == np.count_nonzero(a == 1.0) else SOFT
+
+
 def validate(f: ProbField | LabelField) -> None:
     """Check the numeric invariants of a field; raise on the first violation.
 
@@ -291,9 +297,7 @@ def validate(f: ProbField | LabelField) -> None:
         i = int(np.flatnonzero((data < 0.0) | (data > 1.0))[0])
         raise OutOfRangeError(f"value {data[i]!r} outside [0, 1] at flat index {i}",
                               flat_index=i)
-    # on [0, 1], a hard field's nonzero values are exactly its ones
-    if (isinstance(f, LabelField) and f.is_hard
-            and np.count_nonzero(data) != np.count_nonzero(data == 1.0)):
+    if isinstance(f, LabelField) and f.is_hard and _hardness_of(data) != HARD:
         i = int(np.flatnonzero((data != 0.0) & (data != 1.0))[0])
         raise HardnessViolationError(
             f"hard label has value {data[i]!r} at flat index {i}", flat_index=i)
@@ -392,5 +396,5 @@ def read_label_field(path, hardness: str | None = None) -> LabelField:
     """Read a label field; hardness is inferred from the values unless given."""
     t = read_tensor(path)
     if hardness is None:
-        hardness = HARD if np.all((t.data == 0.0) | (t.data == 1.0)) else SOFT
+        hardness = _hardness_of(t.data)
     return LabelField(t, hardness)

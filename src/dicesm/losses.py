@@ -42,8 +42,8 @@ only what spans two of them: the soft-label guard and the dims, then
 with the name fixed and the params typed. They and ``batch_loss`` stay
 module functions because perfbench's tracer binds them by name. There is
 one copy of each kernel's arithmetic: the kernels and the terms work in
-place only on temporaries of their own, never on their inputs, and form
-the same IEEE operations in the same order on every path.
+place only on temporaries of their own (a pooled batch's copy is one),
+and form the same IEEE operations in the same order on every path.
 """
 
 from __future__ import annotations
@@ -400,15 +400,16 @@ def _overlap_terms(name: str, x: np.ndarray, y: np.ndarray, red: ReductionSpec, 
     return float(np.mean(vals)), grads
 
 
-def _ce_terms(x: np.ndarray, y: np.ndarray):
+def _ce_terms(x: np.ndarray, y: np.ndarray, own_x: bool = False):
     """Value and (C, p) gradient of the pixel-mean cross-entropy: the binary
-    row kernel at C == 1, the categorical -sum_c y log x / p at C >= 2."""
+    row kernel at C == 1, the categorical -sum_c y log x / p at C >= 2,
+    which clips x in place if own_x (x is the caller's scratch copy)."""
     C = x.shape[0]
     if C == 1:
         vals, grads, _ = _kernel_ce(x.reshape(1, -1), y.reshape(1, -1), None, 0.0)
         return float(vals[0]), grads
     p = x.shape[1] * x.shape[2]
-    Xc = np.clip(x, CE_CLAMP, 1.0 - CE_CLAMP)
+    Xc = np.clip(x, CE_CLAMP, 1.0 - CE_CLAMP, out=x if own_x else None)
     t = np.log(Xc)
     t *= y
     value = float(-np.sum(t) / p)
@@ -418,15 +419,17 @@ def _ce_terms(x: np.ndarray, y: np.ndarray):
     return value, grad.reshape(C, -1)
 
 
-def _terms(name: str, x: np.ndarray, y: np.ndarray, red: ReductionSpec, params):
+def _terms(name: str, x: np.ndarray, y: np.ndarray, red: ReductionSpec, params,
+           own_x: bool = False):
     """Value and (C, p) gradient of loss `name` on checked (C, H, W) arrays:
     the arithmetic that every field op, batch_loss and the training loop
     share. params is the loss's params object, defaults filled in."""
     if name == "ce":
-        return _ce_terms(x, y)
+        return _ce_terms(x, y, own_x)
     if name == "compound":
-        cv, cg = _ce_terms(x, y)
+        # the overlap term reads x before the ce term may clip it in place
         ov, og = _overlap_terms(params.overlap, x, y, red, None)
+        cv, cg = _ce_terms(x, y, own_x)
         return params.w_ce * cv + params.w_dml * ov, _mix(params.w_ce, cg, params.w_dml, og)
     return _overlap_terms(name, x, y, red, params)
 
@@ -565,7 +568,7 @@ def _reduce_batch(name: str, params, xs: Sequence[np.ndarray], ys: Sequence[np.n
 
     per_image_then_mean averages per-image values and divides each
     gradient by the batch size; pooled concatenates every image's pixels,
-    class by class, into one (C, 1, sum p) evaluation.
+    class by class, into one (C, 1, sum p) evaluation on copies of its own.
     """
     if len(xs) != len(ys) or not xs:
         raise ShapeMismatchError("batch needs equal, nonzero counts of x and y")
@@ -582,7 +585,7 @@ def _reduce_batch(name: str, params, xs: Sequence[np.ndarray], ys: Sequence[np.n
     if any(x.shape[0] != C for x in xs):
         raise ShapeMismatchError("pooled batch requires a common class count")
     value, g = _terms(name, np.concatenate([x.reshape(C, 1, -1) for x in xs], axis=2),
-                      np.concatenate([y.reshape(C, 1, -1) for y in ys], axis=2), red, params)
+                      np.concatenate([y.reshape(C, 1, -1) for y in ys], axis=2), red, params, True)
     ends = np.cumsum([x.shape[1] * x.shape[2] for x in xs])[:-1]
     return value, [part.reshape(x.shape)
                    for x, part in zip(xs, np.split(g.reshape(C, -1), ends, axis=1))]

@@ -165,16 +165,27 @@ def _bdice(x: np.ndarray, y: np.ndarray, thresholds) -> float:
 
 
 def ece(records: CalibRecord, spec: EceSpec | None = None) -> float:
-    """Binned expected calibration error sum_b (n_b/n) |acc_b - conf_b|."""
+    """Binned expected calibration error sum_b (n_b/n) |acc_b - conf_b|, by _ece."""
     spec = spec or EceSpec()
-    n = len(records)
+    return _ece(records.confidences, records.labels == 1.0, spec.n_bins)
+
+
+def _ece(conf: np.ndarray, labels: np.ndarray, n_bins: int) -> float:
+    """ece of float64 confidences and bool labels, for ece and the training
+    loop. Its one vector, the int64 bin index, also counts the positive
+    labels per bin, which equals summing 0.0/1.0 floats exactly."""
+    n = conf.size
     if n == 0:
         raise EmptyRecordsError("no calibration records")
-    conf = records.confidences
-    idx = np.minimum((conf * spec.n_bins).astype(np.int64), spec.n_bins - 1)
-    counts = np.bincount(idx, minlength=spec.n_bins)
-    conf_sum = np.bincount(idx, weights=conf, minlength=spec.n_bins)
-    acc_sum = np.bincount(idx, weights=records.labels, minlength=spec.n_bins)
+    if conf.min() < 0.0 or conf.max() > 1.0:
+        raise OutOfRangeError("confidences outside [0, 1]")
+    idx = np.multiply(conf, n_bins, out=np.empty(n, np.int64), casting="unsafe")  # truncated
+    np.minimum(idx, n_bins - 1, out=idx)
+    counts = np.bincount(idx, minlength=n_bins)
+    conf_sum = np.bincount(idx, weights=conf, minlength=n_bins)
+    idx += 1
+    idx *= labels  # bin + 1 for a positive label, 0 for a negative one
+    acc_sum = np.bincount(idx, minlength=n_bins + 1)[1:]
     occupied = counts > 0
     gaps = np.abs(acc_sum[occupied] - conf_sum[occupied]) / counts[occupied]
     return float(np.sum(counts[occupied] * gaps) / n)

@@ -16,6 +16,7 @@ from .core import (
     EmptyStackError,
     LabelField,
     RaterStack,
+    _hardness_of,
 )
 from .metrics import class_map, mask_dice, one_hot
 
@@ -108,8 +109,7 @@ def uniform_average(stack: RaterStack) -> LabelField:
     """Per pixel-class mean over raters, from their vote counts; values land
     on {0, 1/K, ..., 1}."""
     avg = vote_counts(stack) / len(stack)
-    hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
-    return LabelField.from_array(avg, hardness)
+    return LabelField.from_array(avg, _hardness_of(avg))
 
 
 def rater_weights(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> np.ndarray:
@@ -136,8 +136,7 @@ def _weighted_combine(stack: RaterStack, weights: np.ndarray) -> LabelField:
         np.multiply(m, wi, out=term)
         avg += term
     np.clip(avg, 0.0, 1.0, out=avg)
-    hardness = "hard" if np.all((avg == 0.0) | (avg == 1.0)) else "soft"
-    return LabelField.from_array(avg, hardness)
+    return LabelField.from_array(avg, _hardness_of(avg))
 
 
 def weighted_average(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelField:

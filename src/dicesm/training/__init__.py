@@ -33,5 +33,6 @@ from .synth import (
     SynthImage,
     SynthSpec,
     generate_synthetic,
+    generate_with_clean,
     mean_pairwise_rater_dice,
 )

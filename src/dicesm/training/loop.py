@@ -16,6 +16,11 @@ per step, one finiteness check of the probabilities and one of the
 gradients; per scored image, the prediction's finiteness and shape. They
 raise the NonFiniteError and ShapeMismatchError that the fields' checks
 would.
+
+Across steps only the features, targets, References and parameters live;
+a step's probabilities, caches and gradients are _batch_step's locals and
+die with it. evaluate holds one forward pass, plus float64 confidences,
+bool labels and ECE's int64 bin index over all scored pixels.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from ..losses import ReductionSpec, _guard_soft, _reduce_batch, parse_loss_param
 # not called here: perfbench's tracer self-test checks that tracing restores
 # this binding
 from ..losses import batch_loss  # noqa: F401
-from ..metrics import (BDiceSpec, CalibRecord, EceSpec, _bdice, class_map, ece,
-                       foreground_class, mask_dice, one_hot)
+from ..metrics import (BDiceSpec, EceSpec, _bdice, _ece, class_map, foreground_class,
+                       mask_dice, one_hot)
 from ..softlabels import SoftLabelSpec, build_labels_dataset, majority_map, vote_counts
 from .models import ModelSpec, build_model
 from .synth import SynthDataset
@@ -120,7 +125,9 @@ def evaluate(model, feats, refs) -> dict:
     finiteness and shape, and the references are valid by construction.
     """
     thresholds = BDiceSpec().thresholds
-    dices, bdices, confs, labels = [], [], [], []
+    n = sum(ref.majority_fg.size for ref in refs)
+    confs, labels = np.empty(n), np.empty(n, dtype=bool)
+    dices, bdices, end = [], [], 0
     for x, ref in zip(feats, refs):
         probs, _ = model.forward(x)
         check_finite(probs)
@@ -129,12 +136,13 @@ def evaluate(model, feats, refs) -> dict:
         fg = foreground_class(ref.votes.shape[0])
         dices.append(mask_dice(class_map(probs) == 1, ref.majority_fg))
         bdices.append(_bdice(probs[fg], ref.votes[fg] / ref.k, thresholds))
-        confs.append(probs[fg].flatten())  # a copy, so probs can be freed
-        labels.append(ref.majority_fg.ravel())
+        start, end = end, end + ref.majority_fg.size
+        confs[start:end] = probs[fg].reshape(-1)
+        labels[start:end] = ref.majority_fg.reshape(-1)
     return {
         "dice": float(np.mean(dices)),
         "bdice": float(np.mean(bdices)),
-        "ece": ece(CalibRecord(np.concatenate(confs), np.concatenate(labels)), EceSpec()),
+        "ece": _ece(confs, labels, EceSpec().n_bins),
     }
 
 
@@ -143,6 +151,31 @@ def _sgd_step(params, velocity, grads, lr, momentum, weight_decay):
         v = momentum * velocity[name] + g + weight_decay * params[name]
         velocity[name] = v
         params[name] -= lr * v
+
+
+def _batch_step(model, feats, ys, idx, spec: TrainSpec, params, kd, epoch: int, b: int):
+    """Forward, loss and backward of batch b of the epoch: the loss value and
+    the parameter gradients summed in image order, which alone outlive it."""
+    xs, caches = zip(*(model.forward(feats[i]) for i in idx))
+    for x in xs:
+        check_finite(x)
+    red = spec.reduction
+    value, grads_x = _reduce_batch(spec.loss_name, params, xs, [ys[i] for i in idx], red)
+    if kd is not None:
+        kd_value, kd_grads = kd.batch_terms(idx, xs, red, epoch, b)
+        value += kd.weight * kd_value
+        for g, kg in zip(grads_x, kd_grads):
+            kg *= kd.weight
+            g += kg
+    for g in grads_x:
+        check_finite(g)
+    if not np.isfinite(value):
+        raise DivergedLossError(f"loss {value!r} at epoch {epoch}")
+    param_grads = model.backward(caches[0], grads_x[0])
+    for cache, g in zip(caches[1:], grads_x[1:]):
+        for k, gp in model.backward(cache, g).items():
+            param_grads[k] += gp
+    return value, param_grads
 
 
 def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
@@ -158,7 +191,6 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
     if n == 0:
         raise EmptyDatasetError("no images")
     params, allow_soft = parse_loss_params(spec.loss_name, spec.loss_params)
-    red = spec.reduction
     feats = [model.prepare(im.image) for im in dataset.images]
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
@@ -179,35 +211,10 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
         epoch_losses = []
         for b in range(batches_per_epoch):
             idx = order[b * spec.batch_size:(b + 1) * spec.batch_size]
-            xs, caches = [], []
-            for i in idx:
-                probs, cache = model.forward(feats[i])
-                xs.append(probs)
-                caches.append(cache)
-            for x in xs:
-                check_finite(x)
-            value, grads_x = _reduce_batch(spec.loss_name, params, xs, [ys[i] for i in idx], red)
-            if kd is not None:
-                kd_value, kd_grads = kd.batch_terms(idx, xs, red, epoch, b)
-                value += kd.weight * kd_value
-                for g, kg in zip(grads_x, kd_grads):
-                    kg *= kd.weight
-                    g += kg
-            for g in grads_x:
-                check_finite(g)
-            if not np.isfinite(value):
-                raise DivergedLossError(f"loss {value!r} at epoch {epoch}")
+            value, grads = _batch_step(model, feats, ys, idx, spec, params, kd, epoch, b)
             epoch_losses.append(value)
-            param_grads = None
-            for cache, g in zip(caches, grads_x):
-                gp = model.backward(cache, g)
-                if param_grads is None:
-                    param_grads = gp
-                else:
-                    for k in param_grads:
-                        param_grads[k] = param_grads[k] + gp[k]
             lr = poly_lr(spec.lr0, t, total_steps, spec.poly_power)
-            _sgd_step(model.params, velocity, param_grads, lr,
+            _sgd_step(model.params, velocity, grads, lr,
                       spec.momentum, spec.weight_decay)
             t += 1
         due = eval_every and (epoch == spec.epochs - 1 or (epoch + 1) % eval_every == 0)

@@ -4,6 +4,7 @@ Each image holds 1-3 smooth blobs; the observed intensity is the blob field
 plus Gaussian pixel noise, and each of K raters annotates the clean mask
 after a random dilation/erosion of bounded radius plus independent flips of
 pixels in the boundary band. Everything is a pure function of the spec seed.
+A dataset keeps no clean mask; generate_with_clean yields them for gen-data.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SynthImage:
+    """An image and its raters; generate_with_clean yields its clean mask."""
+
     image: np.ndarray        # (H, W) observed intensity
     raters: RaterStack
-    clean: LabelField        # the noise-free mask the raters perturb
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,11 @@ def _perturb(rng, mask: np.ndarray, noise: RaterNoise, flip_prob: float) -> np.n
     return out
 
 
-def generate_synthetic(spec: SynthSpec) -> SynthDataset:
-    """Deterministic dataset of images with K perturbed rater masks each."""
+def generate_with_clean(spec: SynthSpec):
+    """Yield (SynthImage, clean) for each image of generate_synthetic(spec):
+    clean is the noise-free mask its raters perturb, as a hard LabelField."""
     streams = np.random.SeedSequence(spec.seed).spawn(spec.n_images)
     flip_probs = spec.noise.flip_probs(spec.k_raters)
-    images = []
     for ss in streams:
         rng = np.random.default_rng(ss)
         f = _blob_field(rng, spec.height, spec.width, spec.blob_radius)
@@ -153,9 +155,12 @@ def generate_synthetic(spec: SynthSpec) -> SynthDataset:
             _mask_to_field(_perturb(rng, clean, spec.noise, flip_probs[k]),
                            spec.n_classes)
             for k in range(spec.k_raters))
-        images.append(SynthImage(image, RaterStack(raters),
-                                 _mask_to_field(clean, spec.n_classes)))
-    return SynthDataset(spec, tuple(images))
+        yield SynthImage(image, RaterStack(raters)), _mask_to_field(clean, spec.n_classes)
+
+
+def generate_synthetic(spec: SynthSpec) -> SynthDataset:
+    """Deterministic dataset of images with K perturbed rater masks each."""
+    return SynthDataset(spec, tuple(im for im, _ in generate_with_clean(spec)))
 
 
 def mean_pairwise_rater_dice(ds: SynthDataset) -> float:

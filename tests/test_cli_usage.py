@@ -12,7 +12,8 @@ manifest that is not JSON or lacks its params, and a rater file that
 holds a value other than 0 or 1, under every soft-label strategy and in a
 training dataset, and an ECE (eval --metric ece, calibrate) of a prediction
 and a label whose dims differ or whose rows leave the simplex. Also: the
-compound curve honours its flags.
+compound curve honours its flags, and a dataset directory trains to the
+same bytes with its clean/ masks deleted.
 """
 
 import json
@@ -138,6 +139,30 @@ def test_dataset_manifest_without_clean_is_bad_data(monkeypatch, tmp_path, capsy
     assert cli.main(["train", "--config", "c.json"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "clean" in err and "Traceback" not in err
+
+
+def test_dataset_trains_the_same_without_its_clean_masks(monkeypatch, tmp_path, capsys):
+    import shutil
+
+    monkeypatch.chdir(tmp_path)
+    _gen_data(tmp_path / "with")
+    shutil.copytree(tmp_path / "with", tmp_path / "without")
+    shutil.rmtree(tmp_path / "without" / "clean")
+    runs = {}
+    for name in ("with", "without"):
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "data": {"dir": name}, "model": {"n_classes": 1},
+            "train": {"epochs": 2, "batch_size": 2, "lr0": 1.0,
+                      "label_source": {"strategy": "uniform_avg"}},
+            "eval_every": 1, "out_dir": "out"}))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", f"{name}.json"]) == 0
+        out = tmp_path / "out"
+        runs[name] = (capsys.readouterr().out,
+                      {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                       if p.is_file()})
+        shutil.rmtree(out)
+    assert runs["with"][1] and runs["with"] == runs["without"]
 
 
 @pytest.mark.parametrize("corrupt", [lambda m: "{not json", lambda m: "[1, 2]",

@@ -184,6 +184,40 @@ class TestValidateReference:
         assert e.value.flat_index == expected[1]
 
 
+class TestHardnessOf:
+    """core._hardness_of (two counts) picks the flag that the elementwise
+    np.all((a == 0) | (a == 1)) picked, and a field built with either flag
+    raises the same error."""
+
+    VALUES = [0.0, -0.0, 1.0, 0.5, 1e-300, np.nextafter(1.0, 0.0), 2.0, np.nan]
+
+    @staticmethod
+    def _old(a):
+        return "hard" if np.all((a == 0.0) | (a == 1.0)) else "soft"
+
+    @staticmethod
+    def _outcome(a, hardness):
+        try:
+            LabelField.from_array(a, hardness)
+        except core.DicesmError as e:
+            return type(e)
+        return None
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_elementwise_expression(self, k):
+        import itertools
+
+        for combo in itertools.product(self.VALUES, repeat=k):
+            a = np.array(combo).reshape(1, 1, k)
+            assert core._hardness_of(a) == self._old(a), combo
+            assert self._outcome(a, core._hardness_of(a)) == self._outcome(a, self._old(a))
+
+    def test_read_label_field_infers_it(self, tmp_path):
+        for values, want in (([0.0, -0.0, 1.0], "hard"), ([0.0, 0.5, 1.0], "soft")):
+            write_tensor(tmp_path / "y.sdt", TensorF.from_array(np.array(values).reshape(1, 1, 3)))
+            assert core.read_label_field(tmp_path / "y.sdt").hardness == want
+
+
 class TestRaterStack:
     def test_basic(self):
         r = LabelField.from_array(np.ones((1, 2, 2)))

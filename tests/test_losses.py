@@ -653,6 +653,67 @@ class TestArrayPath:
                                  ReductionSpec())
 
 
+class TestScratchCopies:
+    """The pooled batch's ce term clips the batch's own concatenated copy in
+    place; no path writes to a caller's array, and the pooled compound loss
+    holds at most four batch-sized arrays at a time."""
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("overlap", OVERLAP_NAMES)
+    def test_every_path_leaves_the_inputs_bit_identical(self, overlap, c):
+        rng = np.random.default_rng(c)
+        xs, ys = _batch_arrays(rng, c, hard=False, empty=False)
+        # exact 0s and 1s, which the clip would move
+        assert any(((x < losses.CE_CLAMP) | (x > 1.0 - losses.CE_CLAMP)).any() for x in xs)
+        kept = [a.copy() for a in xs + ys]
+        params = {"overlap": overlap}
+        bound, _ = losses.parse_loss_params("compound", params)
+        fields = [ProbField.from_array(x) for x in xs], \
+            [LabelField.from_array(y, "soft") for y in ys]
+        for batch_mode in (losses.PER_IMAGE_THEN_MEAN, losses.POOLED):
+            red = ReductionSpec(batch_mode=batch_mode)
+            losses._reduce_batch("compound", bound, xs, ys, red)
+            losses._reduce_batch("ce", None, xs, ys, red)
+            batch_loss("compound", *fields, red, params)
+        for x, y in zip(*fields):
+            loss("compound", x, y, None, params)
+        for a, b in zip(xs + ys, kept):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        for f, b in zip(fields[0] + fields[1], kept):
+            assert np.array_equal(f.array.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("name,params", [("compound", None),
+                                             ("compound", {"overlap": "dml2"}),
+                                             ("dml2", None)])
+    def test_pooled_peak_is_four_batch_arrays(self, name, params):
+        # Design bound, fixed before measuring: the concatenated x and y,
+        # then either the kernel's two buffers (one becomes the overlap
+        # gradient) or, for the ce term, the overlap gradient and the log
+        # buffer that becomes the ce gradient, which is what is returned.
+        # 1 MiB covers the (C,)-sized sums and the lists of views. A clip
+        # into a fresh array would make a fifth.
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        c, hw, n = 2, 192, 8
+        xs, ys = [], []
+        for _ in range(n):
+            p = rng.random((hw, hw))
+            xs.append(np.stack([1.0 - p, p]))
+            q = rng.integers(0, 5, (hw, hw)) / 4.0
+            ys.append(np.stack([1.0 - q, q]))
+        bound, _ = losses.parse_loss_params(name, params)
+        red = ReductionSpec(batch_mode=losses.POOLED)
+        batch_bytes = 8 * n * c * hw * hw
+        tracemalloc.start()
+        try:
+            losses._reduce_batch(name, bound, xs, ys, red)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * batch_bytes + 2 ** 20
+
+
 # The dml1 and dml2 kernels as closed forms with a new array per
 # operation: the oracles of TestInPlaceKernels.
 

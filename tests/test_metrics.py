@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dicesm import metrics, sdl
-from dicesm.core import LabelField, ProbField
+from dicesm.core import LabelField, OutOfRangeError, ProbField
 from dicesm.metrics import (
     BDiceSpec,
     CalibRecord,
@@ -18,7 +18,7 @@ from dicesm.metrics import (
     hard_dice,
 )
 
-from conftest import vec_prob, vec_label
+from conftest import ece_float_sums, edge_confidences, vec_label, vec_prob
 
 
 def mask_field(mask):
@@ -115,6 +115,35 @@ class TestEce:
     def test_conf_one_lands_in_last_bin(self):
         r = CalibRecord(np.array([1.0]), np.array([0.0]))
         assert ece(r, EceSpec(n_bins=15)) == 1.0
+
+
+class TestEceCore:
+    @pytest.mark.parametrize("n_bins", [1, 7, 15])
+    def test_matches_float_label_sums(self, n_bins):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            conf = edge_confidences(rng, 3000, n_bins)
+            assert {0.0, 1.0} <= set(conf.tolist())
+            labels = rng.random(conf.size) < conf
+            want = ece_float_sums(conf, labels, n_bins)
+            assert metrics._ece(conf, labels, n_bins) == want
+            assert ece(CalibRecord(conf, labels.astype(float)), EceSpec(n_bins)) == want
+
+    def test_leaves_its_inputs(self):
+        rng = np.random.default_rng(1)
+        conf = edge_confidences(rng, 500)
+        labels = rng.random(500) < 0.5
+        kept = conf.copy(), labels.copy()
+        metrics._ece(conf, labels, 15)
+        assert np.array_equal(conf, kept[0]) and np.array_equal(labels, kept[1])
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0 ** -52, 2.0])
+    def test_rejects_confidence_outside_the_unit_interval(self, bad):
+        conf = np.array([0.2, bad, 0.7])
+        with pytest.raises(OutOfRangeError):
+            metrics._ece(conf, np.array([True, False, True]), 15)
+        with pytest.raises(EmptyRecordsError):
+            metrics._ece(np.zeros(0), np.zeros(0, dtype=bool), 15)
 
 
 class TestSoftDiceScore:

@@ -26,6 +26,7 @@ from dicesm.training import (
     evaluate,
     forward,
     generate_synthetic,
+    generate_with_clean,
     load_model,
     mean_pairwise_rater_dice,
     poly_lr,
@@ -35,6 +36,8 @@ from dicesm.training import (
 )
 from dicesm.training import loop
 from dicesm.training.loop import References, build_targets, run_sgd
+
+from conftest import ece_float_sums, edge_confidences
 
 
 def tiny_dataset(n=6, hw=16, k=3, noise=RaterNoise((0, 1), 0.1), seed=5):
@@ -53,18 +56,30 @@ class TestSynth:
 
     def test_zero_noise_raters_equal_clean(self):
         ds = tiny_dataset(noise=RaterNoise((0, 0), 0.0))
-        for im in ds.images:
+        for im, clean in generate_with_clean(ds.spec):
             for r in im.raters.raters:
-                np.testing.assert_array_equal(r.array, im.clean.array)
+                np.testing.assert_array_equal(r.array, clean.array)
             assert uniform_average(im.raters).is_hard
+
+    @pytest.mark.parametrize("n_classes", [1, 2])
+    def test_generate_with_clean_yields_the_dataset(self, n_classes):
+        spec = SynthSpec(n_images=3, height=16, width=16, n_classes=n_classes,
+                         k_raters=3, noise=RaterNoise((0, 1), 0.2), seed=4)
+        pairs = list(generate_with_clean(spec))
+        ds = generate_synthetic(spec)
+        assert len(pairs) == len(ds)
+        for (im, clean), ref in zip(pairs, ds.images):
+            np.testing.assert_array_equal(im.image, ref.image)
+            np.testing.assert_array_equal(im.raters.masks, ref.raters.masks)
+            assert clean.is_hard and clean.dims == ref.raters.dims
 
     def test_noise_confined_to_boundary_band(self):
         radius = 2
         ds = tiny_dataset(n=4, hw=32, noise=RaterNoise((0, radius), 0.3))
         from scipy.ndimage import binary_dilation, binary_erosion
 
-        for im in ds.images:
-            clean = im.clean.array[0] == 1.0
+        for im, clean_field in generate_with_clean(ds.spec):
+            clean = clean_field.array[0] == 1.0
             # rater masks may differ from clean only within radius+1 of the edge
             outer = binary_dilation(clean, np.ones((3, 3), bool), iterations=radius + 1)
             inner = binary_erosion(clean, np.ones((3, 3), bool), iterations=radius + 1)
@@ -98,12 +113,11 @@ class TestSynth:
             assert mean_pairwise_rater_dice(ds) == float(np.mean(scores))
 
     def test_two_class_fields_validate(self):
-        ds = generate_synthetic(SynthSpec(n_images=2, height=12, width=12,
-                                          n_classes=2, k_raters=2, seed=0))
         from dicesm.core import validate
 
-        for im in ds.images:
-            validate(im.clean)
+        for im, clean in generate_with_clean(SynthSpec(n_images=2, height=12, width=12,
+                                                       n_classes=2, k_raters=2, seed=0)):
+            validate(clean)
             for r in im.raters.raters:
                 validate(r)
 
@@ -227,6 +241,48 @@ class TestSchedule:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("batch_mode", ["per_image_then_mean", "pooled"])
+    def test_step_arrays_die_with_their_step(self, monkeypatch, batch_mode):
+        """Every probability array and loss gradient of a step is freed
+        before the parameter update and before any evaluation."""
+        import weakref
+
+        ds = tiny_dataset(n=6)
+        model = build_model(ModelSpec(feature_set="intensity"))
+        live = []
+        forward, backward = model.forward, model.backward
+
+        def traced_forward(x):
+            probs, cache = forward(x)
+            live.append(weakref.ref(probs))
+            return probs, cache
+
+        def traced_backward(cache, g):
+            live.append(weakref.ref(g))
+            return backward(cache, g)
+
+        checked = []
+
+        def all_dead(fn):
+            def wrapper(*args):
+                assert all(r() is None for r in live)
+                checked.append(len(live))
+                live.clear()
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(model, "forward", traced_forward)
+        monkeypatch.setattr(model, "backward", traced_backward)
+        monkeypatch.setattr(loop, "_sgd_step", all_dead(loop._sgd_step))
+        monkeypatch.setattr(loop, "evaluate", all_dead(loop.evaluate))
+        spec = TrainSpec(epochs=2, batch_size=4, seed=1,
+                         reduction=ReductionSpec(batch_mode=batch_mode))
+        run_sgd(ds, build_targets(ds, spec.label_source), model, spec)
+        # per epoch: two steps of four and two images (a forward pass and a
+        # backward pass each), then an evaluation; its six forward passes
+        # are checked with the next epoch's first step
+        assert checked == [8, 4, 0, 6 + 8, 4, 0]
+
     def test_zero_epochs_leaves_model_untouched(self):
         ds = tiny_dataset()
         ms = ModelSpec(feature_set="intensity")
@@ -363,7 +419,72 @@ class TestTrainLoop:
         assert res.final_metrics["dice"] > 0.85
 
 
+class FixedOutputs:
+    """A model whose forward pass on feature i returns outputs[i]."""
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+
+    def forward(self, i):
+        return self.outputs[i], None
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("n_classes", [1, 2])
+    def test_ece_matches_metrics_ece_on_bin_edges(self, n_classes):
+        """The ECE over the filled vectors is metrics.ece of the same pixels,
+        and the float-sum reference, bit for bit, on exact 0s, 1s and bin
+        edges k / 15."""
+        from dicesm.metrics import CalibRecord, ece
+
+        ds = generate_synthetic(SynthSpec(n_images=3, height=20, width=20, k_raters=3,
+                                          n_classes=n_classes, seed=6))
+        refs = [References.of(im.raters) for im in ds.images]
+        labels = np.concatenate([ref.majority_fg.ravel() for ref in refs])
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            fgs = [edge_confidences(rng, 400).reshape(20, 20) for _ in ds.images]
+            outputs = [np.stack([1.0 - p, p]) if n_classes == 2 else p[None] for p in fgs]
+            conf = np.concatenate([p.ravel() for p in fgs])
+            got = evaluate(FixedOutputs(outputs), range(3), refs)["ece"]
+            assert got == ece(CalibRecord(conf, labels)) == ece_float_sums(conf, labels, 15)
+
+    def test_confidence_outside_the_unit_interval_raises(self):
+        from dicesm.core import OutOfRangeError
+
+        ds = tiny_dataset(n=2)
+        refs = [References.of(im.raters) for im in ds.images]
+        outputs = [np.full((1, 16, 16), 0.5) for _ in refs]
+        outputs[1][0, 3, 4] = 1.5
+        with pytest.raises(OutOfRangeError):
+            evaluate(FixedOutputs(outputs), range(2), refs)
+
+    def test_peak_memory_is_one_confidence_and_one_index_vector(self):
+        # Design bound, fixed before measuring: beside its inputs, evaluate
+        # holds one float64 vector of confidences and ECE's int64 bin index,
+        # each over every scored pixel; the 1 MiB covers the bool label
+        # vector (460,800 bytes here) and one 48 x 48 image's forward pass
+        # and scores. Per-image copies joined by np.concatenate, and float
+        # labels, would need three more float64 vectors.
+        import tracemalloc
+
+        n, hw = 200, 48
+        ds = generate_synthetic(SynthSpec(n_images=n, height=hw, width=hw, n_classes=2,
+                                          k_raters=1, seed=8))
+        model = build_model(ModelSpec(feature_set="intensity", n_classes=2))
+        model.params["w"] = np.random.default_rng(8).normal(0.0, 2.0, model.params["w"].shape)
+        feats = [model.prepare(im.image) for im in ds.images]
+        refs = [References.of(im.raters) for im in ds.images]
+        pixels = n * hw * hw
+        bound = 8 * pixels + 8 * pixels + 2 ** 20
+        tracemalloc.start()
+        try:
+            evaluate(model, feats, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_binarize(self):
         p = ProbField.from_array(np.array([0.4, 0.6]).reshape(1, 1, 2))
         np.testing.assert_array_equal(binarize(p).array.ravel(), [0.0, 1.0])
@@ -372,13 +493,14 @@ class TestEvaluate:
 
     def test_perfect_model_scores_one(self):
         ds = tiny_dataset(noise=RaterNoise((0, 0), 0.0))
+        cleans = [clean for _, clean in generate_with_clean(ds.spec)]
 
         class Oracle:
             def forward(self, img):
                 # look the clean mask up by matching the stored image
-                for im in ds.images:
+                for im, clean in zip(ds.images, cleans):
                     if im.image is img:
-                        return np.clip(im.clean.array, 0.02, 0.98), None
+                        return np.clip(clean.array, 0.02, 0.98), None
                 raise AssertionError
 
         m = evaluate(Oracle(), [im.image for im in ds.images],
@@ -462,6 +584,7 @@ class TestDistill:
         from dicesm.training import SynthDataset, SynthImage
 
         ds = tiny_dataset(n=16, hw=32, noise=RaterNoise((0, 1), 0.2), seed=21)
+        cleans = [clean for _, clean in generate_with_clean(ds.spec)]
         tr, va = subset(ds, range(12)), subset(ds, range(12, 16))
 
         class OracleTeacher:
@@ -471,9 +594,9 @@ class TestDistill:
                 return image
 
             def forward(self, img):
-                for im in ds.images:
+                for im, clean in zip(ds.images, cleans):
                     if im.image is img:
-                        return np.clip(im.clean.array, 0.05, 0.95), None
+                        return np.clip(clean.array, 0.05, 0.95), None
                 raise AssertionError
 
         ms = ModelSpec(feature_set="box_means", radii=(1, 2))
@@ -483,8 +606,7 @@ class TestDistill:
         kd = distill(tr, OracleTeacher(), ms, ts,
                      KdSpec(kd_weight=2.0, kd_terms="dml"), va, eval_every=0)
         clean_tr = SynthDataset(tr.spec, tuple(
-            SynthImage(im.image, RaterStack((im.clean,)), im.clean)
-            for im in tr.images))
+            SynthImage(im.image, RaterStack((clean,))) for im, clean in zip(tr.images, cleans)))
         upper = train(clean_tr, ms, ts, va, eval_every=0)
         assert kd.final_metrics["dice"] >= plain.final_metrics["dice"] - 0.02
         assert kd.final_metrics["dice"] >= upper.final_metrics["dice"] - 0.05
