@@ -584,8 +584,8 @@ def _reduce_batch(name: str, params, xs: Sequence[np.ndarray], ys: Sequence[np.n
     C = xs[0].shape[0]
     if any(x.shape[0] != C for x in xs):
         raise ShapeMismatchError("pooled batch requires a common class count")
-    value, g = _terms(name, np.concatenate([x.reshape(C, 1, -1) for x in xs], axis=2),
-                      np.concatenate([y.reshape(C, 1, -1) for y in ys], axis=2), red, params, True)
+    value, g = _terms(name, *(np.concatenate([a.reshape(C, 1, -1) for a in arrays], axis=2)
+                              for arrays in (xs, ys)), red, params, own_x=True)
     ends = np.cumsum([x.shape[1] * x.shape[2] for x in xs])[:-1]
     return value, [part.reshape(x.shape)
                    for x, part in zip(xs, np.split(g.reshape(C, -1), ends, axis=1))]

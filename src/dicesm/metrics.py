@@ -172,14 +172,14 @@ def ece(records: CalibRecord, spec: EceSpec | None = None) -> float:
 
 def _ece(conf: np.ndarray, labels: np.ndarray, n_bins: int) -> float:
     """ece of float64 confidences and bool labels, for ece and the training
-    loop. Its one vector, the int64 bin index, also counts the positive
-    labels per bin, which equals summing 0.0/1.0 floats exactly."""
+    loop. Its one int64 vector, the bin index (conf * n_bins truncated, as
+    astype does), then counts each bin's positive labels exactly."""
     n = conf.size
     if n == 0:
         raise EmptyRecordsError("no calibration records")
     if conf.min() < 0.0 or conf.max() > 1.0:
         raise OutOfRangeError("confidences outside [0, 1]")
-    idx = np.multiply(conf, n_bins, out=np.empty(n, np.int64), casting="unsafe")  # truncated
+    idx = np.multiply(conf, n_bins, out=np.empty(n, np.int64), casting="unsafe")
     np.minimum(idx, n_bins - 1, out=idx)
     counts = np.bincount(idx, minlength=n_bins)
     conf_sum = np.bincount(idx, weights=conf, minlength=n_bins)
