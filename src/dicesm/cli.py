@@ -57,6 +57,7 @@ from .metrics import (
     ece,
     foreground_class,
     hard_dice,
+    one_hot,
 )
 from .properties import run_suite
 from .softlabels import (STRATEGIES, TIE_BREAKS, WEIGHT_SCOPES, SoftLabelSpec, build_labels,
@@ -194,7 +195,7 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 def _stack_from_files(paths) -> RaterStack:
-    return RaterStack(tuple(read_label_field(p, "hard") for p in paths))
+    return RaterStack(tuple(read_label_field(p) for p in paths))
 
 
 def cmd_make_soft_labels(args) -> int:
@@ -240,7 +241,7 @@ def _calibration_pass(pred: ProbField, label: LabelField, spec: KdeSpec):
 
 def cmd_calibrate(args) -> int:
     pred = read_prob_field(args.pred)
-    label = read_label_field(args.label, "hard")
+    label = read_label_field(args.label)
     spec = KdeSpec(bandwidth=args.bandwidth, n_key=args.n_key,
                    pixel_scope=SCOPE_ALL if args.scope == "all" else SCOPE_BOUNDARY,
                    boundary_radius=args.boundary_radius, seed=args.seed)
@@ -288,7 +289,7 @@ def cmd_gen_data(args) -> int:
             write_field(out / rp, r)
             rater_paths.append(rp)
         clean_path = f"clean/img_{i:04d}.sdt"
-        write_field(out / clean_path, clean)
+        write_field(out / clean_path, LabelField.from_array(one_hot(clean, spec.n_classes)))
         entries.append({"image": img_path, "raters": rater_paths,
                         "clean": clean_path})
     manifest = {
@@ -397,9 +398,9 @@ def _read_config(path, allowed: set) -> dict:
 def cmd_train(args) -> int:
     cfg = _read_config(args.config, {"data", "model", "train", "val_fraction",
                                      "eval_every", "out_dir"})
-    dataset = _dataset_from_config(cfg["data"])
     model_spec = from_json(ModelSpec, cfg.get("model", {}))
     train_spec = _train_spec(cfg.get("train", {}))
+    dataset = _dataset_from_config(cfg["data"])
     tr, va = _split(dataset, cfg.get("val_fraction", 0.0), train_spec.seed)
     result = train(tr, model_spec, train_spec, va, cfg.get("eval_every", 1))
     _finish_training(result, cfg.get("out_dir", "train_out"))
@@ -409,12 +410,12 @@ def cmd_train(args) -> int:
 def cmd_distill(args) -> int:
     cfg = _read_config(args.config, {"data", "student", "train", "kd", "val_fraction",
                                      "eval_every", "out_dir"})
-    dataset = _dataset_from_config(cfg["data"])
     student_spec = from_json(ModelSpec, cfg.get("student", {}))
     train_spec = _train_spec(cfg.get("train", {}))
     kd_spec = from_json(KdSpec, cfg.get("kd", {}))
     if not kd_spec.teacher_checkpoint:
         raise UsageError("kd.teacher_checkpoint is required")
+    dataset = _dataset_from_config(cfg["data"])
     teacher = load_model(kd_spec.teacher_checkpoint)
     tr, va = _split(dataset, cfg.get("val_fraction", 0.0), train_spec.seed)
     result = distill(tr, teacher, student_spec, train_spec, kd_spec, va,

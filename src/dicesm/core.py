@@ -7,6 +7,8 @@ All types are immutable after construction and safe to share across workers.
 Each is valid by construction: a TensorF is finite, and a ProbField or
 LabelField runs :func:`validate` once, in its constructor, so every field
 that exists satisfies its invariants and no consumer checks them again.
+A LabelField's hardness is read off its values by :func:`_hardness_of`,
+the library's one hardness rule.
 Arithmetic everywhere is float64; files store float32 and readers up-convert.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,28 +146,22 @@ class TensorF:
         return self.data.size
 
 
-def _check_chw(tensor: TensorF, what: str) -> None:
-    if len(tensor.dims) != 3:
-        raise ShapeMismatchError(f"{what} requires dims [C, H, W], got {tensor.dims}")
-
-
 @dataclass(frozen=True)
-class ProbField:
-    """Per-pixel class probabilities over a [C, H, W] grid.
-
-    C == 1 is a binary foreground probability; C >= 2 rows live on the
-    probability simplex per pixel. The constructor checks the numeric
-    invariants once, with :func:`validate`.
-    """
+class _Field:
+    """A [C, H, W] tensor of values in [0, 1], on the probability simplex
+    per pixel for C >= 2; the constructor checks both once, with
+    :func:`validate`. C == 1 is a binary foreground channel."""
 
     tensor: TensorF
 
     def __post_init__(self):
-        _check_chw(self.tensor, "ProbField")
+        if len(self.tensor.dims) != 3:
+            raise ShapeMismatchError(
+                f"{type(self).__name__} requires dims [C, H, W], got {self.tensor.dims}")
         validate(self)
 
     @classmethod
-    def from_array(cls, arr) -> "ProbField":
+    def from_array(cls, arr):
         return cls(TensorF.from_array(arr))
 
     @property
@@ -182,38 +178,20 @@ class ProbField:
 
 
 @dataclass(frozen=True)
-class LabelField:
-    """Per-pixel training target over a [C, H, W] grid.
+class ProbField(_Field):
+    """Per-pixel class probabilities over a [C, H, W] grid."""
 
-    hardness == "hard" means every value is exactly 0 or 1; "soft" allows
-    any value in [0, 1]. The simplex invariant applies for C >= 2 either way.
-    The constructor checks them once, with :func:`validate`.
-    """
 
-    tensor: TensorF
-    hardness: str = HARD
+@dataclass(frozen=True)
+class LabelField(_Field):
+    """Per-pixel training target over a [C, H, W] grid; hardness is HARD
+    when every value is exactly 0 or 1, else SOFT."""
+
+    hardness: str = field(init=False)
 
     def __post_init__(self):
-        _check_chw(self.tensor, "LabelField")
-        if self.hardness not in (HARD, SOFT):
-            raise ValueError(f"hardness must be '{HARD}' or '{SOFT}', got {self.hardness!r}")
-        validate(self)
-
-    @classmethod
-    def from_array(cls, arr, hardness: str = HARD) -> "LabelField":
-        return cls(TensorF.from_array(arr), hardness)
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.tensor.as_array()
-
-    @property
-    def n_classes(self) -> int:
-        return self.tensor.dims[0]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.tensor.dims
+        super().__post_init__()
+        object.__setattr__(self, "hardness", _hardness_of(self.tensor.data))
 
     @property
     def is_hard(self) -> bool:
@@ -224,8 +202,8 @@ class LabelField:
 class RaterStack:
     """K independent hard annotations of one image, identical dims.
 
-    The constructor takes the K hard LabelFields, each valid since it was
-    built, and checks only their dims and hardness flags. It keeps only
+    The constructor takes the K LabelFields, each valid since it was built,
+    and checks only that their dims agree and that each is hard. It keeps only
     ``masks``, the raters as one read-only (K, C, H, W) bool array (True
     where a rater marks 1), an eighth of the float64 fields' memory; no
     field is retained. Every consumer counts votes and combines raters on
@@ -243,9 +221,7 @@ class RaterStack:
         masks = np.empty((len(raters),) + dims, dtype=bool)
         for k, r in enumerate(raters):
             if r.dims != dims:
-                raise ShapeMismatchError(
-                    f"rater {k} has dims {r.dims}, expected {dims}"
-                )
+                raise ShapeMismatchError(f"rater {k} has dims {r.dims}, expected {dims}")
             if not r.is_hard:
                 raise HardnessViolationError(f"rater {k} is not hard")
             np.equal(r.array, 1.0, out=masks[k])
@@ -262,7 +238,7 @@ class RaterStack:
     @property
     def raters(self) -> tuple[LabelField, ...]:
         """The K hard LabelFields, rebuilt from the masks on each call."""
-        return tuple(LabelField.from_array(m, HARD) for m in self.masks)
+        return tuple(LabelField.from_array(m) for m in self.masks)
 
 
 # --------------------------------------------------------------------------
@@ -289,18 +265,14 @@ def validate(f: ProbField | LabelField) -> None:
     The ProbField and LabelField constructors call this once; finiteness is
     TensorF's own invariant. Each check is one whole-array reduction, and
     only a failing one looks for its first offending element. Raises
-    OutOfRangeError, HardnessViolationError or SimplexViolationError, each
-    carrying that element's flat index.
+    OutOfRangeError or SimplexViolationError, each carrying that element's
+    flat index.
     """
     data = f.tensor.data
     if data.min() < 0.0 or data.max() > 1.0:
         i = int(np.flatnonzero((data < 0.0) | (data > 1.0))[0])
         raise OutOfRangeError(f"value {data[i]!r} outside [0, 1] at flat index {i}",
                               flat_index=i)
-    if isinstance(f, LabelField) and f.is_hard and _hardness_of(data) != HARD:
-        i = int(np.flatnonzero((data != 0.0) & (data != 1.0))[0])
-        raise HardnessViolationError(
-            f"hard label has value {data[i]!r} at flat index {i}", flat_index=i)
     if f.n_classes >= 2:
         sums = f.array.sum(axis=0).reshape(-1)
         # s - 1 is exact for s in [0.5, 2], so this is max |s - 1| > SIMPLEX_TOL
@@ -320,13 +292,19 @@ def check_same_dims(a, b) -> None:
 # Spec dataclasses from JSON
 # --------------------------------------------------------------------------
 
+# The JSON values an annotation takes besides its own type
+_JSON_TYPES = {float: (int, float), tuple: list}
+
+
 def from_json(cls, d):
     """Build the spec dataclass ``cls`` from a JSON object.
 
     Keys are field names and a missing key keeps the field's default. A
-    field typed as a dataclass is built from its own nested object. The
-    dataclass's ``__post_init__`` checks the values. Non-object input and
-    unknown keys raise ValueError.
+    field typed as a dataclass is built from its own nested object; any
+    other value must be of a type its annotation allows (a list for a
+    tuple, a boolean only for bool). The dataclass's ``__post_init__``
+    checks the values. Non-object input, unknown keys and mistyped values
+    raise ValueError.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} needs a JSON object, got {type(d).__name__}")
@@ -334,6 +312,12 @@ def from_json(cls, d):
     extra = sorted(set(d) - {f.name for f in fields(cls)})
     if extra:
         raise ValueError(f"unknown {cls.__name__} keys: {extra}")
+    for k, v in d.items():
+        tp = types[k]
+        if not is_dataclass(tp) and not any(
+                isinstance(v, _JSON_TYPES.get(t, t)) and (t is bool or not isinstance(v, bool))
+                for t in typing.get_args(tp) or (tp,)):
+            raise ValueError(f"{cls.__name__}.{k} must be {getattr(tp, '__name__', tp)}, got {v!r}")
     return cls(**{k: from_json(types[k], v) if is_dataclass(types[k]) else v
                   for k, v in d.items()})
 
@@ -392,9 +376,5 @@ def read_prob_field(path) -> ProbField:
     return ProbField(read_tensor(path))
 
 
-def read_label_field(path, hardness: str | None = None) -> LabelField:
-    """Read a label field; hardness is inferred from the values unless given."""
-    t = read_tensor(path)
-    if hardness is None:
-        hardness = _hardness_of(t.data)
-    return LabelField(t, hardness)
+def read_label_field(path) -> LabelField:
+    return LabelField(read_tensor(path))

@@ -544,7 +544,9 @@ def parse_loss_params(name: str, params: dict | None):
         raise ValueError(f"unknown loss {name!r}; choose from {LOSS_NAMES}")
     entry = LOSSES[name]
     params = dict(params or {})
-    allow_soft = bool(params.pop("allow_soft", False)) if entry.hard_only else False
+    allow_soft = params.pop("allow_soft", False) if entry.hard_only else False
+    if not isinstance(allow_soft, bool):
+        raise ValueError(f"allow_soft must be true or false, got {allow_soft!r}")
     if entry.params is None:
         if params:
             raise ValueError(f"loss {name!r} takes no params, got {sorted(params)}")

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    HARD,
     DicesmError,
     LabelField,
     ProbField,
     OutOfRangeError,
     ShapeMismatchError,
+    _hardness_of,
     check_same_dims,
 )
 
@@ -102,7 +104,7 @@ class BDiceSpec:
 
 @dataclass(frozen=True)
 class CalibRecord:
-    """Flattened (confidence, binary label) pairs."""
+    """Flattened (confidence, label) pairs; the labels must be hard (0 or 1)."""
 
     confidences: np.ndarray
     labels: np.ndarray
@@ -114,7 +116,7 @@ class CalibRecord:
             raise ShapeMismatchError("confidences and labels differ in length")
         if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
             raise OutOfRangeError("confidences outside [0, 1]")
-        if not np.all((lab == 0.0) | (lab == 1.0)):
+        if _hardness_of(lab) != HARD:
             raise SoftInputError("labels must be 0 or 1")
         conf.flags.writeable = False
         lab.flags.writeable = False

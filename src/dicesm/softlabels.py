@@ -1,7 +1,7 @@
 """Training-target construction from multi-rater stacks: majority vote,
 random rater selection, uniform and Dice-weighted averaging, and label
-smoothing. Every output is a LabelField, so its construction checks range,
-hardness and simplex.
+smoothing. Every output is a LabelField, so its construction checks range
+and simplex and reads its hardness off the values.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .core import (
     EmptyStackError,
     LabelField,
     RaterStack,
-    _hardness_of,
 )
 from .metrics import class_map, mask_dice, one_hot
 
@@ -95,21 +94,20 @@ def _majority_masks(stack: RaterStack, tie_break: str) -> np.ndarray:
 
 def majority_vote(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelField:
     """Per pixel, the class backed by the most raters; ties as in majority_map."""
-    return LabelField.from_array(_majority_masks(stack, tie_break), "hard")
+    return LabelField.from_array(_majority_masks(stack, tie_break))
 
 
 def random_rater(stack: RaterStack, seed: int) -> LabelField:
     """One whole rater chosen uniformly by the seed (per image, not per pixel)."""
     u = np.random.default_rng(seed).random()
     idx = min(int(u * len(stack)), len(stack) - 1)
-    return LabelField.from_array(stack.masks[idx], "hard")
+    return LabelField.from_array(stack.masks[idx])
 
 
 def uniform_average(stack: RaterStack) -> LabelField:
     """Per pixel-class mean over raters, from their vote counts; values land
     on {0, 1/K, ..., 1}."""
-    avg = vote_counts(stack) / len(stack)
-    return LabelField.from_array(avg, _hardness_of(avg))
+    return LabelField.from_array(vote_counts(stack) / len(stack))
 
 
 def rater_weights(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> np.ndarray:
@@ -136,7 +134,7 @@ def _weighted_combine(stack: RaterStack, weights: np.ndarray) -> LabelField:
         np.multiply(m, wi, out=term)
         avg += term
     np.clip(avg, 0.0, 1.0, out=avg)
-    return LabelField.from_array(avg, _hardness_of(avg))
+    return LabelField.from_array(avg)
 
 
 def weighted_average(stack: RaterStack, tie_break: str = TIE_BACKGROUND) -> LabelField:
@@ -178,15 +176,12 @@ def label_smoothing(y: LabelField, epsilon: float) -> LabelField:
 
     C >= 2: y' = (1 - eps) * y + eps / C. C == 1 treats the field as the
     foreground half of a two-class pair: y' = (1 - eps) * y + eps / 2.
-    eps == 0 is the identity (and stays hard).
+    eps == 0 is the identity.
     """
     if not 0.0 <= epsilon < 1.0:
         raise BadEpsilonError(f"epsilon {epsilon!r} outside [0, 1)")
-    c = y.n_classes
-    uniform = 0.5 if c == 1 else 1.0 / c
-    arr = (1.0 - epsilon) * y.array + epsilon * uniform
-    hardness = y.hardness if epsilon == 0.0 else "soft"
-    return LabelField.from_array(arr, hardness)
+    uniform = 1.0 / max(y.n_classes, 2)
+    return LabelField.from_array((1.0 - epsilon) * y.array + epsilon * uniform)
 
 
 def build_labels(stack: RaterStack, spec: SoftLabelSpec) -> LabelField:

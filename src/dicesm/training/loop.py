@@ -87,7 +87,7 @@ def poly_lr(lr0: float, t: int, total: int, power: float) -> float:
 
 def binarize(probs: ProbField) -> LabelField:
     """One-hot field of the class map (the map itself at C == 1)."""
-    return LabelField.from_array(one_hot(class_map(probs.array), probs.n_classes), "hard")
+    return LabelField.from_array(one_hot(class_map(probs.array), probs.n_classes))
 
 
 @dataclass(frozen=True)

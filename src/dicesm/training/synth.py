@@ -15,7 +15,7 @@ import numpy as np
 
 from .._filters import dilate3, erode3
 from ..core import DicesmError, LabelField, RaterStack
-from ..metrics import foreground_class, mask_dice
+from ..metrics import foreground_class, mask_dice, one_hot
 
 
 class BadSpecError(DicesmError):
@@ -104,13 +104,6 @@ class SynthDataset:
         return [im.raters for im in self.images]
 
 
-def _mask_to_field(mask: np.ndarray, n_classes: int) -> LabelField:
-    m = mask.astype(np.float64)
-    if n_classes == 1:
-        return LabelField.from_array(m[None], "hard")
-    return LabelField.from_array(np.stack([1.0 - m, m]), "hard")
-
-
 def _blob_field(rng, h, w, radius_frac):
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     f = np.zeros((h, w))
@@ -143,7 +136,7 @@ def _perturb(rng, mask: np.ndarray, noise: RaterNoise, flip_prob: float) -> np.n
 
 def generate_with_clean(spec: SynthSpec):
     """Yield (SynthImage, clean) for each image of generate_synthetic(spec):
-    clean is the noise-free mask its raters perturb, as a hard LabelField."""
+    clean is the noise-free (H, W) bool foreground mask its raters perturb."""
     streams = np.random.SeedSequence(spec.seed).spawn(spec.n_images)
     flip_probs = spec.noise.flip_probs(spec.k_raters)
     for ss in streams:
@@ -152,10 +145,10 @@ def generate_with_clean(spec: SynthSpec):
         clean = f > np.exp(-1.0)  # pixels within one blob radius
         image = f + spec.image_noise * rng.standard_normal(f.shape)
         raters = tuple(
-            _mask_to_field(_perturb(rng, clean, spec.noise, flip_probs[k]),
-                           spec.n_classes)
+            LabelField.from_array(one_hot(_perturb(rng, clean, spec.noise, flip_probs[k]),
+                                          spec.n_classes))
             for k in range(spec.k_raters))
-        yield SynthImage(image, RaterStack(raters)), _mask_to_field(clean, spec.n_classes)
+        yield SynthImage(image, RaterStack(raters)), clean
 
 
 def generate_synthetic(spec: SynthSpec) -> SynthDataset:

@@ -16,12 +16,9 @@ def vec_prob(values) -> ProbField:
     return ProbField.from_array(a)
 
 
-def vec_label(values, hardness=None) -> LabelField:
-    """C == 1 label field from a flat vector; hardness inferred unless given."""
-    a = np.asarray(values, dtype=np.float64).reshape(1, 1, -1)
-    if hardness is None:
-        hardness = "hard" if np.all((a == 0.0) | (a == 1.0)) else "soft"
-    return LabelField.from_array(a, hardness)
+def vec_label(values) -> LabelField:
+    """C == 1 label field from a flat vector."""
+    return LabelField.from_array(np.asarray(values, dtype=np.float64).reshape(1, 1, -1))
 
 
 def edge_confidences(rng, n, n_bins=15):

@@ -4,14 +4,16 @@ a val_fraction outside [0, 1) or one that leaves no training image, a
 negative box-mean radius in a model config, JSON inputs that lack a
 required key, calibrate on a three-class field (ECE is binary; nothing is
 written), a calibrate bandwidth or sweep entry that is not positive and
-finite, and a config number that is NaN, Infinity, -Infinity or
-overflows to inf. Data files are bad data, exit 1 with one stderr line
-that names the file: a dataset manifest that lacks a key, is not JSON, is
-not an object or has an unknown spec key, and a teacher checkpoint
-manifest that is not JSON or lacks its params, and a rater file that
-holds a value other than 0 or 1, under every soft-label strategy and in a
-training dataset, and an ECE (eval --metric ece, calibrate) of a prediction
-and a label whose dims differ or whose rows leave the simplex. Also: the
+finite, a config number that is NaN, Infinity, -Infinity or overflows to
+inf, and a config value of the wrong JSON type, refused before any data is
+read. Data files are bad data, exit 1 with one stderr line that names the
+file: a dataset manifest that lacks a key, is not JSON, is not an object or
+has an unknown spec key, and a teacher checkpoint manifest that is not JSON
+or lacks its params, and a rater file that holds a value other than 0 or 1,
+under every soft-label strategy and in a training dataset, an ECE (eval
+--metric ece, calibrate) of a prediction and a label whose dims differ or
+whose rows leave the simplex, and a soft label where calibrate or eval
+--metric dice needs a hard one. Also: the
 compound curve honours its flags, and a dataset directory trains to the
 same bytes with its clean/ masks deleted.
 """
@@ -100,6 +102,24 @@ def test_negative_radius_is_a_usage_error(monkeypatch, tmp_path, capsys):
         "model": {"radii": [1, -1]}, "train": {"epochs": 1}, "out_dir": "out"}))
     assert cli.main(["train", "--config", "c.json"]) == 2
     assert "radii" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# data names a directory that does not exist, which would exit 1 if it
+# were read before the config's values are checked
+@pytest.mark.parametrize("command,key,value,message", [
+    ("distill", "kd", {"teacher_checkpoint": "teacher", "use_kde": "false"},
+     "KdSpec.use_kde must be bool, got 'false'"),
+    ("train", "train", {"epochs": True}, "TrainSpec.epochs must be int, got True"),
+], ids=["use_kde", "epochs"])
+def test_mistyped_config_value_is_a_usage_error(command, key, value, message, monkeypatch,
+                                                tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "missing"}, key: value,
+                                                 "out_dir": "out"}))
+    assert cli.main([command, "--config", "c.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -209,7 +229,7 @@ def test_calibrate_refuses_three_classes(extra, monkeypatch, tmp_path, capsys):
         rng.dirichlet(np.ones(3), size=(8, 8)).transpose(2, 0, 1)))
     winner = rng.integers(0, 3, size=(8, 8))
     write_field("label.sdt", LabelField.from_array(
-        (np.arange(3)[:, None, None] == winner).astype(np.float64), "hard"))
+        (np.arange(3)[:, None, None] == winner).astype(np.float64)))
     code = cli.main(["calibrate", "--pred", "pred.sdt", "--label", "label.sdt", *extra])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -231,7 +251,7 @@ def test_ece_refuses_mismatched_dims(case, argv, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
     pred, label = ECE_DIMS_MISMATCHES[case]
     write_field("pred.sdt", ProbField.from_array(pred))
-    write_field("label.sdt", LabelField.from_array(label, "hard"))
+    write_field("label.sdt", LabelField.from_array(label))
     code = cli.main([*argv, "--pred", "pred.sdt", "--label", "label.sdt"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
@@ -272,8 +292,25 @@ def test_ece_rejects_rows_off_the_simplex(bad, argv, monkeypatch, tmp_path, caps
     assert not (tmp_path / "cal.sdt").exists()
 
 
-# a rater file is read as hard: 0.5 breaks hardness, 1.5 the [0, 1] range
+# a rater must be hard: 0.5 makes a soft label, 1.5 leaves the [0, 1] range
 BAD_RATER_VALUES = [(0.5, "HardnessViolationError"), (1.5, "OutOfRangeError")]
+
+
+@pytest.mark.parametrize("argv", [["calibrate", "--out", "cal.sdt"],
+                                  ["calibrate", "--sweep", "0.01,0.1"],
+                                  ["eval", "--metric", "dice"]])
+def test_soft_label_where_a_hard_one_is_needed(argv, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(6)
+    p, q = rng.random((2, 8, 8))
+    write_field("pred.sdt", ProbField.from_array(np.stack([1.0 - p, p])))
+    write_field("label.sdt", LabelField.from_array(np.stack([1.0 - q, q])))
+    code = cli.main([*argv, "--pred", "pred.sdt", "--label", "label.sdt"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.count("\n") == 1 and "SoftInputError" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "cal.sdt").exists()
 
 
 @pytest.mark.parametrize("value,error", BAD_RATER_VALUES)
@@ -316,7 +353,7 @@ def _two_class_field() -> None:
     p = rng.random((8, 8))
     write_field("pred.sdt", ProbField.from_array(np.stack([1.0 - p, p])))
     fg = (p > 0.5).astype(np.float64)
-    write_field("label.sdt", LabelField.from_array(np.stack([1.0 - fg, fg]), "hard"))
+    write_field("label.sdt", LabelField.from_array(np.stack([1.0 - fg, fg])))
 
 
 @pytest.mark.parametrize("flags", [["--bandwidth", "nan", "--out", "cal.sdt"],

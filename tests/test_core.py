@@ -71,7 +71,7 @@ class TestValidate:
     def test_two_class_simplex_ok(self):
         a = np.full((2, 3, 3), 0.5)
         validate(ProbField.from_array(a))
-        validate(LabelField.from_array(a, "soft"))
+        validate(LabelField.from_array(a))
 
     def test_out_of_range(self):
         a = np.full((1, 2, 2), 0.5)
@@ -86,14 +86,6 @@ class TestValidate:
         with pytest.raises(SimplexViolationError) as e:
             validate(ProbField.from_array(a))
         assert e.value.flat_index == 0
-
-    def test_hardness_violation(self):
-        a = np.zeros((1, 2, 2))
-        a[0, 0, 1] = 0.25
-        with pytest.raises(HardnessViolationError) as e:
-            validate(LabelField.from_array(a, "hard"))
-        assert e.value.flat_index == 1
-        validate(LabelField.from_array(a, "soft"))
 
     def test_simplex_tolerance_absorbs_rounding(self):
         a = np.full((2, 1, 1), 0.5)
@@ -130,10 +122,8 @@ class TestValidate:
     @pytest.mark.parametrize("build,values,error,index", [
         (ProbField.from_array, [[[0.5, -0.25]]], OutOfRangeError, 1),
         (LabelField.from_array, [[[1.0, 1.5]]], OutOfRangeError, 1),
-        (LabelField.from_array, [[[1.0, 0.0, 0.25]]], HardnessViolationError, 2),
         (ProbField.from_array, [[[0.5, 0.5]], [[0.5, 0.25]]], SimplexViolationError, 1),
-        (lambda a: LabelField.from_array(a, "soft"), [[[0.5, 1.0]], [[0.5, 1.0]]],
-         SimplexViolationError, 1),
+        (LabelField.from_array, [[[0.5, 1.0]], [[0.5, 1.0]]], SimplexViolationError, 1),
     ])
     def test_from_array_rejects(self, build, values, error, index):
         with pytest.raises(error) as e:
@@ -141,17 +131,12 @@ class TestValidate:
         assert e.value.flat_index == index
 
 
-def _first_violation(a: np.ndarray, hard: bool):
+def _first_violation(a: np.ndarray):
     """(error type, flat index) of the first violation, found element by
     element, or None: the reference for validate's reductions."""
-    flat = a.reshape(-1)
-    for i, v in enumerate(flat):
+    for i, v in enumerate(a.reshape(-1)):
         if not 0.0 <= v <= 1.0:
             return OutOfRangeError, i
-    if hard:
-        for i, v in enumerate(flat):
-            if v != 0.0 and v != 1.0:
-                return HardnessViolationError, i
     if a.shape[0] >= 2:
         for i, s in enumerate(a.sum(axis=0).reshape(-1)):
             if abs(s - 1.0) > core.SIMPLEX_TOL:
@@ -164,30 +149,38 @@ _EDGE = [0.0, -0.0, 1.0, 0.5, 0.25, 0.75, 1.0 + 2.0 ** -52, -2.0 ** -1074,
 
 
 class TestValidateReference:
+    """ProbField and LabelField accept and reject the same arrays, with the
+    elementwise reference's error and index; a LabelField that is built is
+    hard exactly when every value is 0 or 1."""
+
     @settings(max_examples=300, deadline=None)
     @given(c=st.integers(1, 3), n=st.integers(1, 6), hard=st.booleans(),
            data=st.data())
     def test_matches_the_elementwise_checks(self, c, n, hard, data):
-        values = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE),
-                                              st.floats(-0.1, 1.1)),
-                                    min_size=c * n, max_size=c * n))
+        # hard draws only 0, -0.0 and 1, so that hard labels are common
+        elements = st.sampled_from(_EDGE[:3]) if hard else st.one_of(
+            st.sampled_from(_EDGE), st.floats(-0.1, 1.1))
+        values = data.draw(st.lists(elements, min_size=c * n, max_size=c * n))
         a = np.array(values).reshape(c, 1, n)
         if c >= 2 and data.draw(st.booleans()):
             a[-1] = 1.0 - a[:-1].sum(axis=0)
-        hardness = "hard" if hard else "soft"
-        expected = _first_violation(a, hard)
+        expected = _first_violation(a)
+        for build in (ProbField.from_array, LabelField.from_array):
+            if expected is None:
+                build(a)
+                continue
+            with pytest.raises(expected[0]) as e:
+                build(a)
+            assert e.value.flat_index == expected[1]
         if expected is None:
-            LabelField.from_array(a, hardness)
-            return
-        with pytest.raises(expected[0]) as e:
-            LabelField.from_array(a, hardness)
-        assert e.value.flat_index == expected[1]
+            assert LabelField.from_array(a).is_hard == bool(np.all((a == 0.0) | (a == 1.0)))
 
 
 class TestHardnessOf:
-    """core._hardness_of (two counts) picks the flag that the elementwise
-    np.all((a == 0) | (a == 1)) picked, and a field built with either flag
-    raises the same error."""
+    """core._hardness_of (two counts), the one hardness rule, agrees with
+    the elementwise np.all((a == 0) | (a == 1)) on every edge array, -0.0
+    and NaN included; a LabelField built from an array in range takes that
+    hardness, and CalibRecord accepts exactly the hard label arrays."""
 
     VALUES = [0.0, -0.0, 1.0, 0.5, 1e-300, np.nextafter(1.0, 0.0), 2.0, np.nan]
 
@@ -195,22 +188,23 @@ class TestHardnessOf:
     def _old(a):
         return "hard" if np.all((a == 0.0) | (a == 1.0)) else "soft"
 
-    @staticmethod
-    def _outcome(a, hardness):
-        try:
-            LabelField.from_array(a, hardness)
-        except core.DicesmError as e:
-            return type(e)
-        return None
-
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_the_elementwise_expression(self, k):
         import itertools
 
+        from dicesm.metrics import CalibRecord, SoftInputError
+
         for combo in itertools.product(self.VALUES, repeat=k):
             a = np.array(combo).reshape(1, 1, k)
-            assert core._hardness_of(a) == self._old(a), combo
-            assert self._outcome(a, core._hardness_of(a)) == self._outcome(a, self._old(a))
+            want = self._old(a)
+            assert core._hardness_of(a) == want, combo
+            if np.all((a >= 0.0) & (a <= 1.0)):
+                assert LabelField.from_array(a).hardness == want, combo
+            if want == "hard":
+                assert len(CalibRecord(np.zeros(k), a)) == k
+            else:
+                with pytest.raises(SoftInputError):
+                    CalibRecord(np.zeros(k), a)
 
     def test_read_label_field_infers_it(self, tmp_path):
         for values, want in (([0.0, -0.0, 1.0], "hard"), ([0.0, 0.5, 1.0], "soft")):
@@ -230,7 +224,7 @@ class TestRaterStack:
             RaterStack(())
 
     def test_soft_member_rejected(self):
-        soft = LabelField.from_array(np.full((1, 2, 2), 0.5), "soft")
+        soft = LabelField.from_array(np.full((1, 2, 2), 0.5))
         with pytest.raises(HardnessViolationError):
             RaterStack((soft,))
 
@@ -239,7 +233,7 @@ class TestRaterStack:
     def test_member_labelled_hard_is_validated(self, value, error):
         good = LabelField.from_array(np.ones((1, 2, 2)))
         with pytest.raises(error):
-            RaterStack((good, LabelField.from_array(np.full((1, 2, 2), value), "hard")))
+            RaterStack((good, LabelField.from_array(np.full((1, 2, 2), value))))
 
     def test_dim_mismatch(self):
         a = LabelField.from_array(np.ones((1, 2, 2)))
@@ -309,7 +303,7 @@ class TestTensorFile:
         path = tmp_path / "y.sdt"
         core.write_field(path, LabelField.from_array(np.ones((1, 2, 2))))
         assert core.read_label_field(path).is_hard
-        core.write_field(path, LabelField.from_array(np.full((1, 2, 2), 0.5), "soft"))
+        core.write_field(path, LabelField.from_array(np.full((1, 2, 2), 0.5)))
         assert not core.read_label_field(path).is_hard
 
 
@@ -421,6 +415,30 @@ class TestFromJson:
                                           "blob_radius": [0.1, 0.2]})
         assert spec.noise == RaterNoise((1, 2), (0.1, 0.3))
         assert spec.blob_radius == (0.1, 0.2)
+
+    def test_accepts_every_json_type_an_annotation_allows(self):
+        from dicesm.training import KdSpec, RaterNoise, TrainSpec
+
+        assert core.from_json(TrainSpec, {"lr0": 1, "loss_params": None}).lr0 == 1
+        assert core.from_json(KdSpec, {"teacher_checkpoint": None, "use_kde": False,
+                                       "kd_weight": 2}) == KdSpec(kd_weight=2)
+        for p in (0.2, 1, [0.1, 0.3]):
+            core.from_json(RaterNoise, {"boundary_flip_prob": p})
+
+    @pytest.mark.parametrize("cls,d", [
+        ("KdSpec", {"use_kde": "false"}), ("KdSpec", {"use_kde": 0}),
+        ("KdSpec", {"teacher_checkpoint": 1}), ("KdSpec", {"kd_weight": True}),
+        ("TrainSpec", {"epochs": True}), ("TrainSpec", {"epochs": 2.0}),
+        ("TrainSpec", {"epochs": None}), ("TrainSpec", {"lr0": "0.1"}),
+        ("TrainSpec", {"loss_name": 3}), ("TrainSpec", {"loss_params": [1]}),
+        ("ModelSpec", {"radii": 2}), ("RaterNoise", {"boundary_flip_prob": None}),
+        ("RaterNoise", {"boundary_flip_prob": False}),
+    ])
+    def test_rejects_a_value_of_another_json_type(self, cls, d):
+        from dicesm import training
+
+        with pytest.raises(ValueError, match=f"{cls}.{next(iter(d))} must be"):
+            core.from_json(getattr(training, cls), d)
 
     @pytest.mark.parametrize("d", [{"bogus": 1}, {"kde": {"bogus": 1}}, {"kde": None},
                                    {"kde": [1]}, None, [], "spec", 3])

@@ -162,7 +162,7 @@ class TestHandValues:
 
     def test_ce_soft_minimizer_on_simplex(self):
         # grid over the 2-class simplex: minimum at x == y for soft y
-        lab = LabelField.from_array(np.array([0.5, 0.5]).reshape(2, 1, 1), "soft")
+        lab = LabelField.from_array(np.array([0.5, 0.5]).reshape(2, 1, 1))
         grid = np.linspace(0.001, 0.999, 999)
         vals = [ce(ProbField.from_array(np.array([q, 1 - q]).reshape(2, 1, 1)), lab).value
                 for q in grid]
@@ -278,7 +278,7 @@ class TestGradients:
     def test_kink_convention_sign_zero(self):
         # at x == y the subgradient convention gives exactly zero
         x = vec_prob([0.4, 0.6])
-        y = vec_label([0.4, 0.6], "soft")
+        y = vec_label([0.4, 0.6])
         for f in (jml1, jml2, dml1, dml2):
             np.testing.assert_array_equal(f(x, y).grad.as_array(), 0.0)
 
@@ -350,11 +350,18 @@ class TestRegistry:
             loss("ctl", *self.PAIR, params={"alpha": 0.5, "bogus": 1})
 
     def test_bound_params(self):
-        x, y = vec_prob([0.3, 0.9]), vec_label([0.7, 0.4], "soft")
+        x, y = vec_prob([0.3, 0.9]), vec_label([0.7, 0.4])
         assert loss("ctl", x, y, params={"alpha": 0.5, "beta": 0.5}).value == pytest.approx(
             dml1(x, y).value, abs=1e-12)
         assert loss("compound", x, y, params={"w_ce": 1.0, "w_dml": 0.0}).value == \
             pytest.approx(ce(x, y).value, abs=1e-15)
+
+    def test_allow_soft_takes_only_a_boolean(self):
+        x, y = vec_prob([0.3, 0.9]), vec_label([0.7, 0.4])
+        with pytest.raises(ValueError, match="allow_soft"):
+            loss("stl", x, y, params={"allow_soft": "false"})
+        assert loss("stl", x, y, params={"allow_soft": True}).value == \
+            stl(x, y, allow_soft=True).value
 
     def test_every_name_constructs(self):
         for name in losses.LOSS_NAMES:
@@ -511,7 +518,7 @@ class TestFieldOpFuzz:
 
         def run(x, y):
             pair = loss(name, ProbField.from_array(x),
-                        LabelField.from_array(y, "hard" if hard else "soft"), red, soft_ok(name))
+                        LabelField.from_array(y), red, soft_ok(name))
             return pair.value, pair.grad.as_array()
 
         value, grad = run(xa, ya)
@@ -580,17 +587,15 @@ def _parent_batch(name, params, xs, ys, red):
     """The batch reduction written out on the public loss: the mean of
     per-image values with each gradient divided by the batch size, or one
     loss on every image's pixels concatenated class by class."""
-    hardness = ["hard" if np.all((y == 0.0) | (y == 1.0)) else "soft" for y in ys]
     if red.batch_mode == losses.PER_IMAGE_THEN_MEAN:
-        pairs = [loss(name, ProbField.from_array(x), LabelField.from_array(y, h), red, params)
-                 for x, y, h in zip(xs, ys, hardness)]
+        pairs = [loss(name, ProbField.from_array(x), LabelField.from_array(y), red, params)
+                 for x, y in zip(xs, ys)]
         return (float(np.mean([p.value for p in pairs])),
                 [p.grad.data.reshape(x.shape) / len(xs) for x, p in zip(xs, pairs)])
     c = xs[0].shape[0]
     pair = loss(name,
                 ProbField.from_array(np.concatenate([x.reshape(c, 1, -1) for x in xs], axis=2)),
-                LabelField.from_array(np.concatenate([y.reshape(c, 1, -1) for y in ys], axis=2),
-                                      "hard" if hardness == ["hard"] * len(ys) else "soft"),
+                LabelField.from_array(np.concatenate([y.reshape(c, 1, -1) for y in ys], axis=2)),
                 red, params)
     g = pair.grad.as_array().reshape(c, -1)
     grads, off = [], 0
@@ -630,7 +635,7 @@ class TestArrayPath:
                         value, grads = losses._reduce_batch(name, bound, xs, ys, red)
                         ref_value, ref_grads = _parent_batch(name, params, xs, ys, red)
                         fields = ([ProbField.from_array(x) for x in xs],
-                                  [LabelField.from_array(y, "hard" if hard else "soft")
+                                  [LabelField.from_array(y)
                                    for y in ys])
                         bl_value, bl_grads = batch_loss(name, *fields, red, params)
                         case = (batch_mode, class_mode, hard, empty)
@@ -669,7 +674,7 @@ class TestScratchCopies:
         params = {"overlap": overlap}
         bound, _ = losses.parse_loss_params("compound", params)
         fields = [ProbField.from_array(x) for x in xs], \
-            [LabelField.from_array(y, "soft") for y in ys]
+            [LabelField.from_array(y) for y in ys]
         for batch_mode in (losses.PER_IMAGE_THEN_MEAN, losses.POOLED):
             red = ReductionSpec(batch_mode=batch_mode)
             losses._reduce_batch("compound", bound, xs, ys, red)

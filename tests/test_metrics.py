@@ -22,7 +22,7 @@ from conftest import ece_float_sums, edge_confidences, vec_label, vec_prob
 
 
 def mask_field(mask):
-    return LabelField.from_array(np.asarray(mask, float).reshape(1, 1, -1), "hard")
+    return LabelField.from_array(np.asarray(mask, float).reshape(1, 1, -1))
 
 
 class TestHardDice:
@@ -45,7 +45,7 @@ class TestHardDice:
         assert hard_dice(z, z, empty_both=0.0) == 0.0
 
     def test_soft_rejected(self):
-        soft = LabelField.from_array(np.full((1, 1, 2), 0.5), "soft")
+        soft = LabelField.from_array(np.full((1, 1, 2), 0.5))
         with pytest.raises(SoftInputError):
             hard_dice(soft, mask_field([0, 0]))
 

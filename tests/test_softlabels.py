@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dicesm.core import LabelField, RaterStack, validate
-from dicesm.metrics import hard_dice
+from dicesm.core import LabelField, ProbField, RaterStack, validate
+from dicesm.losses import SoftLabelIncompatibleError, stl
+from dicesm.metrics import hard_dice, one_hot
 from dicesm.softlabels import (
     AllZeroWeightsWarning,
     BadEpsilonError,
@@ -19,7 +20,7 @@ from dicesm.softlabels import (
 
 
 def binary_rater(mask):
-    return LabelField.from_array(np.asarray(mask, float).reshape(1, 1, -1), "hard")
+    return LabelField.from_array(np.asarray(mask, float).reshape(1, 1, -1))
 
 
 def stack_of(*masks):
@@ -201,7 +202,7 @@ class TestLabelSmoothing:
 
     def test_simplex_preserved(self, rng):
         arr = rng.dirichlet(np.ones(3), size=6).T.reshape(3, 2, 3)
-        y = LabelField.from_array(arr, "soft")
+        y = LabelField.from_array(arr)
         out = label_smoothing(y, 0.3)
         validate(out)
         np.testing.assert_allclose(out.array.sum(axis=0), 1.0, atol=1e-12)
@@ -211,6 +212,25 @@ class TestLabelSmoothing:
             label_smoothing(binary_rater([1]), 1.0)
         with pytest.raises(BadEpsilonError):
             label_smoothing(binary_rater([1]), -0.1)
+
+
+class TestHardnessIsReadOffTheValues:
+    """A label of 0/1 values is hard whatever built it, so stl takes it
+    without allow_soft; smoothing it off {0, 1} makes it soft."""
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_zero_one_values_make_a_hard_label(self, c):
+        y = LabelField.from_array(one_hot(np.array([[True, False], [True, True]]), c))
+        stack = RaterStack((y, y, y))
+        x = ProbField.from_array(np.full((c, 2, 2), 1.0 / c))
+        for built in (label_smoothing(y, 0.0), uniform_average(stack), *stack.raters):
+            assert built.is_hard
+            np.testing.assert_array_equal(built.array, y.array)
+            assert stl(x, built).value == stl(x, y).value
+        soft = label_smoothing(y, 0.1)
+        assert not soft.is_hard
+        with pytest.raises(SoftLabelIncompatibleError):
+            stl(x, soft)
 
 
 class TestDispatch:

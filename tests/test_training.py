@@ -57,8 +57,8 @@ class TestSynth:
     def test_zero_noise_raters_equal_clean(self):
         ds = tiny_dataset(noise=RaterNoise((0, 0), 0.0))
         for im, clean in generate_with_clean(ds.spec):
-            for r in im.raters.raters:
-                np.testing.assert_array_equal(r.array, clean.array)
+            for m in im.raters.masks:
+                np.testing.assert_array_equal(m[0], clean)
             assert uniform_average(im.raters).is_hard
 
     @pytest.mark.parametrize("n_classes", [1, 2])
@@ -71,15 +71,14 @@ class TestSynth:
         for (im, clean), ref in zip(pairs, ds.images):
             np.testing.assert_array_equal(im.image, ref.image)
             np.testing.assert_array_equal(im.raters.masks, ref.raters.masks)
-            assert clean.is_hard and clean.dims == ref.raters.dims
+            assert clean.dtype == bool and clean.shape == ref.raters.dims[1:]
 
     def test_noise_confined_to_boundary_band(self):
         radius = 2
         ds = tiny_dataset(n=4, hw=32, noise=RaterNoise((0, radius), 0.3))
         from scipy.ndimage import binary_dilation, binary_erosion
 
-        for im, clean_field in generate_with_clean(ds.spec):
-            clean = clean_field.array[0] == 1.0
+        for im, clean in generate_with_clean(ds.spec):
             # rater masks may differ from clean only within radius+1 of the edge
             outer = binary_dilation(clean, np.ones((3, 3), bool), iterations=radius + 1)
             inner = binary_erosion(clean, np.ones((3, 3), bool), iterations=radius + 1)
@@ -115,9 +114,8 @@ class TestSynth:
     def test_two_class_fields_validate(self):
         from dicesm.core import validate
 
-        for im, clean in generate_with_clean(SynthSpec(n_images=2, height=12, width=12,
-                                                       n_classes=2, k_raters=2, seed=0)):
-            validate(clean)
+        for im, _ in generate_with_clean(SynthSpec(n_images=2, height=12, width=12,
+                                                  n_classes=2, k_raters=2, seed=0)):
             for r in im.raters.raters:
                 validate(r)
 
@@ -500,7 +498,7 @@ class TestEvaluate:
                 # look the clean mask up by matching the stored image
                 for im, clean in zip(ds.images, cleans):
                     if im.image is img:
-                        return np.clip(clean.array, 0.02, 0.98), None
+                        return np.clip(clean[None].astype(float), 0.02, 0.98), None
                 raise AssertionError
 
         m = evaluate(Oracle(), [im.image for im in ds.images],
@@ -596,7 +594,7 @@ class TestDistill:
             def forward(self, img):
                 for im, clean in zip(ds.images, cleans):
                     if im.image is img:
-                        return np.clip(clean.array, 0.05, 0.95), None
+                        return np.clip(clean[None].astype(float), 0.05, 0.95), None
                 raise AssertionError
 
         ms = ModelSpec(feature_set="box_means", radii=(1, 2))
@@ -606,7 +604,8 @@ class TestDistill:
         kd = distill(tr, OracleTeacher(), ms, ts,
                      KdSpec(kd_weight=2.0, kd_terms="dml"), va, eval_every=0)
         clean_tr = SynthDataset(tr.spec, tuple(
-            SynthImage(im.image, RaterStack((clean,))) for im, clean in zip(tr.images, cleans)))
+            SynthImage(im.image, RaterStack((LabelField.from_array(clean[None]),)))
+            for im, clean in zip(tr.images, cleans)))
         upper = train(clean_tr, ms, ts, va, eval_every=0)
         assert kd.final_metrics["dice"] >= plain.final_metrics["dice"] - 0.02
         assert kd.final_metrics["dice"] >= upper.final_metrics["dice"] - 0.05
@@ -626,7 +625,7 @@ class TestDistill:
         signal = TeacherSignal(ds, teacher, spec)
         signals = signal._signals([0, 1, 2, 3], epoch=0, batch_idx=0)
         for a in signals:
-            validate(LabelField.from_array(a, "soft"))
+            validate(LabelField.from_array(a))
         again = signal._signals([0, 1, 2, 3], epoch=0, batch_idx=0)
         for a, b in zip(signals, again):
             np.testing.assert_array_equal(a, b)
