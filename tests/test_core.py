@@ -122,8 +122,10 @@ class TestValidate:
     @pytest.mark.parametrize("build,values,error,index", [
         (ProbField.from_array, [[[0.5, -0.25]]], OutOfRangeError, 1),
         (LabelField.from_array, [[[1.0, 1.5]]], OutOfRangeError, 1),
+        (LabelField.from_array, [[[1.0, 0.0, 1.25]]], OutOfRangeError, 2),
         (ProbField.from_array, [[[0.5, 0.5]], [[0.5, 0.25]]], SimplexViolationError, 1),
-        (LabelField.from_array, [[[0.5, 1.0]], [[0.5, 1.0]]], SimplexViolationError, 1),
+        (lambda a: LabelField(TensorF.from_array(a)), [[[0.5, 1.0]], [[0.5, 1.0]]],
+         SimplexViolationError, 1),
     ])
     def test_from_array_rejects(self, build, values, error, index):
         with pytest.raises(error) as e:
