@@ -1,10 +1,10 @@
-"""Numpy stand-ins for the scipy.ndimage filters dicesm uses.
+"""Numpy versions of the scipy.ndimage filters dicesm uses.
 
-Importing scipy.ndimage takes longer than the rest of the command-line
-tool's start-up, so these helpers replace it. Each one returns the same
-array as the scipy.ndimage call it names, bit for bit and in the same
-dtype, for 2-D input and an odd size (the default origin 0 centres the
-window); tests/test_filters.py checks this against scipy.
+dicesm needs numpy alone at run time; scipy is a test dependency, the
+oracle for these helpers. Each one returns the same array as the
+scipy.ndimage call it names, bit for bit and in the same dtype, for 2-D
+input and an odd size (the default origin 0 centres the window);
+tests/test_filters.py checks this against scipy.
 
 box_mean(a, size)
     uniform_filter(a, size=size, mode="reflect") on a float64 array.

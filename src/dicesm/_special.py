@@ -1,9 +1,9 @@
-"""gammaln and xlogy with scipy.special's bits, without importing scipy.
+"""gammaln and xlogy in numpy, with scipy.special's bits.
 
-Importing scipy.special takes longer than the rest of the command-line
-start-up. These ports return the same float64 as scipy.special.gammaln and
-xlogy, bit for bit, on the domain calibration uses; tests/test_special.py
-checks this against scipy.
+dicesm needs numpy alone at run time; scipy is a test dependency, the
+oracle for these ports. They return the same float64 as scipy.special.gammaln
+and xlogy, bit for bit, on the domain calibration uses;
+tests/test_special.py checks this against scipy.
 
 gammaln is cephes' lgam for x >= 1, taken entry by entry in Python floats
 (IEEE doubles, as in C) with every operation in cephes' order.

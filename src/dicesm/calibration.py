@@ -17,12 +17,13 @@ A pixel row f contributes [log f_1, ..., log f_D, 1] (D = 2 with
 logs are taken once per pixel and gammaln once per key and call, not per
 pair. Pixel rows with an exact 0 entry, where 0 * log 0 must be 0, take the
 elementwise xlogy form instead. gammaln and xlogy come from dicesm._special,
-ports of scipy.special's on the domain used here (gammaln at x >= 1: every
-alpha and its sum; xlogy at y >= 0) that take each log from the C library,
-as scipy does, and return scipy's bits. Calibration runs over blocks of pixel
-rows: per block the log weights are shifted by their row max in place,
-exponentiated with those that would be subnormal set to 0, and one product
-with [labels | 1] yields numerators and totals together. A block holds at most
+numpy ports of scipy.special's on the domain used here (gammaln at x >= 1:
+every alpha and its sum; xlogy at y >= 0) that take each log from the C
+library, as scipy does, and return scipy's bits; scipy itself is only the
+tests' oracle. Calibration runs over blocks of pixel rows: per block the
+log weights are shifted by their row max in place, exponentiated with
+those that would be subnormal set to 0, and one product with [labels | 1]
+yields numerators and totals together. A block holds at most
 _BLOCK_MADDS / 3 (pixel, key) pairs, so working memory is bounded
 whatever the number of pixels and keys.
 

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -229,16 +229,6 @@ def cmd_make_soft_labels(args) -> int:
 # calibrate
 # --------------------------------------------------------------------------
 
-def _calibration_pass(pred: ProbField, label: LabelField, spec: KdeSpec):
-    c = pred.n_classes
-    conf_rows = pred.array.reshape(c, -1).T
-    keys = sample_key_points(conf_rows, label.array.reshape(c, -1).T, spec)
-    scope = None if spec.pixel_scope == SCOPE_ALL else select_scope_pixels(pred, label, spec)
-    out = kde_calibrate_batch(conf_rows, keys, spec.bandwidth, scope)
-    n_scope = len(conf_rows if scope is None else scope)
-    return ProbField.from_array(out.T.reshape(pred.dims)), keys, n_scope
-
-
 def cmd_calibrate(args) -> int:
     pred = read_prob_field(args.pred)
     label = read_label_field(args.label)
@@ -247,18 +237,28 @@ def cmd_calibrate(args) -> int:
                    boundary_radius=args.boundary_radius, seed=args.seed)
     ece_before = _binary_ece(pred, label)
     if args.sweep:
-        rows = []
         # every bandwidth is checked before the first pass runs
-        for swept in [replace(spec, bandwidth=float(tok)) for tok in args.sweep.split(",")]:
-            calibrated, _, n_scope = _calibration_pass(pred, label, swept)
-            rows.append({"bandwidth": swept.bandwidth, "ece_before": ece_before,
-                         "ece_after": _binary_ece(calibrated, label),
-                         "scope_pixels": n_scope})
-        _emit({"sweep": rows})
-        return 0
-    if not args.out:
+        bandwidths = [replace(spec, bandwidth=float(tok)).bandwidth
+                      for tok in args.sweep.split(",")]
+    elif not args.out:
         raise UsageError("--out is required without --sweep")
-    calibrated, keys, n_scope = _calibration_pass(pred, label, spec)
+    c = pred.n_classes
+    conf_rows = pred.array.reshape(c, -1).T
+    # the keys and the scope do not depend on the bandwidth
+    keys = sample_key_points(conf_rows, label.array.reshape(c, -1).T, spec)
+    scope = None if spec.pixel_scope == SCOPE_ALL else select_scope_pixels(pred, label, spec)
+    n_scope = len(conf_rows if scope is None else scope)
+
+    def calibrate(h: float) -> ProbField:
+        out = kde_calibrate_batch(conf_rows, keys, h, scope)
+        return ProbField.from_array(out.T.reshape(pred.dims))
+
+    if args.sweep:
+        _emit({"sweep": [{"bandwidth": h, "ece_before": ece_before,
+                          "ece_after": _binary_ece(calibrate(h), label),
+                          "scope_pixels": n_scope} for h in bandwidths]})
+        return 0
+    calibrated = calibrate(spec.bandwidth)
     write_field(args.out, calibrated)
     _emit({"out": args.out, "n_key": len(keys), "scope_pixels": n_scope,
            "ece_before": ece_before, "ece_after": _binary_ece(calibrated, label)})
@@ -356,9 +356,24 @@ def _train_spec(d) -> TrainSpec:
                                  "loss_params": loss.get("params")})
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """The top-level values of a train or distill config besides its specs."""
+    val_fraction: float = 0.0
+    eval_every: int = 1
+    out_dir: str = "train_out"
+
+    def __post_init__(self):
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise UsageError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
+        if self.eval_every < 0:
+            raise UsageError(f"eval_every must be >= 0, got {self.eval_every!r}")
+
+
+RUN_KEYS = {f.name for f in fields(RunSpec)}
+
+
 def _split(dataset: SynthDataset, val_fraction: float, seed: int):
-    if not 0.0 <= val_fraction < 1.0:
-        raise UsageError(f"val_fraction must be in [0, 1), got {val_fraction!r}")
     n = len(dataset)
     n_val = int(round(val_fraction * n))
     if n_val == n:
@@ -387,29 +402,29 @@ def _finite_number(token: str) -> float:
     return value
 
 
-def _read_config(path, allowed: set) -> dict:
+def _read_config(path, specs: set, out_dir: str) -> tuple[dict, RunSpec]:
+    """The config and its RunSpec, with out_dir as the default directory."""
     # json.loads reads NaN, Infinity and -Infinity, and 1e400 as inf
     cfg = json.loads(Path(path).read_text(), parse_float=_finite_number,
                      parse_constant=_finite_number)
-    _require_keys(cfg, allowed, "config", ("data",))
-    return cfg
+    _require_keys(cfg, {"data", *specs, *RUN_KEYS}, "config", ("data",))
+    run = from_json(RunSpec, {"out_dir": out_dir, **{k: cfg[k] for k in RUN_KEYS & set(cfg)}})
+    return cfg, run
 
 
 def cmd_train(args) -> int:
-    cfg = _read_config(args.config, {"data", "model", "train", "val_fraction",
-                                     "eval_every", "out_dir"})
+    cfg, run = _read_config(args.config, {"model", "train"}, "train_out")
     model_spec = from_json(ModelSpec, cfg.get("model", {}))
     train_spec = _train_spec(cfg.get("train", {}))
     dataset = _dataset_from_config(cfg["data"])
-    tr, va = _split(dataset, cfg.get("val_fraction", 0.0), train_spec.seed)
-    result = train(tr, model_spec, train_spec, va, cfg.get("eval_every", 1))
-    _finish_training(result, cfg.get("out_dir", "train_out"))
+    tr, va = _split(dataset, run.val_fraction, train_spec.seed)
+    result = train(tr, model_spec, train_spec, va, run.eval_every)
+    _finish_training(result, run.out_dir)
     return 0
 
 
 def cmd_distill(args) -> int:
-    cfg = _read_config(args.config, {"data", "student", "train", "kd", "val_fraction",
-                                     "eval_every", "out_dir"})
+    cfg, run = _read_config(args.config, {"student", "train", "kd"}, "distill_out")
     student_spec = from_json(ModelSpec, cfg.get("student", {}))
     train_spec = _train_spec(cfg.get("train", {}))
     kd_spec = from_json(KdSpec, cfg.get("kd", {}))
@@ -417,10 +432,9 @@ def cmd_distill(args) -> int:
         raise UsageError("kd.teacher_checkpoint is required")
     dataset = _dataset_from_config(cfg["data"])
     teacher = load_model(kd_spec.teacher_checkpoint)
-    tr, va = _split(dataset, cfg.get("val_fraction", 0.0), train_spec.seed)
-    result = distill(tr, teacher, student_spec, train_spec, kd_spec, va,
-                     cfg.get("eval_every", 1))
-    _finish_training(result, cfg.get("out_dir", "distill_out"))
+    tr, va = _split(dataset, run.val_fraction, train_spec.seed)
+    result = distill(tr, teacher, student_spec, train_spec, kd_spec, va, run.eval_every)
+    _finish_training(result, run.out_dir)
     return 0
 
 

@@ -1,21 +1,22 @@
 """Command-line inputs that must exit 2 as usage errors: a non-integer
-DICESM_SEED, an --curve grid outside the loss domain or under two points,
-a val_fraction outside [0, 1) or one that leaves no training image, a
-negative box-mean radius in a model config, JSON inputs that lack a
-required key, calibrate on a three-class field (ECE is binary; nothing is
-written), a calibrate bandwidth or sweep entry that is not positive and
-finite, a config number that is NaN, Infinity, -Infinity or overflows to
-inf, and a config value of the wrong JSON type, refused before any data is
-read. Data files are bad data, exit 1 with one stderr line that names the
-file: a dataset manifest that lacks a key, is not JSON, is not an object or
-has an unknown spec key, and a teacher checkpoint manifest that is not JSON
-or lacks its params, and a rater file that holds a value other than 0 or 1,
+DICESM_SEED, an --curve grid outside the loss domain or under two
+points, a val_fraction outside [0, 1) or one that leaves no training
+image, a negative eval_every, a negative box-mean radius in a model
+config, JSON inputs that lack a required key, calibrate on a three-class
+field (ECE is binary; nothing is written), a calibrate bandwidth or
+sweep entry that is not positive and finite, a config number that is
+NaN, Infinity, -Infinity or overflows to inf, and a config value of the
+wrong JSON type, refused before any data is read. Data files are bad
+data, exit 1 with one stderr line that names the file: a dataset
+manifest that lacks a key, is not JSON, is not an object or has an
+unknown spec key, and a teacher checkpoint manifest that is not JSON or
+lacks its params, and a rater file that holds a value other than 0 or 1,
 under every soft-label strategy and in a training dataset, an ECE (eval
---metric ece, calibrate) of a prediction and a label whose dims differ or
-whose rows leave the simplex, and a soft label where calibrate or eval
---metric dice needs a hard one. Also: the
-compound curve honours its flags, and a dataset directory trains to the
-same bytes with its clean/ masks deleted.
+--metric ece, calibrate) of a prediction and a label whose dims differ
+or whose rows leave the simplex, and a soft label where calibrate or
+eval --metric dice needs a hard one. Also: the compound curve honours
+its flags, and a dataset directory trains to the same bytes with its
+clean/ masks deleted.
 """
 
 import json
@@ -111,12 +112,18 @@ def test_negative_radius_is_a_usage_error(monkeypatch, tmp_path, capsys):
     ("distill", "kd", {"teacher_checkpoint": "teacher", "use_kde": "false"},
      "KdSpec.use_kde must be bool, got 'false'"),
     ("train", "train", {"epochs": True}, "TrainSpec.epochs must be int, got True"),
-], ids=["use_kde", "epochs"])
+    ("train", "out_dir", 5, "RunSpec.out_dir must be str, got 5"),
+    ("train", "eval_every", "1", "RunSpec.eval_every must be int, got '1'"),
+    ("distill", "eval_every", True, "RunSpec.eval_every must be int, got True"),
+    ("train", "eval_every", -1, "eval_every must be >= 0, got -1"),
+    ("distill", "val_fraction", 1.0, "val_fraction must be in [0, 1), got 1.0"),
+], ids=["use_kde", "epochs", "out_dir", "eval_every_str", "eval_every_bool",
+        "eval_every_negative", "val_fraction"])
 def test_mistyped_config_value_is_a_usage_error(command, key, value, message, monkeypatch,
                                                 tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "missing"}, key: value,
-                                                 "out_dir": "out"}))
+    (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "missing"}, "out_dir": "out",
+                                                 key: value}))
     assert cli.main([command, "--config", "c.json"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err

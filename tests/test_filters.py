@@ -3,9 +3,9 @@
 Every comparison asks for the same dtype and np.array_equal, never a
 tolerance: the helpers stand in for scipy in the feature extractor, the
 KDE pixel scope and the synthetic raters, whose outputs the CLI golden
-tests pin byte for byte. The last tests keep scipy off the import path
-of the command-line tool and numpy.random on it, and numpy.ma out of a
-calibrate run.
+tests pin byte for byte. The last tests keep scipy and numpy.polynomial
+off the import path of the command-line tool and numpy.random on it, and
+numpy.ma out of a calibrate run.
 """
 
 import os
@@ -125,7 +125,8 @@ class TestBinaryMorphology:
 def test_cli_import_leaves_out_ndimage_and_integrate():
     src = Path(dicesm.__file__).resolve().parents[1]
     code = ("import sys, dicesm.cli, dicesm.training\n"
-            "print([m for m in ('scipy.ndimage', 'scipy.integrate') if m in sys.modules])")
+            "print([m for m in ('scipy.ndimage', 'scipy.integrate', 'numpy.polynomial')\n"
+            "       if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
