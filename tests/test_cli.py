@@ -3,9 +3,11 @@
 Each case runs in a fresh directory on tiny fixed-seed data and is compared
 exactly with the values pinned in GOLDEN: the exit code, the stdout JSON
 (or the sha256 of stdout where it is CSV or long) and the sha256 of every
-file written. The pins were recorded with numpy 2.4.6 and scipy 1.17.1 on
-x86-64 Linux with OpenBLAS; another BLAS or numpy build may round the last
-bit of a sum differently, which these tests report as a mismatch.
+file written. The pins were recorded on x86-64 Linux with numpy 2.4.6 and
+Python 3.11.7, numpy's SIMD extensions found X86_V3, X86_V4, AVX512_ICL and
+AVX512_SPR, and OpenBLAS's SkylakeX core; another BLAS kernel, instruction
+set or numpy build may round the last bit of a sum differently, which
+these tests report as a mismatch.
 
 Further tests pin the exit-code contract (0 ok, 1 bad data, 2 bad usage)
 and the DICESM_SEED default.
@@ -471,9 +473,9 @@ GOLDEN = {'calibrate': {'all': {'code': 0,
                                         'out': 'cal_blocks2.sdt',
                                         'scope_pixels': 2304}}},
  'check_properties': {'mutate_sign': {'code': 1,
-                                      'stdout_sha256': '8a471697da92bdc3d2193320b991bbe5fdc9fd21adbe89968e5e409a5883bd74'},
+                                      'stdout_sha256': 'dbb1975568bd8fc99b27a33734a0ce702783680eb323c4dc71f707cc3090effd'},
                       'pass': {'code': 0,
-                               'stdout_sha256': '231ad281774511f939e51bb696be7b1e998c7dfbcf825ceacee0d867c579afbc'}},
+                               'stdout_sha256': '3bafbeb0ece85764611f96603bf35c4f81c42ce565140257606ad55b3d48aab7'}},
  'distill': {'kde': {'code': 0,
                      'files': {'out_kde/model/manifest.json': 'c9f7dd2b6d16ace50fd6229736c1e22863506411e108b460efc34ccb57b51774',
                                'out_kde/model/w.sdt': 'fe393caeb814071d2a4db4b00f38034f0b24a433333a9219790d352251a8500d',
