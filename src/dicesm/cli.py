@@ -370,9 +370,6 @@ class RunSpec:
             raise UsageError(f"eval_every must be >= 0, got {self.eval_every!r}")
 
 
-RUN_KEYS = {f.name for f in fields(RunSpec)}
-
-
 def _split(dataset: SynthDataset, val_fraction: float, seed: int):
     n = len(dataset)
     n_val = int(round(val_fraction * n))
@@ -407,8 +404,9 @@ def _read_config(path, specs: set, out_dir: str) -> tuple[dict, RunSpec]:
     # json.loads reads NaN, Infinity and -Infinity, and 1e400 as inf
     cfg = json.loads(Path(path).read_text(), parse_float=_finite_number,
                      parse_constant=_finite_number)
-    _require_keys(cfg, {"data", *specs, *RUN_KEYS}, "config", ("data",))
-    run = from_json(RunSpec, {"out_dir": out_dir, **{k: cfg[k] for k in RUN_KEYS & set(cfg)}})
+    run_keys = {f.name for f in fields(RunSpec)}
+    _require_keys(cfg, {"data", *specs, *run_keys}, "config", ("data",))
+    run = from_json(RunSpec, {"out_dir": out_dir, **{k: cfg[k] for k in run_keys & set(cfg)}})
     return cfg, run
 
 

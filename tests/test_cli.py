@@ -10,7 +10,8 @@ set or numpy build may round the last bit of a sum differently, which
 these tests report as a mismatch.
 
 Further tests pin the exit-code contract (0 ok, 1 bad data, 2 bad usage)
-and the DICESM_SEED default.
+and the DICESM_SEED default, and check that calibrate --sweep samples its
+keys and pixel scope once and scores each bandwidth as a single run would.
 """
 
 import hashlib
@@ -313,6 +314,28 @@ CASES = {name[5:]: fn for name, fn in dict(globals()).items() if name.startswith
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, work, capsys):
     assert CASES[name](capsys) == GOLDEN[name]
+
+
+def test_sweep_samples_keys_and_scope_once(work, capsys, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("sample_key_points", "select_scope_pixels"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    base = ["calibrate", "--pred", "pred2.sdt", "--label", "data2/clean/img_0000.sdt",
+            "--n-key", "16", "--seed", "5", "--scope", "boundary", "--boundary-radius", "2"]
+    code, out = _run(capsys, base + ["--sweep", "0.001,0.05,0.5"])
+    assert code == 0 and sorted(calls) == ["sample_key_points", "select_scope_pixels"]
+    for row in json.loads(out)["sweep"]:
+        code, out = _run(capsys, base + ["--bandwidth", str(row["bandwidth"]), "--out", "c.sdt"])
+        single = json.loads(out)
+        assert code == 0 and (single["ece_after"], single["scope_pixels"]) == (
+            row["ece_after"], row["scope_pixels"])
 
 
 # --------------------------------------------------------------------------
