@@ -3,10 +3,11 @@ training/distillation harness.
 
 The package is organized as:
 
-    core         tensors, probability/label fields, validation, SDT1 file IO
+    core         tensors, probability/label fields, rater stacks of bool masks,
+                 validation, SDT1 file IO
     losses       every loss with value + analytic gradient, loss registry
     softlabels   majority vote, rater sampling, averaging, label smoothing
-    metrics      hard Dice, binarized Dice, binned ECE
+    metrics      hard Dice, binarized Dice, binned ECE on bool labels
     calibration  Beta/Dirichlet kernel recalibration and the bias bound
     training     synthetic multi-rater data, tiny models, SGD, distillation
     properties   the invariant suite behind `dicesm check-properties`

@@ -414,9 +414,10 @@ def verify_bias_bound(weights, confidences, cond_probs,
     if not (w.size == f.size == q.size) or w.size == 0:
         raise InvalidDistributionError("weights, confidences, cond_probs must "
                                        "be equal-length and nonempty")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+    # each test is written so that a NaN fails it
+    if not (w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-12):
         raise InvalidDistributionError("weights must be nonnegative and sum to 1")
-    if f.min() < 0 or f.max() > 1 or q.min() < 0 or q.max() > 1:
+    if not (f.min() >= 0 and f.max() <= 1 and q.min() >= 0 and q.max() <= 1):
         raise InvalidDistributionError("confidences and cond_probs must be in [0, 1]")
     bias = abs(float(np.sum(w * q) - np.sum(w * f)))
     calib = 0.0

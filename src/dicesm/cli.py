@@ -29,9 +29,11 @@ from .calibration import (
 )
 from .core import (
     DicesmError,
+    HardnessViolationError,
     LabelField,
     ProbField,
     RaterStack,
+    ShapeMismatchError,
     TensorF,
     check_same_dims,
     from_json,
@@ -51,8 +53,8 @@ from .losses import (
 from .metrics import (
     DEFAULT_THRESHOLDS,
     BDiceSpec,
-    CalibRecord,
     EceSpec,
+    SoftInputError,
     _bdice,
     ece,
     foreground_class,
@@ -166,9 +168,10 @@ def _binary_ece(pred: ProbField, label: LabelField, n_bins=EceSpec.n_bins) -> fl
     check_same_dims(pred, label)
     if pred.n_classes > 2:
         raise UsageError("ece supports binary tasks (C <= 2)")
+    if not label.is_hard:
+        raise SoftInputError("labels must be 0 or 1")
     fg = foreground_class(pred.n_classes)
-    record = CalibRecord(pred.array[fg].ravel(), label.array[fg].ravel())
-    return ece(record, EceSpec(n_bins=n_bins))
+    return ece(pred.array[fg].ravel(), label.array[fg].ravel() == 1.0, EceSpec(n_bins=n_bins))
 
 
 def cmd_eval(args) -> int:
@@ -195,7 +198,20 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 def _stack_from_files(paths) -> RaterStack:
-    return RaterStack(tuple(read_label_field(p) for p in paths))
+    """The raters in paths as one stack. Each file is read as a LabelField,
+    which checks it once, and must be hard and of the first file's dims;
+    its 1s are written straight into the stack's bool array."""
+    masks = np.empty(0, dtype=bool)  # no path: RaterStack raises EmptyStackError
+    for k, path in enumerate(paths):
+        r = read_label_field(path)
+        if k == 0:
+            masks = np.empty((len(paths),) + r.dims, dtype=bool)
+        if r.dims != masks.shape[1:]:
+            raise ShapeMismatchError(f"rater {k} has dims {r.dims}, expected {masks.shape[1:]}")
+        if not r.is_hard:
+            raise HardnessViolationError(f"rater {k} is not hard")
+        np.equal(r.array, 1.0, out=masks[k])
+    return RaterStack(masks)
 
 
 def cmd_make_soft_labels(args) -> int:
@@ -284,12 +300,13 @@ def cmd_gen_data(args) -> int:
         img_path = f"images/img_{i:04d}.sdt"
         write_tensor(out / img_path, TensorF.from_array(im.image))
         rater_paths = []
-        for k, r in enumerate(im.raters.raters):
+        # a bool mask is written as the float 0/1 tensor a LabelField reads back
+        for k, mask in enumerate(im.raters.masks):
             rp = f"raters/img_{i:04d}_rater_{k}.sdt"
-            write_field(out / rp, r)
+            write_tensor(out / rp, TensorF.from_array(mask))
             rater_paths.append(rp)
         clean_path = f"clean/img_{i:04d}.sdt"
-        write_field(out / clean_path, LabelField.from_array(one_hot(clean, spec.n_classes)))
+        write_tensor(out / clean_path, TensorF.from_array(one_hot(clean, spec.n_classes)))
         entries.append({"image": img_path, "raters": rater_paths,
                         "clean": clean_path})
     manifest = {

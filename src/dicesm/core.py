@@ -1,14 +1,15 @@
 """Value types shared by every module: dense float64 tensors, probability and
-label fields over a [C, H, W] grid, multi-rater stacks, their validation,
-the SDT1 binary tensor file format, and ``from_json``, which builds every
-spec dataclass from its JSON config.
+label fields over a [C, H, W] grid, multi-rater stacks of bool masks, their
+validation, the SDT1 binary tensor file format, and ``from_json``, which
+builds every spec dataclass from its JSON config.
 
 All types are immutable after construction and safe to share across workers.
-Each is valid by construction: a TensorF is finite, and a ProbField or
-LabelField runs :func:`validate` once, in its constructor, so every field
-that exists satisfies its invariants and no consumer checks them again.
-A LabelField's hardness is read off its values by :func:`_hardness_of`,
-the library's one hardness rule.
+Each is valid by construction: a TensorF is finite, a ProbField or
+LabelField runs :func:`validate` once, in its constructor, and a RaterStack
+checks its masks once, so every value that exists satisfies its invariants
+and no consumer checks them again. A LabelField's hardness is read off its
+values by :func:`_hardness_of`, the library's one hardness rule; a rater is
+hard by its bool dtype.
 Arithmetic everywhere is float64; files store float32 and readers up-convert.
 """
 
@@ -202,29 +203,32 @@ class LabelField(_Field):
 class RaterStack:
     """K independent hard annotations of one image, identical dims.
 
-    The constructor takes the K LabelFields, each valid since it was built,
-    and checks only that their dims agree and that each is hard. It keeps only
-    ``masks``, the raters as one read-only (K, C, H, W) bool array (True
-    where a rater marks 1), an eighth of the float64 fields' memory; no
-    field is retained. Every consumer counts votes and combines raters on
-    ``masks``. ``raters`` rebuilds the hard fields on demand, for callers
-    that want fields (tests, gen-data); no training, scoring or soft-label
-    path reads it."""
+    The constructor takes the raters as one (K, C, H, W) bool array, True
+    where a rater marks 1, and keeps a read-only copy as ``masks``. A bool
+    array is hard by its dtype, so the constructor checks only what one can
+    still get wrong: its rank, K >= 1 and, for C >= 2, that each rater marks
+    exactly one class per pixel. Every consumer counts votes and combines
+    raters on ``masks``."""
 
     masks: np.ndarray
 
-    def __init__(self, raters):
-        raters = tuple(raters)
-        if not raters:
+    def __init__(self, masks):
+        masks = np.array(masks)
+        if masks.shape[:1] == (0,):
             raise EmptyStackError("a RaterStack needs at least one rater")
-        dims = raters[0].dims
-        masks = np.empty((len(raters),) + dims, dtype=bool)
-        for k, r in enumerate(raters):
-            if r.dims != dims:
-                raise ShapeMismatchError(f"rater {k} has dims {r.dims}, expected {dims}")
-            if not r.is_hard:
-                raise HardnessViolationError(f"rater {k} is not hard")
-            np.equal(r.array, 1.0, out=masks[k])
+        if masks.dtype != np.bool_:
+            raise TypeError(f"rater masks must be bool, got {masks.dtype}")
+        if masks.ndim != 4:
+            raise ShapeMismatchError(f"rater masks need dims [K, C, H, W], got {masks.shape}")
+        if masks.shape[1] >= 2:
+            # a dtype that holds C, as in softlabels.vote_counts, counts exactly
+            marked = np.sum(masks, axis=1, dtype=np.min_scalar_type(masks.shape[1]))
+            marked = marked.reshape(len(masks), -1)
+            if not (marked == 1).all():
+                k, pix = np.argwhere(marked != 1)[0]
+                raise SimplexViolationError(
+                    f"rater {k} marks {marked[k, pix]} classes at pixel {pix}",
+                    flat_index=int(pix))
         masks.flags.writeable = False
         object.__setattr__(self, "masks", masks)
 
@@ -234,11 +238,6 @@ class RaterStack:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.masks.shape[1:]
-
-    @property
-    def raters(self) -> tuple[LabelField, ...]:
-        """The K hard LabelFields, rebuilt from the masks on each call."""
-        return tuple(LabelField.from_array(m) for m in self.masks)
 
 
 # --------------------------------------------------------------------------

@@ -105,12 +105,13 @@ class TverskyParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        # each test is written so that a NaN fails it
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("alpha and beta must be nonnegative")
-        if self.alpha + self.beta <= 0:
-            raise ValueError("alpha + beta must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.alpha + self.beta < np.inf:
+            raise ValueError("alpha + beta must be positive and finite")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,8 @@ class CompoundParams:
     overlap: str = "dml1"
 
     def __post_init__(self):
-        if self.w_ce < 0 or self.w_dml < 0:
-            raise ValueError("mixture weights must be nonnegative")
+        if not (0 <= self.w_ce < np.inf and 0 <= self.w_dml < np.inf):
+            raise ValueError("mixture weights must be nonnegative and finite")
         if self.overlap not in OVERLAP_NAMES:
             raise ValueError(f"overlap must be one of {OVERLAP_NAMES}")
 

@@ -10,9 +10,11 @@ class_map and foreground_class are the one statement of the class rule: a
 C == 1 field is a foreground probability with an implicit background.
 
 Public metrics take fields, which were checked once, on construction, and
-check only that their dims agree. Callers that hold checked arrays (the
-training loop's evaluation, the CLI after reading its files) score through
-the array cores, such as _bdice, directly.
+check only that their dims agree; ece alone scores pooled arrays, float
+confidences and bool labels, and checks their range and length itself.
+Callers that hold checked arrays (the training loop's evaluation, the CLI
+after reading its files) score through the array cores, such as _bdice,
+directly.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    HARD,
     DicesmError,
     LabelField,
     ProbField,
     OutOfRangeError,
     ShapeMismatchError,
-    _hardness_of,
     check_same_dims,
 )
 
@@ -102,31 +102,6 @@ class BDiceSpec:
         object.__setattr__(self, "thresholds", t)
 
 
-@dataclass(frozen=True)
-class CalibRecord:
-    """Flattened (confidence, label) pairs; the labels must be hard (0 or 1)."""
-
-    confidences: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        conf = np.asarray(self.confidences, dtype=np.float64).reshape(-1)
-        lab = np.asarray(self.labels, dtype=np.float64).reshape(-1)
-        if conf.size != lab.size:
-            raise ShapeMismatchError("confidences and labels differ in length")
-        if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
-            raise OutOfRangeError("confidences outside [0, 1]")
-        if _hardness_of(lab) != HARD:
-            raise SoftInputError("labels must be 0 or 1")
-        conf.flags.writeable = False
-        lab.flags.writeable = False
-        object.__setattr__(self, "confidences", conf)
-        object.__setattr__(self, "labels", lab)
-
-    def __len__(self):
-        return self.confidences.size
-
-
 def mask_dice(a: np.ndarray, b: np.ndarray, empty_both: float = 1.0) -> float:
     """Dice 2|A∩B| / (|A|+|B|) of two bool masks, by integer counting."""
     na, nb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
@@ -166,20 +141,22 @@ def _bdice(x: np.ndarray, y: np.ndarray, thresholds) -> float:
     return float(np.mean([mask_dice(x > t, y > t, 1.0) for t in thresholds]))
 
 
-def ece(records: CalibRecord, spec: EceSpec | None = None) -> float:
-    """Binned expected calibration error sum_b (n_b/n) |acc_b - conf_b|, by _ece."""
-    spec = spec or EceSpec()
-    return _ece(records.confidences, records.labels == 1.0, spec.n_bins)
-
-
-def _ece(conf: np.ndarray, labels: np.ndarray, n_bins: int) -> float:
-    """ece of float64 confidences and bool labels, for ece and the training
-    loop. Its one int64 vector, the bin index (conf * n_bins truncated, as
-    astype does), then counts each bin's positive labels exactly."""
+def ece(confidences, labels, spec: EceSpec | None = None) -> float:
+    """Binned expected calibration error sum_b (n_b/n) |acc_b - conf_b| of
+    pooled confidences in [0, 1] and their hard labels, a bool array of the
+    same size. Its one int64 vector, the bin index (conf * n_bins truncated,
+    as astype does), then counts each bin's positive labels exactly."""
+    n_bins = (spec or EceSpec()).n_bins
+    conf = np.asarray(confidences, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
+    if labels.dtype != np.bool_:
+        raise TypeError(f"labels must be bool, got {labels.dtype}")
     n = conf.size
+    if labels.size != n:
+        raise ShapeMismatchError("confidences and labels differ in length")
     if n == 0:
         raise EmptyRecordsError("no calibration records")
-    if conf.min() < 0.0 or conf.max() > 1.0:
+    if not (conf.min() >= 0.0 and conf.max() <= 1.0):  # a NaN fails too
         raise OutOfRangeError("confidences outside [0, 1]")
     idx = np.multiply(conf, n_bins, out=np.empty(n, np.int64), casting="unsafe")
     np.minimum(idx, n_bins - 1, out=idx)

@@ -38,8 +38,8 @@ class KdSpec:
     kd_terms: str = "both"
 
     def __post_init__(self):
-        if self.kd_weight < 0:
-            raise ValueError("kd_weight must be nonnegative")
+        if not 0 <= self.kd_weight < np.inf:
+            raise ValueError("kd_weight must be nonnegative and finite")
         if self.kd_terms not in KD_TERMS:
             raise ValueError(f"kd_terms must be one of {KD_TERMS}")
 

@@ -36,8 +36,7 @@ from ..losses import ReductionSpec, _guard_soft, _reduce_batch, parse_loss_param
 # not called here: perfbench's tracer self-test checks that tracing restores
 # this binding
 from ..losses import batch_loss  # noqa: F401
-from ..metrics import (BDiceSpec, EceSpec, _bdice, _ece, class_map, foreground_class,
-                       mask_dice, one_hot)
+from ..metrics import BDiceSpec, _bdice, class_map, ece, foreground_class, mask_dice, one_hot
 from ..softlabels import SoftLabelSpec, build_labels_dataset, majority_map, vote_counts
 from .models import ModelSpec, build_model
 from .synth import SynthDataset
@@ -66,8 +65,8 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0 or self.epochs < 0 or self.batch_size <= 0:
-            raise ValueError("lr0 must be positive, epochs >= 0, batch_size > 0")
+        if not 0 < self.lr0 < np.inf or self.epochs < 0 or self.batch_size <= 0:
+            raise ValueError("lr0 must be positive and finite, epochs >= 0, batch_size > 0")
         parse_loss_params(self.loss_name, self.loss_params)  # fail fast on bad ids
 
 
@@ -142,7 +141,7 @@ def evaluate(model, feats, refs) -> dict:
     return {
         "dice": float(np.mean(dices)),
         "bdice": float(np.mean(bdices)),
-        "ece": _ece(confs, labels, EceSpec().n_bins),
+        "ece": ece(confs, labels),
     }
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._filters import dilate3, erode3
-from ..core import DicesmError, LabelField, RaterStack
+from ..core import DicesmError, RaterStack
 from ..metrics import foreground_class, mask_dice, one_hot
 
 
@@ -75,6 +75,9 @@ class SynthSpec:
             raise BadSpecError("n_classes must be 1 or 2")
         if self.k_raters <= 0:
             raise BadSpecError("k_raters must be positive")
+        if not 0.0 <= self.image_noise < np.inf:
+            raise BadSpecError(f"image_noise must be nonnegative and finite, "
+                               f"got {self.image_noise!r}")
         lo, hi = self.blob_radius
         if not 0.0 < lo <= hi:
             raise BadSpecError(f"bad blob_radius range {self.blob_radius}")
@@ -144,10 +147,8 @@ def generate_with_clean(spec: SynthSpec):
         f = _blob_field(rng, spec.height, spec.width, spec.blob_radius)
         clean = f > np.exp(-1.0)  # pixels within one blob radius
         image = f + spec.image_noise * rng.standard_normal(f.shape)
-        raters = tuple(
-            LabelField.from_array(one_hot(_perturb(rng, clean, spec.noise, flip_probs[k]),
-                                          spec.n_classes))
-            for k in range(spec.k_raters))
+        raters = [one_hot(_perturb(rng, clean, spec.noise, flip_probs[k]), spec.n_classes)
+                  for k in range(spec.k_raters)]
         yield SynthImage(image, RaterStack(raters)), clean
 
 

@@ -37,7 +37,7 @@ def edge_confidences(rng, n, n_bins=15):
 def ece_float_sums(conf, labels, n_bins):
     """The binned ECE with the positive labels summed as 0.0/1.0 floats
     and the bin index made by astype: the reference for the integer
-    counts and in-place index of metrics._ece."""
+    counts and in-place index of metrics.ece."""
     idx = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     conf_sum = np.bincount(idx, weights=conf, minlength=n_bins)

@@ -341,6 +341,8 @@ class TestBiasBound:
             verify_bias_bound([0.5, 0.4], [0.1, 0.2], [0.1, 0.2])
         with pytest.raises(InvalidDistributionError):
             verify_bias_bound([1.0], [1.4], [0.5])
+        with pytest.raises(InvalidDistributionError):
+            verify_bias_bound([np.nan, 0.5], [0.2, 0.3], [0.1, 0.2])
 
 
 # --------------------------------------------------------------------------

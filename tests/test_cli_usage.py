@@ -1,20 +1,23 @@
 """Command-line inputs that must exit 2 as usage errors: a non-integer
 DICESM_SEED, an --curve grid outside the loss domain or under two
-points, a val_fraction outside [0, 1) or one that leaves no training
-image, a negative eval_every, a negative box-mean radius in a model
-config, JSON inputs that lack a required key, calibrate on a three-class
-field (ECE is binary; nothing is written), a calibrate bandwidth or
-sweep entry that is not positive and finite, a config number that is
-NaN, Infinity, -Infinity or overflows to inf, and a config value of the
-wrong JSON type, refused before any data is read. Data files are bad
-data, exit 1 with one stderr line that names the file: a dataset
-manifest that lacks a key, is not JSON, is not an object or has an
-unknown spec key, and a teacher checkpoint manifest that is not JSON or
-lacks its params, and a rater file that holds a value other than 0 or 1,
-under every soft-label strategy and in a training dataset, an ECE (eval
---metric ece, calibrate) of a prediction and a label whose dims differ
-or whose rows leave the simplex, and a soft label where calibrate or
-eval --metric dice needs a hard one. Also: the compound curve honours
+points or a loss parameter that is not finite, a val_fraction outside
+[0, 1) or one that leaves no training image, a negative eval_every, a
+negative box-mean radius in a model config, JSON inputs that lack a
+required key, calibrate on a three-class field (ECE is binary; nothing
+is written), a calibrate bandwidth or sweep entry that is not positive
+and finite, a config number that is NaN, Infinity, -Infinity or
+overflows to inf, and a config value of the wrong JSON type, refused
+before any data is read. Data files are bad data, exit 1 with one
+stderr line that names the file: a dataset manifest that lacks a key,
+is not JSON, is not an object or has an unknown spec key, and a teacher
+checkpoint manifest that is not JSON or lacks its params, and a rater
+file that holds a value other than 0 or 1, under every soft-label
+strategy and in a training dataset, or a two-class one with a pixel in
+no class or in two, an ECE (eval --metric ece, calibrate) of a
+prediction and a label whose dims differ or whose rows leave the
+simplex, and a soft label where calibrate or eval --metric dice needs a
+hard one. A negative or non-finite gen-data image noise exits 1, as a
+bad spec, before anything is written. Also: the compound curve honours
 its flags, and a dataset directory trains to the same bytes with its
 clean/ masks deleted.
 """
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 from dicesm import cli
-from dicesm.core import LabelField, ProbField, TensorF, write_field, write_tensor
+from dicesm.core import LabelField, ProbField, TensorF, read_tensor, write_field, write_tensor
 from dicesm.softlabels import STRATEGIES
 from dicesm.training import ModelSpec, build_model, save_model
 
@@ -44,7 +47,11 @@ def test_bad_dicesm_seed_is_a_usage_error(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--label-value", "1.5"], ["--label-value", "-0.1"],
                                   ["--label-value", "nan"], ["--curve-points", "0"],
-                                  ["--curve-points", "1"]])
+                                  ["--curve-points", "1"],
+                                  ["--loss", "ctl", "--alpha", "nan"],
+                                  ["--loss", "ctl", "--beta", "inf"],
+                                  ["--loss", "compound", "--w-ce", "nan"],
+                                  ["--loss", "cftl", "--gamma", "nan"]])
 def test_curve_rejects_bad_grid(argv, capsys):
     code, out = _curve(capsys, "--loss", "dml1", *argv)
     assert (code, out) == (2, "")
@@ -78,9 +85,18 @@ def test_val_fraction_range(val_fraction, code, monkeypatch, tmp_path, capsys):
     assert (tmp_path / "out").exists() == (code == 0)
 
 
-def _gen_data(out, n_images=4):
+def _gen_data(out, n_images=4, *flags):
     assert cli.main(["gen-data", "--out", str(out), "--n-images", str(n_images),
-                     "--height", "8", "--width", "8", "--k-raters", "2"]) == 0
+                     "--height", "8", "--width", "8", "--k-raters", "2", *flags]) == 0
+
+
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+def test_bad_image_noise_writes_nothing(noise, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert cli.main(["gen-data", "--out", str(out), "--n-images", "1",
+                     f"--image-noise={noise}"]) == 1
+    assert "BadSpecError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_val_fraction_that_takes_every_image(monkeypatch, tmp_path, capsys):
@@ -301,6 +317,7 @@ def test_ece_rejects_rows_off_the_simplex(bad, argv, monkeypatch, tmp_path, caps
 
 # a rater must be hard: 0.5 makes a soft label, 1.5 leaves the [0, 1] range
 BAD_RATER_VALUES = [(0.5, "HardnessViolationError"), (1.5, "OutOfRangeError")]
+BAD_C2_RATER = "data/raters/img_0002_rater_1.sdt"
 
 
 @pytest.mark.parametrize("argv", [["calibrate", "--out", "cal.sdt"],
@@ -353,6 +370,25 @@ def test_train_rejects_a_bad_rater(value, error, monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert error in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("marked", [0, 2], ids=["no_class", "two_classes"])
+@pytest.mark.parametrize("argv", [["train", "--config", "c.json"],
+                                  ["make-soft-labels", "--strategy", "uniform_avg", "--out", "out",
+                                   "--raters", "data/raters/img_0002_rater_0.sdt", BAD_C2_RATER]],
+                         ids=["train", "make_soft_labels"])
+def test_two_class_rater_off_the_simplex(argv, marked, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    _gen_data("data", 4, "--n-classes", "2")
+    masks = read_tensor(BAD_C2_RATER).as_array().copy()
+    masks[:, 3, 4] = marked // 2
+    write_tensor(BAD_C2_RATER, TensorF.from_array(masks))
+    (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "data"}, "out_dir": "out"}))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "SimplexViolationError" in captured.err
+    assert "Traceback" not in captured.err and not (tmp_path / "out").exists()
 
 
 def _two_class_field() -> None:

@@ -182,7 +182,7 @@ class TestHardnessOf:
     """core._hardness_of (two counts), the one hardness rule, agrees with
     the elementwise np.all((a == 0) | (a == 1)) on every edge array, -0.0
     and NaN included; a LabelField built from an array in range takes that
-    hardness, and CalibRecord accepts exactly the hard label arrays."""
+    hardness."""
 
     VALUES = [0.0, -0.0, 1.0, 0.5, 1e-300, np.nextafter(1.0, 0.0), 2.0, np.nan]
 
@@ -194,19 +194,12 @@ class TestHardnessOf:
     def test_matches_the_elementwise_expression(self, k):
         import itertools
 
-        from dicesm.metrics import CalibRecord, SoftInputError
-
         for combo in itertools.product(self.VALUES, repeat=k):
             a = np.array(combo).reshape(1, 1, k)
             want = self._old(a)
             assert core._hardness_of(a) == want, combo
             if np.all((a >= 0.0) & (a <= 1.0)):
                 assert LabelField.from_array(a).hardness == want, combo
-            if want == "hard":
-                assert len(CalibRecord(np.zeros(k), a)) == k
-            else:
-                with pytest.raises(SoftInputError):
-                    CalibRecord(np.zeros(k), a)
 
     def test_read_label_field_infers_it(self, tmp_path):
         for values, want in (([0.0, -0.0, 1.0], "hard"), ([0.0, 0.5, 1.0], "soft")):
@@ -215,33 +208,53 @@ class TestHardnessOf:
 
 
 class TestRaterStack:
+    """A RaterStack checks what a bool (K, C, H, W) array can get wrong; a
+    rater file is checked where it is read, by cli._stack_from_files."""
+
     def test_basic(self):
-        r = LabelField.from_array(np.ones((1, 2, 2)))
-        stack = RaterStack((r, r, r))
-        assert len(stack) == 3
-        assert stack.dims == (1, 2, 2)
+        masks = np.ones((3, 1, 2, 2), dtype=bool)
+        stack = RaterStack(masks)
+        masks[0] = False  # the stack holds a read-only copy
+        assert (len(stack), stack.dims) == (3, (1, 2, 2))
+        assert stack.masks.all() and not stack.masks.flags.writeable
 
     def test_empty(self):
-        with pytest.raises(core.EmptyStackError):
-            RaterStack(())
+        for masks in ((), np.zeros((0, 1, 2, 2), dtype=bool)):
+            with pytest.raises(core.EmptyStackError):
+                RaterStack(masks)
 
     def test_soft_member_rejected(self):
-        soft = LabelField.from_array(np.full((1, 2, 2), 0.5))
-        with pytest.raises(HardnessViolationError):
-            RaterStack((soft,))
+        # masks are bool: float values are refused, 0/1 ones too
+        for masks in (np.full((1, 1, 2, 2), 0.5), np.ones((1, 1, 2, 2))):
+            with pytest.raises(TypeError):
+                RaterStack(masks)
 
     @pytest.mark.parametrize("value,error", [(0.5, HardnessViolationError),
                                              (1.5, core.OutOfRangeError)])
-    def test_member_labelled_hard_is_validated(self, value, error):
-        good = LabelField.from_array(np.ones((1, 2, 2)))
+    def test_member_labelled_hard_is_validated(self, value, error, tmp_path):
+        from dicesm.cli import _stack_from_files
+
+        good, bad = tmp_path / "good.sdt", tmp_path / "bad.sdt"
+        write_tensor(good, TensorF.from_array(np.ones((1, 2, 2))))
+        write_tensor(bad, TensorF.from_array(np.full((1, 2, 2), value)))
         with pytest.raises(error):
-            RaterStack((good, LabelField.from_array(np.full((1, 2, 2), value))))
+            _stack_from_files([good, bad])
+        write_tensor(bad, TensorF.from_array(np.ones((1, 2, 3))))
+        with pytest.raises(ShapeMismatchError):
+            _stack_from_files([good, bad])
 
     def test_dim_mismatch(self):
-        a = LabelField.from_array(np.ones((1, 2, 2)))
-        b = LabelField.from_array(np.ones((1, 2, 3)))
-        with pytest.raises(ShapeMismatchError):
-            RaterStack((a, b))
+        for shape in ((1, 2, 2), (1, 1, 1, 2, 2)):
+            with pytest.raises(ShapeMismatchError):
+                RaterStack(np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("marked", [0, 2])
+    def test_two_class_pixel_in_no_class_or_two(self, marked):
+        masks = np.arange(2)[:, None, None] == np.zeros((3, 4, 5), int)[:, None]
+        masks[2, :, 1, 3] = marked // 2
+        with pytest.raises(SimplexViolationError, match=f"rater 2 marks {marked} classes") as e:
+            RaterStack(masks)
+        assert e.value.flat_index == 1 * 5 + 3
 
 
 class TestTensorFile:

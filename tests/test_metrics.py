@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dicesm import metrics, sdl
-from dicesm.core import LabelField, OutOfRangeError, ProbField
+from dicesm.core import LabelField, OutOfRangeError, ShapeMismatchError
 from dicesm.metrics import (
     BDiceSpec,
-    CalibRecord,
     EceSpec,
     EmptyRecordsError,
     SoftInputError,
@@ -85,36 +84,32 @@ class TestBDice:
 
 class TestEce:
     def test_perfect_confidence(self):
-        r = CalibRecord(np.ones(100), np.ones(100))
-        assert ece(r) == 0.0
+        assert ece(np.ones(100), np.ones(100, dtype=bool)) == 0.0
 
     def test_calibrated_half(self):
         conf = np.full(100, 0.5)
-        labels = np.array([1.0, 0.0] * 50)
-        assert ece(CalibRecord(conf, labels)) == pytest.approx(0.0, abs=1e-15)
+        labels = np.array([True, False] * 50)
+        assert ece(conf, labels) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_bin_hand_case(self):
         conf = np.concatenate([np.full(100, 0.9), np.full(100, 0.2)])
-        labels = np.concatenate([np.repeat([1.0, 0.0], [70, 30]),
-                                 np.repeat([1.0, 0.0], [20, 80])])
-        assert ece(CalibRecord(conf, labels)) == pytest.approx(0.10, abs=1e-12)
+        labels = np.concatenate([np.repeat([True, False], [70, 30]),
+                                 np.repeat([True, False], [20, 80])])
+        assert ece(conf, labels) == pytest.approx(0.10, abs=1e-12)
 
     def test_permutation_invariant(self, rng):
         conf = rng.random(500)
-        labels = (rng.random(500) < conf).astype(float)
-        r1 = CalibRecord(conf, labels)
+        labels = rng.random(500) < conf
         perm = rng.permutation(500)
-        r2 = CalibRecord(conf[perm], labels[perm])
-        assert ece(r1) == pytest.approx(ece(r2), abs=1e-15)
-        assert 0.0 <= ece(r1) <= 1.0
+        assert ece(conf, labels) == pytest.approx(ece(conf[perm], labels[perm]), abs=1e-15)
+        assert 0.0 <= ece(conf, labels) <= 1.0
 
     def test_empty(self):
         with pytest.raises(EmptyRecordsError):
-            ece(CalibRecord(np.zeros(0), np.zeros(0)))
+            ece(np.zeros(0), np.zeros(0, dtype=bool))
 
     def test_conf_one_lands_in_last_bin(self):
-        r = CalibRecord(np.array([1.0]), np.array([0.0]))
-        assert ece(r, EceSpec(n_bins=15)) == 1.0
+        assert ece(np.array([1.0]), np.array([False]), EceSpec(n_bins=15)) == 1.0
 
 
 class TestEceCore:
@@ -125,25 +120,27 @@ class TestEceCore:
             conf = edge_confidences(rng, 3000, n_bins)
             assert {0.0, 1.0} <= set(conf.tolist())
             labels = rng.random(conf.size) < conf
-            want = ece_float_sums(conf, labels, n_bins)
-            assert metrics._ece(conf, labels, n_bins) == want
-            assert ece(CalibRecord(conf, labels.astype(float)), EceSpec(n_bins)) == want
+            assert ece(conf, labels, EceSpec(n_bins)) == ece_float_sums(conf, labels, n_bins)
 
     def test_leaves_its_inputs(self):
         rng = np.random.default_rng(1)
         conf = edge_confidences(rng, 500)
         labels = rng.random(500) < 0.5
         kept = conf.copy(), labels.copy()
-        metrics._ece(conf, labels, 15)
+        ece(conf, labels)
         assert np.array_equal(conf, kept[0]) and np.array_equal(labels, kept[1])
 
-    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0 ** -52, 2.0])
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2.0 ** -52, 2.0, np.nan])
     def test_rejects_confidence_outside_the_unit_interval(self, bad):
         conf = np.array([0.2, bad, 0.7])
         with pytest.raises(OutOfRangeError):
-            metrics._ece(conf, np.array([True, False, True]), 15)
-        with pytest.raises(EmptyRecordsError):
-            metrics._ece(np.zeros(0), np.zeros(0, dtype=bool), 15)
+            ece(conf, np.array([True, False, True]))
+
+    def test_rejects_labels_not_bool_or_of_another_length(self):
+        with pytest.raises(TypeError):
+            ece(np.array([0.2, 0.7]), np.array([1.0, 0.0]))
+        with pytest.raises(ShapeMismatchError):
+            ece(np.array([0.2, 0.7]), np.array([True]))
 
 
 class TestSoftDiceScore:

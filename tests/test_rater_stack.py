@@ -1,6 +1,6 @@
 """RaterStack holds its raters as one (K, C, H, W) bool array. Every
 function that reads the stack is checked here against an oracle that works
-on the float64 LabelFields the stack was built from."""
+on the raters as float64 LabelFields, the form a rater file is read in."""
 
 import math
 import tracemalloc
@@ -42,6 +42,11 @@ def _raters(draw, k=None, c=None):
         classes = draw(hnp.arrays(np.int8, (k, h, w), elements=st.integers(0, c - 1)))
         masks = np.arange(c)[None, :, None, None] == classes[:, None]
     return [LabelField.from_array(m.astype(np.float64)) for m in masks]
+
+
+def _stack(raters):
+    """The stack of the rater fields' masks, as cli._stack_from_files builds it."""
+    return RaterStack(np.stack([r.array == 1.0 for r in raters]))
 
 
 # --------------------------------------------------------------------------
@@ -123,25 +128,24 @@ class TestStackHoldsMasks:
     @_PROPS
     @given(raters=_raters())
     def test_masks_and_raters_round_trip(self, raters):
-        stack = RaterStack(raters)
+        stack = _stack(raters)
         assert stack.masks.dtype == np.bool_
         assert stack.masks.shape == (len(raters),) + raters[0].dims
         assert not stack.masks.flags.writeable
         assert len(stack) == len(raters) and stack.dims == raters[0].dims
-        rebuilt = stack.raters
-        assert len(rebuilt) == len(raters)
-        for r, back in zip(raters, rebuilt):
+        for r, mask in zip(raters, stack.masks):
+            back = LabelField.from_array(mask)
             assert back.is_hard and back.dims == r.dims
             _assert_bits(back.array, r.array)
 
     def test_retains_one_byte_per_rater_element(self):
         k, dims = 5, (2, 48, 40)
         classes = np.random.default_rng(3).integers(0, 2, (k,) + dims[1:])
-        onehots = [np.stack([c == 0, c == 1]).astype(np.float64) for c in classes]
+        onehots = np.stack([np.stack([c == 0, c == 1]) for c in classes])
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            stack = RaterStack(tuple(LabelField.from_array(a) for a in onehots))
+            stack = RaterStack(onehots)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -155,7 +159,7 @@ class TestReadersMatchFieldOracles:
     @_PROPS
     @given(raters=_raters())
     def test_vote_counts(self, raters):
-        votes = vote_counts(RaterStack(raters))
+        votes = vote_counts(_stack(raters))
         expected = _votes(raters)
         assert votes.dtype == expected.dtype
         assert np.array_equal(votes, expected)
@@ -163,20 +167,20 @@ class TestReadersMatchFieldOracles:
     @_PROPS
     @given(raters=_raters(), tie_break=st.sampled_from(TIE_BREAKS))
     def test_majority_vote(self, raters, tie_break):
-        field = majority_vote(RaterStack(raters), tie_break)
+        field = majority_vote(_stack(raters), tie_break)
         assert field.is_hard
         _assert_bits(field.array, _majority_masks(raters, tie_break).astype(np.float64))
 
     @_PROPS
     @given(raters=_raters())
     def test_uniform_average(self, raters):
-        field = uniform_average(RaterStack(raters))
+        field = uniform_average(_stack(raters))
         _assert_bits(field.array, _votes(raters) / len(raters))
 
     @_PROPS
     @given(raters=_raters(), tie_break=st.sampled_from(TIE_BREAKS))
     def test_rater_weights(self, raters, tie_break):
-        _assert_bits(rater_weights(RaterStack(raters), tie_break),
+        _assert_bits(rater_weights(_stack(raters), tie_break),
                      _rater_weights(raters, tie_break))
 
     @_PROPS
@@ -184,7 +188,7 @@ class TestReadersMatchFieldOracles:
     def test_weighted_average(self, raters, tie_break):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AllZeroWeightsWarning)
-            field = weighted_average(RaterStack(raters), tie_break)
+            field = weighted_average(_stack(raters), tie_break)
         _assert_bits(field.array, _weighted_combine(raters, _rater_weights(raters, tie_break)))
 
     @_PROPS
@@ -194,7 +198,7 @@ class TestReadersMatchFieldOracles:
         stacks_raters = [data.draw(_raters(k=k, c=c)) for _ in range(n)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AllZeroWeightsWarning)
-            fields = weighted_average_dataset([RaterStack(r) for r in stacks_raters],
+            fields = weighted_average_dataset([_stack(r) for r in stacks_raters],
                                               tie_break)
         weights = _dataset_weights(stacks_raters, tie_break)
         assert len(fields) == n
@@ -204,7 +208,7 @@ class TestReadersMatchFieldOracles:
     @_PROPS
     @given(raters=_raters(), seed=st.integers(0, 2 ** 32 - 1))
     def test_random_rater(self, raters, seed):
-        field = random_rater(RaterStack(raters), seed)
+        field = random_rater(_stack(raters), seed)
         u = np.random.default_rng(seed).random()
         expected = raters[min(int(u * len(raters)), len(raters) - 1)]
         assert field.is_hard
@@ -213,7 +217,7 @@ class TestReadersMatchFieldOracles:
     @_PROPS
     @given(raters=_raters())
     def test_references(self, raters):
-        ref = References.of(RaterStack(raters))
+        ref = References.of(_stack(raters))
         votes = _votes(raters)
         assert ref.k == len(raters)
         assert ref.votes.dtype == votes.dtype and np.array_equal(ref.votes, votes)

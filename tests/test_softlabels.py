@@ -18,13 +18,11 @@ from dicesm.softlabels import (
     weighted_average,
 )
 
-
-def binary_rater(mask):
-    return LabelField.from_array(np.asarray(mask, float).reshape(1, 1, -1))
+from conftest import vec_label
 
 
 def stack_of(*masks):
-    return RaterStack(tuple(binary_rater(m) for m in masks))
+    return RaterStack([np.asarray(m, bool).reshape(1, 1, -1) for m in masks])
 
 
 class TestMajorityVote:
@@ -34,7 +32,7 @@ class TestMajorityVote:
 
     def test_single_rater(self):
         s = stack_of([1, 0, 1])
-        np.testing.assert_array_equal(majority_vote(s).array, s.raters[0].array)
+        np.testing.assert_array_equal(majority_vote(s).array, s.masks[0])
 
     def test_tie_goes_to_background(self):
         s = stack_of([1], [0])
@@ -44,12 +42,12 @@ class TestMajorityVote:
     def test_multiclass_tie_rules(self):
         a = np.zeros((3, 1, 1)); a[1] = 1.0
         b = np.zeros((3, 1, 1)); b[2] = 1.0
-        s = RaterStack((LabelField.from_array(a), LabelField.from_array(b)))
+        s = RaterStack(np.array([a, b]) == 1.0)
         assert int(np.argmax(majority_vote(s, "lowest_class").array)) == 1
         # class 0 has zero votes, so background cannot steal the tie
         assert int(np.argmax(majority_vote(s, "background").array)) == 1
         c = np.zeros((3, 1, 1)); c[0] = 1.0
-        s2 = RaterStack((LabelField.from_array(a), LabelField.from_array(c)))
+        s2 = RaterStack(np.array([a, c]) == 1.0)
         assert int(np.argmax(majority_vote(s2, "background").array)) == 0
 
     def test_equals_thresholded_average_odd_k(self, rng):
@@ -70,7 +68,7 @@ class TestRandomRater:
 
     def test_single_rater(self):
         s = stack_of([1, 0])
-        np.testing.assert_array_equal(random_rater(s, 3).array, s.raters[0].array)
+        np.testing.assert_array_equal(random_rater(s, 3).array, s.masks[0])
 
     def test_frequencies(self):
         k = 5
@@ -95,7 +93,7 @@ class TestUniformAverage:
         s = stack_of([1, 0], [1, 0])
         out = uniform_average(s)
         assert out.is_hard
-        np.testing.assert_array_equal(out.array, s.raters[0].array)
+        np.testing.assert_array_equal(out.array, s.masks[0])
 
     def test_two_thirds(self):
         s = stack_of([1], [1], [0])
@@ -118,7 +116,7 @@ class TestWeightedAverage:
         s = stack_of([1, 0], [1, 0], [1, 0])
         out = weighted_average(s)
         assert out.is_hard
-        np.testing.assert_array_equal(out.array, s.raters[0].array)
+        np.testing.assert_array_equal(out.array, s.masks[0])
 
     def test_dice_zero_rater_ignored(self):
         # rater1 matches majority (dice 1), rater2 disjoint from it (dice 0);
@@ -129,7 +127,7 @@ class TestWeightedAverage:
         assert w[0] == w[1] == 1.0
         assert w[2] == 0.0
         out = weighted_average(s)
-        np.testing.assert_array_equal(out.array, s.raters[0].array)
+        np.testing.assert_array_equal(out.array, s.masks[0])
 
     def test_far_rater_gets_lower_weight(self):
         s = stack_of([1, 1, 1, 0], [1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0])
@@ -158,13 +156,10 @@ class TestWeightedAverage:
     def test_equals_the_stacked_sum(self, k, rng):
         """The running sum gives np.sum over the K scaled raters, bit for bit."""
         winner = rng.integers(0, 3, (k, 9, 11))
-        stack = RaterStack(tuple(
-            LabelField.from_array((np.arange(3)[:, None, None] == w).astype(float))
-            for w in winner))
+        stack = RaterStack(np.arange(3)[:, None, None] == winner[:, None])
         w = rater_weights(stack)
         w = w / float(np.sum(w))
-        expected = np.clip(np.sum([wi * r.array for wi, r in zip(w, stack.raters)], axis=0),
-                           0.0, 1.0)
+        expected = np.clip(np.sum([wi * m for wi, m in zip(w, stack.masks)], axis=0), 0.0, 1.0)
         np.testing.assert_array_equal(weighted_average(stack).array, expected)
 
 
@@ -177,15 +172,15 @@ class TestWeightedAverage:
             winner = rng.integers(0, max(c, 2), size=(5, 6))
             arr = (winner[None] == 1) if c == 1 else np.arange(c)[:, None, None] == winner
             raters.append(LabelField.from_array(arr.astype(float)))
-        s = RaterStack(tuple(raters))
+        s = RaterStack([r.array == 1.0 for r in raters])
         maj = majority_vote(s, tie_break)
-        expected = [np.mean([hard_dice(r, maj, ci) for ci in range(c)]) for r in s.raters]
+        expected = [np.mean([hard_dice(r, maj, ci) for ci in range(c)]) for r in raters]
         assert rater_weights(s, tie_break).tolist() == expected
 
 
 class TestLabelSmoothing:
     def test_identity(self):
-        y = binary_rater([1, 0, 1])
+        y = vec_label([1, 0, 1])
         out = label_smoothing(y, 0.0)
         assert out.is_hard
         np.testing.assert_array_equal(out.array, y.array)
@@ -197,7 +192,7 @@ class TestLabelSmoothing:
         np.testing.assert_allclose(out.array.ravel(), [0.95, 0.05], atol=1e-15)
 
     def test_binary_formula(self):
-        out = label_smoothing(binary_rater([1, 0]), 0.2)
+        out = label_smoothing(vec_label([1, 0]), 0.2)
         np.testing.assert_allclose(out.array.ravel(), [0.9, 0.1], atol=1e-15)
 
     def test_simplex_preserved(self, rng):
@@ -209,9 +204,9 @@ class TestLabelSmoothing:
 
     def test_bad_epsilon(self):
         with pytest.raises(BadEpsilonError):
-            label_smoothing(binary_rater([1]), 1.0)
+            label_smoothing(vec_label([1]), 1.0)
         with pytest.raises(BadEpsilonError):
-            label_smoothing(binary_rater([1]), -0.1)
+            label_smoothing(vec_label([1]), -0.1)
 
 
 class TestHardnessIsReadOffTheValues:
@@ -221,9 +216,9 @@ class TestHardnessIsReadOffTheValues:
     @pytest.mark.parametrize("c", [1, 2])
     def test_zero_one_values_make_a_hard_label(self, c):
         y = LabelField.from_array(one_hot(np.array([[True, False], [True, True]]), c))
-        stack = RaterStack((y, y, y))
+        stack = RaterStack([y.array == 1.0] * 3)
         x = ProbField.from_array(np.full((c, 2, 2), 1.0 / c))
-        for built in (label_smoothing(y, 0.0), uniform_average(stack), *stack.raters):
+        for built in (label_smoothing(y, 0.0), uniform_average(stack), random_rater(stack, 0)):
             assert built.is_hard
             np.testing.assert_array_equal(built.array, y.array)
             assert stl(x, built).value == stl(x, y).value

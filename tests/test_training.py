@@ -51,8 +51,7 @@ class TestSynth:
         b = tiny_dataset(seed=9)
         for ia, ib in zip(a.images, b.images):
             np.testing.assert_array_equal(ia.image, ib.image)
-            for ra, rb in zip(ia.raters.raters, ib.raters.raters):
-                np.testing.assert_array_equal(ra.array, rb.array)
+            np.testing.assert_array_equal(ia.raters.masks, ib.raters.masks)
 
     def test_zero_noise_raters_equal_clean(self):
         ds = tiny_dataset(noise=RaterNoise((0, 0), 0.0))
@@ -83,9 +82,8 @@ class TestSynth:
             outer = binary_dilation(clean, np.ones((3, 3), bool), iterations=radius + 1)
             inner = binary_erosion(clean, np.ones((3, 3), bool), iterations=radius + 1)
             allowed = outer & ~inner
-            for r in im.raters.raters:
-                diff = (r.array[0] == 1.0) != clean
-                assert not np.any(diff & ~allowed)
+            for m in im.raters.masks:
+                assert not np.any((m[0] != clean) & ~allowed)
 
     def test_flip_prob_lowers_agreement(self):
         dices = []
@@ -107,7 +105,8 @@ class TestSynth:
                                               noise=RaterNoise((0, 1), 0.2), seed=seed))
             c = foreground_class(n_classes)
             scores = [hard_dice(rs[i], rs[j], c)
-                      for rs in (im.raters.raters for im in ds.images)
+                      for rs in ([LabelField.from_array(m) for m in im.raters.masks]
+                                 for im in ds.images)
                       for i in range(len(rs)) for j in range(i + 1, len(rs))]
             assert mean_pairwise_rater_dice(ds) == float(np.mean(scores))
 
@@ -116,8 +115,8 @@ class TestSynth:
 
         for im, _ in generate_with_clean(SynthSpec(n_images=2, height=12, width=12,
                                                   n_classes=2, k_raters=2, seed=0)):
-            for r in im.raters.raters:
-                validate(r)
+            for m in im.raters.masks:
+                validate(LabelField.from_array(m))
 
 
 class TestModels:
@@ -313,19 +312,21 @@ class TestTrainLoop:
 
     def test_free_model_convergence_soft_target(self):
         # unconstrained single-pixel model: dml1 descends to the soft value,
-        # sdl saturates toward a vertex
+        # sdl saturates toward a vertex. The fixed-step dml1 iterate oscillates
+        # around y, so its tail mean, not its last bit of np.exp, is judged.
         y = 0.3
 
         def descend(name):
-            w = 0.0
+            w, xs = 0.0, []
             for _ in range(4000):
                 x = 1.0 / (1.0 + np.exp(-w))
                 _, grads, _ = pairwise(name, np.array([[x]]), np.array([[y]]))
                 w -= 1.0 * grads[0, 0] * x * (1.0 - x)
-            return 1.0 / (1.0 + np.exp(-w))
+                xs.append(1.0 / (1.0 + np.exp(-w)))
+            return np.array(xs)
 
-        assert abs(descend("dml1") - y) < 0.01
-        assert descend("sdl") > 0.9
+        assert abs(descend("dml1")[-1000:].mean() - y) < 0.01
+        assert descend("sdl")[-1] > 0.9
 
     @pytest.mark.parametrize("epochs,eval_every,calls", [(3, 1, 3), (3, 2, 2), (3, 0, 1),
                                                          (0, 1, 1)])
@@ -427,13 +428,21 @@ class FixedOutputs:
         return self.outputs[i], None
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_specs_reject_a_non_finite_number(value):
+    with pytest.raises(ValueError):
+        TrainSpec(lr0=value)
+    with pytest.raises(ValueError):
+        KdSpec(kd_weight=value)
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("n_classes", [1, 2])
     def test_ece_matches_metrics_ece_on_bin_edges(self, n_classes):
         """The ECE over the filled vectors is metrics.ece of the same pixels,
         and the float-sum reference, bit for bit, on exact 0s, 1s and bin
         edges k / 15."""
-        from dicesm.metrics import CalibRecord, ece
+        from dicesm.metrics import ece
 
         ds = generate_synthetic(SynthSpec(n_images=3, height=20, width=20, k_raters=3,
                                           n_classes=n_classes, seed=6))
@@ -445,7 +454,7 @@ class TestEvaluate:
             outputs = [np.stack([1.0 - p, p]) if n_classes == 2 else p[None] for p in fgs]
             conf = np.concatenate([p.ravel() for p in fgs])
             got = evaluate(FixedOutputs(outputs), range(3), refs)["ece"]
-            assert got == ece(CalibRecord(conf, labels)) == ece_float_sums(conf, labels, 15)
+            assert got == ece(conf, labels) == ece_float_sums(conf, labels, 15)
 
     def test_confidence_outside_the_unit_interval_raises(self):
         from dicesm.core import OutOfRangeError
@@ -510,7 +519,7 @@ class TestEvaluate:
     def test_matches_the_field_references(self, n_classes):
         """Scores against compact references equal scores against the
         majority-vote and rater-average fields, bit for bit."""
-        from dicesm.metrics import BDiceSpec, CalibRecord, bdice, ece, foreground_class, hard_dice
+        from dicesm.metrics import BDiceSpec, bdice, ece, foreground_class, hard_dice
         from dicesm.softlabels import majority_vote
 
         ds = generate_synthetic(SynthSpec(n_images=4, height=12, width=12, k_raters=4,
@@ -528,11 +537,10 @@ class TestEvaluate:
             dices.append(hard_dice(binarize(probs), maj, fg))
             bdices.append(bdice(probs, uniform_average(im.raters), BDiceSpec(), fg))
             confs.append(probs.array[fg].ravel())
-            labels.append(maj.array[fg].ravel())
-        record = CalibRecord(np.concatenate(confs), np.concatenate(labels))
+            labels.append(maj.array[fg].ravel() == 1.0)
         assert m["dice"] == float(np.mean(dices))
         assert m["bdice"] == float(np.mean(bdices))
-        assert m["ece"] == ece(record)
+        assert m["ece"] == ece(np.concatenate(confs), np.concatenate(labels))
 
     def test_class_count_must_match_the_references(self):
         ds = tiny_dataset(n=2)
@@ -604,7 +612,7 @@ class TestDistill:
         kd = distill(tr, OracleTeacher(), ms, ts,
                      KdSpec(kd_weight=2.0, kd_terms="dml"), va, eval_every=0)
         clean_tr = SynthDataset(tr.spec, tuple(
-            SynthImage(im.image, RaterStack((LabelField.from_array(clean[None]),)))
+            SynthImage(im.image, RaterStack(clean[None, None]))
             for im, clean in zip(tr.images, cleans)))
         upper = train(clean_tr, ms, ts, va, eval_every=0)
         assert kd.final_metrics["dice"] >= plain.final_metrics["dice"] - 0.02
