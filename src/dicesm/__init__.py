@@ -7,7 +7,8 @@ The package is organized as:
                  validation, SDT1 file IO
     losses       every loss with value + analytic gradient, loss registry
     softlabels   majority vote, rater sampling, averaging, label smoothing
-    metrics      hard Dice, binarized Dice, binned ECE on bool labels
+    metrics      hard Dice of bool masks, binarized Dice, binned ECE on bool
+                 labels
     calibration  Beta/Dirichlet kernel recalibration and the bias bound
     training     synthetic multi-rater data, tiny models, SGD, distillation
     properties   the invariant suite behind `dicesm check-properties`

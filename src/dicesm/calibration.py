@@ -61,16 +61,13 @@ from ._filters import window_max, window_min
 from ._special import gammaln, xlogy
 from .core import (
     DicesmError,
-    LabelField,
     OutOfRangeError,
-    ProbField,
     SIMPLEX_TOL,
     ShapeMismatchError,
     SimplexViolationError,
     check_finite,
-    check_same_dims,
 )
-from .metrics import SoftInputError, class_map
+from .metrics import class_map
 
 SCOPE_ALL = "all"
 SCOPE_BOUNDARY = "misclassified_and_boundary"
@@ -373,19 +370,20 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
 # Pixel scope
 # --------------------------------------------------------------------------
 
-def select_scope_pixels(pred: ProbField, label: LabelField,
+def select_scope_pixels(pred_classes: np.ndarray, label_classes: np.ndarray,
                         spec: KdeSpec) -> np.ndarray:
-    """Flat pixel indices where argmax(pred) != argmax(label), plus pixels
-    within Chebyshev distance boundary_radius of a label class transition."""
-    check_same_dims(pred, label)
-    if not label.is_hard:
-        raise SoftInputError("select_scope_pixels requires a hard label map")
-    pc = class_map(pred.array)
-    lc = class_map(label.array)
-    wrong = pc != lc
+    """Flat pixel indices where the prediction's class differs from the
+    label's, plus pixels within Chebyshev distance boundary_radius of a
+    label class transition.
+
+    Both arguments are (H, W) class maps, as class_map or
+    softlabels.majority_map give them; only their shapes are checked here.
+    """
+    if pred_classes.shape != label_classes.shape:
+        raise ShapeMismatchError(f"class maps {pred_classes.shape} vs {label_classes.shape}")
     size = 2 * spec.boundary_radius + 1
-    near_edge = window_max(lc, size) != window_min(lc, size)
-    return np.flatnonzero(wrong | near_edge)
+    near_edge = window_max(label_classes, size) != window_min(label_classes, size)
+    return np.flatnonzero((pred_classes != label_classes) | near_edge)
 
 
 # --------------------------------------------------------------------------

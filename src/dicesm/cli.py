@@ -56,9 +56,10 @@ from .metrics import (
     EceSpec,
     SoftInputError,
     _bdice,
+    class_map,
     ece,
     foreground_class,
-    hard_dice,
+    mask_dice,
     one_hot,
 )
 from .properties import run_suite
@@ -72,7 +73,6 @@ from .training import (
     SynthImage,
     SynthSpec,
     TrainSpec,
-    binarize,
     distill,
     generate_synthetic,
     generate_with_clean,
@@ -178,8 +178,12 @@ def cmd_eval(args) -> int:
     pred = read_prob_field(args.pred)
     label = read_label_field(args.label)
     if args.metric == "dice":
-        hard_pred = binarize(pred)
-        per_class = [hard_dice(hard_pred, label, c) for c in range(pred.n_classes)]
+        check_same_dims(pred, label)
+        if not label.is_hard:
+            raise SoftInputError("dice requires a hard label")
+        hard_pred = one_hot(class_map(pred.array), pred.n_classes)
+        per_class = [mask_dice(hard_pred[c], label.array[c] == 1.0)
+                     for c in range(pred.n_classes)]
     elif args.metric == "bdice":
         thresholds = tuple(float(t) for t in args.thresholds.split(","))
         spec = BDiceSpec(thresholds=thresholds)
@@ -262,7 +266,9 @@ def cmd_calibrate(args) -> int:
     conf_rows = pred.array.reshape(c, -1).T
     # the keys and the scope do not depend on the bandwidth
     keys = sample_key_points(conf_rows, label.array.reshape(c, -1).T, spec)
-    scope = None if spec.pixel_scope == SCOPE_ALL else select_scope_pixels(pred, label, spec)
+    # _binary_ece (ece_before) has checked the dims and that the label is hard
+    scope = (None if spec.pixel_scope == SCOPE_ALL
+             else select_scope_pixels(class_map(pred.array), class_map(label.array), spec))
     n_scope = len(conf_rows if scope is None else scope)
 
     def calibrate(h: float) -> ProbField:

@@ -1,20 +1,19 @@
 """Evaluation metrics: set-based hard Dice, binarized Dice over threshold
 sweeps, and binned expected calibration error.
 
-hard_dice counts set memberships with integers and is the independent oracle
-for the overlap losses (1 - sdl on hard pairs must match it exactly). Its
-count, mask_dice, is the one integer Dice count: bdice, the training loop's
-evaluation and the rater weights of softlabels use it on bool masks.
+mask_dice is the one integer Dice count, on bool masks: bdice, the training
+loop's evaluation, the rater weights of softlabels and the CLI's hard Dice
+use it, and it is the tests' independent oracle for the overlap losses
+(1 - sdl on hard pairs must match it exactly).
 
 class_map and foreground_class are the one statement of the class rule: a
 C == 1 field is a foreground probability with an implicit background.
 
-Public metrics take fields, which were checked once, on construction, and
-check only that their dims agree; ece alone scores pooled arrays, float
-confidences and bool labels, and checks their range and length itself.
-Callers that hold checked arrays (the training loop's evaluation, the CLI
-after reading its files) score through the array cores, such as _bdice,
-directly.
+bdice takes fields, which were checked once, on construction, and checks
+only that their dims agree; ece scores pooled arrays, float confidences and
+bool labels, and checks their range and length itself. Callers that hold
+checked arrays (the training loop's evaluation, the CLI after reading its
+files) score through the array cores, such as _bdice, directly.
 """
 
 from __future__ import annotations
@@ -109,17 +108,6 @@ def mask_dice(a: np.ndarray, b: np.ndarray, empty_both: float = 1.0) -> float:
         return float(empty_both)
     inter = int(np.count_nonzero(a & b))
     return 2.0 * inter / (na + nb)
-
-
-def hard_dice(a: LabelField, b: LabelField, class_idx: int = 0,
-              empty_both: float = 1.0) -> float:
-    """Set-based Dice 2|A∩B| / (|A|+|B|) for one class, by integer counting."""
-    check_same_dims(a, b)
-    if not (a.is_hard and b.is_hard):
-        raise SoftInputError("hard_dice requires hard labels on both sides")
-    if not 0 <= class_idx < a.n_classes:
-        raise ShapeMismatchError(f"class {class_idx} outside 0..{a.n_classes - 1}")
-    return mask_dice(a.array[class_idx] == 1.0, b.array[class_idx] == 1.0, empty_both)
 
 
 def bdice(x: ProbField, y: LabelField, spec: BDiceSpec | None = None,

@@ -8,7 +8,6 @@ from .loop import (
     EmptyDatasetError,
     TrainResult,
     TrainSpec,
-    binarize,
     evaluate,
     poly_lr,
     subset,

@@ -17,9 +17,10 @@ import numpy as np
 
 from ..calibration import (SCOPE_ALL, KdeSpec, kde_calibrate_batch, sample_key_points,
                            select_scope_pixels)
-from ..core import ProbField, check_finite
+from ..core import check_finite
 from ..losses import _reduce_batch, parse_loss_params
-from ..softlabels import majority_vote
+from ..metrics import class_map, one_hot
+from ..softlabels import majority_map, vote_counts
 from .loop import TrainResult, TrainSpec, build_targets, run_sgd
 from .models import CheckpointMismatchError, ModelSpec, build_model
 from .synth import SynthDataset
@@ -49,7 +50,10 @@ class TeacherSignal:
 
     The teacher's probabilities are (C, H, W) arrays, checked for
     finiteness once per image here; the KDE signals and the KD gradients
-    are arrays too. A ProbField is built only for select_scope_pixels.
+    are arrays too, and no field is built. With use_kde, each image's
+    majority vote is a class map of its rater stack: its one-hot gives the
+    bool key-label rows, and with the teacher's class map it gives the
+    pixel scope.
     """
 
     def __init__(self, dataset: SynthDataset, teacher, kd_spec: KdSpec):
@@ -68,12 +72,12 @@ class TeacherSignal:
                     f"teacher emits {probs.shape[0]} classes, task has {n_classes}")
             self.teacher_probs.append(probs)
             if kd_spec.use_kde:
-                maj = majority_vote(im.raters)
+                maj = majority_map(vote_counts(im.raters), len(im.raters))
                 self.conf_rows.append(probs.reshape(n_classes, -1).T)
-                self.label_rows.append(maj.array.reshape(n_classes, -1).T)
+                self.label_rows.append(one_hot(maj, n_classes).reshape(n_classes, -1).T)
                 self.scopes.append(
                     None if kde.pixel_scope == SCOPE_ALL
-                    else select_scope_pixels(ProbField.from_array(probs), maj, kde))
+                    else select_scope_pixels(class_map(probs), maj, kde))
         self.losses = [(name, parse_loss_params(name, None)[0])
                        for name in KD_LOSSES[kd_spec.kd_terms]]
 

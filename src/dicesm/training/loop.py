@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import (DicesmError, LabelField, ProbField, RaterStack, ShapeMismatchError,
-                    check_finite)
+from ..core import DicesmError, RaterStack, ShapeMismatchError, check_finite
 from ..losses import ReductionSpec, _guard_soft, _reduce_batch, parse_loss_params
 # not called here: perfbench's tracer self-test checks that tracing restores
 # this binding
 from ..losses import batch_loss  # noqa: F401
-from ..metrics import BDiceSpec, _bdice, class_map, ece, foreground_class, mask_dice, one_hot
+from ..metrics import BDiceSpec, _bdice, class_map, ece, foreground_class, mask_dice
 from ..softlabels import SoftLabelSpec, build_labels_dataset, majority_map, vote_counts
 from .models import ModelSpec, build_model
 from .synth import SynthDataset
@@ -67,6 +66,9 @@ class TrainSpec:
     def __post_init__(self):
         if not 0 < self.lr0 < np.inf or self.epochs < 0 or self.batch_size <= 0:
             raise ValueError("lr0 must be positive and finite, epochs >= 0, batch_size > 0")
+        # each test is written so that a NaN fails it
+        if not all(0 <= v < np.inf for v in (self.momentum, self.weight_decay, self.poly_power)):
+            raise ValueError("momentum, weight_decay and poly_power must be nonnegative and finite")
         parse_loss_params(self.loss_name, self.loss_params)  # fail fast on bad ids
 
 
@@ -82,11 +84,6 @@ def poly_lr(lr0: float, t: int, total: int, power: float) -> float:
     if total <= 0:
         return lr0
     return lr0 * (1.0 - t / total) ** power
-
-
-def binarize(probs: ProbField) -> LabelField:
-    """One-hot field of the class map (the map itself at C == 1)."""
-    return LabelField.from_array(one_hot(class_map(probs.array), probs.n_classes))
 
 
 @dataclass(frozen=True)

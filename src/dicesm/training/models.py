@@ -18,7 +18,7 @@ checks in the tests. Checkpoints are SDT1 tensors plus a JSON manifest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from ..core import (
     ProbField,
     ShapeMismatchError,
     TensorF,
+    from_json,
     read_tensor,
     write_tensor,
 )
@@ -199,16 +200,7 @@ def forward(model, image) -> ProbField:
 def save_model(model, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = model.spec
-    manifest = {
-        "kind": spec.kind,
-        "feature_set": spec.feature_set,
-        "radii": list(spec.radii),
-        "channels": spec.channels,
-        "n_classes": spec.n_classes,
-        "seed": spec.seed,
-        "params": {},
-    }
+    manifest = {**asdict(model.spec), "params": {}}
     for name, arr in model.params.items():
         fname = f"{name}.sdt"
         write_tensor(out / fname, TensorF.from_array(arr))
@@ -222,10 +214,12 @@ def load_model(model_dir):
         raise CheckpointMismatchError(f"no manifest at {path}")
     try:
         manifest = json.loads(path.read_text())
-        spec = ModelSpec(kind=manifest["kind"], feature_set=manifest["feature_set"],
-                         radii=tuple(manifest["radii"]), channels=manifest["channels"],
-                         n_classes=manifest["n_classes"], seed=manifest["seed"])
-        files = dict(manifest["params"])
+        files = dict(manifest["params"])  # a TypeError unless manifest is an object
+        del manifest["params"]
+        missing = [f.name for f in fields(ModelSpec) if f.name not in manifest]
+        if missing:
+            raise KeyError(f"missing keys {missing}")
+        spec = from_json(ModelSpec, manifest)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointMismatchError(f"bad manifest {path}: {e}") from None
     model = build_model(spec)

@@ -25,7 +25,7 @@ from dicesm.calibration import (
     select_scope_pixels,
     verify_bias_bound,
 )
-from dicesm.core import (LabelField, NonFiniteError, OutOfRangeError, ProbField,
+from dicesm.core import (NonFiniteError, OutOfRangeError, ShapeMismatchError,
                          SimplexViolationError)
 
 
@@ -289,26 +289,27 @@ class TestBandwidth:
 
 class TestSelectScopePixels:
     def test_perfect_prediction_no_boundary(self):
-        pred = ProbField.from_array(np.full((1, 4, 4), 0.9))
-        lab = LabelField.from_array(np.ones((1, 4, 4)))
-        idx = select_scope_pixels(pred, lab, KdeSpec())
+        ones = np.ones((4, 4), np.int64)
+        idx = select_scope_pixels(ones, ones, KdeSpec())
         assert idx.size == 0
 
     def test_one_edge_radius_one(self):
-        lab_arr = np.zeros((1, 4, 4))
-        lab_arr[0, :, 2:] = 1.0  # vertical edge between columns 1 and 2
-        pred = ProbField.from_array(np.clip(lab_arr, 0.1, 0.9))
-        lab = LabelField.from_array(lab_arr)
-        idx = select_scope_pixels(pred, lab, KdeSpec(boundary_radius=1))
+        lab = np.zeros((4, 4), np.int64)
+        lab[:, 2:] = 1  # vertical edge between columns 1 and 2
+        idx = select_scope_pixels(lab.copy(), lab, KdeSpec(boundary_radius=1))
         rows, cols = np.unravel_index(idx, (4, 4))
         assert set(cols.tolist()) == {1, 2}
         assert rows.size == 8
 
     def test_all_wrong(self):
-        pred = ProbField.from_array(np.full((1, 3, 3), 0.9))
-        lab = LabelField.from_array(np.zeros((1, 3, 3)))
+        pred, lab = np.ones((3, 3), np.int64), np.zeros((3, 3), np.int64)
         idx = select_scope_pixels(pred, lab, KdeSpec())
         assert idx.size == 9
+
+    def test_maps_of_other_shapes(self):
+        with pytest.raises(ShapeMismatchError):
+            select_scope_pixels(np.zeros((3, 3), np.int64), np.zeros((3, 4), np.int64),
+                                KdeSpec())
 
 
 class TestBiasBound:

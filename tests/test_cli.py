@@ -369,6 +369,9 @@ BAD_CONFIGS = {
                            "kd": {"teacher_checkpoint": "t", "kde": {"bogus": 1}}}),
     "kd_no_teacher": ("distill", {"data": {"dir": "data"}, "kd": {}}),
     "bad_value": ("train", _train_config(train={"lr0": -1.0})),
+    "momentum": ("train", _train_config(train={"momentum": -5.0})),
+    "weight_decay": ("train", _train_config(train={"weight_decay": -1.0})),
+    "poly_power": ("train", _train_config(train={"poly_power": -1.0})),
 }
 
 
@@ -412,10 +415,12 @@ def test_bad_magic_exits_1(work):
                      "data/clean/img_0000.sdt", "--metric", "dice"]) == 1
 
 
-def test_mismatched_dims_exits_1(work):
+def test_mismatched_dims_exits_1(work, capsys):
     _write_sdt("small.sdt", np.full((1, 3, 3), 0.5))
-    assert cli.main(["eval-loss", "--loss", "dml1", "--pred", "small.sdt",
-                     "--label", "data/clean/img_0000.sdt"]) == 1
+    for argv in (["eval-loss", "--loss", "dml1"], ["eval", "--metric", "dice"]):
+        assert cli.main([*argv, "--pred", "small.sdt",
+                         "--label", "data/clean/img_0000.sdt"]) == 1
+        assert "ShapeMismatchError" in capsys.readouterr().err
 
 
 def test_soft_label_guard_exits_1(work):

@@ -225,10 +225,17 @@ def test_malformed_dataset_manifest_is_bad_data(corrupt, monkeypatch, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("corrupt", [lambda m: "{not json",
-                                     lambda m: json.dumps({k: v for k, v in m.items()
-                                                           if k != "params"})],
-                         ids=["not_json", "no_params"])
+@pytest.mark.parametrize("corrupt", [
+    lambda m: "{not json",
+    lambda m: json.dumps({k: v for k, v in m.items() if k != "params"}),
+    lambda m: "5",
+    lambda m: json.dumps({k: v for k, v in m.items() if k != "seed"}),
+    lambda m: json.dumps({**m, "bogus": 1}),
+    lambda m: json.dumps({**m, "seed": "0"}),
+    lambda m: json.dumps({**m, "channels": 2.0}),
+    lambda m: json.dumps({**m, "n_classes": True}),
+], ids=["not_json", "no_params", "number", "no_seed", "unknown_key", "seed_str",
+        "channels_float", "n_classes_bool"])
 def test_malformed_teacher_checkpoint_is_bad_data(corrupt, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
     save_model(build_model(ModelSpec(feature_set="intensity")), tmp_path / "teacher")

@@ -232,18 +232,6 @@ class TestProperties:
             for name in ("sdl", "sjl", "stl"):
                 assert curves[name] in (0.0, 1.0)
 
-    def test_cftl_focus_ordering(self):
-        # larger gamma: flatter near the minimum, steeper far away
-        grid = np.linspace(0.0, 1.0, 201)
-        y = np.full_like(grid, 0.8)
-        curves = {g: pairwise_values("cftl", grid[:, None], y[:, None],
-                                     TverskyParams(0.7, 0.3, g))
-                  for g in (1.0, 2.0, 4.0)}
-        near = np.abs(grid - 0.8) < 0.1
-        assert np.mean(curves[4.0][near]) < np.mean(curves[2.0][near]) < np.mean(curves[1.0][near])
-        slopes = {g: np.max(np.abs(np.diff(c))) for g, c in curves.items()}
-        assert slopes[4.0] > slopes[2.0] > slopes[1.0]
-
 
 class TestGradients:
     LOSSES = ["sdl", "sjl", "jml1", "jml2", "dml1", "dml2",

@@ -4,49 +4,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dicesm import metrics, sdl
-from dicesm.core import LabelField, OutOfRangeError, ShapeMismatchError
+from dicesm import sdl
+from dicesm.core import OutOfRangeError, ShapeMismatchError
 from dicesm.metrics import (
     BDiceSpec,
     EceSpec,
     EmptyRecordsError,
-    SoftInputError,
     bdice,
     class_map,
     ece,
-    hard_dice,
+    mask_dice,
+    one_hot,
 )
 
 from conftest import ece_float_sums, edge_confidences, vec_label, vec_prob
 
 
-def mask_field(mask):
-    return LabelField.from_array(np.asarray(mask, float).reshape(1, 1, -1))
+def mask(values):
+    return np.asarray(values, float) == 1.0
 
 
 class TestHardDice:
+    """Set-based Dice of bool masks, by mask_dice's integer counts."""
+
     def test_identical(self):
-        m = mask_field([1, 1, 0, 0])
-        assert hard_dice(m, m) == 1.0
+        m = mask([1, 1, 0, 0])
+        assert mask_dice(m, m) == 1.0
 
     def test_disjoint(self):
-        assert hard_dice(mask_field([1, 1, 0, 0]), mask_field([0, 0, 1, 1])) == 0.0
+        assert mask_dice(mask([1, 1, 0, 0]), mask([0, 0, 1, 1])) == 0.0
 
     def test_counting_case(self):
         # |a|=4, |b|=6, |inter|=3 -> 2*3/10
-        a = mask_field([1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
-        b = mask_field([1, 1, 1, 0, 1, 1, 1, 0, 0, 0])
-        assert hard_dice(a, b) == pytest.approx(0.6, abs=0)
+        a = mask([1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+        b = mask([1, 1, 1, 0, 1, 1, 1, 0, 0, 0])
+        assert mask_dice(a, b) == pytest.approx(0.6, abs=0)
 
     def test_empty_both(self):
-        z = mask_field([0, 0])
-        assert hard_dice(z, z) == 1.0
-        assert hard_dice(z, z, empty_both=0.0) == 0.0
-
-    def test_soft_rejected(self):
-        soft = LabelField.from_array(np.full((1, 1, 2), 0.5))
-        with pytest.raises(SoftInputError):
-            hard_dice(soft, mask_field([0, 0]))
+        z = mask([0, 0])
+        assert mask_dice(z, z) == 1.0
+        assert mask_dice(z, z, empty_both=0.0) == 0.0
 
 
 class TestBDice:
@@ -72,7 +69,7 @@ class TestBDice:
         yv = (rng.random(32) < 0.5).astype(float)
         x, y = vec_prob(xv), vec_label(yv)
         spec = BDiceSpec(thresholds=(0.5,))
-        ref = metrics.mask_dice(xv > 0.5, yv > 0.5, 1.0)
+        ref = mask_dice(xv > 0.5, yv > 0.5, 1.0)
         assert bdice(x, y, spec) == ref
 
     def test_spec_validation(self):
@@ -155,7 +152,7 @@ class TestSoftDiceScore:
             if xv.sum() + yv.sum() == 0:
                 continue
             assert 1.0 - sdl(x, y).value == pytest.approx(
-                hard_dice(mask_field(xv), mask_field(yv)), abs=1e-12)
+                mask_dice(mask(xv), mask(yv)), abs=1e-12)
 
 
 class TestClassMap:
@@ -192,3 +189,11 @@ class TestClassMap:
     def test_nan_after_the_maximum(self):
         arr = np.array([[0.9, np.nan], [np.nan, 0.1], [0.5, 0.5]])[:, None]
         assert class_map(arr).tolist() == [[1, 0]]
+
+    def test_one_hot_of_the_class_map(self):
+        """The binarized prediction that eval --metric dice scores."""
+        p = np.array([0.4, 0.6]).reshape(1, 1, 2)
+        np.testing.assert_array_equal(one_hot(class_map(p), 1).ravel(), [False, True])
+        q = np.array([[0.7, 0.2], [0.3, 0.8]]).reshape(2, 1, 2)
+        np.testing.assert_array_equal(one_hot(class_map(q), 2)[:, 0],
+                                      [[True, False], [False, True]])

@@ -3,7 +3,7 @@ import pytest
 
 from dicesm.core import LabelField, ProbField, RaterStack, validate
 from dicesm.losses import SoftLabelIncompatibleError, stl
-from dicesm.metrics import hard_dice, one_hot
+from dicesm.metrics import mask_dice, one_hot
 from dicesm.softlabels import (
     AllZeroWeightsWarning,
     BadEpsilonError,
@@ -166,7 +166,8 @@ class TestWeightedAverage:
     @pytest.mark.parametrize("tie_break", ["background", "lowest_class"])
     @pytest.mark.parametrize("c,k", [(1, 4), (2, 4), (3, 5)])
     def test_weights_match_hard_dice(self, c, k, tie_break, rng):
-        """rater_weights counts on arrays what hard_dice counts on fields."""
+        """rater_weights counts on the stack's masks what mask_dice counts on
+        the 1s of the rater and majority-vote fields."""
         raters = []
         for _ in range(k):
             winner = rng.integers(0, max(c, 2), size=(5, 6))
@@ -174,7 +175,8 @@ class TestWeightedAverage:
             raters.append(LabelField.from_array(arr.astype(float)))
         s = RaterStack([r.array == 1.0 for r in raters])
         maj = majority_vote(s, tie_break)
-        expected = [np.mean([hard_dice(r, maj, ci) for ci in range(c)]) for r in raters]
+        expected = [np.mean([mask_dice(r.array[ci] == 1.0, maj.array[ci] == 1.0)
+                             for ci in range(c)]) for r in raters]
         assert rater_weights(s, tie_break).tolist() == expected
 
 

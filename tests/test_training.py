@@ -20,7 +20,6 @@ from dicesm.training import (
     RaterNoise,
     SynthSpec,
     TrainSpec,
-    binarize,
     build_model,
     distill,
     evaluate,
@@ -96,15 +95,16 @@ class TestSynth:
 
     @pytest.mark.parametrize("n_classes", [1, 2])
     def test_mean_pairwise_rater_dice_matches_hard_dice(self, n_classes):
-        """Scoring the masks gives the bits of hard_dice on the rater fields."""
-        from dicesm.metrics import foreground_class, hard_dice
+        """Scoring the masks gives the bits of mask_dice on the 1s of the
+        rater fields."""
+        from dicesm.metrics import foreground_class, mask_dice
 
         for seed in (0, 3, 7):
             ds = generate_synthetic(SynthSpec(n_images=4, height=16, width=16,
                                               n_classes=n_classes, k_raters=4,
                                               noise=RaterNoise((0, 1), 0.2), seed=seed))
             c = foreground_class(n_classes)
-            scores = [hard_dice(rs[i], rs[j], c)
+            scores = [mask_dice(rs[i].array[c] == 1.0, rs[j].array[c] == 1.0)
                       for rs in ([LabelField.from_array(m) for m in im.raters.masks]
                                  for im in ds.images)
                       for i in range(len(rs)) for j in range(i + 1, len(rs))]
@@ -367,10 +367,8 @@ class TestTrainLoop:
     def test_references_built_once_per_run(self, strategy, epochs, eval_every, n_val,
                                            monkeypatch):
         """One majority vote per scored image per run, plus one per training
-        image where the targets need it (weighted_avg), and no hard_dice."""
-        import sys
-
-        from dicesm import metrics, softlabels
+        image where the targets need it (weighted_avg)."""
+        from dicesm import softlabels
 
         built = []
         majority_map = softlabels.majority_map
@@ -381,16 +379,6 @@ class TestTrainLoop:
 
         for mod in (softlabels, loop):
             monkeypatch.setattr(mod, "majority_map", counting)
-        dice_calls = []
-        hard_dice = metrics.hard_dice
-
-        def counting_dice(*args, **kwargs):
-            dice_calls.append(args)
-            return hard_dice(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("dicesm") and getattr(mod, "hard_dice", None) is hard_dice:
-                monkeypatch.setattr(mod, "hard_dice", counting_dice)
         val = tiny_dataset(n=n_val, seed=6) if n_val else None
         train(tiny_dataset(n=4), ModelSpec(feature_set="intensity"),
               TrainSpec(epochs=epochs, batch_size=2, seed=3,
@@ -398,7 +386,6 @@ class TestTrainLoop:
               val, eval_every=eval_every)
         n_targets = 4 if strategy == "weighted_avg" else 0
         assert len(built) == n_targets + (n_val or 4)
-        assert dice_calls == []
 
     def test_label_sources_change_targets(self):
         ds = tiny_dataset()
@@ -430,8 +417,9 @@ class FixedOutputs:
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_specs_reject_a_non_finite_number(value):
-    with pytest.raises(ValueError):
-        TrainSpec(lr0=value)
+    for name in ("lr0", "momentum", "weight_decay", "poly_power"):
+        with pytest.raises(ValueError):
+            TrainSpec(**{name: value})
     with pytest.raises(ValueError):
         KdSpec(kd_weight=value)
 
@@ -492,12 +480,6 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak <= bound
 
-    def test_binarize(self):
-        p = ProbField.from_array(np.array([0.4, 0.6]).reshape(1, 1, 2))
-        np.testing.assert_array_equal(binarize(p).array.ravel(), [0.0, 1.0])
-        q = ProbField.from_array(np.array([[0.7, 0.2], [0.3, 0.8]]).reshape(2, 1, 2))
-        np.testing.assert_array_equal(binarize(q).array[1].ravel(), [0.0, 1.0])
-
     def test_perfect_model_scores_one(self):
         ds = tiny_dataset(noise=RaterNoise((0, 0), 0.0))
         cleans = [clean for _, clean in generate_with_clean(ds.spec)]
@@ -519,7 +501,8 @@ class TestEvaluate:
     def test_matches_the_field_references(self, n_classes):
         """Scores against compact references equal scores against the
         majority-vote and rater-average fields, bit for bit."""
-        from dicesm.metrics import BDiceSpec, bdice, ece, foreground_class, hard_dice
+        from dicesm.metrics import (BDiceSpec, bdice, class_map, ece, foreground_class,
+                                    mask_dice, one_hot)
         from dicesm.softlabels import majority_vote
 
         ds = generate_synthetic(SynthSpec(n_images=4, height=12, width=12, k_raters=4,
@@ -534,7 +517,8 @@ class TestEvaluate:
         for im, x in zip(ds.images, feats):
             probs = ProbField.from_array(model.forward(x)[0])
             maj = majority_vote(im.raters)
-            dices.append(hard_dice(binarize(probs), maj, fg))
+            hard = one_hot(class_map(probs.array), n_classes)
+            dices.append(mask_dice(hard[fg], maj.array[fg] == 1.0))
             bdices.append(bdice(probs, uniform_average(im.raters), BDiceSpec(), fg))
             confs.append(probs.array[fg].ravel())
             labels.append(maj.array[fg].ravel() == 1.0)
