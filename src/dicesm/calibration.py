@@ -14,7 +14,7 @@ overflow float64 already at h = 1e-3.
 The log kernel of every pixel against every key is one matrix product.
 A pixel row f contributes [log f_1, ..., log f_D, 1] (D = 2 with
 (f, 1 - f) for Beta), a key contributes [alpha - 1, log normaliser], so
-logs are taken once per pixel and gammaln once per key and call, not per
+logs are taken once per pixel and gammaln once per key and bandwidth, not per
 pair. Pixel rows with an exact 0 entry, where 0 * log 0 must be 0, take the
 elementwise xlogy form instead. gammaln and xlogy come from dicesm._special,
 numpy ports of scipy.special's on the domain used here (gammaln at x >= 1:
@@ -26,6 +26,15 @@ those that would be subnormal set to 0, and one product with [labels | 1]
 yields numerators and totals together. A block holds at most
 _BLOCK_MADDS / 3 (pixel, key) pairs, so working memory is bounded
 whatever the number of pixels and keys.
+
+Memory per call is O(rows * (C + 2)) for the rows in scope: their checked
+copy, their [log P, 1] rows and edge-row mask, built once per call, and the
+output. Memory per block is one (block rows, n_key) float64 workspace,
+allocated once per call: each block's log-kernel GEMM writes into it, and
+the shift and the exp run in it in place. Only a block where some weight
+is dropped takes one more such array, in _kernel_weights. The key
+coefficients and [labels | 1] depend on the keys and the bandwidth alone;
+a KeyPointSet builds them on first use at each bandwidth and keeps them.
 
 Weights below the smallest normal double, tiny = 2**-1022, are set to 0:
 neither the exp nor the GEMM then sees a subnormal, which costs each of them
@@ -52,7 +61,7 @@ key-point sampling and an exact verifier for the bound
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -166,11 +175,20 @@ class KdeSpec:
 
 @dataclass(frozen=True)
 class KeyPointSet:
-    """Sampled (confidence row, label row) pairs plus their flat provenance."""
+    """Sampled (confidence row, label row) pairs plus their flat provenance.
+
+    Labels must be finite and in [0, 1] (NonFiniteError, OutOfRangeError).
+    The confidences are checked against the kernel's domain on first use at
+    a bandwidth, which also builds the key coefficients and [labels | 1]
+    once for every later call at that bandwidth: the set is frozen and its
+    arrays are read-only, so they cannot go stale.
+    """
 
     confidences: np.ndarray  # (n, C)
     labels: np.ndarray       # (n, C)
     provenance: np.ndarray   # (n,) flat indices into the source batch
+    # bandwidth -> (coef, [labels | 1]), see _fit
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         conf = np.atleast_2d(np.asarray(self.confidences, dtype=np.float64))
@@ -180,6 +198,7 @@ class KeyPointSet:
             raise ShapeMismatchError("confidences, labels and provenance disagree")
         if conf.shape[0] == 0:
             raise EmptyBatchError("a KeyPointSet needs at least one point")
+        _check_unit("labels", lab)
         for a in (conf, lab, prov):
             a.flags.writeable = False
         object.__setattr__(self, "confidences", conf)
@@ -192,6 +211,22 @@ class KeyPointSet:
     @property
     def n_classes(self):
         return self.confidences.shape[1]
+
+    def _fit(self, h: float):
+        """(_key_coef of the checked key rows at bandwidth h, [labels | 1]),
+        both read-only, built on the first call with this h."""
+        fit = self._fits.get(h)
+        if fit is None:
+            if self.n_classes == 1:
+                fi = _check_unit("fi", self.confidences)
+                Q = np.hstack([fi, 1.0 - fi])
+            else:
+                Q = _check_simplex_rows("fi", self.confidences)
+            fit = (_key_coef(Q, h), np.hstack([self.labels, np.ones((len(self), 1))]))
+            for a in fit:
+                a.flags.writeable = False
+            self._fits[h] = fit
+        return fit
 
 
 # --------------------------------------------------------------------------
@@ -213,18 +248,28 @@ def _key_coef(Q, h: float) -> np.ndarray:
     return np.vstack([(a - 1.0).T, gammaln(a.sum(axis=1)) - np.sum(gammaln(a), axis=1)])
 
 
-def _log_kernel_rows(P, coef) -> np.ndarray:
-    """(m, n) log Dirichlet densities at the rows of P (m, D), on the
-    simplex, under the keys of coef = _key_coef(Q, h).
-
-    One GEMM: [log P, 1] @ coef. Rows of P with an exact 0 take the xlogy
-    form, which keeps 0 * log 0 = 0 (a key with a 0 in the same class) apart
-    from a vanishing density (log -inf)."""
+def _pixel_logs(P):
+    """The [log P, 1] rows (m, D + 1) of P (m, D), with log 1 = 0 standing
+    in for log 0, and the (m,) mask of the edge rows, which hold an exact 0
+    and take the xlogy form in _log_kernel_rows."""
     zero = P == 0.0
-    # log 1 = 0 stands in for log 0 until the edge rows are redone below
-    logs = np.hstack([np.log(np.where(zero, 1.0, P)), np.ones((P.shape[0], 1))])
-    lk = logs @ coef
-    edge = np.flatnonzero(zero.any(axis=1))
+    logs = np.empty((P.shape[0], P.shape[1] + 1))
+    logs[:, -1] = 1.0
+    t = np.where(zero, 1.0, P)
+    logs[:, :-1] = np.log(t, out=t)
+    return logs, zero.any(axis=1)
+
+
+def _log_kernel_rows(P, logs, edge, coef, out=None) -> np.ndarray:
+    """(m, n) log Dirichlet densities at the rows of P (m, D), on the
+    simplex, under the keys of coef = _key_coef(Q, h); logs, edge =
+    _pixel_logs(P). Written into out (m, n) when given.
+
+    One GEMM: [log P, 1] @ coef. Edge rows take the xlogy form, which keeps
+    0 * log 0 = 0 (a key with a 0 in the same class) apart from a vanishing
+    density (log -inf)."""
+    lk = np.matmul(logs, coef, out=out)
+    edge = np.flatnonzero(edge)
     if edge.size:
         # (D, edge, n), so each pass runs along the keys. Summing the classes
         # in order gives the bits of np.sum over a trailing class axis for
@@ -270,7 +315,7 @@ def log_dirichlet_kernel(fj, fi, h: float):
     _check_bandwidth(h)
     fj = _check_simplex_rows("fj", fj)
     fi = _check_simplex_rows("fi", fi)[:1]
-    return _log_kernel_rows(fj, _key_coef(fi, h))[:, 0]
+    return _log_kernel_rows(fj, *_pixel_logs(fj), _key_coef(fi, h))[:, 0]
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +370,11 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     so are rows whose weights all underflow to zero, which one
     DegenerateWeightsWarning counts. kernel_eval_count grows by one per
     recalibrated row and key.
+
+    Each call holds O(rows * (C + 2)) for the r rows in scope (checked
+    rows, [log P, 1] rows, edge mask, output) and one (min(r, block rows),
+    n) workspace that every block reuses; the key coefficients come from
+    keys, built there once per bandwidth.
     """
     global kernel_eval_count
     _check_bandwidth(h)
@@ -338,19 +388,19 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     kernel_eval_count += rows.size * n
     if c == 1:
         sel = _check_unit("fj", sel)
-        fi = _check_unit("fi", keys.confidences)
-        coef = _key_coef(np.hstack([fi, 1.0 - fi]), h)
+        pix = np.hstack([sel, 1.0 - sel])
     else:
-        sel = _check_simplex_rows("fj", sel)
-        coef = _key_coef(_check_simplex_rows("fi", keys.confidences), h)
-    labels_and_one = np.hstack([keys.labels, np.ones((n, 1))])
+        pix = _check_simplex_rows("fj", sel)
+    coef, labels_and_one = keys._fit(h)
+    logs, edge = _pixel_logs(pix)
     out = F.copy()
     n_dead = 0
     step = _block_rows(n, c)
+    work = np.empty((min(step, rows.size), n))
     for lo in range(0, rows.size, step):
         block = slice(lo, lo + step)
-        pix = np.hstack([sel[block], 1.0 - sel[block]]) if c == 1 else sel[block]
-        lw = _log_kernel_rows(pix, coef)
+        lw = _log_kernel_rows(pix[block], logs[block], edge[block], coef,
+                              out=work[:len(rows[block])])
         top = lw.max(axis=1)
         live = top > -np.inf
         top[~live] = 0.0

@@ -59,9 +59,10 @@ class ModelSpec:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
         if self.channels <= 0 or self.n_classes <= 0:
             raise ValueError("channels and n_classes must be positive")
-        object.__setattr__(self, "radii", tuple(int(r) for r in self.radii))
-        if any(r < 0 for r in self.radii):
-            raise ValueError(f"radii must be nonnegative, got {self.radii}")
+        object.__setattr__(self, "radii", tuple(self.radii))
+        if not all(isinstance(r, int) and not isinstance(r, bool) and r >= 0
+                   for r in self.radii):
+            raise ValueError(f"radii must be nonnegative ints, got {self.radii}")
 
 
 def _sigmoid(z):

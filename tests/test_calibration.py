@@ -474,8 +474,8 @@ class TestBlockedKernel:
         blocks = []
         log_kernel_rows = calibration._log_kernel_rows
 
-        def recording(P, coef):
-            lw = log_kernel_rows(P, coef)
+        def recording(P, logs, edge, coef, out=None):
+            lw = log_kernel_rows(P, logs, edge, coef, out)
             blocks.append(lw.copy())
             return lw
 
@@ -510,8 +510,10 @@ class TestBlockedKernel:
                            np.array([[0.0], [1.0], [1.0], [1.0], [1.0]]),
                            np.arange(5))
         F = np.array([[0.6], [0.601], [0.599]])
+        P = _simplex_rows(F)
         lw = calibration._log_kernel_rows(
-            _simplex_rows(F), calibration._key_coef(_simplex_rows(keys.confidences), h))
+            P, *calibration._pixel_logs(P),
+            calibration._key_coef(_simplex_rows(keys.confidences), h))
         shifted = lw - lw.max(axis=1, keepdims=True)
         np.testing.assert_array_equal(shifted[:, 0], 0.0)
         assert np.all((shifted[:, 1:] > SUBNORMAL_BAND_LO)
@@ -660,8 +662,9 @@ class TestBlockedKernel:
         row = rng.random((1, 9))
         row[0, :2] = [0.0, 1.0]
         h = 1e-2
+        P = np.hstack([col, 1.0 - col])
         gemm = calibration._log_kernel_rows(
-            np.hstack([col, 1.0 - col]),
+            P, *calibration._pixel_logs(P),
             calibration._key_coef(np.hstack([row.T, 1.0 - row.T]), h))
         pairwise = log_beta_kernel(col, row[0], h)
         np.testing.assert_array_equal(np.isneginf(gemm), np.isneginf(pairwise))

@@ -372,6 +372,10 @@ BAD_CONFIGS = {
     "momentum": ("train", _train_config(train={"momentum": -5.0})),
     "weight_decay": ("train", _train_config(train={"weight_decay": -1.0})),
     "poly_power": ("train", _train_config(train={"poly_power": -1.0})),
+    "radii_float": ("train", _train_config(model={"radii": [1.9]})),
+    "radii_str": ("train", _train_config(model={"radii": ["2"]})),
+    "radii_bool": ("train", _train_config(model={"radii": [True]})),
+    "radii_mixed": ("train", _train_config(model={"radii": [1.9, "2", True]})),
 }
 
 

@@ -234,8 +234,13 @@ def test_malformed_dataset_manifest_is_bad_data(corrupt, monkeypatch, tmp_path, 
     lambda m: json.dumps({**m, "seed": "0"}),
     lambda m: json.dumps({**m, "channels": 2.0}),
     lambda m: json.dumps({**m, "n_classes": True}),
+    lambda m: json.dumps({**m, "radii": [1.9]}),
+    lambda m: json.dumps({**m, "radii": ["2"]}),
+    lambda m: json.dumps({**m, "radii": [True]}),
+    lambda m: json.dumps({**m, "radii": [1.9, "2", True]}),
 ], ids=["not_json", "no_params", "number", "no_seed", "unknown_key", "seed_str",
-        "channels_float", "n_classes_bool"])
+        "channels_float", "n_classes_bool", "radii_float", "radii_str", "radii_bool",
+        "radii_mixed"])
 def test_malformed_teacher_checkpoint_is_bad_data(corrupt, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
     save_model(build_model(ModelSpec(feature_set="intensity")), tmp_path / "teacher")
