@@ -401,7 +401,9 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
         block = slice(lo, lo + step)
         lw = _log_kernel_rows(pix[block], logs[block], edge[block], coef,
                               out=work[:len(rows[block])])
-        top = lw.max(axis=1)
+        # lw.max(axis=1) by value, read at each row's argmax: one pass over
+        # the block instead of one short reduction per row
+        top = lw[np.arange(len(lw)), lw.argmax(axis=1)]
         live = top > -np.inf
         top[~live] = 0.0
         lw -= top[:, None]

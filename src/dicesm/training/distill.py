@@ -83,7 +83,8 @@ class TeacherSignal:
 
     def _signals(self, idx, epoch, batch_idx):
         """The (C, H, W) teacher signal of each image in idx: its
-        probabilities, recalibrated by KDE with use_kde."""
+        probabilities, recalibrated by KDE with use_kde. The images share
+        the batch's one key set, whose coefficients the first call builds."""
         if not self.kd_spec.use_kde:
             return [self.teacher_probs[i] for i in idx]
         kde = self.kd_spec.kde

@@ -165,6 +165,18 @@ class TestSampleKeyPoints:
             sample_key_points(np.zeros(0), np.zeros(0), KdeSpec(n_key=4))
 
 
+class TestKeyPointSet:
+    @pytest.mark.parametrize("bad,error", [(np.nan, NonFiniteError), (np.inf, NonFiniteError),
+                                           (5.0, OutOfRangeError), (-3.0, OutOfRangeError)])
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_labels_must_be_finite_and_in_the_unit_interval(self, bad, error, c):
+        conf = np.full((3, c), 1.0 / c)
+        labels = np.eye(max(c, 2))[[0, 1, 0]][:, :c]
+        labels[2, 0] = bad
+        with pytest.raises(error):
+            KeyPointSet(conf, labels, np.arange(3))
+
+
 class TestKdeCalibrate:
     def test_single_key_returns_its_label(self):
         keys = KeyPointSet(np.array([[0.7]]), np.array([[1.0]]), np.array([0]))
@@ -435,6 +447,15 @@ def _keys_with_endpoints(rng, n, c):
     return KeyPointSet(conf, lab, np.arange(n))
 
 
+def _gammaln_calls(monkeypatch):
+    """The shapes calibration.gammaln is called on from here on."""
+    calls = []
+    gammaln_port = calibration.gammaln
+    monkeypatch.setattr(calibration, "gammaln",
+                        lambda x: calls.append(np.shape(x)) or gammaln_port(x))
+    return calls
+
+
 class TestBlockedKernel:
     @pytest.mark.parametrize("c", [1, 2, 3])
     @pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 7)])
@@ -499,6 +520,77 @@ class TestBlockedKernel:
         F = _rows_with_endpoints(rng, 3 * calibration._block_rows(n, c), c)
         _calibrate_recording(F, keys, 0.05)
         assert sorted(calls) == [(n,), (n, max(c, 2))]
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_same_keys_and_bandwidth_build_no_coefficients(self, c, monkeypatch):
+        n = 11
+        rng = np.random.default_rng(c)
+        keys = _keys_with_endpoints(rng, n, c)
+        F = _rows_with_endpoints(rng, 3 * calibration._block_rows(n, c), c)
+        first, _ = _calibrate_recording(F, keys, 0.05)
+        calls = _gammaln_calls(monkeypatch)
+        again, _ = _calibrate_recording(F[::-1], keys, 0.05)
+        assert calls == []
+        assert again[::-1].tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_a_new_bandwidth_builds_its_coefficients_once(self, c, monkeypatch):
+        n = 11
+        rng = np.random.default_rng(c)
+        keys = _keys_with_endpoints(rng, n, c)
+        F = _rows_with_endpoints(rng, 3 * calibration._block_rows(n, c), c)
+        _calibrate_recording(F, keys, 0.05)
+        calls = _gammaln_calls(monkeypatch)
+        got, _ = _calibrate_recording(F, keys, 0.2)
+        _calibrate_recording(F, keys, 0.2)
+        assert sorted(calls) == [(n,), (n, max(c, 2))]
+        fresh = KeyPointSet(keys.confidences, keys.labels, keys.provenance)
+        want, _ = _calibrate_recording(F, fresh, 0.2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_loop_allocates_no_block_sized_array(self, monkeypatch):
+        # rows and keys inside (0, 1) at h = 1 keep every weight, so no block
+        # takes _kernel_weights' masked branch. Traced memory is read at each
+        # block's start and at the end of the call: the only rise by a
+        # block's (rows, n) float64 bytes is the call's one workspace, made
+        # before the first block, however many blocks follow
+        n, c, h = 128, 1, 1.0
+        step = calibration._block_rows(n, c)
+        rng = np.random.default_rng(9)
+        keys = KeyPointSet(rng.uniform(0.3, 0.7, (n, c)),
+                           (rng.random((n, c)) < 0.5).astype(float), np.arange(n))
+        kde_calibrate_batch(np.full((1, c), 0.5), keys, h)  # builds the coefficients
+        rises, last = [], [0]
+
+        def mark():
+            current, peak = tracemalloc.get_traced_memory()
+            rises.append(peak - last[0])
+            last[0] = current
+            tracemalloc.reset_peak()
+
+        log_kernel_rows = calibration._log_kernel_rows
+
+        def marking(*args, **kwargs):
+            mark()
+            return log_kernel_rows(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "_log_kernel_rows", marking)
+
+        def block_sized_allocations(blocks):
+            F = rng.uniform(0.3, 0.7, (blocks * step, c))
+            rises.clear()
+            tracemalloc.start()
+            try:
+                last[0] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                kde_calibrate_batch(F, keys, h)
+                mark()
+            finally:
+                tracemalloc.stop()
+            assert len(rises) == blocks + 1
+            return sum(r >= 8 * step * n for r in rises)
+
+        assert block_sized_allocations(2) == block_sized_allocations(8) == 1
 
     def test_label_weights_in_the_subnormal_band_drop_within_the_bound(self):
         # each row's only label-1 keys have weights whose exp is subnormal:
@@ -596,10 +688,11 @@ class TestBlockedKernel:
     def test_memory_is_bounded_by_the_block(self):
         # 147,456 pixels (a 384 x 384 two-class field read back from float32)
         # against 128 keys. Design bound, fixed before measuring: six (m, C)
-        # float64 arrays (the clipped copy, the output and the simplex
-        # check's row sums) plus four (block, n) ones (log weights, weights,
-        # the exp mask and GEMM operands). The (m, n) weight matrix alone
-        # would be 151 MB.
+        # float64 arrays plus four (block, n) ones. Per call: the clipped
+        # copy, the output, the row index, the [log P, 1] rows and their
+        # log's temporary; per block: the workspace, the exp mask and the
+        # masked exp's weights. The (m, n) weight matrix alone would be
+        # 151 MB.
         rng = np.random.default_rng(5)
         m, n, c = 147_456, 128, 2
         p = rng.random(m)

@@ -622,6 +622,26 @@ class TestDistill:
         for a, b in zip(signals, again):
             np.testing.assert_array_equal(a, b)
 
+    def test_key_coefficients_built_once_per_batch(self, monkeypatch):
+        # the benchmark's golden distill-kde size: 8 images of 32 x 32, 4
+        # epochs of 2 batches of 4 images that share one key set
+        from dicesm import calibration
+        from dicesm.calibration import KdeSpec as KSpec
+
+        distill_mod = sys.modules["dicesm.training.distill"]
+        counts = {"_key_coef": 0, "kde_calibrate_batch": 0}
+        for module, name in ((calibration, "_key_coef"), (distill_mod, "kde_calibrate_batch")):
+            def counting(*args, _f=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        ds = generate_synthetic(SynthSpec(n_images=8, height=32, width=32, k_raters=3, seed=4))
+        teacher = build_model(ModelSpec(feature_set="intensity", seed=1))
+        kd = KdSpec(use_kde=True, kde=KSpec(n_key=128, seed=2))
+        ts = TrainSpec(epochs=4, batch_size=4, lr0=2.0, seed=3)
+        distill(ds, teacher, ModelSpec(feature_set="intensity"), ts, kd, eval_every=0)
+        assert counts == {"_key_coef": 4 * 2, "kde_calibrate_batch": 4 * 8}
+
 
 @pytest.fixture
 def field_counts(monkeypatch):
