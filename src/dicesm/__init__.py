@@ -35,6 +35,7 @@ from .core import (
 )
 from .losses import (
     GradPair,
+    LossSpec,
     ReductionSpec,
     TverskyParams,
     batch_loss,

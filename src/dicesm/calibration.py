@@ -75,6 +75,7 @@ from .core import (
     ShapeMismatchError,
     SimplexViolationError,
     check_finite,
+    check_seed,
 )
 from .metrics import class_map
 
@@ -171,6 +172,7 @@ class KdeSpec:
             raise ValueError(f"unknown pixel_scope {self.pixel_scope!r}")
         if self.boundary_radius <= 0:
             raise ValueError("boundary_radius must be positive")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

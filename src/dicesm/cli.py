@@ -1,9 +1,12 @@
 """Single entry point exposing the library as subcommands.
 
-Machine-readable JSON goes to stdout, logs to stderr. Exit codes: 0 success,
-1 validation error (bad data, shape mismatches, file-format problems),
-2 usage error (bad flags, malformed config). Every source of randomness is
-seeded through --seed / config seeds; DICESM_SEED overrides the default 42.
+Machine-readable JSON goes to stdout, logs to stderr. Exit codes: 0 success;
+1 bad data: a DicesmError or missing file (values, shapes, file formats, the
+dataset and checkpoint manifests); 2 bad usage: argparse's errors and any
+ValueError (flags, spec values, a config or soft-label manifest, which
+from_json reads whole before anything is written). Any other exception is a
+bug and keeps its traceback. Every source of randomness is seeded through
+--seed / config seeds; DICESM_SEED overrides the default 42.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,16 +87,12 @@ from .training import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 def _default_seed() -> int:
     raw = os.environ.get("DICESM_SEED", "42")
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"DICESM_SEED must be an integer, got {raw!r}") from None
+        raise ValueError(f"DICESM_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(obj) -> None:
@@ -102,15 +101,6 @@ def _emit(obj) -> None:
 
 def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
-
-
-def _require_keys(d: dict, allowed: set, where: str, required=()) -> None:
-    extra = sorted(set(d) - allowed)
-    if extra:
-        raise UsageError(f"unknown keys in {where}: {extra}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise UsageError(f"{where} needs the keys {missing}")
 
 
 # --------------------------------------------------------------------------
@@ -136,9 +126,9 @@ def _loss_params_from_args(args) -> dict | None:
 def cmd_eval_loss(args) -> int:
     if args.curve:
         if not 0.0 <= args.label_value <= 1.0:
-            raise UsageError(f"--label-value must be in [0, 1], got {args.label_value!r}")
+            raise ValueError(f"--label-value must be in [0, 1], got {args.label_value!r}")
         if args.curve_points < 2:
-            raise UsageError(f"--curve-points must be at least 2, got {args.curve_points}")
+            raise ValueError(f"--curve-points must be at least 2, got {args.curve_points}")
         params, _ = losses_mod.parse_loss_params(args.loss, _loss_params_from_args(args))
         grid = np.linspace(0.0, 1.0, args.curve_points)
         vals = losses_mod.pairwise_values(args.loss, grid[:, None],
@@ -149,7 +139,7 @@ def cmd_eval_loss(args) -> int:
             sys.stdout.write(f"{float(x)!r},{float(v)!r}\n")
         return 0
     if not args.pred or not args.label:
-        raise UsageError("--pred and --label are required without --curve")
+        raise ValueError("--pred and --label are required without --curve")
     x = read_prob_field(args.pred)
     y = read_label_field(args.label)
     pair = losses_mod.loss(args.loss, x, y, _reduction_from_args(args),
@@ -167,7 +157,7 @@ def cmd_eval_loss(args) -> int:
 def _binary_ece(pred: ProbField, label: LabelField, n_bins=EceSpec.n_bins) -> float:
     check_same_dims(pred, label)
     if pred.n_classes > 2:
-        raise UsageError("ece supports binary tasks (C <= 2)")
+        raise ValueError("ece supports binary tasks (C <= 2)")
     if not label.is_hard:
         raise SoftInputError("labels must be 0 or 1")
     fg = foreground_class(pred.n_classes)
@@ -218,30 +208,38 @@ def _stack_from_files(paths) -> RaterStack:
     return RaterStack(masks)
 
 
+@dataclass(frozen=True)
+class ManifestImage:
+    raters: tuple[str, ...]
+    out: str
+
+
+@dataclass(frozen=True)
+class SoftLabelManifest:
+    """make-soft-labels --manifest: the rater files and output of each image."""
+    images: tuple[ManifestImage, ...]
+
+
 def cmd_make_soft_labels(args) -> int:
     spec = SoftLabelSpec(strategy=args.strategy, epsilon=args.epsilon,
                          seed=args.seed, tie_break=args.tie_break,
                          weights_scope=args.weights)
     if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
-        _require_keys(manifest, {"images"}, "manifest", ("images",))
-        entries = manifest["images"]
-        for i, e in enumerate(entries):
-            _require_keys(e, {"raters", "out"}, f"manifest image {i}", ("raters", "out"))
-        stacks = [_stack_from_files(e["raters"]) for e in entries]
-        outs = build_labels_dataset(stacks, spec)
-        for e, field in zip(entries, outs):
-            write_field(e["out"], field)
-        _emit({"strategy": args.strategy, "written": [e["out"] for e in entries]})
+        entries = from_json(SoftLabelManifest,
+                             json.loads(Path(args.manifest).read_text())).images
+        outs = build_labels_dataset([_stack_from_files(e.raters) for e in entries], spec)
+        for e, out in zip(entries, outs):
+            write_field(e.out, out)
+        _emit({"strategy": args.strategy, "written": [e.out for e in entries]})
         return 0
     if not args.raters or not args.out:
-        raise UsageError("--raters and --out are required without --manifest")
+        raise ValueError("--raters and --out are required without --manifest")
     if args.weights == "per_dataset":
-        raise UsageError("per_dataset weighting needs --manifest")
-    field = build_labels(_stack_from_files(args.raters), spec)
-    write_field(args.out, field)
+        raise ValueError("per_dataset weighting needs --manifest")
+    label = build_labels(_stack_from_files(args.raters), spec)
+    write_field(args.out, label)
     _emit({"strategy": args.strategy, "written": [args.out],
-           "hardness": field.hardness})
+           "hardness": label.hardness})
     return 0
 
 
@@ -261,7 +259,7 @@ def cmd_calibrate(args) -> int:
         bandwidths = [replace(spec, bandwidth=float(tok)).bandwidth
                       for tok in args.sweep.split(",")]
     elif not args.out:
-        raise UsageError("--out is required without --sweep")
+        raise ValueError("--out is required without --sweep")
     c = pred.n_classes
     conf_rows = pred.array.reshape(c, -1).T
     # the keys and the scope do not depend on the bandwidth
@@ -315,15 +313,9 @@ def cmd_gen_data(args) -> int:
         write_tensor(out / clean_path, TensorF.from_array(one_hot(clean, spec.n_classes)))
         entries.append({"image": img_path, "raters": rater_paths,
                         "clean": clean_path})
-    manifest = {
-        "spec": {"n_images": spec.n_images, "height": spec.height,
-                 "width": spec.width, "n_classes": spec.n_classes,
-                 "k_raters": spec.k_raters,
-                 "noise": {"dilate_erode_radius": list(spec.noise.dilate_erode_radius),
-                           "boundary_flip_prob": spec.noise.boundary_flip_prob},
-                 "image_noise": spec.image_noise, "seed": spec.seed},
-        "images": entries,
-    }
+    # gen-data has no blob_radius flag, and its manifests have never held one
+    manifest = {"spec": {k: v for k, v in asdict(spec).items() if k != "blob_radius"},
+                "images": entries}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     _emit({"out": str(out), "n_images": len(entries)})
     return 0
@@ -353,51 +345,64 @@ def load_dataset_dir(path) -> SynthDataset:
         for image, raters, _ in entries))
 
 
-def _dataset_from_config(cfg: dict) -> SynthDataset:
-    _require_keys(cfg, {"dir", "synth"}, "data")
-    if ("dir" in cfg) == ("synth" in cfg):
-        raise UsageError("data needs exactly one of 'dir' or 'synth'")
-    if "dir" in cfg:
-        return load_dataset_dir(cfg["dir"])
-    return generate_synthetic(from_json(SynthSpec, cfg["synth"]))
-
-
 # --------------------------------------------------------------------------
 # train / distill configs
 # --------------------------------------------------------------------------
 
-def _train_spec(d) -> TrainSpec:
-    """TrainSpec from JSON; the loss is one object {name, params}."""
-    if not isinstance(d, dict) or "loss_name" in d or "loss_params" in d:
-        raise UsageError("train needs a JSON object that gives the loss as {name, params}")
-    kwargs = dict(d)
-    loss = kwargs.pop("loss", {})
-    if not isinstance(loss, dict):
-        raise UsageError("train.loss needs a JSON object")
-    _require_keys(loss, {"name", "params"}, "loss")
-    return from_json(TrainSpec, {**kwargs, "loss_name": loss.get("name", TrainSpec.loss_name),
-                                 "loss_params": loss.get("params")})
+@dataclass(frozen=True)
+class DataSpec:
+    """A config's data: exactly one of a gen-data directory or a synth spec."""
+    dir: str | None = None
+    synth: SynthSpec | None = None
+
+    def __post_init__(self):
+        if (self.dir is None) == (self.synth is None):
+            raise ValueError("data needs exactly one of 'dir' or 'synth'")
+
+    def load(self) -> SynthDataset:
+        return load_dataset_dir(self.dir) if self.synth is None else generate_synthetic(self.synth)
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    """The top-level values of a train or distill config besides its specs."""
+class _Config:
+    """What train and distill configs share: data, SGD spec and run values."""
+    data: DataSpec
+    train: TrainSpec = field(default_factory=TrainSpec)
     val_fraction: float = 0.0
     eval_every: int = 1
-    out_dir: str = "train_out"
 
     def __post_init__(self):
         if not 0.0 <= self.val_fraction < 1.0:
-            raise UsageError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
         if self.eval_every < 0:
-            raise UsageError(f"eval_every must be >= 0, got {self.eval_every!r}")
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every!r}")
+
+
+@dataclass(frozen=True)
+class RunSpec(_Config):
+    """A train config."""
+    model: ModelSpec = field(default_factory=ModelSpec)
+    out_dir: str = "train_out"
+
+
+@dataclass(frozen=True)
+class DistillRunSpec(_Config):
+    """A distill config; its kd names the teacher's checkpoint."""
+    student: ModelSpec = field(default_factory=ModelSpec)
+    kd: KdSpec = field(default_factory=KdSpec)
+    out_dir: str = "distill_out"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.kd.teacher_checkpoint:
+            raise ValueError("kd.teacher_checkpoint is required")
 
 
 def _split(dataset: SynthDataset, val_fraction: float, seed: int):
     n = len(dataset)
     n_val = int(round(val_fraction * n))
     if n_val == n:
-        raise UsageError(f"val_fraction {val_fraction!r} leaves no training image")
+        raise ValueError(f"val_fraction {val_fraction!r} leaves no training image")
     if n_val == 0:
         return dataset, None
     order = np.random.default_rng(np.random.SeedSequence([seed, 104729])).permutation(n)
@@ -418,44 +423,31 @@ def _finish_training(result, out_dir) -> None:
 def _finite_number(token: str) -> float:
     value = float(token)
     if not math.isfinite(value):
-        raise UsageError(f"config holds {token}, which is not a finite number")
+        raise ValueError(f"config holds {token}, which is not a finite number")
     return value
 
 
-def _read_config(path, specs: set, out_dir: str) -> tuple[dict, RunSpec]:
-    """The config and its RunSpec, with out_dir as the default directory."""
+def _read_config(path, cls):
+    """The config at path as cls, checked whole before any data is read."""
     # json.loads reads NaN, Infinity and -Infinity, and 1e400 as inf
-    cfg = json.loads(Path(path).read_text(), parse_float=_finite_number,
-                     parse_constant=_finite_number)
-    run_keys = {f.name for f in fields(RunSpec)}
-    _require_keys(cfg, {"data", *specs, *run_keys}, "config", ("data",))
-    run = from_json(RunSpec, {"out_dir": out_dir, **{k: cfg[k] for k in run_keys & set(cfg)}})
-    return cfg, run
+    return from_json(cls, json.loads(Path(path).read_text(), parse_float=_finite_number,
+                                     parse_constant=_finite_number))
 
 
 def cmd_train(args) -> int:
-    cfg, run = _read_config(args.config, {"model", "train"}, "train_out")
-    model_spec = from_json(ModelSpec, cfg.get("model", {}))
-    train_spec = _train_spec(cfg.get("train", {}))
-    dataset = _dataset_from_config(cfg["data"])
-    tr, va = _split(dataset, run.val_fraction, train_spec.seed)
-    result = train(tr, model_spec, train_spec, va, run.eval_every)
-    _finish_training(result, run.out_dir)
+    run = _read_config(args.config, RunSpec)
+    tr, va = _split(run.data.load(), run.val_fraction, run.train.seed)
+    _finish_training(train(tr, run.model, run.train, va, run.eval_every), run.out_dir)
     return 0
 
 
 def cmd_distill(args) -> int:
-    cfg, run = _read_config(args.config, {"student", "train", "kd"}, "distill_out")
-    student_spec = from_json(ModelSpec, cfg.get("student", {}))
-    train_spec = _train_spec(cfg.get("train", {}))
-    kd_spec = from_json(KdSpec, cfg.get("kd", {}))
-    if not kd_spec.teacher_checkpoint:
-        raise UsageError("kd.teacher_checkpoint is required")
-    dataset = _dataset_from_config(cfg["data"])
-    teacher = load_model(kd_spec.teacher_checkpoint)
-    tr, va = _split(dataset, run.val_fraction, train_spec.seed)
-    result = distill(tr, teacher, student_spec, train_spec, kd_spec, va, run.eval_every)
-    _finish_training(result, run.out_dir)
+    run = _read_config(args.config, DistillRunSpec)
+    dataset = run.data.load()
+    teacher = load_model(run.kd.teacher_checkpoint)
+    tr, va = _split(dataset, run.val_fraction, run.train.seed)
+    _finish_training(distill(tr, teacher, run.student, run.train, run.kd, va, run.eval_every),
+                     run.out_dir)
     return 0
 
 
@@ -578,21 +570,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    except UsageError as e:
+    except ValueError as e:  # json.JSONDecodeError included
         _log(f"usage error: {e}")
-        return 2
-    try:
-        return args.fn(args)
-    except UsageError as e:
-        _log(f"usage error: {e}")
-        return 2
-    except json.JSONDecodeError as e:
-        _log(f"bad JSON config: {e}")
-        return 2
-    except (TypeError, ValueError) as e:
-        _log(f"invalid configuration: {e}")
         return 2
     except FileNotFoundError as e:
         _log(f"missing file: {e}")

@@ -1,7 +1,7 @@
 """Value types shared by every module: dense float64 tensors, probability and
 label fields over a [C, H, W] grid, multi-rater stacks of bool masks, their
-validation, the SDT1 binary tensor file format, and ``from_json``, which
-builds every spec dataclass from its JSON config.
+validation, the SDT1 binary tensor file format, and ``from_json``, the one
+reader of JSON documents, which builds every spec dataclass from its JSON.
 
 All types are immutable after construction and safe to share across workers.
 Each is valid by construction: a TensorF is finite, a ProbField or
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import struct
+import types
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,12 @@ def check_finite(arr: np.ndarray) -> None:
         raise NonFiniteError(f"non-finite value at flat index {i}", flat_index=i)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative spec seed, which numpy refuses only once a run runs."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+
+
 def _hardness_of(a: np.ndarray) -> str:
     """HARD if every value of a is 0 or 1, else SOFT: the ones are among the
     nonzeros (NaN is nonzero, -0.0 is not), so the counts agree iff so."""
@@ -291,34 +298,52 @@ def check_same_dims(a, b) -> None:
 # Spec dataclasses from JSON
 # --------------------------------------------------------------------------
 
-# The JSON values an annotation takes besides its own type
-_JSON_TYPES = {float: (int, float), tuple: list}
+_NO = object()  # _typed's answer for a value of a JSON type its annotation refuses
+
+
+def _typed(tp, v):
+    """v as annotation tp reads it, or _NO: the first union alternative that
+    takes v, a tuple of a list's typed elements, a dataclass by from_json."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return next((r for r in (_typed(a, v) for a in args) if r is not _NO), _NO)
+    if is_dataclass(tp):
+        return from_json(tp, v) if isinstance(v, dict) else _NO
+    if origin is tuple:
+        if not isinstance(v, list):
+            return _NO
+        elems = args[:1] * len(v) if args[-1] is ... else args
+        items = tuple(map(_typed, elems, v)) if len(elems) == len(v) else (_NO,)
+        return _NO if _NO in items else items
+    if isinstance(v, bool) and tp is not bool:
+        return _NO
+    return v if isinstance(v, (int, float) if tp is float else tp) else _NO
 
 
 def from_json(cls, d):
-    """Build the spec dataclass ``cls`` from a JSON object.
-
-    Keys are field names and a missing key keeps the field's default. A
-    field typed as a dataclass is built from its own nested object; any
-    other value must be of a type its annotation allows (a list for a
-    tuple, a boolean only for bool). The dataclass's ``__post_init__``
-    checks the values. Non-object input, unknown keys and mistyped values
-    raise ValueError.
-    """
+    """Build the spec dataclass ``cls`` from a JSON object: the one reader of
+    JSON documents (configs, their sections and every manifest). A missing
+    key keeps its default and is refused without one. Annotations decide the
+    JSON types (a list, typed element by element, for a tuple, which it
+    becomes; a boolean only for bool) and ``__post_init__`` the values. Wrong
+    structure or types raise ValueError naming the innermost ``Class.key``."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} needs a JSON object, got {type(d).__name__}")
-    types = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls)
     extra = sorted(set(d) - {f.name for f in fields(cls)})
     if extra:
         raise ValueError(f"unknown {cls.__name__} keys: {extra}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{cls.__name__} needs the keys {missing}")
+    kwargs = {}
     for k, v in d.items():
-        tp = types[k]
-        if not is_dataclass(tp) and not any(
-                isinstance(v, _JSON_TYPES.get(t, t)) and (t is bool or not isinstance(v, bool))
-                for t in typing.get_args(tp) or (tp,)):
-            raise ValueError(f"{cls.__name__}.{k} must be {getattr(tp, '__name__', tp)}, got {v!r}")
-    return cls(**{k: from_json(types[k], v) if is_dataclass(types[k]) else v
-                  for k, v in d.items()})
+        kwargs[k] = _typed(tp := hints[k], v)
+        if kwargs[k] is _NO:
+            raise ValueError(f"{cls.__name__}.{k} must be "
+                             f"{tp.__name__ if isinstance(tp, type) else tp}, got {v!r}")
+    return cls(**kwargs)
 
 
 # --------------------------------------------------------------------------

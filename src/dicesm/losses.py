@@ -555,6 +555,17 @@ def parse_loss_params(name: str, params: dict | None):
     return from_json(entry.params, params), allow_soft
 
 
+@dataclass(frozen=True)
+class LossSpec:
+    """A loss by registry name with its JSON params, checked by parse_loss_params."""
+
+    name: str = "compound"
+    params: dict | None = None
+
+    def __post_init__(self):
+        parse_loss_params(self.name, self.params)
+
+
 def loss(name: str, x: ProbField, y: LabelField, red: ReductionSpec | None = None,
          params: dict | None = None) -> GradPair:
     """Loss `name` with its JSON params, as parse_loss_params reads them,

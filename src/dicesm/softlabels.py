@@ -16,6 +16,7 @@ from .core import (
     EmptyStackError,
     LabelField,
     RaterStack,
+    check_seed,
 )
 from .metrics import class_map, mask_dice, one_hot
 
@@ -60,6 +61,7 @@ class SoftLabelSpec:
             raise ValueError(f"unknown weights_scope {self.weights_scope!r}")
         if self.strategy == "label_smoothing" and not 0.0 <= self.epsilon < 1.0:
             raise BadEpsilonError(f"epsilon {self.epsilon!r} outside [0, 1)")
+        check_seed(self.seed)
 
 
 def vote_counts(stack: RaterStack) -> np.ndarray:

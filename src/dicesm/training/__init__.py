@@ -26,7 +26,6 @@ from .models import (
     save_model,
 )
 from .synth import (
-    BadSpecError,
     RaterNoise,
     SynthDataset,
     SynthImage,

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import DicesmError, RaterStack, ShapeMismatchError, check_finite
-from ..losses import ReductionSpec, _guard_soft, _reduce_batch, parse_loss_params
+from ..core import DicesmError, RaterStack, ShapeMismatchError, check_finite, check_seed
+from ..losses import LossSpec, ReductionSpec, _guard_soft, _reduce_batch, parse_loss_params
 # not called here: perfbench's tracer self-test checks that tracing restores
 # this binding
 from ..losses import batch_loss  # noqa: F401
@@ -57,8 +57,7 @@ class TrainSpec:
     epochs: int = 30
     batch_size: int = 8
     poly_power: float = 0.9
-    loss_name: str = "compound"
-    loss_params: dict | None = None
+    loss: LossSpec = field(default_factory=LossSpec)
     reduction: ReductionSpec = field(default_factory=ReductionSpec)
     label_source: SoftLabelSpec = field(default_factory=SoftLabelSpec)
     seed: int = 0
@@ -69,7 +68,7 @@ class TrainSpec:
         # each test is written so that a NaN fails it
         if not all(0 <= v < np.inf for v in (self.momentum, self.weight_decay, self.poly_power)):
             raise ValueError("momentum, weight_decay and poly_power must be nonnegative and finite")
-        parse_loss_params(self.loss_name, self.loss_params)  # fail fast on bad ids
+        check_seed(self.seed)
 
 
 @dataclass
@@ -156,7 +155,7 @@ def _batch_step(model, feats, ys, idx, spec: TrainSpec, params, kd, epoch: int, 
     for x in xs:
         check_finite(x)
     red = spec.reduction
-    value, grads_x = _reduce_batch(spec.loss_name, params, xs, [ys[i] for i in idx], red)
+    value, grads_x = _reduce_batch(spec.loss.name, params, xs, [ys[i] for i in idx], red)
     if kd is not None:
         kd_value, kd_grads = kd.batch_terms(idx, xs, red, epoch, b)
         value += kd.weight * kd_value
@@ -186,14 +185,14 @@ def run_sgd(dataset: SynthDataset, targets, model, spec: TrainSpec,
     n = len(dataset)
     if n == 0:
         raise EmptyDatasetError("no images")
-    params, allow_soft = parse_loss_params(spec.loss_name, spec.loss_params)
+    params, allow_soft = parse_loss_params(spec.loss.name, spec.loss.params)
     feats = [model.prepare(im.image) for im in dataset.images]
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     batches_per_epoch = -(-n // spec.batch_size)
     total_steps = spec.epochs * batches_per_epoch
     if total_steps:
-        _guard_soft(spec.loss_name, all(y.is_hard for y in targets), allow_soft)
+        _guard_soft(spec.loss.name, all(y.is_hard for y in targets), allow_soft)
     ys = [y.array for y in targets]
     kd = kd_provider if kd_provider is not None and kd_provider.weight > 0.0 else None
     ds, split = (dataset, "train") if val_dataset is None else (val_dataset, "val")

@@ -30,6 +30,7 @@ from ..core import (
     ProbField,
     ShapeMismatchError,
     TensorF,
+    check_seed,
     from_json,
     read_tensor,
     write_tensor,
@@ -47,7 +48,7 @@ class CheckpointMismatchError(DicesmError):
 class ModelSpec:
     kind: str = "per_pixel_logistic"
     feature_set: str = "box_means"
-    radii: tuple = (1, 2, 4)
+    radii: tuple[int, ...] = (1, 2, 4)
     channels: int = 8
     n_classes: int = 1
     seed: int = 0
@@ -59,10 +60,9 @@ class ModelSpec:
             raise ValueError(f"unknown feature_set {self.feature_set!r}")
         if self.channels <= 0 or self.n_classes <= 0:
             raise ValueError("channels and n_classes must be positive")
-        object.__setattr__(self, "radii", tuple(self.radii))
-        if not all(isinstance(r, int) and not isinstance(r, bool) and r >= 0
-                   for r in self.radii):
-            raise ValueError(f"radii must be nonnegative ints, got {self.radii}")
+        if any(r < 0 for r in self.radii):
+            raise ValueError(f"radii must be nonnegative, got {self.radii}")
+        check_seed(self.seed)
 
 
 def _sigmoid(z):

@@ -14,12 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._filters import dilate3, erode3
-from ..core import DicesmError, RaterStack
+from ..core import RaterStack, check_seed
 from ..metrics import foreground_class, mask_dice, one_hot
-
-
-class BadSpecError(DicesmError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -32,20 +28,16 @@ class RaterNoise:
     weighting can exploit.
     """
 
-    dilate_erode_radius: tuple = (0, 2)
-    boundary_flip_prob: float | tuple = 0.1
+    dilate_erode_radius: tuple[int, int] = (0, 2)
+    boundary_flip_prob: float | tuple[float, float] = 0.1
 
     def __post_init__(self):
         lo, hi = self.dilate_erode_radius
         if lo < 0 or hi < lo:
-            raise BadSpecError(f"bad radius range {self.dilate_erode_radius}")
+            raise ValueError(f"bad radius range {self.dilate_erode_radius}")
         p = self.boundary_flip_prob
-        probs = (p, p) if np.isscalar(p) else tuple(float(v) for v in p)
-        if len(probs) != 2 or not all(0.0 <= v <= 1.0 for v in probs):
-            raise BadSpecError("boundary_flip_prob must be in [0, 1] "
-                               "(a float or a (lo, hi) pair)")
-        object.__setattr__(self, "dilate_erode_radius", (int(lo), int(hi)))
-        object.__setattr__(self, "boundary_flip_prob", probs[0] if probs[0] == probs[1] else probs)
+        if not all(0.0 <= v <= 1.0 for v in ((p,) if np.isscalar(p) else p)):
+            raise ValueError(f"boundary_flip_prob must be in [0, 1], got {p!r}")
 
     def flip_probs(self, k_raters: int) -> np.ndarray:
         p = self.boundary_flip_prob
@@ -65,23 +57,23 @@ class SynthSpec:
     k_raters: int = 5
     noise: RaterNoise = field(default_factory=RaterNoise)
     image_noise: float = 0.25
-    blob_radius: tuple = (0.09, 0.22)  # fraction of min(height, width)
+    blob_radius: tuple[float, float] = (0.09, 0.22)  # fraction of min(height, width)
     seed: int = 0
 
     def __post_init__(self):
         if self.n_images <= 0 or self.height <= 0 or self.width <= 0:
-            raise BadSpecError("n_images, height, width must be positive")
+            raise ValueError("n_images, height, width must be positive")
         if self.n_classes not in (1, 2):
-            raise BadSpecError("n_classes must be 1 or 2")
+            raise ValueError("n_classes must be 1 or 2")
         if self.k_raters <= 0:
-            raise BadSpecError("k_raters must be positive")
+            raise ValueError("k_raters must be positive")
         if not 0.0 <= self.image_noise < np.inf:
-            raise BadSpecError(f"image_noise must be nonnegative and finite, "
-                               f"got {self.image_noise!r}")
+            raise ValueError(f"image_noise must be nonnegative and finite, "
+                             f"got {self.image_noise!r}")
         lo, hi = self.blob_radius
         if not 0.0 < lo <= hi:
-            raise BadSpecError(f"bad blob_radius range {self.blob_radius}")
-        object.__setattr__(self, "blob_radius", (float(lo), float(hi)))
+            raise ValueError(f"bad blob_radius range {self.blob_radius}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

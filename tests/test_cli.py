@@ -376,6 +376,12 @@ BAD_CONFIGS = {
     "radii_str": ("train", _train_config(model={"radii": ["2"]})),
     "radii_bool": ("train", _train_config(model={"radii": [True]})),
     "radii_mixed": ("train", _train_config(model={"radii": [1.9, "2", True]})),
+    "seed_synth": ("train", _train_config(data={"synth": {"seed": -1}})),
+    "seed_train": ("train", _train_config(train={"seed": -1})),
+    "seed_label_source": ("train", _train_config(train={"label_source": {"seed": -1}})),
+    "seed_model": ("train", _train_config(model={"seed": -1})),
+    "seed_kde": ("distill", {"data": {"dir": "data"},
+                             "kd": {"teacher_checkpoint": "t", "kde": {"seed": -1}}}),
 }
 
 

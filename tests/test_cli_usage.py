@@ -1,36 +1,56 @@
-"""Command-line inputs that must exit 2 as usage errors: a non-integer
-DICESM_SEED, an --curve grid outside the loss domain or under two
-points or a loss parameter that is not finite, a val_fraction outside
-[0, 1) or one that leaves no training image, a negative eval_every, a
-negative box-mean radius in a model config, JSON inputs that lack a
-required key, calibrate on a three-class field (ECE is binary; nothing
-is written), a calibrate bandwidth or sweep entry that is not positive
-and finite, a config number that is NaN, Infinity, -Infinity or
-overflows to inf, and a config value of the wrong JSON type, refused
-before any data is read. Data files are bad data, exit 1 with one
-stderr line that names the file: a dataset manifest that lacks a key,
-is not JSON, is not an object or has an unknown spec key, and a teacher
-checkpoint manifest that is not JSON or lacks its params, and a rater
-file that holds a value other than 0 or 1, under every soft-label
-strategy and in a training dataset, or a two-class one with a pixel in
-no class or in two, an ECE (eval --metric ece, calibrate) of a
-prediction and a label whose dims differ or whose rows leave the
-simplex, and a soft label where calibrate or eval --metric dice needs a
-hard one. A negative or non-finite gen-data image noise exits 1, as a
-bad spec, before anything is written. Also: the compound curve honours
-its flags, and a dataset directory trains to the same bytes with its
-clean/ masks deleted.
+"""Command-line inputs refused with one stderr line, no traceback and
+nothing written.
+
+Exit 2, usage errors: a bad DICESM_SEED, gen-data spec, --curve grid, loss
+parameter or calibrate bandwidth, calibrate on three classes (ECE is
+binary), and a JSON document, a train or distill config or the soft-label
+manifest, that from_json or a spec refuses, before any data is read: a value
+of the wrong JSON type anywhere (fuzzed from the annotations), a missing or
+unknown key, a value out of range, NaN or infinity. Exit 1, bad data: a
+malformed dataset or teacher checkpoint manifest, a rater that is not hard
+or leaves the simplex, ECE inputs whose dims differ or leave the simplex,
+and a soft label where a hard one is needed. Also: the compound curve
+honours its flags, and a dataset directory trains to the same bytes with
+its clean/ masks deleted.
 """
 
+import contextlib
+import functools
+import io
 import json
+import math
+import operator
+import os
+import tempfile
+import types
+import typing
+from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicesm import cli
 from dicesm.core import LabelField, ProbField, TensorF, read_tensor, write_field, write_tensor
+from dicesm.losses import LOSSES, CompoundParams, LossSpec
 from dicesm.softlabels import STRATEGIES
-from dicesm.training import ModelSpec, build_model, save_model
+from dicesm.training import KdSpec, ModelSpec, SynthSpec, TrainSpec, build_model, save_model
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_path(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+
+
+def _refused(capsys, code, expected, *texts, absent=()):
+    """The run exited expected, with nothing on stdout and one stderr line
+    that holds each of texts and no traceback, and wrote none of absent."""
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (expected, "")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert all(t in captured.err for t in texts) and not any(map(os.path.exists, absent))
 
 
 def _curve(capsys, *argv):
@@ -38,11 +58,10 @@ def _curve(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def test_bad_dicesm_seed_is_a_usage_error(monkeypatch, tmp_path, capsys):
+def test_bad_dicesm_seed_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("DICESM_SEED", "abc")
-    assert cli.main(["gen-data", "--out", str(tmp_path / "d"), "--n-images", "1"]) == 2
-    assert "DICESM_SEED" in capsys.readouterr().err
-    assert not (tmp_path / "d").exists()
+    code = cli.main(["gen-data", "--out", "d", "--n-images", "1"])
+    _refused(capsys, code, 2, "DICESM_SEED", absent=["d"])
 
 
 @pytest.mark.parametrize("argv", [["--label-value", "1.5"], ["--label-value", "-0.1"],
@@ -75,8 +94,7 @@ def test_compound_curve_uses_its_flags(capsys):
 
 @pytest.mark.parametrize("val_fraction,code", [(-0.5, 2), (1.0, 2), (1.5, 2), ("half", 2),
                                                (0.5, 0)])
-def test_val_fraction_range(val_fraction, code, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_val_fraction_range(val_fraction, code, tmp_path, capsys):
     (tmp_path / "c.json").write_text(json.dumps({
         "data": {"synth": {"n_images": 4, "height": 8, "width": 8, "k_raters": 2}},
         "train": {"epochs": 1, "batch_size": 2}, "val_fraction": val_fraction,
@@ -91,35 +109,28 @@ def _gen_data(out, n_images=4, *flags):
 
 
 @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
-def test_bad_image_noise_writes_nothing(noise, tmp_path, capsys):
-    out = tmp_path / "d"
-    assert cli.main(["gen-data", "--out", str(out), "--n-images", "1",
-                     f"--image-noise={noise}"]) == 1
-    assert "BadSpecError" in capsys.readouterr().err
-    assert not out.exists()
+def test_bad_image_noise_writes_nothing(noise, capsys):
+    code = cli.main(["gen-data", "--out", "d", "--n-images", "1", f"--image-noise={noise}"])
+    _refused(capsys, code, 2, "image_noise must be nonnegative and finite", absent=["d"])
 
 
-def test_val_fraction_that_takes_every_image(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("env,flags", [(None, ["--seed", "-1"]), ("-1", [])],
+                         ids=["flag", "DICESM_SEED"])
+def test_negative_seed_writes_nothing(env, flags, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("DICESM_SEED", env)
+    code = cli.main(["gen-data", "--out", "d", "--n-images", "1", *flags])
+    _refused(capsys, code, 2, "seed must be nonnegative, got -1", absent=["d"])
+
+
+def test_val_fraction_that_takes_every_image(tmp_path, capsys):
     # round(0.9 * 4) == 4: no image would be left to train on
-    monkeypatch.chdir(tmp_path)
     _gen_data(tmp_path / "data")
     (tmp_path / "c.json").write_text(json.dumps({
         "data": {"dir": "data"}, "train": {"epochs": 1}, "val_fraction": 0.9,
         "eval_every": 0, "out_dir": "out"}))
     capsys.readouterr()
-    assert cli.main(["train", "--config", "c.json"]) == 2
-    assert "val_fraction" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_negative_radius_is_a_usage_error(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "c.json").write_text(json.dumps({
-        "data": {"synth": {"n_images": 2, "height": 8, "width": 8, "k_raters": 2}},
-        "model": {"radii": [1, -1]}, "train": {"epochs": 1}, "out_dir": "out"}))
-    assert cli.main(["train", "--config", "c.json"]) == 2
-    assert "radii" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    _refused(capsys, cli.main(["train", "--config", "c.json"]), 2, "val_fraction", absent=["out"])
 
 
 # data names a directory that does not exist, which would exit 1 if it
@@ -146,32 +157,149 @@ def test_mistyped_config_value_is_a_usage_error(command, key, value, message, mo
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "distill"])
-def test_config_without_data(command, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "c.json").write_text(json.dumps({"train": {"epochs": 1}}))
-    assert cli.main([command, "--config", "c.json"]) == 2
-    assert "data" in capsys.readouterr().err
+def _synth_config(**synth):
+    return {"data": {"synth": {"n_images": 2, "height": 8, "width": 8, "k_raters": 2, **synth}},
+            "train": {"epochs": 1}}
 
 
-@pytest.mark.parametrize("drop", ["raters", "out", "images"])
-def test_soft_label_manifest_without_a_key(drop, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
-    _gen_data(tmp_path / "data", n_images=1)
-    entry = {"raters": ["data/raters/img_0000_rater_0.sdt",
-                        "data/raters/img_0000_rater_1.sdt"], "out": "soft.sdt"}
-    manifest = {"images": [entry]}
-    (manifest if drop == "images" else entry).pop(drop)
-    (tmp_path / "m.json").write_text(json.dumps(manifest))
+RATERS = ["data/raters/img_0000_rater_0.sdt", "data/raters/img_0000_rater_1.sdt"]
+MANIFEST_IMAGE = {"raters": RATERS, "out": "soft.sdt"}
+
+# (command, JSON document, what the one stderr line says); the document is a
+# config, or the manifest of make-soft-labels, refused whole: no soft label
+# is written for a manifest's good first image
+JSON_USAGE_ERRORS = {
+    "negative_radius": ("train", {**_synth_config(), "model": {"radii": [1, -1]}},
+                        "radii must be nonnegative, got (1, -1)"),
+    "train_without_data": ("train", {"train": {"epochs": 1}}, "RunSpec needs the keys ['data']"),
+    "distill_without_data": ("distill", {}, "DistillRunSpec needs the keys ['data']"),
+    "data_list": ("train", {"data": [1]}, "RunSpec.data must be DataSpec, got [1]"),
+    "distill_model": ("distill", {**_synth_config(), "kd": {"teacher_checkpoint": "t"},
+                                  "model": {}}, "unknown DistillRunSpec keys: ['model']"),
+    "train_kd": ("train", {**_synth_config(), "kd": {}, "student": {}},
+                 "unknown RunSpec keys: ['kd', 'student']"),
+    "radius_floats": ("train", _synth_config(noise={"dilate_erode_radius": [0.5, 1.7]}),
+                      "RaterNoise.dilate_erode_radius must be tuple[int, int], got [0.5, 1.7]"),
+    "flip_prob_strings": ("train", _synth_config(noise={"boundary_flip_prob": ["0.1", "0.2"]}),
+                          "RaterNoise.boundary_flip_prob must be float | tuple[float, float]"),
+    "three_classes": ("train", _synth_config(n_classes=3), "n_classes must be 1 or 2"),
+    "no_raters": ("train", _synth_config(k_raters=0), "k_raters must be positive"),
+    "blob_radius_reversed": ("train", _synth_config(blob_radius=[0.3, 0.1]),
+                             "bad blob_radius range (0.3, 0.1)"),
+    "blob_radius_strings": ("train", _synth_config(blob_radius=["a", "b"]),
+                            "SynthSpec.blob_radius must be tuple[float, float], got ['a', 'b']"),
+    "manifest_without_raters": ("make-soft-labels", {"images": [{"out": "soft.sdt"}]},
+                                "ManifestImage needs the keys ['raters']"),
+    "manifest_without_out": ("make-soft-labels", {"images": [{"raters": RATERS}]},
+                             "ManifestImage needs the keys ['out']"),
+    "manifest_without_images": ("make-soft-labels", {},
+                                "SoftLabelManifest needs the keys ['images']"),
+    "manifest_bad_second_out": ("make-soft-labels", {"images": [MANIFEST_IMAGE,
+                                                                {"raters": RATERS, "out": 5}]},
+                                "ManifestImage.out must be str, got 5"),
+}
+
+
+def _run_document(command, doc):
+    Path("doc.json").write_text(json.dumps(doc))
+    if command == "make-soft-labels":
+        return cli.main([command, "--strategy", "uniform_avg", "--manifest", "doc.json"])
+    return cli.main([command, "--config", "doc.json"])
+
+
+@pytest.mark.parametrize("case", sorted(JSON_USAGE_ERRORS))
+def test_json_document_usage_error(case, capsys):
+    command, doc, message = JSON_USAGE_ERRORS[case]
+    _gen_data("data", n_images=1)
     capsys.readouterr()
-    assert cli.main(["make-soft-labels", "--strategy", "uniform_avg",
-                     "--manifest", "m.json"]) == 2
-    assert drop in capsys.readouterr().err
-    assert not (tmp_path / "soft.sdt").exists()
+    _refused(capsys, _run_document(command, doc), 2, message)
+    assert sorted(os.listdir()) == ["data", "doc.json"]
 
 
-def test_dataset_manifest_without_clean_is_bad_data(monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def _specs(cls) -> set:
+    """cls and every spec class reachable from its fields: union members,
+    tuple elements and, behind LossSpec.params, each loss's params class."""
+    subs = [a for tp in typing.get_type_hints(cls).values() for a in (tp, *typing.get_args(tp))
+            if is_dataclass(a)]
+    if cls is LossSpec:
+        subs += [entry.params for entry in LOSSES.values() if entry.params is not None]
+    return {cls}.union(*map(_specs, subs))
+
+
+def test_no_config_field_is_a_bare_tuple_or_list():
+    specs = set().union(*map(_specs, (cli.RunSpec, cli.DistillRunSpec, cli.SoftLabelManifest)))
+    assert [f"{c.__name__}.{k}" for c in specs for k, tp in typing.get_type_hints(c).items()
+            if {tp, *typing.get_args(tp)} & {tuple, list}] == []
+
+
+def _wrong(tp) -> list:
+    """JSON values that annotation tp refuses by type: NaN, a string, a bool
+    for a number, a float for an int, an int, null, an object, and lists of
+    a wrong element or length."""
+    alts = typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+    tuples = [typing.get_args(a) for a in alts if typing.get_origin(a) is tuple]
+    wrong = [math.nan] + [w for w, takers in [("0", {str}), (True, {bool}), (0.5, {float}),
+                                               (1, {int, float}), (None, {type(None)})]
+                          if not takers & set(alts)]
+    wrong += [] if any(is_dataclass(a) or a is dict for a in alts) else [{}]
+    wrong += [] if tuples else [[0]]
+    for args in tuples:
+        n = 1 if args[-1] is ... else len(args)
+        wrong += [[w] * n for w in _wrong(args[0])[1:] if not isinstance(w, list)]
+        wrong += [] if args[-1] is ... else [[0] * (n - 1), [0] * (n + 1)]
+    return wrong
+
+
+def _swaps(doc, cls, path=()):
+    """(path, wrong value) for each key of doc, the JSON of a cls, and of
+    each object in it: a section, a loss's params, a manifest's last image."""
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        yield from (((*path, key), w) for w in _wrong(hints[key]))
+        inner = [a for a in (hints[key], *typing.get_args(hints[key])) if is_dataclass(a)]
+        inner = [LOSSES[doc["name"]].params] if (cls, key) == (LossSpec, "params") else inner
+        if isinstance(value, dict):
+            yield from _swaps(value, inner[0], (*path, key))
+        elif isinstance(value, list) and inner:
+            yield from _swaps(value[-1], inner[0], (*path, key, len(value) - 1))
+
+
+# every key of every spec set, a loss's params included
+_TRAIN = json.loads(json.dumps(asdict(cli.RunSpec(
+    data=cli.DataSpec(synth=SynthSpec(n_images=2, height=8, width=8, k_raters=2)),
+    train=TrainSpec(epochs=1, loss=LossSpec(params=asdict(CompoundParams())))))))
+_DISTILL = {**{k: v for k, v in _TRAIN.items() if k != "model"},
+            "student": _TRAIN["model"], "kd": asdict(KdSpec(teacher_checkpoint="teacher"))}
+FUZZ_CASES = [(command, doc, path, w) for command, cls, doc in [
+    ("train", cli.RunSpec, _TRAIN), ("distill", cli.DistillRunSpec, _DISTILL),
+    ("make-soft-labels", cli.SoftLabelManifest, {"images": [MANIFEST_IMAGE] * 2})]
+    for path, w in _swaps(doc, cls)]
+
+
+@pytest.fixture(scope="module")
+def rater_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    _gen_data(root / "data", n_images=1)
+    return root / "data"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES))
+def test_wrong_json_type_anywhere_is_a_usage_error(case, rater_data):
+    command, doc, path, wrong = case
+    doc = json.loads(json.dumps(doc))
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = wrong
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        os.symlink(rater_data, "data")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(err), contextlib.redirect_stderr(err):
+            code = _run_document(command, doc)
+        assert (code, err.getvalue().count("\n")) == (2, 1), (path, wrong, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert sorted(os.listdir()) == ["data", "doc.json"]
+
+
+def test_dataset_manifest_without_clean_is_bad_data(tmp_path, capsys):
     _gen_data(tmp_path / "data")
     manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
     del manifest["images"][2]["clean"]
@@ -179,15 +307,12 @@ def test_dataset_manifest_without_clean_is_bad_data(monkeypatch, tmp_path, capsy
     (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "data"},
                                                  "train": {"epochs": 1}, "out_dir": "out"}))
     capsys.readouterr()
-    assert cli.main(["train", "--config", "c.json"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "clean" in err and "Traceback" not in err
+    _refused(capsys, cli.main(["train", "--config", "c.json"]), 1, "clean", absent=["out"])
 
 
-def test_dataset_trains_the_same_without_its_clean_masks(monkeypatch, tmp_path, capsys):
+def test_dataset_trains_the_same_without_its_clean_masks(tmp_path, capsys):
     import shutil
 
-    monkeypatch.chdir(tmp_path)
     _gen_data(tmp_path / "with")
     shutil.copytree(tmp_path / "with", tmp_path / "without")
     shutil.rmtree(tmp_path / "without" / "clean")
@@ -208,21 +333,20 @@ def test_dataset_trains_the_same_without_its_clean_masks(monkeypatch, tmp_path, 
     assert runs["with"][1] and runs["with"] == runs["without"]
 
 
-@pytest.mark.parametrize("corrupt", [lambda m: "{not json", lambda m: "[1, 2]",
-                                     lambda m: json.dumps({**m, "spec": {**m["spec"], "bogus": 1}})],
-                         ids=["not_json", "list", "unknown_spec_key"])
-def test_malformed_dataset_manifest_is_bad_data(corrupt, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+@pytest.mark.parametrize("corrupt", [
+    lambda m: "{not json", lambda m: "[1, 2]",
+    lambda m: json.dumps({**m, "spec": {**m["spec"], "bogus": 1}}),
+    lambda m: json.dumps({**m, "spec": {**m["spec"], "noise": {"dilate_erode_radius": [0.5, 1]}}}),
+], ids=["not_json", "list", "unknown_spec_key", "radius_float"])
+def test_malformed_dataset_manifest_is_bad_data(corrupt, tmp_path, capsys):
     _gen_data(tmp_path / "data")
     path = tmp_path / "data" / "manifest.json"
     path.write_text(corrupt(json.loads(path.read_text())))
     (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "data"},
                                                  "train": {"epochs": 1}, "out_dir": "out"}))
     capsys.readouterr()
-    assert cli.main(["train", "--config", "c.json"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "manifest.json" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    _refused(capsys, cli.main(["train", "--config", "c.json"]), 1, "manifest.json",
+             absent=["out"])
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -241,8 +365,7 @@ def test_malformed_dataset_manifest_is_bad_data(corrupt, monkeypatch, tmp_path, 
 ], ids=["not_json", "no_params", "number", "no_seed", "unknown_key", "seed_str",
         "channels_float", "n_classes_bool", "radii_float", "radii_str", "radii_bool",
         "radii_mixed"])
-def test_malformed_teacher_checkpoint_is_bad_data(corrupt, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_malformed_teacher_checkpoint_is_bad_data(corrupt, tmp_path, capsys):
     save_model(build_model(ModelSpec(feature_set="intensity")), tmp_path / "teacher")
     path = tmp_path / "teacher" / "manifest.json"
     path.write_text(corrupt(json.loads(path.read_text())))
@@ -250,15 +373,12 @@ def test_malformed_teacher_checkpoint_is_bad_data(corrupt, monkeypatch, tmp_path
         "data": {"synth": {"n_images": 2, "height": 8, "width": 8, "k_raters": 2}},
         "train": {"epochs": 1}, "kd": {"teacher_checkpoint": "teacher"},
         "eval_every": 0, "out_dir": "out"}))
-    assert cli.main(["distill", "--config", "c.json"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "manifest.json" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    _refused(capsys, cli.main(["distill", "--config", "c.json"]), 1, "manifest.json",
+             absent=["out"])
 
 
 @pytest.mark.parametrize("extra", [["--out", "cal.sdt"], ["--sweep", "0.01,0.1"]])
-def test_calibrate_refuses_three_classes(extra, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_calibrate_refuses_three_classes(extra, capsys):
     rng = np.random.default_rng(3)
     write_field("pred.sdt", ProbField.from_array(
         rng.dirichlet(np.ones(3), size=(8, 8)).transpose(2, 0, 1)))
@@ -266,10 +386,7 @@ def test_calibrate_refuses_three_classes(extra, monkeypatch, tmp_path, capsys):
     write_field("label.sdt", LabelField.from_array(
         (np.arange(3)[:, None, None] == winner).astype(np.float64)))
     code = cli.main(["calibrate", "--pred", "pred.sdt", "--label", "label.sdt", *extra])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "ece supports binary tasks (C <= 2)" in captured.err
-    assert not (tmp_path / "cal.sdt").exists()
+    _refused(capsys, code, 2, "ece supports binary tasks (C <= 2)", absent=["cal.sdt"])
 
 
 # (prediction, label) arrays of different dims: two classes against one, and
@@ -282,17 +399,12 @@ ECE_DIMS_MISMATCHES = {
 
 @pytest.mark.parametrize("argv", [["eval", "--metric", "ece"], ["calibrate", "--out", "cal.sdt"]])
 @pytest.mark.parametrize("case", sorted(ECE_DIMS_MISMATCHES))
-def test_ece_refuses_mismatched_dims(case, argv, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_ece_refuses_mismatched_dims(case, argv, capsys):
     pred, label = ECE_DIMS_MISMATCHES[case]
     write_field("pred.sdt", ProbField.from_array(pred))
     write_field("label.sdt", LabelField.from_array(label))
     code = cli.main([*argv, "--pred", "pred.sdt", "--label", "label.sdt"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err.count("\n") == 1 and "ShapeMismatchError" in captured.err
-    assert "Traceback" not in captured.err
-    assert not (tmp_path / "cal.sdt").exists()
+    _refused(capsys, code, 1, "ShapeMismatchError", absent=["cal.sdt"])
 
 
 def _off_simplex_files(bad):
@@ -316,15 +428,10 @@ def _off_simplex_files(bad):
     ("label", ["eval", "--metric", "ece"]),
     ("pred", ["eval", "--metric", "ece"]),
 ])
-def test_ece_rejects_rows_off_the_simplex(bad, argv, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_ece_rejects_rows_off_the_simplex(bad, argv, capsys):
     _off_simplex_files(bad)
     code = cli.main([*argv, "--pred", "pred.sdt", "--label", "label.sdt"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err.count("\n") == 1 and "SimplexViolationError" in captured.err
-    assert "Traceback" not in captured.err
-    assert not (tmp_path / "cal.sdt").exists()
+    _refused(capsys, code, 1, "SimplexViolationError", absent=["cal.sdt"])
 
 
 # a rater must be hard: 0.5 makes a soft label, 1.5 leaves the [0, 1] range
@@ -335,25 +442,18 @@ BAD_C2_RATER = "data/raters/img_0002_rater_1.sdt"
 @pytest.mark.parametrize("argv", [["calibrate", "--out", "cal.sdt"],
                                   ["calibrate", "--sweep", "0.01,0.1"],
                                   ["eval", "--metric", "dice"]])
-def test_soft_label_where_a_hard_one_is_needed(argv, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_soft_label_where_a_hard_one_is_needed(argv, capsys):
     rng = np.random.default_rng(6)
     p, q = rng.random((2, 8, 8))
     write_field("pred.sdt", ProbField.from_array(np.stack([1.0 - p, p])))
     write_field("label.sdt", LabelField.from_array(np.stack([1.0 - q, q])))
     code = cli.main([*argv, "--pred", "pred.sdt", "--label", "label.sdt"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err.count("\n") == 1 and "SoftInputError" in captured.err
-    assert "Traceback" not in captured.err
-    assert not (tmp_path / "cal.sdt").exists()
+    _refused(capsys, code, 1, "SoftInputError", absent=["cal.sdt"])
 
 
 @pytest.mark.parametrize("value,error", BAD_RATER_VALUES)
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_make_soft_labels_rejects_a_bad_rater(strategy, value, error, monkeypatch,
-                                              tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_make_soft_labels_rejects_a_bad_rater(strategy, value, error, capsys):
     good = (np.arange(16).reshape(1, 4, 4) % 3 == 0).astype(np.float64)
     write_field("a.sdt", LabelField.from_array(good))
     bad = good.copy()
@@ -361,15 +461,11 @@ def test_make_soft_labels_rejects_a_bad_rater(strategy, value, error, monkeypatc
     write_tensor("b.sdt", TensorF.from_array(bad))
     code = cli.main(["make-soft-labels", "--strategy", strategy,
                      "--raters", "a.sdt", "b.sdt", "a.sdt", "--out", "soft.sdt"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert error in captured.err and "Traceback" not in captured.err
-    assert not (tmp_path / "soft.sdt").exists()
+    _refused(capsys, code, 1, error, absent=["soft.sdt"])
 
 
 @pytest.mark.parametrize("value,error", BAD_RATER_VALUES)
-def test_train_rejects_a_bad_rater(value, error, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_train_rejects_a_bad_rater(value, error, tmp_path, capsys):
     _gen_data(tmp_path / "data")
     path = tmp_path / "data" / "raters" / "img_0002_rater_1.sdt"
     raw = bytearray(path.read_bytes())
@@ -378,10 +474,7 @@ def test_train_rejects_a_bad_rater(value, error, monkeypatch, tmp_path, capsys):
     (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "data"},
                                                  "train": {"epochs": 1}, "out_dir": "out"}))
     capsys.readouterr()
-    assert cli.main(["train", "--config", "c.json"]) == 1
-    err = capsys.readouterr().err
-    assert error in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    _refused(capsys, cli.main(["train", "--config", "c.json"]), 1, error, absent=["out"])
 
 
 @pytest.mark.parametrize("marked", [0, 2], ids=["no_class", "two_classes"])
@@ -389,18 +482,14 @@ def test_train_rejects_a_bad_rater(value, error, monkeypatch, tmp_path, capsys):
                                   ["make-soft-labels", "--strategy", "uniform_avg", "--out", "out",
                                    "--raters", "data/raters/img_0002_rater_0.sdt", BAD_C2_RATER]],
                          ids=["train", "make_soft_labels"])
-def test_two_class_rater_off_the_simplex(argv, marked, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_two_class_rater_off_the_simplex(argv, marked, tmp_path, capsys):
     _gen_data("data", 4, "--n-classes", "2")
     masks = read_tensor(BAD_C2_RATER).as_array().copy()
     masks[:, 3, 4] = marked // 2
     write_tensor(BAD_C2_RATER, TensorF.from_array(masks))
     (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "data"}, "out_dir": "out"}))
     capsys.readouterr()
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "SimplexViolationError" in captured.err
-    assert "Traceback" not in captured.err and not (tmp_path / "out").exists()
+    _refused(capsys, cli.main(argv), 1, "SimplexViolationError", absent=["out"])
 
 
 def _two_class_field() -> None:
@@ -414,14 +503,10 @@ def _two_class_field() -> None:
 @pytest.mark.parametrize("flags", [["--bandwidth", "nan", "--out", "cal.sdt"],
                                    ["--bandwidth", "inf", "--out", "cal.sdt"],
                                    ["--sweep", "1e-3,nan"], ["--sweep", "nan,1e-3"]])
-def test_calibrate_rejects_a_bad_bandwidth(flags, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_calibrate_rejects_a_bad_bandwidth(flags, capsys):
     _two_class_field()
     code = cli.main(["calibrate", "--pred", "pred.sdt", "--label", "label.sdt", *flags])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "bandwidth must be positive and finite" in captured.err
-    assert not (tmp_path / "cal.sdt").exists()
+    _refused(capsys, code, 2, "bandwidth must be positive and finite", absent=["cal.sdt"])
 
 
 # (command, path to the key in the config); each run exits 0 with a finite
@@ -455,16 +540,12 @@ def _run_config(key, literal, tmp_path) -> int:
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 @pytest.mark.parametrize("key", sorted(NUMBER_KEYS))
-def test_non_finite_config_number_is_a_usage_error(key, literal, monkeypatch, tmp_path,
-                                                   capsys):
-    monkeypatch.chdir(tmp_path)
-    assert _run_config(key, literal, tmp_path) == 2
-    assert f"config holds {literal}, which is not a finite number" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def test_non_finite_config_number_is_a_usage_error(key, literal, tmp_path, capsys):
+    _refused(capsys, _run_config(key, literal, tmp_path), 2,
+             f"config holds {literal}, which is not a finite number", absent=["out"])
 
 
 @pytest.mark.parametrize("key", sorted(NUMBER_KEYS))
-def test_finite_config_number_runs(key, monkeypatch, tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_finite_config_number_runs(key, tmp_path, capsys):
     assert _run_config(key, "0.5", tmp_path) == 0
     assert (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -26,6 +27,10 @@ from dicesm.core import (
     validate,
     write_tensor,
 )
+from dicesm.calibration import KdeSpec
+from dicesm.cli import RunSpec
+from dicesm.losses import LossSpec
+from dicesm.training import KdSpec, ModelSpec, RaterNoise, SynthSpec, TrainSpec
 
 
 class TestTensorF:
@@ -413,52 +418,70 @@ class TestReadTensorFuzz:
         assert back.data.tobytes() == t.data.tobytes()
 
 
+SPECS = {c.__name__: c for c in (KdSpec, LossSpec, ModelSpec, RaterNoise, RunSpec, SynthSpec,
+                                  TrainSpec)}
+
+# (spec class, JSON object, the spec that from_json builds or the ValueError
+# message it raises): defaults for missing keys, nested objects, JSON lists
+# as tuples, every JSON type an annotation allows, and the errors that name
+# the innermost class or a missing key
+FROM_JSON = {
+    "nested_dataclass": ("KdSpec", {"use_kde": True, "kde": {"n_key": 16}},
+                         KdSpec(use_kde=True, kde=KdeSpec(n_key=16))),
+    "empty_object": ("KdSpec", {}, KdSpec()),
+    "lists_as_tuples": ("SynthSpec", {"noise": {"dilate_erode_radius": [1, 2],
+                                                "boundary_flip_prob": [0.1, 0.3]},
+                                      "blob_radius": [0.1, 0.2]},
+                        SynthSpec(noise=RaterNoise((1, 2), (0.1, 0.3)), blob_radius=(0.1, 0.2))),
+    "empty_list": ("ModelSpec", {"radii": []}, ModelSpec(radii=())),
+    "int_for_float": ("TrainSpec", {"lr0": 1, "loss": {"params": None}}, TrainSpec(lr0=1)),
+    "null_for_optional": ("KdSpec", {"teacher_checkpoint": None, "use_kde": False,
+                                     "kd_weight": 2}, KdSpec(kd_weight=2)),
+    "flip_prob_float": ("RaterNoise", {"boundary_flip_prob": 0.2}, RaterNoise((0, 2), 0.2)),
+    "flip_prob_int": ("RaterNoise", {"boundary_flip_prob": 1}, RaterNoise((0, 2), 1)),
+    "flip_prob_pair": ("RaterNoise", {"boundary_flip_prob": [0.1, 0.3]},
+                       RaterNoise((0, 2), (0.1, 0.3))),
+    "inner_loss": ("TrainSpec", {"loss": {"name": 3}}, "LossSpec.name must be str, got 3"),
+    "inner_kde": ("KdSpec", {"kde": {"seed": "0"}}, "KdeSpec.seed must be int, got '0'"),
+    "inner_noise": ("RunSpec", {"data": {"synth": {"noise": {"dilate_erode_radius": [0, 1.5]}}}},
+                    "RaterNoise.dilate_erode_radius must be tuple[int, int], got [0, 1.5]"),
+    "missing_key": ("RunSpec", {"train": {}}, "RunSpec needs the keys ['data']"),
+}
+
+
 class TestFromJson:
-    def test_defaults_and_nested_dataclass(self):
-        from dicesm.calibration import KdeSpec
-        from dicesm.training import KdSpec
-
-        spec = core.from_json(KdSpec, {"use_kde": True, "kde": {"n_key": 16}})
-        assert spec == KdSpec(use_kde=True, kde=KdeSpec(n_key=16))
-        assert core.from_json(KdSpec, {}) == KdSpec()
-
-    def test_post_init_converts_json_lists(self):
-        from dicesm.training import RaterNoise, SynthSpec
-
-        spec = core.from_json(SynthSpec, {"noise": {"dilate_erode_radius": [1, 2],
-                                                    "boundary_flip_prob": [0.1, 0.3]},
-                                          "blob_radius": [0.1, 0.2]})
-        assert spec.noise == RaterNoise((1, 2), (0.1, 0.3))
-        assert spec.blob_radius == (0.1, 0.2)
-
-    def test_accepts_every_json_type_an_annotation_allows(self):
-        from dicesm.training import KdSpec, RaterNoise, TrainSpec
-
-        assert core.from_json(TrainSpec, {"lr0": 1, "loss_params": None}).lr0 == 1
-        assert core.from_json(KdSpec, {"teacher_checkpoint": None, "use_kde": False,
-                                       "kd_weight": 2}) == KdSpec(kd_weight=2)
-        for p in (0.2, 1, [0.1, 0.3]):
-            core.from_json(RaterNoise, {"boundary_flip_prob": p})
+    @pytest.mark.parametrize("case", sorted(FROM_JSON))
+    def test_from_json(self, case):
+        cls, d, expected = FROM_JSON[case]
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                core.from_json(SPECS[cls], d)
+        else:
+            assert core.from_json(SPECS[cls], d) == expected
 
     @pytest.mark.parametrize("cls,d", [
         ("KdSpec", {"use_kde": "false"}), ("KdSpec", {"use_kde": 0}),
         ("KdSpec", {"teacher_checkpoint": 1}), ("KdSpec", {"kd_weight": True}),
         ("TrainSpec", {"epochs": True}), ("TrainSpec", {"epochs": 2.0}),
         ("TrainSpec", {"epochs": None}), ("TrainSpec", {"lr0": "0.1"}),
-        ("TrainSpec", {"loss_name": 3}), ("TrainSpec", {"loss_params": [1]}),
+        ("LossSpec", {"name": 3}), ("LossSpec", {"params": [1]}),
         ("ModelSpec", {"radii": 2}), ("RaterNoise", {"boundary_flip_prob": None}),
         ("RaterNoise", {"boundary_flip_prob": False}),
+        ("ModelSpec", {"radii": [1.9]}), ("ModelSpec", {"radii": ["2"]}),
+        ("ModelSpec", {"radii": [True]}), ("ModelSpec", {"radii": [1, None]}),
+        ("RaterNoise", {"dilate_erode_radius": [0.5, 1.7]}),
+        ("RaterNoise", {"dilate_erode_radius": [1]}),
+        ("RaterNoise", {"dilate_erode_radius": [0, 1, 2]}),
+        ("RaterNoise", {"boundary_flip_prob": ["0.1", "0.2"]}),
+        ("RaterNoise", {"boundary_flip_prob": [0.1]}),
+        ("SynthSpec", {"blob_radius": ["a", "b"]}), ("SynthSpec", {"blob_radius": [0.1]}),
     ])
     def test_rejects_a_value_of_another_json_type(self, cls, d):
-        from dicesm import training
-
         with pytest.raises(ValueError, match=f"{cls}.{next(iter(d))} must be"):
-            core.from_json(getattr(training, cls), d)
+            core.from_json(SPECS[cls], d)
 
     @pytest.mark.parametrize("d", [{"bogus": 1}, {"kde": {"bogus": 1}}, {"kde": None},
                                    {"kde": [1]}, None, [], "spec", 3])
     def test_rejects_unknown_keys_and_non_objects(self, d):
-        from dicesm.training import KdSpec
-
         with pytest.raises(ValueError):
             core.from_json(KdSpec, d)

@@ -9,7 +9,7 @@ import pytest
 
 import dicesm
 from dicesm.core import LabelField, ProbField, ShapeMismatchError
-from dicesm.losses import ReductionSpec, pairwise
+from dicesm.losses import LossSpec, ReductionSpec, pairwise
 from dicesm.softlabels import SoftLabelSpec, uniform_average
 from dicesm.training import (
     CheckpointMismatchError,
@@ -302,10 +302,10 @@ class TestTrainLoop:
         ms = ModelSpec(feature_set="intensity")
         hard = SoftLabelSpec(strategy="majority")
         res_d = train(ds, ms, TrainSpec(epochs=1, batch_size=2, seed=1,
-                                        loss_params={"overlap": "dml1"},
+                                        loss=LossSpec(params={"overlap": "dml1"}),
                                         label_source=hard), eval_every=0)
         res_s = train(ds, ms, TrainSpec(epochs=1, batch_size=2, seed=1,
-                                        loss_params={"overlap": "sdl"},
+                                        loss=LossSpec(params={"overlap": "sdl"}),
                                         label_source=hard), eval_every=0)
         np.testing.assert_allclose(res_d.model.params["w"],
                                    res_s.model.params["w"], atol=1e-10)
@@ -692,7 +692,7 @@ class TestArrayLoop:
 
         def run(epochs):
             ts = TrainSpec(epochs=epochs, batch_size=3, lr0=0.5, seed=1,
-                           loss_params={"overlap": "dml2"},
+                           loss=LossSpec(params={"overlap": "dml2"}),
                            reduction=ReductionSpec(batch_mode=batch_mode))
             train(ds, ms, ts, eval_every=1)
 
