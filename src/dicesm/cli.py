@@ -3,10 +3,12 @@
 Machine-readable JSON goes to stdout, logs to stderr. Exit codes: 0 success;
 1 bad data: a DicesmError or missing file (values, shapes, file formats, the
 dataset and checkpoint manifests); 2 bad usage: argparse's errors and any
-ValueError (flags, spec values, a config or soft-label manifest, which
-from_json reads whole before anything is written). Any other exception is a
-bug and keeps its traceback. Every source of randomness is seeded through
---seed / config seeds; DICESM_SEED overrides the default 42.
+ValueError (flags, spec values such as a label-smoothing epsilon or the
+seed and trial count of check-properties, a config or a soft-label
+manifest, empty included, which from_json reads whole before anything is
+written). Any other exception is a bug and keeps its traceback. Every
+source of randomness is seeded through --seed / config seeds; DICESM_SEED
+overrides the default 42.
 """
 
 from __future__ import annotations
@@ -219,6 +221,10 @@ class SoftLabelManifest:
     """make-soft-labels --manifest: the rater files and output of each image."""
     images: tuple[ManifestImage, ...]
 
+    def __post_init__(self):
+        if not self.images:
+            raise ValueError("SoftLabelManifest.images is empty")
+
 
 def cmd_make_soft_labels(args) -> int:
     spec = SoftLabelSpec(strategy=args.strategy, epsilon=args.epsilon,
@@ -325,6 +331,20 @@ class DatasetDirError(DicesmError):
     """A dataset directory's manifest.json is not a dataset manifest."""
 
 
+@dataclass(frozen=True)
+class DatasetImage:
+    image: str
+    raters: tuple[str, ...]
+    clean: str
+
+
+@dataclass(frozen=True)
+class DatasetManifest:
+    """A gen-data directory's manifest.json: its spec and each image's files."""
+    spec: SynthSpec
+    images: tuple[DatasetImage, ...]
+
+
 def load_dataset_dir(path) -> SynthDataset:
     """The images and rater masks that gen-data wrote to path (no clean mask
     is read). A manifest that is not JSON, lacks a key (clean included) or
@@ -332,17 +352,13 @@ def load_dataset_dir(path) -> SynthDataset:
     root = Path(path)
     where = root / "manifest.json"
     try:
-        manifest = json.loads(where.read_text())
-        spec = from_json(SynthSpec, manifest["spec"])
-        entries = [(root / e["image"], [root / p for p in e["raters"]], e["clean"])
-                   for e in manifest["images"]]
-    except KeyError as e:
-        raise DatasetDirError(f"{where} lacks the key {e}") from None
-    except (TypeError, ValueError, DicesmError) as e:
+        manifest = from_json(DatasetManifest, json.loads(where.read_text()))
+    except ValueError as e:
         raise DatasetDirError(f"{where} is malformed: {e}") from None
-    return SynthDataset(spec, tuple(
-        SynthImage(read_tensor(image).as_array(), _stack_from_files(raters))
-        for image, raters, _ in entries))
+    return SynthDataset(manifest.spec, tuple(
+        SynthImage(read_tensor(root / e.image).as_array(),
+                   _stack_from_files([root / p for p in e.raters]))
+        for e in manifest.images))
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .calibration import (
     verify_bias_bound,
 )
 from . import calibration
+from .core import check_seed
 from .losses import TverskyParams, pairwise, pairwise_values
 
 GOLDEN_RATIO = 0.5 * (1.0 + np.sqrt(5.0))
@@ -329,6 +330,9 @@ def run_suite(trials: int = 10_000, seed: int = 42, mutate: str | None = None) -
     """Run every property; returns the JSON-ready report."""
     if mutate not in (None, "sign"):
         raise ValueError(f"unknown mutation {mutate!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    check_seed(seed)
     s0 = 1.0 if mutate == "sign" else 0.0
     rng = np.random.default_rng(seed)
     props = {}

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DicesmError,
-    EmptyStackError,
-    LabelField,
-    RaterStack,
-    check_seed,
-)
+from .core import EmptyStackError, LabelField, RaterStack, check_seed
 from .metrics import class_map, mask_dice, one_hot
 
 STRATEGIES = ("majority", "random_rater", "uniform_avg", "weighted_avg",
@@ -27,10 +21,6 @@ TIE_LOWEST = "lowest_class"
 TIE_BACKGROUND = "background"
 TIE_BREAKS = (TIE_BACKGROUND, TIE_LOWEST)
 WEIGHT_SCOPES = ("per_image", "per_dataset")
-
-
-class BadEpsilonError(DicesmError):
-    pass
 
 
 class AllZeroWeightsWarning(UserWarning):
@@ -60,7 +50,7 @@ class SoftLabelSpec:
         if self.weights_scope not in WEIGHT_SCOPES:
             raise ValueError(f"unknown weights_scope {self.weights_scope!r}")
         if self.strategy == "label_smoothing" and not 0.0 <= self.epsilon < 1.0:
-            raise BadEpsilonError(f"epsilon {self.epsilon!r} outside [0, 1)")
+            raise ValueError(f"epsilon {self.epsilon!r} outside [0, 1)")
         check_seed(self.seed)
 
 
@@ -181,7 +171,7 @@ def label_smoothing(y: LabelField, epsilon: float) -> LabelField:
     eps == 0 is the identity.
     """
     if not 0.0 <= epsilon < 1.0:
-        raise BadEpsilonError(f"epsilon {epsilon!r} outside [0, 1)")
+        raise ValueError(f"epsilon {epsilon!r} outside [0, 1)")
     uniform = 1.0 / max(y.n_classes, 2)
     return LabelField.from_array((1.0 - epsilon) * y.array + epsilon * uniform)
 

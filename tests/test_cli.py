@@ -9,9 +9,13 @@ AVX512_SPR, and OpenBLAS's SkylakeX core; another BLAS kernel, instruction
 set or numpy build may round the last bit of a sum differently, which
 these tests report as a mismatch.
 
-Further tests pin the exit-code contract (0 ok, 1 bad data, 2 bad usage)
-and the DICESM_SEED default, and check that calibrate --sweep samples its
-keys and pixel scope once and scores each bandwidth as a single run would.
+Further tests pin the DICESM_SEED default and check that calibrate --sweep
+samples its keys and pixel scope once and scores each bandwidth as a single
+run would. By exit code alone, they pin the config keys and values that
+train and distill refuse (BAD_CONFIGS) and argparse's usage errors, which
+print a usage block. The rest of the exit-code contract (0 ok, 1 bad data,
+2 bad usage) lives in tests/test_cli_usage.py, where each refusal is also
+held to one stderr line, no traceback and nothing written.
 """
 
 import hashlib
@@ -392,16 +396,6 @@ def test_bad_config_exits_2(name, work):
     assert cli.main([cmd, "--config", "bad.json"]) == 2
 
 
-def test_malformed_json_exits_2(work):
-    Path("bad.json").write_text("{not json")
-    assert cli.main(["train", "--config", "bad.json"]) == 2
-
-
-def test_unknown_manifest_key_exits_2(work):
-    _write_json("m.json", {"images": [], "bogus": 1})
-    assert cli.main(["make-soft-labels", "--strategy", "majority", "--manifest", "m.json"]) == 2
-
-
 @pytest.mark.parametrize("argv", [
     ["eval", "--pred", "pred1.sdt", "--label", "data/clean/img_0000.sdt",
      "--metric", "dice", "--bogus"],
@@ -412,31 +406,6 @@ def test_unknown_manifest_key_exits_2(work):
 ])
 def test_usage_errors_exit_2(argv, work):
     assert cli.main(argv) == 2
-
-
-def test_missing_file_exits_1(work):
-    assert cli.main(["eval", "--pred", "missing.sdt", "--label",
-                     "data/clean/img_0000.sdt", "--metric", "dice"]) == 1
-
-
-def test_bad_magic_exits_1(work):
-    Path("bad.sdt").write_bytes(b"XXXX" + Path("pred1.sdt").read_bytes()[4:])
-    assert cli.main(["eval", "--pred", "bad.sdt", "--label",
-                     "data/clean/img_0000.sdt", "--metric", "dice"]) == 1
-
-
-def test_mismatched_dims_exits_1(work, capsys):
-    _write_sdt("small.sdt", np.full((1, 3, 3), 0.5))
-    for argv in (["eval-loss", "--loss", "dml1"], ["eval", "--metric", "dice"]):
-        assert cli.main([*argv, "--pred", "small.sdt",
-                         "--label", "data/clean/img_0000.sdt"]) == 1
-        assert "ShapeMismatchError" in capsys.readouterr().err
-
-
-def test_soft_label_guard_exits_1(work):
-    _write_sdt("soft.sdt", np.full((1, 12, 12), 0.5))
-    assert cli.main(["eval-loss", "--loss", "stl", "--pred", "pred1.sdt",
-                     "--label", "soft.sdt"]) == 1
 
 
 # --------------------------------------------------------------------------

@@ -1,35 +1,34 @@
 """Command-line inputs refused with one stderr line, no traceback and
-nothing written.
+nothing written: the exit-code contract, apart from the config refusals and
+argparse errors that tests/test_cli.py checks by exit code alone.
 
 Exit 2, usage errors: a bad DICESM_SEED, gen-data spec, --curve grid, loss
-parameter or calibrate bandwidth, calibrate on three classes (ECE is
-binary), and a JSON document, a train or distill config or the soft-label
-manifest, that from_json or a spec refuses, before any data is read: a value
-of the wrong JSON type anywhere (fuzzed from the annotations), a missing or
-unknown key, a value out of range, NaN or infinity. Exit 1, bad data: a
-malformed dataset or teacher checkpoint manifest, a rater that is not hard
-or leaves the simplex, ECE inputs whose dims differ or leave the simplex,
-and a soft label where a hard one is needed. Also: the compound curve
-honours its flags, and a dataset directory trains to the same bytes with
-its clean/ masks deleted.
+parameter, label-smoothing epsilon, calibrate bandwidth or check-properties
+seed or trial count, calibrate on three classes (ECE is binary), and a JSON
+document, a train or distill config or the soft-label manifest, that
+from_json or a spec refuses, before any data is read: not JSON, a value of
+the wrong JSON type anywhere (every swap from the annotations), a missing or
+unknown key, an empty manifest, a value out of range, NaN or infinity.
+Exit 1, bad data: a missing file or one that is not SDT1, a malformed
+dataset or teacher checkpoint manifest, a rater that is not hard or leaves
+the simplex, inputs whose dims differ, ECE inputs off the simplex, and a
+soft label where a hard one is needed. REFUSALS is the table that takes a
+new case. Also: the compound curve honours its flags, and a dataset
+directory trains to the same bytes with its clean/ masks deleted.
 """
 
-import contextlib
 import functools
-import io
 import json
 import math
 import operator
 import os
 import types
 import typing
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dicesm import cli
 from dicesm.core import LabelField, ProbField, TensorF, read_tensor, write_field, write_tensor
@@ -145,15 +144,10 @@ def test_val_fraction_that_takes_every_image(tmp_path, capsys):
     ("distill", "val_fraction", 1.0, "val_fraction must be in [0, 1), got 1.0"),
 ], ids=["use_kde", "epochs", "out_dir", "eval_every_str", "eval_every_bool",
         "eval_every_negative", "val_fraction"])
-def test_mistyped_config_value_is_a_usage_error(command, key, value, message, monkeypatch,
-                                                tmp_path, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "c.json").write_text(json.dumps({"data": {"dir": "missing"}, "out_dir": "out",
-                                                 key: value}))
-    assert cli.main([command, "--config", "c.json"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err
-    assert not (tmp_path / "out").exists()
+def test_mistyped_config_value_is_a_usage_error(command, key, value, message, capsys):
+    Path("c.json").write_text(json.dumps({"data": {"dir": "missing"}, "out_dir": "out",
+                                          key: value}))
+    _refused(capsys, cli.main([command, "--config", "c.json"]), 2, message, absent=["out"])
 
 
 def _synth_config(**synth):
@@ -215,6 +209,69 @@ def test_json_document_usage_error(case, capsys):
     assert sorted(os.listdir()) == ["data", "doc.json"]
 
 
+def _doc(obj):
+    """A setup that writes obj as doc.json."""
+    return lambda: Path("doc.json").write_text(json.dumps(obj))
+
+
+def _sdt_files():
+    """A hard C == 1 label.sdt and, for it, a pred.sdt, a soft.sdt label, a
+    small.sdt of other dims and a bad.sdt whose magic is not SDT1."""
+    fg = np.arange(16).reshape(1, 4, 4) % 3 == 0
+    for name, a in [("label", fg), ("pred", 0.2 + 0.6 * fg), ("soft", np.full((1, 4, 4), 0.5)),
+                    ("small", np.full((1, 3, 3), 0.5)), ("bad", np.full((1, 4, 4), 0.5))]:
+        write_tensor(f"{name}.sdt", TensorF.from_array(a.astype(np.float64)))
+    Path("bad.sdt").write_bytes(b"XXXX" + Path("bad.sdt").read_bytes()[4:])
+
+
+MANIFEST_ARGV = ["make-soft-labels", "--manifest", "doc.json", "--strategy"]
+
+# (setup, argv, exit code, what the one stderr line says); no row writes a
+# file beyond its setup
+REFUSALS = {
+    "malformed_json": (lambda: Path("doc.json").write_text("{not json"),
+                       ["train", "--config", "doc.json"], 2, "Expecting property name"),
+    "manifest_unknown_key": (_doc({"images": [], "bogus": 1}), MANIFEST_ARGV + ["majority"], 2,
+                             "unknown SoftLabelManifest keys: ['bogus']"),
+    "manifest_empty": (_doc({"images": []}), MANIFEST_ARGV + ["uniform_avg"], 2,
+                       "SoftLabelManifest.images is empty"),
+    "manifest_empty_per_dataset": (_doc({"images": []}), MANIFEST_ARGV + [
+        "weighted_avg", "--weights", "per_dataset"], 2, "SoftLabelManifest.images is empty"),
+    "epsilon_flag": (None, ["make-soft-labels", "--strategy", "label_smoothing", "--epsilon", "2",
+                            "--raters", "a.sdt", "--out", "soft.sdt"], 2,
+                     "epsilon 2.0 outside [0, 1)"),
+    "epsilon_config": (_doc({**_synth_config(), "train": {"label_source": {
+        "strategy": "label_smoothing", "epsilon": 2}}}), ["train", "--config", "doc.json"], 2,
+        "epsilon 2 outside [0, 1)"),
+    "properties_seed": (None, ["check-properties", "--seed", "-1"], 2,
+                        "seed must be nonnegative, got -1"),
+    "properties_trials_negative": (None, ["check-properties", "--trials", "-5"], 2,
+                                   "trials must be at least 1, got -5"),
+    "properties_trials_zero": (None, ["check-properties", "--trials", "0"], 2,
+                               "trials must be at least 1, got 0"),
+    "missing_file": (_sdt_files, ["eval", "--metric", "dice", "--pred", "missing.sdt",
+                                  "--label", "label.sdt"], 1, "missing file"),
+    "bad_magic": (_sdt_files, ["eval", "--metric", "dice", "--pred", "bad.sdt",
+                               "--label", "label.sdt"], 1, "BadMagicError"),
+    "dims_eval_loss": (_sdt_files, ["eval-loss", "--loss", "dml1", "--pred", "small.sdt",
+                                    "--label", "label.sdt"], 1, "ShapeMismatchError"),
+    "dims_eval_dice": (_sdt_files, ["eval", "--metric", "dice", "--pred", "small.sdt",
+                                    "--label", "label.sdt"], 1, "ShapeMismatchError"),
+    "soft_label_guard": (_sdt_files, ["eval-loss", "--loss", "stl", "--pred", "pred.sdt",
+                                      "--label", "soft.sdt"], 1, "SoftLabelIncompatibleError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused(case, capsys):
+    setup, argv, code, text = REFUSALS[case]
+    if setup is not None:
+        setup()
+    before = sorted(os.listdir())
+    _refused(capsys, cli.main(argv), code, text)
+    assert sorted(os.listdir()) == before
+
+
 def _specs(cls) -> set:
     """cls and every spec class reachable from its fields: union members,
     tuple elements and, behind LossSpec.params, each loss's params class."""
@@ -250,11 +307,12 @@ def _wrong(tp) -> list:
 
 
 def _swaps(doc, cls, path=()):
-    """(path, wrong value) for each key of doc, the JSON of a cls, and of
-    each object in it: a section, a loss's params, a manifest's last image."""
+    """(path, Class.key, wrong value) for each key of doc, the JSON of a cls,
+    and of each object in it: a section, a loss's params, a manifest's last
+    image."""
     hints = typing.get_type_hints(cls)
     for key, value in doc.items():
-        yield from (((*path, key), w) for w in _wrong(hints[key]))
+        yield from (((*path, key), f"{cls.__name__}.{key}", w) for w in _wrong(hints[key]))
         inner = [a for a in (hints[key], *typing.get_args(hints[key])) if is_dataclass(a)]
         inner = [LOSSES[doc["name"]].params] if (cls, key) == (LossSpec, "params") else inner
         if isinstance(value, dict):
@@ -269,33 +327,25 @@ _TRAIN = json.loads(json.dumps(asdict(cli.RunSpec(
     train=TrainSpec(epochs=1, loss=LossSpec(params=asdict(CompoundParams())))))))
 _DISTILL = {**{k: v for k, v in _TRAIN.items() if k != "model"},
             "student": _TRAIN["model"], "kd": asdict(KdSpec(teacher_checkpoint="teacher"))}
-FUZZ_CASES = [(command, doc, path, w) for command, cls, doc in [
+FUZZ_CASES = [(command, doc, *swap) for command, cls, doc in [
     ("train", cli.RunSpec, _TRAIN), ("distill", cli.DistillRunSpec, _DISTILL),
     ("make-soft-labels", cli.SoftLabelManifest, {"images": [MANIFEST_IMAGE] * 2})]
-    for path, w in _swaps(doc, cls)]
+    for swap in _swaps(doc, cls)]
 
 
-@pytest.fixture(scope="module")
-def rater_data(tmp_path_factory):
-    root = tmp_path_factory.mktemp("fuzz")
-    _gen_data(root / "data", n_images=1)
-    return root / "data"
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=st.sampled_from(FUZZ_CASES))
-def test_wrong_json_type_anywhere_is_a_usage_error(case, rater_data):
-    command, doc, path, wrong = case
-    doc = json.loads(json.dumps(doc))
-    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = wrong
-    with contextlib.suppress(FileExistsError):  # the examples share one directory
-        os.symlink(rater_data, "data")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(err), contextlib.redirect_stderr(err):
-        code = _run_document(command, doc)
-    assert (code, err.getvalue().count("\n")) == (2, 1), (path, wrong, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    assert sorted(os.listdir()) == ["data", "doc.json"]
+def test_wrong_json_type_anywhere_is_a_usage_error(capsys):
+    """Every swap exits 2 naming its Class.key, except a NaN in a config,
+    which the config reader refuses as a literal before any key is read."""
+    _gen_data("data", n_images=1)
+    capsys.readouterr()
+    for command, doc, path, key, wrong in FUZZ_CASES:
+        doc = json.loads(json.dumps(doc))
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = wrong
+        nan_literal = (isinstance(wrong, float) and math.isnan(wrong)
+                       and command != "make-soft-labels")
+        _refused(capsys, _run_document(command, doc), 2,
+                 "config holds NaN" if nan_literal else f"{key} must be")
+        assert sorted(os.listdir()) == ["data", "doc.json"], (path, wrong)
 
 
 def test_dataset_manifest_without_clean_is_bad_data(tmp_path, capsys):
@@ -336,7 +386,8 @@ def test_dataset_trains_the_same_without_its_clean_masks(tmp_path, capsys):
     lambda m: "{not json", lambda m: "[1, 2]",
     lambda m: json.dumps({**m, "spec": {**m["spec"], "bogus": 1}}),
     lambda m: json.dumps({**m, "spec": {**m["spec"], "noise": {"dilate_erode_radius": [0.5, 1]}}}),
-], ids=["not_json", "list", "unknown_spec_key", "radius_float"])
+    lambda m: json.dumps({**m, "images": [{**m["images"][0], "bogus": 1}, *m["images"][1:]]}),
+], ids=["not_json", "list", "unknown_spec_key", "radius_float", "unknown_image_key"])
 def test_malformed_dataset_manifest_is_bad_data(corrupt, tmp_path, capsys):
     _gen_data(tmp_path / "data")
     path = tmp_path / "data" / "manifest.json"

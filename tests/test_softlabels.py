@@ -6,7 +6,6 @@ from dicesm.losses import SoftLabelIncompatibleError, stl
 from dicesm.metrics import mask_dice, one_hot
 from dicesm.softlabels import (
     AllZeroWeightsWarning,
-    BadEpsilonError,
     SoftLabelSpec,
     build_labels,
     build_labels_dataset,
@@ -205,9 +204,9 @@ class TestLabelSmoothing:
         np.testing.assert_allclose(out.array.sum(axis=0), 1.0, atol=1e-12)
 
     def test_bad_epsilon(self):
-        with pytest.raises(BadEpsilonError):
+        with pytest.raises(ValueError, match="epsilon"):
             label_smoothing(vec_label([1]), 1.0)
-        with pytest.raises(BadEpsilonError):
+        with pytest.raises(ValueError, match="epsilon"):
             label_smoothing(vec_label([1]), -0.1)
 
 
@@ -263,5 +262,5 @@ class TestDispatch:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SoftLabelSpec(strategy="mode")
-        with pytest.raises(BadEpsilonError):
+        with pytest.raises(ValueError, match="epsilon"):
             SoftLabelSpec(strategy="label_smoothing", epsilon=1.5)
