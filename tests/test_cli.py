@@ -16,11 +16,20 @@ train and distill refuse (BAD_CONFIGS) and argparse's usage errors, which
 print a usage block. The rest of the exit-code contract (0 ok, 1 bad data,
 2 bad usage) lives in tests/test_cli_usage.py, where each refusal is also
 held to one stderr line, no traceback and nothing written.
+
+main() without argv, as python -m dicesm runs it, sets the allocator policy
+that the cli docstring describes, and main(argv) does not. The train golden
+case runs once more as fresh python -m dicesm processes, so the pins hold
+with the policy active too.
 """
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +439,43 @@ def test_dicesm_seed_sets_the_default(work, monkeypatch):
                      "--width", "8", "--k-raters", "2", "--seed", "42"]) == 0
     assert {k.split("/", 1)[1]: v for k, v in _files("explicit").items()} == seeded
 
+
+
+# --------------------------------------------------------------------------
+# The allocator policy of a process that dicesm owns
+# --------------------------------------------------------------------------
+
+CURVE = ["eval-loss", "--curve", "--loss", "dml1", "--curve-points", "2", "--label-value", "1"]
+
+
+def test_allocator_policy_only_without_argv(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(None))
+    assert cli.main(CURVE) == 0 and calls == []
+    monkeypatch.setattr(sys, "argv", ["dicesm", *CURVE])
+    assert cli.main() == 0 and len(calls) == 1
+
+
+def test_allocator_policy_without_mallopt(monkeypatch, capsys):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    monkeypatch.setattr(sys, "argv", ["dicesm", *CURVE])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "x,value\n0.0,1.0\n1.0,0.0\n"
+
+
+def _run_process(capsys, argv):
+    """argv as a fresh `python -m dicesm`, which sets the allocator policy."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-m", "dicesm", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout
+
+
+def test_golden_train_in_a_process_of_its_own(work, capsys, monkeypatch):
+    monkeypatch.setitem(globals(), "_run", _run_process)
+    assert case_train(capsys) == GOLDEN["train"]
 
 GOLDEN = {'calibrate': {'all': {'code': 0,
                        'files': {'cal_all.sdt': 'eb4837c6bf0b51427e9cff22acf68f4af0fcb24472163c958e0bddff68970f09'},

@@ -22,6 +22,7 @@ import json
 import math
 import operator
 import os
+import struct
 import types
 import typing
 from dataclasses import asdict, is_dataclass
@@ -214,14 +215,38 @@ def _doc(obj):
     return lambda: Path("doc.json").write_text(json.dumps(obj))
 
 
+def _sdt_header(*dims) -> bytes:
+    return b"SDT1" + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+
+
 def _sdt_files():
     """A hard C == 1 label.sdt and, for it, a pred.sdt, a soft.sdt label, a
-    small.sdt of other dims and a bad.sdt whose magic is not SDT1."""
+    small.sdt of other dims, and predictions that read_tensor refuses:
+    bad.sdt's magic is not SDT1, cut.sdt ends inside its dims, rank0.sdt and
+    rank17.sdt have a rank outside 1..16, zero_dim.sdt has a zero dim,
+    long.sdt one float more than its dims hold and nan.sdt a NaN."""
     fg = np.arange(16).reshape(1, 4, 4) % 3 == 0
     for name, a in [("label", fg), ("pred", 0.2 + 0.6 * fg), ("soft", np.full((1, 4, 4), 0.5)),
-                    ("small", np.full((1, 3, 3), 0.5)), ("bad", np.full((1, 4, 4), 0.5))]:
+                    ("small", np.full((1, 3, 3), 0.5))]:
         write_tensor(f"{name}.sdt", TensorF.from_array(a.astype(np.float64)))
-    Path("bad.sdt").write_bytes(b"XXXX" + Path("bad.sdt").read_bytes()[4:])
+    raw = Path("pred.sdt").read_bytes()
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    for name, data in [("bad", b"XXXX" + raw[4:]), ("cut", raw[:14]), ("rank0", _sdt_header()),
+                       ("rank17", _sdt_header(*[1] * 17) + raw[-4:]),
+                       ("zero_dim", _sdt_header(1, 0, 4)), ("long", raw + raw[-4:]),
+                       ("nan", raw[:-4] + nan)]:
+        Path(f"{name}.sdt").write_bytes(data)
+
+
+def _label_manifest():
+    """_sdt_files, and a doc.json manifest that would make soft.sdt from
+    label.sdt."""
+    _sdt_files()
+    _doc({"images": [{"raters": ["label.sdt", "label.sdt"], "out": "soft.sdt"}]})()
+
+
+def _eval_dice(pred):
+    return ["eval", "--metric", "dice", "--pred", pred, "--label", "label.sdt"]
 
 
 MANIFEST_ARGV = ["make-soft-labels", "--manifest", "doc.json", "--strategy"]
@@ -249,14 +274,21 @@ REFUSALS = {
                                    "trials must be at least 1, got -5"),
     "properties_trials_zero": (None, ["check-properties", "--trials", "0"], 2,
                                "trials must be at least 1, got 0"),
-    "missing_file": (_sdt_files, ["eval", "--metric", "dice", "--pred", "missing.sdt",
-                                  "--label", "label.sdt"], 1, "missing file"),
-    "bad_magic": (_sdt_files, ["eval", "--metric", "dice", "--pred", "bad.sdt",
-                               "--label", "label.sdt"], 1, "BadMagicError"),
+    "manifest_with_raters": (_label_manifest, MANIFEST_ARGV + [
+        "uniform_avg", "--raters", "label.sdt"], 2, "usage error: --manifest takes no --raters"),
+    "manifest_with_out": (_label_manifest, MANIFEST_ARGV + ["uniform_avg", "--out", "x.sdt"], 2,
+                          "usage error: --manifest takes no --raters or --out"),
+    "missing_file": (_sdt_files, _eval_dice("missing.sdt"), 1, "missing file"),
+    "bad_magic": (_sdt_files, _eval_dice("bad.sdt"), 1, "BadMagicError"),
+    "sdt_cut_in_header": (_sdt_files, _eval_dice("cut.sdt"), 1, "TruncatedFileError"),
+    "sdt_rank_0": (_sdt_files, _eval_dice("rank0.sdt"), 1, "DimOverflowError"),
+    "sdt_rank_17": (_sdt_files, _eval_dice("rank17.sdt"), 1, "DimOverflowError"),
+    "sdt_zero_dim": (_sdt_files, _eval_dice("zero_dim.sdt"), 1, "DimOverflowError"),
+    "sdt_payload_length": (_sdt_files, _eval_dice("long.sdt"), 1, "TruncatedFileError"),
+    "sdt_nan_payload": (_sdt_files, _eval_dice("nan.sdt"), 1, "NonFiniteError"),
     "dims_eval_loss": (_sdt_files, ["eval-loss", "--loss", "dml1", "--pred", "small.sdt",
                                     "--label", "label.sdt"], 1, "ShapeMismatchError"),
-    "dims_eval_dice": (_sdt_files, ["eval", "--metric", "dice", "--pred", "small.sdt",
-                                    "--label", "label.sdt"], 1, "ShapeMismatchError"),
+    "dims_eval_dice": (_sdt_files, _eval_dice("small.sdt"), 1, "ShapeMismatchError"),
     "soft_label_guard": (_sdt_files, ["eval-loss", "--loss", "stl", "--pred", "pred.sdt",
                                       "--label", "soft.sdt"], 1, "SoftLabelIncompatibleError"),
 }
