@@ -598,7 +598,7 @@ def _keep_freed_memory() -> None:
     ceiling for its dynamic mmap threshold."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):  # no C library to load, or no mallopt in it
+    except (OSError, TypeError, AttributeError):  # no C library (Windows), or no mallopt
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD

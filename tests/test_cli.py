@@ -440,7 +440,6 @@ def test_dicesm_seed_sets_the_default(work, monkeypatch):
     assert {k.split("/", 1)[1]: v for k, v in _files("explicit").items()} == seeded
 
 
-
 # --------------------------------------------------------------------------
 # The allocator policy of a process that dicesm owns
 # --------------------------------------------------------------------------
@@ -476,6 +475,7 @@ def _run_process(capsys, argv):
 def test_golden_train_in_a_process_of_its_own(work, capsys, monkeypatch):
     monkeypatch.setitem(globals(), "_run", _run_process)
     assert case_train(capsys) == GOLDEN["train"]
+
 
 GOLDEN = {'calibrate': {'all': {'code': 0,
                        'files': {'cal_all.sdt': 'eb4837c6bf0b51427e9cff22acf68f4af0fcb24472163c958e0bddff68970f09'},

@@ -4,17 +4,19 @@ argparse errors that tests/test_cli.py checks by exit code alone.
 
 Exit 2, usage errors: a bad DICESM_SEED, gen-data spec, --curve grid, loss
 parameter, label-smoothing epsilon, calibrate bandwidth or check-properties
-seed or trial count, calibrate on three classes (ECE is binary), and a JSON
-document, a train or distill config or the soft-label manifest, that
-from_json or a spec refuses, before any data is read: not JSON, a value of
-the wrong JSON type anywhere (every swap from the annotations), a missing or
-unknown key, an empty manifest, a value out of range, NaN or infinity.
-Exit 1, bad data: a missing file or one that is not SDT1, a malformed
-dataset or teacher checkpoint manifest, a rater that is not hard or leaves
-the simplex, inputs whose dims differ, ECE inputs off the simplex, and a
-soft label where a hard one is needed. REFUSALS is the table that takes a
-new case. Also: the compound curve honours its flags, and a dataset
-directory trains to the same bytes with its clean/ masks deleted.
+seed or trial count, calibrate on three classes (ECE is binary), a
+soft-label manifest given with --raters or --out, and a JSON document, a
+train or distill config or the soft-label manifest, that from_json or a spec
+refuses, before any data is read: not JSON, a value of the wrong JSON type
+anywhere (every swap from the annotations), a missing or unknown key, an
+empty manifest, a value out of range, NaN or infinity.
+Exit 1, bad data: a missing file, an SDT1 file with a wrong magic, a header
+cut short, a rank outside 1..16, a zero dim, a payload of the wrong length
+or a NaN, a malformed dataset or teacher checkpoint manifest, a rater that
+is not hard or leaves the simplex, inputs whose dims differ, ECE inputs off
+the simplex, and a soft label where a hard one is needed. REFUSALS is the
+table that takes a new case. Also: the compound curve honours its flags, and
+a dataset directory trains to the same bytes with its clean/ masks deleted.
 """
 
 import functools
