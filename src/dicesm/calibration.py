@@ -127,6 +127,12 @@ def _kernel_weights(lw: np.ndarray) -> np.ndarray:
     keep = lw >= _EXP_ZERO_BELOW
     if keep.all():
         return np.exp(lw, out=lw)
+    if lw.min() > -np.inf:  # no -inf and no NaN: both fail the test
+        # a finite x times 0.0 is +-0, whose exp is 1, and 1 * 0.0 is +0.0
+        k = keep.astype(np.float64)
+        np.multiply(lw, k, out=lw)
+        np.exp(lw, out=lw)
+        return np.multiply(lw, k, out=lw)
     w = np.where(keep, lw, 0.0)
     np.exp(w, out=w)
     return np.multiply(w, keep, out=w)
@@ -399,20 +405,28 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     n_dead = 0
     step = _block_rows(n, c)
     work = np.empty((min(step, rows.size), n))
+    at = np.arange(len(work))
     for lo in range(0, rows.size, step):
         block = slice(lo, lo + step)
         lw = _log_kernel_rows(pix[block], logs[block], edge[block], coef,
                               out=work[:len(rows[block])])
         # lw.max(axis=1) by value, read at each row's argmax: one pass over
         # the block instead of one short reduction per row
-        top = lw[np.arange(len(lw)), lw.argmax(axis=1)]
+        top = lw[at[:len(lw)], lw.argmax(axis=1)]
         live = top > -np.inf
-        top[~live] = 0.0
+        dead = int(live.size - live.sum())
+        if dead:
+            top[~live] = 0.0
         lw -= top[:, None]
         sums = _kernel_weights(lw) @ labels_and_one
         # a live row's top weight is exp(0) = 1, so its total is at least 1
-        out[rows[block][live]] = sums[live, :c] / sums[live, c:]
-        n_dead += int(live.size - live.sum())
+        if dead:
+            out[rows[block][live]] = sums[live, :c] / sums[live, c:]
+            n_dead += dead
+        elif scope is None:
+            np.divide(sums[:, :c], sums[:, c:], out=out[block])
+        else:
+            out[rows[block]] = sums[:, :c] / sums[:, c:]
     if n_dead:
         warnings.warn(f"{n_dead} pixel(s) matched no key point; "
                       "leaving them uncalibrated", DegenerateWeightsWarning)
