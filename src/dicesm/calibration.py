@@ -31,10 +31,13 @@ Memory per call is O(rows * (C + 2)) for the rows in scope: their checked
 copy, their [log P, 1] rows and edge-row mask, built once per call, and the
 output. Memory per block is one (block rows, n_key) float64 workspace,
 allocated once per call: each block's log-kernel GEMM writes into it, and
-the shift and the exp run in it in place. Only a block where some weight
-is dropped takes one more such array, in _kernel_weights. The key
-coefficients and [labels | 1] depend on the keys and the bandwidth alone;
-a KeyPointSet builds them on first use at each bandwidth and keeps them.
+the shift, the exp and the zeroing run in it in place. Only a block where
+some weight is dropped takes one more such array, in _kernel_weights: the
+float64 0/1 copy of its keep mask, or, where the block holds -inf or NaN,
+np.where's copy of its weights. A block without a dead row writes its
+quotients straight into the output. The key coefficients and [labels | 1]
+depend on the keys and the bandwidth alone; a KeyPointSet builds them on
+first use at each bandwidth and keeps them.
 
 Weights below the smallest normal double, tiny = 2**-1022, are set to 0:
 neither the exp nor the GEMM then sees a subnormal, which costs each of them
@@ -103,13 +106,14 @@ _BLOCK_MADDS = 2 ** 18
 # the calibrated rows by 2 * n_key * tiny. On a 2-vCPU Xeon, np.exp took
 # 177 ns per subnormal result against 1.6 ns per normal one, and a
 # 682 x 128 @ 128 x 3 GEMM with 5% subnormal weights 681 us against 42 us.
-# The zeroing follows one plain exp over the block instead of a masked
-# np.exp(..., where=): a masked ufunc runs its inner loop once per run of
-# kept entries, and at h = 1e-3 kept and dropped weights interleave at
-# random. On a 682 x 128 block of the calibrate-c2 benchmark (about 47%
-# kept) the masked exp took 1.32-1.42 ms and the plain one 0.61-0.69 ms,
-# with equal bits; a block where every weight is kept takes the exp in
-# place, 0.15 ms against the masked 0.28 ms.
+# The zeroing multiplies around one plain exp over the block instead of a
+# masked np.exp(..., where=): a masked ufunc runs its inner loop once per
+# run of kept entries, and at h = 1e-3 kept and dropped weights interleave
+# at random. On a 682 x 128 block of the calibrate-c2 benchmark (46-48%
+# kept, every log weight finite) the zeroing and the exp took 0.20-0.22 ms
+# in place, against 0.25-0.26 ms through np.where's copy and 0.66 ms for
+# the masked exp alone, with equal bytes; a block where every weight is
+# kept takes the exp in place alone, about 0.09 ms.
 _EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).tiny))
 
 
@@ -121,9 +125,10 @@ def _block_rows(n_key: int, c: int) -> int:
 
 
 def _kernel_weights(lw: np.ndarray) -> np.ndarray:
-    """exp of a block of shifted log weights, 0 where lw < _EXP_ZERO_BELOW,
-    -inf or NaN, so no weight is subnormal. Overwrites lw when no entry is
-    dropped."""
+    """exp of a block of shifted log weights, +0.0 where lw < _EXP_ZERO_BELOW,
+    -inf or NaN, so no weight is subnormal. Overwrites lw, and returns it,
+    unless the block holds -inf or NaN and drops a weight: then the
+    weights are np.where's copy, since -inf * 0.0 and NaN * 0.0 are NaN."""
     keep = lw >= _EXP_ZERO_BELOW
     if keep.all():
         return np.exp(lw, out=lw)

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 import warnings
 
@@ -353,6 +354,13 @@ TINY = np.finfo(np.float64).tiny
 SUBNORMAL_BAND_LO = float(np.log(np.finfo(np.float64).smallest_subnormal)) - 1.0
 
 
+def assert_same_bytes(got, want):
+    """Equal float64 arrays bit for bit: +0.0 and -0.0 differ, NaNs match
+    only by payload."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _simplex_rows(rows):
     rows = np.asarray(rows, dtype=np.float64)
     return np.hstack([rows, 1.0 - rows]) if rows.shape[1] == 1 else rows
@@ -535,7 +543,7 @@ class TestBlockedKernel:
 
     def test_block_loop_allocates_no_block_sized_array(self, monkeypatch):
         # rows and keys inside (0, 1) at h = 1 keep every weight, so no block
-        # takes _kernel_weights' masked branch. Traced memory is read at each
+        # takes _kernel_weights' zeroing. Traced memory is read at each
         # block's start and at the end of the call: the only rise by a
         # block's (rows, n) float64 bytes is the call's one workspace, made
         # before the first block, however many blocks follow
@@ -615,6 +623,33 @@ class TestBlockedKernel:
         live = np.setdiff1d(np.arange(F.shape[0]), dead)
         np.testing.assert_array_equal(out[live], 1.0)
 
+    def test_dead_rows_in_a_scope_are_counted_across_blocks(self):
+        # pixels at exactly 0 or 1 have zero density under every key inside
+        # (0, 1); dead rows in four blocks of the scoped rows and outside
+        # the scope, where they are neither calibrated nor counted
+        n, h = 64, 0.05
+        block = calibration._block_rows(n, 1)
+        rng = np.random.default_rng(31)
+        keys = KeyPointSet(rng.uniform(0.2, 0.8, (n, 1)),
+                           (rng.random((n, 1)) < 0.5).astype(float), np.arange(n))
+        m = 8 * block
+        F = rng.uniform(0.01, 0.99, (m, 1))
+        scope = np.sort(rng.choice(m, size=3 * block + 5, replace=False))
+        outside = np.setdiff1d(np.arange(m), scope)
+        dead = scope[[0, block - 1, block, 2 * block + 3, 3 * block + 4]]
+        F[dead[::2]] = 0.0
+        F[dead[1::2]] = 1.0
+        F[outside[:9]] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = kde_calibrate_batch(F, keys, h, scope)
+        assert [str(w.message).split()[0] for w in caught
+                if w.category is DegenerateWeightsWarning] == [str(len(dead))]
+        want, _ = _calibrate_recording(F[scope], keys, h)
+        assert_same_bytes(got[scope], want)
+        assert_same_bytes(got[outside], F[outside])
+        assert_same_bytes(got[dead], F[dead])
+
     @pytest.mark.parametrize("c", [1, 2, 3, 8])
     @pytest.mark.parametrize("n", [1, 11, 128, 4096, 2 ** 20])
     def test_block_gemms_stay_within_budget(self, n, c):
@@ -642,6 +677,8 @@ class TestBlockedKernel:
         return np.exp(lw, out=np.zeros_like(lw), where=lw >= thr)
 
     def test_kernel_weights_match_the_masked_exp(self, rng):
+        # -inf and NaN among the weights take np.where's copy; the dropped
+        # weights are +0.0 all the same
         thr = calibration._EXP_ZERO_BELOW
         band = rng.uniform(SUBNORMAL_BAND_LO, thr, 400)  # exp is subnormal or 0
         lw = np.concatenate([
@@ -658,25 +695,90 @@ class TestBlockedKernel:
         lw = rng.permutation(lw).reshape(47, 26)
         assert np.any(lw >= thr) and not np.all(lw >= thr)
         got = calibration._kernel_weights(lw.copy())
-        np.testing.assert_array_equal(got, self._masked_exp(lw))
+        assert_same_bytes(got, self._masked_exp(lw))
         in_band = (lw >= SUBNORMAL_BAND_LO) & (lw < thr)
         assert np.count_nonzero(in_band) >= 400 + 2 + 4
         assert np.all(got[in_band] == 0.0)
         assert not np.any((got > 0.0) & (got < TINY))
+        assert not np.any(np.signbit(got[~(lw >= thr)]))
 
     def test_kernel_weights_when_every_weight_is_kept(self, rng):
         lw = rng.uniform(-700.0, 0.0, (64, 9))
         lw[:, 0] = 0.0
         want = self._masked_exp(lw)
-        np.testing.assert_array_equal(calibration._kernel_weights(lw.copy()), want)
+        assert_same_bytes(calibration._kernel_weights(lw.copy()), want)
+
+    def test_kernel_weights_zero_a_finite_block_in_place(self, rng):
+        # every log weight finite (normal and subnormal results, both sides
+        # of the threshold, -0.0, the most negative double): the dropped
+        # ones are zeroed by a 0/1 factor around the exp, in lw itself,
+        # with the masked exp's bytes
+        thr = calibration._EXP_ZERO_BELOW
+        lw = rng.permutation(np.concatenate([
+            rng.uniform(-700.0, 0.0, 500),
+            rng.uniform(SUBNORMAL_BAND_LO, thr, 300),
+            [thr, np.nextafter(thr, np.inf), np.nextafter(thr, -np.inf),
+             SUBNORMAL_BAND_LO, 0.0, -0.0, -1.0, -np.finfo(np.float64).max],
+            rng.uniform(-1e300, SUBNORMAL_BAND_LO, 414),
+        ])).reshape(47, 26)
+        assert np.isfinite(lw).all()
+        work = lw.copy()
+        got = calibration._kernel_weights(work)
+        assert got is work
+        assert_same_bytes(got, self._masked_exp(lw))
+        dropped = lw < thr
+        assert 0.3 < dropped.mean() < 0.7
+        assert np.all(got[dropped] == 0.0) and not np.any(np.signbit(got[dropped]))
+
+    def test_finite_blocks_return_their_weights_in_the_workspace(self, monkeypatch):
+        # 128 keys and pixel rows inside (0, 1) at h = 1e-3: every block
+        # drops finite weights. A tracemalloc snapshot at each return of
+        # _kernel_weights counts the block-sized arrays allocated on its
+        # lines that are still alive, which np.where's copy would be, as
+        # the weights it returns. A block holding -inf shows that the
+        # count sees that copy
+        n, c, h = 128, 1, 1e-3
+        step = calibration._block_rows(n, c)
+        rng = np.random.default_rng(13)
+        keys = KeyPointSet(rng.uniform(0.05, 0.95, (n, c)),
+                           (rng.random((n, c)) < 0.5).astype(float), np.arange(n))
+        F = rng.uniform(0.05, 0.95, (3 * step + 11, c))
+        lines, first = inspect.getsourcelines(calibration._kernel_weights)
+        own = range(first, first + len(lines))
+        kernel_weights = calibration._kernel_weights
+        counts = []
+
+        def counting(lw):
+            finite = np.isfinite(lw).all()
+            assert not (lw >= calibration._EXP_ZERO_BELOW).all()
+            w = kernel_weights(lw)
+            snap = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, calibration.__file__)])
+            counts.append((finite, sum(t.size >= 8 * lw.size and t.traceback[0].lineno in own
+                                       for t in snap.traces)))
+            return w
+
+        monkeypatch.setattr(calibration, "_kernel_weights", counting)
+        tracemalloc.start()
+        try:
+            kde_calibrate_batch(F, keys, h)
+            P = _simplex_rows(F[:step])
+            lw = calibration._log_kernel_rows(P, *calibration._pixel_logs(P), keys._fit(h)[0])
+            lw -= lw.max(axis=1, keepdims=True)
+            lw[0, :7] = -np.inf
+            counting(lw)
+        finally:
+            tracemalloc.stop()
+        assert counts == [(True, 0)] * 4 + [(False, 1)]
 
     def test_memory_is_bounded_by_the_block(self):
         # 147,456 pixels (a 384 x 384 two-class field read back from float32)
         # against 128 keys. Design bound, fixed before measuring: six (m, C)
         # float64 arrays plus four (block, n) ones. Per call: the clipped
         # copy, the output, the row index, the [log P, 1] rows and their
-        # log's temporary; per block: the workspace, the exp mask and the
-        # masked exp's weights. The (m, n) weight matrix alone would be
+        # log's temporary; per block: the workspace, the exp mask and its
+        # float64 0/1 copy (np.where's copy of the weights in a block that
+        # holds -inf or NaN). The (m, n) weight matrix alone would be
         # 151 MB.
         rng = np.random.default_rng(5)
         m, n, c = 147_456, 128, 2
