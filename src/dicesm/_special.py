@@ -5,9 +5,8 @@ oracle for these ports. They return the same float64 as scipy.special.gammaln
 and xlogy, bit for bit, on the domain calibration uses;
 tests/test_special.py checks this against scipy.
 
-gammaln is cephes' lgam for x >= 1, with every operation in cephes' order:
-a scalar in Python floats (IEEE doubles, as in C), an array by numpy
-ufuncs, which run each entry through the same operations.
+gammaln is cephes' lgam for x >= 1, taken entry by entry in Python floats
+(IEEE doubles, as in C) with every operation in cephes' order.
 Both functions take each log from the C library's log, through math.log,
 as cephes does: np.log rounds differently in the last bit on some inputs.
 """
@@ -76,52 +75,6 @@ def _lgam(x: float) -> float:
     return q + _horner(r, _A) / x
 
 
-def _lgam_array(x: np.ndarray) -> np.ndarray:
-    """_lgam at each entry of a 1-D array x >= 1 (or +inf): each entry
-    takes _lgam's branch, and that branch's operations in _lgam's order."""
-    # the branch of each entry: below 13, below 1000, up to 1e8, up to
-    # _MAXLGM, above it
-    branch = np.sum((x >= 13.0, x >= 1000.0, x > 1e8, x > _MAXLGM), axis=0)
-    taken = np.flatnonzero(np.bincount(branch))
-    if taken.size == 1:
-        return _lgam_branch(int(taken[0]), x)
-    out = np.empty_like(x)
-    for b in taken:
-        sel = branch == b
-        out[sel] = _lgam_branch(int(b), x[sel])
-    return out
-
-
-def _lgam_branch(b: int, x: np.ndarray) -> np.ndarray:
-    """_lgam at entries x that all take its branch b, as in _lgam_array."""
-    if b == 0:
-        # shift x into [2, 3), each entry by its own number of steps
-        u, p, z = x.copy(), np.zeros_like(x), np.ones_like(x)
-        while (step := u >= 3.0).any():
-            np.subtract(p, 1.0, out=p, where=step)
-            np.add(x, p, out=u, where=step)
-            np.multiply(z, u, out=z, where=step)
-        while (step := u < 2.0).any():
-            np.divide(z, u, out=z, where=step)
-            np.add(p, 1.0, out=p, where=step)
-            np.add(x, p, out=u, where=step)
-        log_z = _log(z)
-        t = x + (p - 2.0)
-        return np.where(u == 2.0, log_z,
-                        log_z + t * _horner(t, _B) / _horner(t, _C, monic=True))
-    if b == 4:
-        return np.full_like(x, math.inf)
-    q = (x - 0.5) * _log(x) - x + _LS2PI
-    if b == 3:
-        return q
-    r = 1.0 / (x * x)
-    if b == 2:
-        return q + ((7.9365079365079365079365e-4 * r
-                     - 2.7777777777777777777778e-3) * r
-                    + 0.0833333333333333333333) / x
-    return q + _horner(r, _A) / x
-
-
 def gammaln(x):
     """log |gamma(x)| for x >= 1 or +inf; ValueError below 1 or at NaN."""
     x = np.asarray(x, dtype=np.float64)
@@ -131,7 +84,8 @@ def gammaln(x):
         if float(x) >= 1.0:
             return np.float64(_lgam(float(x)))
     elif np.all(x >= 1.0):
-        return _lgam_array(x.ravel()).reshape(x.shape)
+        return np.fromiter(map(_lgam, x.ravel().tolist()), np.float64,
+                           x.size).reshape(x.shape)
     raise ValueError("gammaln is defined here for x >= 1 only")
 
 

@@ -33,11 +33,10 @@ output. Memory per block is one (block rows, n_key) float64 workspace,
 allocated once per call: each block's log-kernel GEMM writes into it, and
 the shift, the exp and the zeroing run in it in place. Only a block where
 some weight is dropped takes one more such array, in _kernel_weights: the
-float64 0/1 copy of its keep mask, or, where the block holds -inf or NaN,
-np.where's copy of its weights. A block without a dead row writes its
-quotients straight into the output. The key coefficients and [labels | 1]
-depend on the keys and the bandwidth alone; a KeyPointSet builds them on
-first use at each bandwidth and keeps them.
+float64 0/1 copy of its keep mask. Without a scope, a block with no dead
+row writes its quotients straight into the output. The key coefficients
+and [labels | 1] depend on the keys and the bandwidth alone; a KeyPointSet
+builds them on first use at each bandwidth and keeps them.
 
 Weights below the smallest normal double, tiny = 2**-1022, are set to 0:
 neither the exp nor the GEMM then sees a subnormal, which costs each of them
@@ -110,10 +109,13 @@ _BLOCK_MADDS = 2 ** 18
 # masked np.exp(..., where=): a masked ufunc runs its inner loop once per
 # run of kept entries, and at h = 1e-3 kept and dropped weights interleave
 # at random. On a 682 x 128 block of the calibrate-c2 benchmark (46-48%
-# kept, every log weight finite) the zeroing and the exp took 0.20-0.22 ms
-# in place, against 0.25-0.26 ms through np.where's copy and 0.66 ms for
+# kept, every log weight finite) the zeroing and the exp took 0.19-0.20 ms
+# in place, against 0.25-0.26 ms through a np.where copy and 0.66 ms for
 # the masked exp alone, with equal bytes; a block where every weight is
-# kept takes the exp in place alone, about 0.09 ms.
+# kept takes the exp in place alone, about 0.09 ms. Only a block holding
+# -inf or NaN, which a min pass finds, pays an fmax pass: 0.22-0.23 ms with
+# a few such rows, against 0.27-0.29 ms through a np.where copy. An fmax
+# pass in place of the min pass would cost every finite block 0.02 ms.
 _EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).tiny))
 
 
@@ -126,21 +128,19 @@ def _block_rows(n_key: int, c: int) -> int:
 
 def _kernel_weights(lw: np.ndarray) -> np.ndarray:
     """exp of a block of shifted log weights, +0.0 where lw < _EXP_ZERO_BELOW,
-    -inf or NaN, so no weight is subnormal. Overwrites lw, and returns it,
-    unless the block holds -inf or NaN and drops a weight: then the
-    weights are np.where's copy, since -inf * 0.0 and NaN * 0.0 are NaN."""
+    -inf or NaN, so no weight is subnormal. Overwrites lw and returns it."""
     keep = lw >= _EXP_ZERO_BELOW
     if keep.all():
         return np.exp(lw, out=lw)
-    if lw.min() > -np.inf:  # no -inf and no NaN: both fail the test
-        # a finite x times 0.0 is +-0, whose exp is 1, and 1 * 0.0 is +0.0
-        k = keep.astype(np.float64)
-        np.multiply(lw, k, out=lw)
-        np.exp(lw, out=lw)
-        return np.multiply(lw, k, out=lw)
-    w = np.where(keep, lw, 0.0)
-    np.exp(w, out=w)
-    return np.multiply(w, keep, out=w)
+    if not lw.min() > -np.inf:
+        # -inf * 0.0 and NaN * 0.0 are NaN: make the dropped -inf and NaN
+        # finite first (fmax replaces NaN too); no kept entry changes
+        np.fmax(lw, -np.finfo(np.float64).max, out=lw)
+    # a finite x times 0.0 is +-0, whose exp is 1, and 1 * 0.0 is +0.0
+    k = keep.astype(np.float64)
+    np.multiply(lw, k, out=lw)
+    np.exp(lw, out=lw)
+    return np.multiply(lw, k, out=lw)
 
 
 def reset_kernel_eval_count() -> None:
@@ -425,13 +425,11 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
         lw -= top[:, None]
         sums = _kernel_weights(lw) @ labels_and_one
         # a live row's top weight is exp(0) = 1, so its total is at least 1
-        if dead:
+        if dead or scope is not None:
             out[rows[block][live]] = sums[live, :c] / sums[live, c:]
             n_dead += dead
-        elif scope is None:
-            np.divide(sums[:, :c], sums[:, c:], out=out[block])
         else:
-            out[rows[block]] = sums[:, :c] / sums[:, c:]
+            np.divide(sums[:, :c], sums[:, c:], out=out[block])
     if n_dead:
         warnings.warn(f"{n_dead} pixel(s) matched no key point; "
                       "leaving them uncalibrated", DegenerateWeightsWarning)

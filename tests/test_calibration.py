@@ -677,8 +677,8 @@ class TestBlockedKernel:
         return np.exp(lw, out=np.zeros_like(lw), where=lw >= thr)
 
     def test_kernel_weights_match_the_masked_exp(self, rng):
-        # -inf and NaN among the weights take np.where's copy; the dropped
-        # weights are +0.0 all the same
+        # -inf and NaN among the weights are made finite before the zeroing;
+        # the dropped weights are +0.0 all the same
         thr = calibration._EXP_ZERO_BELOW
         band = rng.uniform(SUBNORMAL_BAND_LO, thr, 400)  # exp is subnormal or 0
         lw = np.concatenate([
@@ -730,13 +730,13 @@ class TestBlockedKernel:
         assert 0.3 < dropped.mean() < 0.7
         assert np.all(got[dropped] == 0.0) and not np.any(np.signbit(got[dropped]))
 
-    def test_finite_blocks_return_their_weights_in_the_workspace(self, monkeypatch):
+    def test_dropping_blocks_return_their_weights_in_the_workspace(self, monkeypatch):
         # 128 keys and pixel rows inside (0, 1) at h = 1e-3: every block
-        # drops finite weights. A tracemalloc snapshot at each return of
-        # _kernel_weights counts the block-sized arrays allocated on its
-        # lines that are still alive, which np.where's copy would be, as
-        # the weights it returns. A block holding -inf shows that the
-        # count sees that copy
+        # drops finite weights, and one more block also holds -inf and NaN.
+        # A tracemalloc snapshot at each return of _kernel_weights counts
+        # the block-sized arrays allocated on its lines that are still
+        # alive, which a copy of the weights would be, as the array it
+        # returns
         n, c, h = 128, 1, 1e-3
         step = calibration._block_rows(n, c)
         rng = np.random.default_rng(13)
@@ -752,6 +752,7 @@ class TestBlockedKernel:
             finite = np.isfinite(lw).all()
             assert not (lw >= calibration._EXP_ZERO_BELOW).all()
             w = kernel_weights(lw)
+            assert w is lw
             snap = tracemalloc.take_snapshot().filter_traces(
                 [tracemalloc.Filter(True, calibration.__file__)])
             counts.append((finite, sum(t.size >= 8 * lw.size and t.traceback[0].lineno in own
@@ -766,10 +767,11 @@ class TestBlockedKernel:
             lw = calibration._log_kernel_rows(P, *calibration._pixel_logs(P), keys._fit(h)[0])
             lw -= lw.max(axis=1, keepdims=True)
             lw[0, :7] = -np.inf
+            lw[1, 3] = np.nan
             counting(lw)
         finally:
             tracemalloc.stop()
-        assert counts == [(True, 0)] * 4 + [(False, 1)]
+        assert counts == [(True, 0)] * 4 + [(False, 0)]
 
     def test_memory_is_bounded_by_the_block(self):
         # 147,456 pixels (a 384 x 384 two-class field read back from float32)
@@ -777,9 +779,7 @@ class TestBlockedKernel:
         # float64 arrays plus four (block, n) ones. Per call: the clipped
         # copy, the output, the row index, the [log P, 1] rows and their
         # log's temporary; per block: the workspace, the exp mask and its
-        # float64 0/1 copy (np.where's copy of the weights in a block that
-        # holds -inf or NaN). The (m, n) weight matrix alone would be
-        # 151 MB.
+        # float64 0/1 copy. The (m, n) weight matrix alone would be 151 MB.
         rng = np.random.default_rng(5)
         m, n, c = 147_456, 128, 2
         p = rng.random(m)

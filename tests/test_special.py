@@ -8,7 +8,6 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicesm import _special
 from dicesm._special import gammaln, xlogy
 
 TINY = np.finfo(np.float64).smallest_subnormal
@@ -69,31 +68,6 @@ class TestGammaln:
             got = [gammaln(form(v)) for v in x]
             assert all(type(g) is np.float64 for g in got)
             assert_same_bits(np.array(got), want)
-
-    @pytest.mark.parametrize("mixed", [True, False])
-    def test_array_path_gives_the_scalar_paths_bits(self, rng, mixed):
-        # every branch of cephes' lgam: the loop that shifts down from
-        # [3, 13), the one that shifts up from [1, 2), the u == 2 exit at
-        # the integers, Stirling with the polynomial below 1000 and the
-        # short series from it up to 1e8, no correction above 1e8, and inf
-        # above _MAXLGM; in one array, then one branch per array
-        maxlgm = _special._MAXLGM
-        parts = [
-            np.concatenate([rng.uniform(3.0, 13.0, 300), [3.5, np.nextafter(13.0, 0.0)]]),
-            np.concatenate([rng.uniform(1.0, 2.0, 300), [np.nextafter(2.0, 0.0)]]),
-            np.arange(1.0, 13.0),
-            rng.uniform(2.0, 3.0, 100),
-            np.concatenate([rng.uniform(13.0, 1000.0, 300), [13.0, np.nextafter(1000.0, 0.0)]]),
-            np.concatenate([np.exp(rng.uniform(np.log(1000.0), np.log(1e8), 300)), [1000.0, 1e8]]),
-            np.concatenate([np.exp(rng.uniform(np.log(1e8), np.log(maxlgm), 300)),
-                            [np.nextafter(1e8, np.inf), maxlgm]]),
-            [np.nextafter(maxlgm, np.inf), 1.7e308, np.inf],
-        ]
-        arrays = [rng.permutation(np.concatenate(parts))] if mixed else map(np.asarray, parts)
-        for x in arrays:
-            want = np.array([_special._lgam(v) for v in x.tolist()])
-            assert_same_bits(gammaln(x), want)
-            assert_same_bits(gammaln(x.reshape(-1, 1)), want.reshape(-1, 1))
 
     def test_no_warning_at_huge_x(self):
         with warnings.catch_warnings():
