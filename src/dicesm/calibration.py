@@ -31,12 +31,11 @@ Memory per call is O(rows * (C + 2)) for the rows in scope: their checked
 copy, their [log P, 1] rows and edge-row mask, built once per call, and the
 output. Memory per block is one (block rows, n_key) float64 workspace,
 allocated once per call: each block's log-kernel GEMM writes into it, and
-the shift, the exp and the zeroing run in it in place. Only a block where
-some weight is dropped takes one more such array, in _kernel_weights: the
-float64 0/1 copy of its keep mask. Without a scope, a block with no dead
-row writes its quotients straight into the output. The key coefficients
-and [labels | 1] depend on the keys and the bandwidth alone; a KeyPointSet
-builds them on first use at each bandwidth and keeps them.
+the shift, the exp and the zeroing run in it in place. A block where some
+weight is dropped takes one more such array, in _kernel_weights, a float64
+0/1 copy of its keep mask. The key coefficients and [labels | 1] depend on
+the keys and the bandwidth alone; a KeyPointSet builds them on first use
+at each bandwidth and keeps them.
 
 Weights below the smallest normal double, tiny = 2**-1022, are set to 0:
 neither the exp nor the GEMM then sees a subnormal, which costs each of them
@@ -105,17 +104,14 @@ _BLOCK_MADDS = 2 ** 18
 # the calibrated rows by 2 * n_key * tiny. On a 2-vCPU Xeon, np.exp took
 # 177 ns per subnormal result against 1.6 ns per normal one, and a
 # 682 x 128 @ 128 x 3 GEMM with 5% subnormal weights 681 us against 42 us.
-# The zeroing multiplies around one plain exp over the block instead of a
-# masked np.exp(..., where=): a masked ufunc runs its inner loop once per
-# run of kept entries, and at h = 1e-3 kept and dropped weights interleave
-# at random. On a 682 x 128 block of the calibrate-c2 benchmark (46-48%
-# kept, every log weight finite) the zeroing and the exp took 0.19-0.20 ms
-# in place, against 0.25-0.26 ms through a np.where copy and 0.66 ms for
-# the masked exp alone, with equal bytes; a block where every weight is
-# kept takes the exp in place alone, about 0.09 ms. Only a block holding
-# -inf or NaN, which a min pass finds, pays an fmax pass: 0.22-0.23 ms with
-# a few such rows, against 0.27-0.29 ms through a np.where copy. An fmax
-# pass in place of the min pass would cost every finite block 0.02 ms.
+# The zeroing multiplies by a 0/1 float copy of the keep mask around one
+# plain exp over the block, not a masked np.exp(..., where=), which runs its
+# inner loop once per run of kept entries; at h = 1e-3 kept and dropped
+# weights interleave at random. On a 682 x 128 calibrate-c2 block (46-48%
+# kept) that took 0.19-0.20 ms, against 0.25-0.26 ms through a np.where
+# copy and 0.66 ms for the masked exp, with equal bytes; a block that keeps
+# every weight takes the exp alone, 0.09 ms. A block holding -inf or NaN,
+# which a min pass finds, also pays an fmax pass (0.22-0.23 ms in all).
 _EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).tiny))
 
 
@@ -133,8 +129,7 @@ def _kernel_weights(lw: np.ndarray) -> np.ndarray:
     if keep.all():
         return np.exp(lw, out=lw)
     if not lw.min() > -np.inf:
-        # -inf * 0.0 and NaN * 0.0 are NaN: make the dropped -inf and NaN
-        # finite first (fmax replaces NaN too); no kept entry changes
+        # -inf and NaN times 0.0 are NaN; fmax makes both finite, as dropped
         np.fmax(lw, -np.finfo(np.float64).max, out=lw)
     # a finite x times 0.0 is +-0, whose exp is 1, and 1 * 0.0 is +0.0
     k = keep.astype(np.float64)
