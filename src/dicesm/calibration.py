@@ -29,13 +29,25 @@ whatever the number of pixels and keys.
 
 Memory per call is O(rows * (C + 2)) for the rows in scope: their checked
 copy, their [log P, 1] rows and edge-row mask, built once per call, and the
-output. Memory per block is one (block rows, n_key) float64 workspace,
-allocated once per call: each block's log-kernel GEMM writes into it, and
-the shift, the exp and the zeroing run in it in place. A block where some
-weight is dropped takes one more such array, in _kernel_weights, a float64
-0/1 copy of its keep mask. The key coefficients and [labels | 1] depend on
-the keys and the bandwidth alone; a KeyPointSet builds them on first use
-at each bandwidth and keeps them.
+output. Memory per block is one (block rows, n_key) float64 workspace per
+worker, allocated once per call: each of the worker's block GEMMs writes
+into it, and the shift, the exp and the zeroing run in it in place. A block
+where some weight is dropped takes one more such array, in _kernel_weights,
+a float64 0/1 copy of its keep mask. The key coefficients and [labels | 1]
+depend on the keys and the bandwidth alone; a KeyPointSet builds them on
+first use at each bandwidth and keeps them.
+
+A large call's blocks run on several threads. _workers gives one per CPU
+the process may run on, and at most one per _MIN_BLOCKS blocks, so a
+smaller call never starts a thread. Each worker takes a contiguous run of
+blocks: the calling thread the first, one threading.Thread each of the
+others, started in a copy of the caller's context (numpy's errstate is a
+context variable) and joined before the call returns. A block reads only
+the call's read-only arrays and writes only its own output rows, no sum
+crosses a block, and each block GEMM stays within _BLOCK_MADDS, so OpenBLAS
+runs it on the worker's own thread with the same kernel: the output bytes
+do not depend on the number of workers. The caller counts the dead rows of
+every block and warns once.
 
 Weights below the smallest normal double, tiny = 2**-1022, are set to 0:
 neither the exp nor the GEMM then sees a subnormal, which costs each of them
@@ -61,6 +73,9 @@ key-point sampling and an exact verifier for the bound
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -90,7 +105,8 @@ kernel_eval_count = 0
 # Multiply-adds per GEMM of a kde_calibrate_batch block. OpenBLAS, the BLAS
 # in numpy's wheels, runs a GEMM of at most 2**18 multiply-adds on the
 # calling thread and splits a larger one across its threads; a block within
-# this budget never waits on another thread, and each of its (rows, n_key)
+# this budget never waits on another thread (nor, on a kde_calibrate_batch
+# worker thread, starts BLAS threads under it), and each of its (rows, n_key)
 # float64 arrays is at most 8 * 2**18 / 3 bytes, 0.7 MB. With 2048-row
 # blocks (threaded at n_key = 128) the calibrate-c2 benchmark's throughput
 # spread twice as widely over 8 runs on a 2-vCPU Xeon: interquartile range
@@ -114,12 +130,37 @@ _BLOCK_MADDS = 2 ** 18
 # which a min pass finds, also pays an fmax pass (0.22-0.23 ms in all).
 _EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).tiny))
 
+# Fewest blocks per worker thread of a kde_calibrate_batch call. Break-even
+# on a 2-vCPU Xeon: one call of b 682-row blocks against 128 keys at
+# h = 1e-3, the first after a call that builds the key coefficients, in a
+# fresh process; 1-worker over 2-worker time, median of 12 alternating
+# processes per cell:
+#     b        2     4     8    12    16    24    32    48    64
+#     C = 1  0.62  0.70  0.80  0.94  0.94  1.09  1.14  1.07  1.36
+#     C = 2  0.65  0.72  0.86  0.92  1.02  1.07  1.07  1.08  1.21
+# A block takes about 0.35 ms, and starting a thread 0.06-0.3 ms. Later calls
+# in a process break even from about 8 blocks, but split without a gate,
+# distill-kde's 48 calls of 7 blocks each took its job to 0.85x its
+# img_epochs_per_s (3 pairs of 12 s perfbench runs). At 16 they, and every
+# call below 32 blocks, run on the calling thread alone.
+_MIN_BLOCKS = 16
+
 
 def _block_rows(n_key: int, c: int) -> int:
     """Pixel rows per block against n_key keys with c classes: both block
     GEMMs, (rows, D + 1) @ (D + 1, n_key) with D = max(c, 2) and
     (rows, n_key) @ (n_key, c + 1), stay within _BLOCK_MADDS."""
     return max(1, _BLOCK_MADDS // (n_key * (max(c, 2) + 1)))
+
+
+def _workers(n_blocks: int) -> int:
+    """Worker threads for a kde_calibrate_batch call of n_blocks blocks: one
+    per CPU this process may run on, at most one per _MIN_BLOCKS blocks."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_blocks // _MIN_BLOCKS))
 
 
 def _kernel_weights(lw: np.ndarray) -> np.ndarray:
@@ -369,6 +410,40 @@ def sample_key_points(confidences, labels, spec: KdeSpec) -> KeyPointSet:
     return KeyPointSet(conf[idx], lab[idx], idx)
 
 
+def _calibrate_blocks(starts: range, step: int, pix, logs, edge, coef, labels_and_one,
+                      rows, out) -> int:
+    """Recalibrate into out the blocks of step rows in scope that begin at
+    starts, and return how many of their rows are dead. rows maps the rows
+    in scope to rows of out (None: the same rows); only out is written, and
+    of it only these blocks' rows."""
+    c = out.shape[1]
+    work = np.empty((min(step, len(pix) - starts.start), coef.shape[1]))
+    at = np.arange(len(work))
+    n_dead = 0
+    for lo in starts:
+        block = slice(lo, min(lo + step, len(pix)))
+        lw = _log_kernel_rows(pix[block], logs[block], edge[block], coef,
+                              out=work[:block.stop - lo])
+        # lw.max(axis=1) by value, read at each row's argmax: one pass over
+        # the block instead of one short reduction per row
+        top = lw[at[:len(lw)], lw.argmax(axis=1)]
+        live = top > -np.inf
+        dead = int(live.size - live.sum())
+        if dead:
+            top[~live] = 0.0
+        lw -= top[:, None]
+        sums = _kernel_weights(lw) @ labels_and_one
+        # a live row's top weight is exp(0) = 1, so its total is at least 1
+        if rows is not None:
+            out[rows[block][live]] = sums[live, :c] / sums[live, c:]
+        elif dead:
+            out[block][live] = sums[live, :c] / sums[live, c:]
+        else:
+            np.divide(sums[:, :c], sums[:, c:], out=out[block])
+        n_dead += dead
+    return n_dead
+
+
 def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarray:
     """Recalibrate rows of confidences against the key set.
 
@@ -380,9 +455,13 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     recalibrated row and key.
 
     Each call holds O(rows * (C + 2)) for the r rows in scope (checked
-    rows, [log P, 1] rows, edge mask, output) and one (min(r, block rows),
-    n) workspace that every block reuses; the key coefficients come from
-    keys, built there once per bandwidth.
+    rows, [log P, 1] rows, edge mask, output) and, per worker, one
+    (min(r, block rows), n) workspace that its blocks reuse; the key
+    coefficients come from keys, built there once per bandwidth. Where the
+    process may run on more than one CPU, a call of at least 2 * _MIN_BLOCKS
+    blocks splits them among worker threads (see _workers), all joined
+    before it returns; the output bytes are the same for any number of
+    workers.
     """
     global kernel_eval_count
     _check_bandwidth(h)
@@ -390,10 +469,10 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     m, c = F.shape
     if c != keys.n_classes:
         raise ShapeMismatchError(f"{c} classes vs keys {keys.n_classes}")
-    rows = np.arange(m) if scope is None else np.arange(m)[scope]
-    sel = F if scope is None else F[rows]
+    rows = None if scope is None else np.arange(m)[scope]
+    sel = F if rows is None else F[rows]
     n = len(keys)
-    kernel_eval_count += rows.size * n
+    kernel_eval_count += len(sel) * n
     if c == 1:
         sel = _check_unit("fj", sel)
         pix = np.hstack([sel, 1.0 - sel])
@@ -402,29 +481,33 @@ def kde_calibrate_batch(F, keys: KeyPointSet, h: float, scope=None) -> np.ndarra
     coef, labels_and_one = keys._fit(h)
     logs, edge = _pixel_logs(pix)
     out = F.copy()
-    n_dead = 0
     step = _block_rows(n, c)
-    work = np.empty((min(step, rows.size), n))
-    at = np.arange(len(work))
-    for lo in range(0, rows.size, step):
-        block = slice(lo, lo + step)
-        lw = _log_kernel_rows(pix[block], logs[block], edge[block], coef,
-                              out=work[:len(rows[block])])
-        # lw.max(axis=1) by value, read at each row's argmax: one pass over
-        # the block instead of one short reduction per row
-        top = lw[at[:len(lw)], lw.argmax(axis=1)]
-        live = top > -np.inf
-        dead = int(live.size - live.sum())
-        if dead:
-            top[~live] = 0.0
-        lw -= top[:, None]
-        sums = _kernel_weights(lw) @ labels_and_one
-        # a live row's top weight is exp(0) = 1, so its total is at least 1
-        if dead or scope is not None:
-            out[rows[block][live]] = sums[live, :c] / sums[live, c:]
-            n_dead += dead
-        else:
-            np.divide(sums[:, :c], sums[:, c:], out=out[block])
+    starts = range(0, len(pix), step)
+    k = _workers(len(starts))
+    runs = [starts[i * len(starts) // k:(i + 1) * len(starts) // k] for i in range(k)]
+    args = (step, pix, logs, edge, coef, labels_and_one, rows, out)
+    dead = [0] * k
+
+    def helper(i):
+        try:
+            dead[i] = _calibrate_blocks(runs[i], *args)
+        except BaseException as e:  # raised again below, on the calling thread
+            dead[i] = e
+
+    helpers = []
+    try:
+        for i in range(1, k):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(helper, i))
+            t.start()
+            helpers.append(t)
+        dead[0] = _calibrate_blocks(runs[0], *args)
+    finally:
+        for t in helpers:
+            t.join()
+    for d in dead:
+        if isinstance(d, BaseException):
+            raise d
+    n_dead = sum(dead)
     if n_dead:
         warnings.warn(f"{n_dead} pixel(s) matched no key point; "
                       "leaving them uncalibrated", DegenerateWeightsWarning)

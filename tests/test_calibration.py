@@ -1,4 +1,6 @@
 import inspect
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -546,7 +548,9 @@ class TestBlockedKernel:
         # takes _kernel_weights' zeroing. Traced memory is read at each
         # block's start and at the end of the call: the only rise by a
         # block's (rows, n) float64 bytes is the call's one workspace, made
-        # before the first block, however many blocks follow
+        # before the first block, however many blocks follow. Calls of 2 and
+        # 8 blocks run on one worker, below the gate, so every block is
+        # traced on this thread: reset_peak from two threads would race
         n, c, h = 128, 1, 1.0
         step = calibration._block_rows(n, c)
         rng = np.random.default_rng(9)
@@ -570,6 +574,7 @@ class TestBlockedKernel:
         monkeypatch.setattr(calibration, "_log_kernel_rows", marking)
 
         def block_sized_allocations(blocks):
+            assert calibration._workers(blocks) == 1
             F = rng.uniform(0.3, 0.7, (blocks * step, c))
             rises.clear()
             tracemalloc.start()
@@ -736,7 +741,8 @@ class TestBlockedKernel:
         # A tracemalloc snapshot at each return of _kernel_weights counts
         # the block-sized arrays allocated on its lines that are still
         # alive, which a copy of the weights would be, as the array it
-        # returns
+        # returns. The 4 blocks run on one worker, below the gate, so no
+        # other thread allocates between a return and its snapshot
         n, c, h = 128, 1, 1e-3
         step = calibration._block_rows(n, c)
         rng = np.random.default_rng(13)
@@ -760,6 +766,7 @@ class TestBlockedKernel:
             return w
 
         monkeypatch.setattr(calibration, "_kernel_weights", counting)
+        assert calibration._workers(4) == 1
         tracemalloc.start()
         try:
             kde_calibrate_batch(F, keys, h)
@@ -773,27 +780,34 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert counts == [(True, 0)] * 4 + [(False, 0)]
 
-    def test_memory_is_bounded_by_the_block(self):
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
         # 147,456 pixels (a 384 x 384 two-class field read back from float32)
         # against 128 keys. Design bound, fixed before measuring: six (m, C)
         # float64 arrays plus four (block, n) ones. Per call: the clipped
-        # copy, the output, the row index, the [log P, 1] rows and their
-        # log's temporary; per block: the workspace, the exp mask and its
-        # float64 0/1 copy. The (m, n) weight matrix alone would be 151 MB.
+        # copy, the output, the [log P, 1] rows and their log's temporary;
+        # per block: the workspace, the exp mask and its float64 0/1 copy.
+        # The (m, n) weight matrix alone would be 151 MB. The bound holds on
+        # 1 and on 2 workers, and the second worker adds at most four
+        # (block, n) arrays: its own workspace, exp mask and 0/1 copy.
         rng = np.random.default_rng(5)
         m, n, c = 147_456, 128, 2
         p = rng.random(m)
         F = np.stack([1.0 - p, p], axis=1).astype(np.float32).astype(np.float64)
         keys = KeyPointSet(F[rng.choice(m, n, replace=False)],
                            np.eye(c)[rng.integers(0, c, n)], np.arange(n))
-        bound = 8 * (6 * m * c + 4 * calibration._block_rows(n, c) * n)
-        tracemalloc.start()
-        try:
-            kde_calibrate_batch(F, keys, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        per_block = 8 * calibration._block_rows(n, c) * n
+        bound = 8 * 6 * m * c + 4 * per_block
+        peaks = []
+        for workers in (1, 2):
+            monkeypatch.setattr(calibration, "_workers", lambda n_blocks: workers)
+            tracemalloc.start()
+            try:
+                kde_calibrate_batch(F, keys, 1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= bound
+        assert peaks[1] - peaks[0] <= 4 * per_block
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), c=st.integers(1, 3), m=st.integers(1, 12),
@@ -851,3 +865,152 @@ class TestBlockedKernel:
         fin = np.isfinite(pairwise)
         np.testing.assert_allclose(gemm[fin], pairwise[fin], rtol=0,
                                    atol=_log_tol(col, row.T, h))
+
+
+# --------------------------------------------------------------------------
+# Worker threads
+# --------------------------------------------------------------------------
+
+def _split_case(c, scoped):
+    """(F, keys, scope, dead) for 7 blocks of rows in scope at 2048 keys and
+    h = 0.05: rows of the first vertex, under the one key at it, are live edge
+    rows, and rows of the last vertex, under no key with a 0 there, dead;
+    both sit on each side of a block edge where 2 or 3 workers split."""
+    n = 2048
+    step = calibration._block_rows(n, c)
+    rng = np.random.default_rng(60 + 10 * c + scoped)
+    first, last = (np.array([1.0]), np.array([0.0])) if c == 1 else np.eye(c)[[0, -1]]
+
+    def interior(k):
+        return rng.uniform(0.05, 0.95, (k, 1)) if c == 1 else rng.dirichlet(np.ones(c), k)
+
+    lab = np.eye(max(c, 2))[rng.integers(0, max(c, 2), n)][:, :c]
+    keys = KeyPointSet(np.vstack([interior(n - 1), first]), lab, np.arange(n))
+    r = 6 * step + 7
+    m = r + 40 if scoped else r
+    F = interior(m)
+    scope = np.sort(rng.choice(m, r, replace=False)) if scoped else None
+    at = np.arange(m) if scope is None else scope
+    edges = np.array([2, 3, 4]) * step
+    F[at[np.concatenate([edges - 2, edges + 1])]] = first
+    dead = at[np.concatenate([edges - 1, edges])]
+    F[dead] = last
+    if scoped:
+        F[np.setdiff1d(np.arange(m), scope)[:5]] = last  # dead, not in scope
+    return F, keys, scope, dead
+
+
+def _block_threads(monkeypatch, record=lambda: None):
+    """(thread, record()) at each _log_kernel_rows call from here on. The
+    Thread objects, not their idents: a finished thread's ident may be
+    reused by the next one."""
+    calls = []
+    log_kernel_rows = calibration._log_kernel_rows
+
+    def recording(*args, **kwargs):
+        calls.append((threading.current_thread(), record()))
+        return log_kernel_rows(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "_log_kernel_rows", recording)
+    return calls
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_output_bytes_do_not_depend_on_the_workers(self, c, scoped, monkeypatch):
+        F, keys, scope, dead = _split_case(c, scoped)
+        calls = _block_threads(monkeypatch)
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(calibration, "_workers", lambda n_blocks: workers)
+            calls.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outs.append(kde_calibrate_batch(F, keys, 0.05, scope))
+            assert len(calls) == 7
+            assert len({thread for thread, _ in calls}) == workers
+            assert [str(w.message).split()[0] for w in caught
+                    if w.category is DegenerateWeightsWarning] == [str(dead.size)]
+        assert_same_bytes(outs[0][dead], F[dead])
+        for out in outs[1:]:
+            assert_same_bytes(out, outs[0])
+
+    def test_a_worker_per_block_under_fast_thread_switching(self, monkeypatch):
+        # 7 workers on 7 blocks, more than the machine's cores, switching
+        # threads every microsecond: the dead rows counted by every worker
+        # and the output bytes match one worker's
+        F, keys, _, dead = _split_case(2, False)
+        want, caught = _calibrate_recording(F, keys, 0.05)
+        monkeypatch.setattr(calibration, "_workers", lambda n_blocks: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, caught_split = _calibrate_recording(F, keys, 0.05)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bytes(got, want)
+        assert _dead_count(caught_split) == _dead_count(caught) == dead.size
+
+    @pytest.mark.parametrize("failing", ["helpers", "caller"])
+    def test_a_failing_run_raises_after_every_helper_is_joined(self, failing, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        F, keys, _, _ = _split_case(1, False)
+        calibrate_blocks = calibration._calibrate_blocks
+        finished = []
+
+        def failing_run(starts, *args):
+            if (starts.start > 0) == (failing == "helpers"):
+                raise Boom(starts.start)
+            finished.append(calibrate_blocks(starts, *args))
+            return finished[-1]
+
+        monkeypatch.setattr(calibration, "_calibrate_blocks", failing_run)
+        monkeypatch.setattr(calibration, "_workers", lambda n_blocks: 3)
+        before = threading.active_count()
+        with pytest.raises(Boom) as raised:
+            kde_calibrate_batch(F, keys, 0.05)
+        assert threading.active_count() == before
+        if failing == "helpers":
+            # the first helper's run starts at block 2 of 7
+            assert raised.value.args == (2 * calibration._block_rows(len(keys), 1),)
+        else:
+            assert raised.value.args == (0,) and len(finished) == 2
+
+    @pytest.mark.filterwarnings("ignore::dicesm.calibration.DegenerateWeightsWarning")
+    def test_helpers_run_under_the_callers_errstate(self, monkeypatch):
+        F, keys, _, _ = _split_case(2, False)
+        calls = _block_threads(monkeypatch, lambda: np.geterr()["under"])
+        monkeypatch.setattr(calibration, "_workers", lambda n_blocks: 3)
+        with np.errstate(under="raise"):
+            kde_calibrate_batch(F, keys, 0.05)
+        assert len({thread for thread, _ in calls}) == 3
+        assert {under for _, under in calls} == {"raise"}
+
+    def test_a_call_below_the_gate_starts_no_thread(self, monkeypatch):
+        gate = calibration._MIN_BLOCKS
+        monkeypatch.setattr(calibration.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert [calibration._workers(b) for b in
+                (0, 1, gate, 2 * gate - 1, 2 * gate, 3 * gate, 4 * gate, 100 * gate)] == \
+            [1, 1, 1, 1, 2, 3, 4, 4]
+        n, c = 2048, 1
+        step = calibration._block_rows(n, c)
+        rng = np.random.default_rng(71)
+        keys = KeyPointSet(rng.uniform(0.05, 0.95, (n, c)),
+                           (rng.random((n, c)) < 0.5).astype(float), np.arange(n))
+        calls = _block_threads(monkeypatch)
+        for blocks, workers in ((2 * gate - 1, 1), (2 * gate, 2)):
+            calls.clear()
+            kde_calibrate_batch(rng.uniform(0.05, 0.95, (blocks * step, c)), keys, 0.05)
+            threads = [thread for thread, _ in calls]
+            assert len(threads) == blocks and len(set(threads)) == workers
+            assert threads.count(threading.current_thread()) == (gate if workers > 1 else blocks)
+
+    def test_workers_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(calibration.os, "sched_getaffinity", raising=False)
+        for cpus, workers in ((3, 3), (None, 1)):
+            monkeypatch.setattr(calibration.os, "cpu_count", lambda: cpus)
+            assert calibration._workers(100 * calibration._MIN_BLOCKS) == workers
