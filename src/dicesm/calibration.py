@@ -140,9 +140,10 @@ _EXP_ZERO_BELOW = float(np.log(np.finfo(np.float64).tiny))
 #     C = 2  0.65  0.72  0.86  0.92  1.02  1.07  1.07  1.08  1.21
 # A block takes about 0.35 ms, and starting a thread 0.06-0.3 ms. Later calls
 # in a process break even from about 8 blocks, but split without a gate,
-# distill-kde's 48 calls of 7 blocks each took its job to 0.85x its
-# img_epochs_per_s (3 pairs of 12 s perfbench runs). At 16 they, and every
-# call below 32 blocks, run on the calling thread alone.
+# distill-kde's 48 calls of 7 blocks each took its job to 0.98x its
+# img_epochs_per_s (medians; the split side won 1 of 4 pairs of 12 s
+# perfbench runs). At 16 they, and every call below 32 blocks, run on the
+# calling thread alone.
 _MIN_BLOCKS = 16
 
 
