@@ -2,11 +2,14 @@
 
 Machine-readable JSON goes to stdout, logs to stderr. Exit codes: 0 success;
 1 bad data: a DicesmError or missing file (values, shapes, file formats, the
-dataset and checkpoint manifests); 2 bad usage: argparse's errors and any
-ValueError (flags, spec values such as a label-smoothing epsilon or the
-seed and trial count of check-properties, a config or a soft-label
-manifest, empty included, which from_json reads whole before anything is
-written). Any other exception is a bug and keeps its traceback. Every
+dataset and checkpoint manifests); 2 bad usage: argparse's errors and a
+ConfigError, raised at the boundary before a run starts: a spec value that
+from_json refuses, naming its Class.key, from a flag (each is generated from
+its spec field) or from a config or soft-label manifest, which it reads whole
+before anything is written; a document that is not JSON; a flag combination,
+comma list, DICESM_SEED or check-properties argument that the command
+refuses, or a flag its data rules out (ECE on three classes). Any other
+exception, a ValueError included, is a bug and keeps its traceback. Every
 source of randomness is seeded through --seed / config seeds; DICESM_SEED
 overrides the default 42.
 
@@ -26,7 +29,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +46,7 @@ from .calibration import (
     select_scope_pixels,
 )
 from .core import (
+    ConfigError,
     DicesmError,
     HardnessViolationError,
     LabelField,
@@ -64,7 +70,6 @@ from .losses import (
     TverskyParams,
 )
 from .metrics import (
-    DEFAULT_THRESHOLDS,
     BDiceSpec,
     EceSpec,
     SoftInputError,
@@ -81,7 +86,6 @@ from .softlabels import (STRATEGIES, TIE_BREAKS, WEIGHT_SCOPES, SoftLabelSpec, b
 from .training import (
     KdSpec,
     ModelSpec,
-    RaterNoise,
     SynthDataset,
     SynthImage,
     SynthSpec,
@@ -102,7 +106,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"DICESM_SEED must be an integer, got {raw!r}") from None
+        raise ConfigError(f"DICESM_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(obj) -> None:
@@ -114,46 +118,113 @@ def _log(msg: str) -> None:
 
 
 # --------------------------------------------------------------------------
+# Spec flags
+# --------------------------------------------------------------------------
+
+# a spec field's flag where it is not --field-name, one per element of a
+# tuple[X, X], and a flag's spellings of the field's values where they differ
+_FLAG_NAMES = {"weights_scope": "--weights", "pixel_scope": "--scope", "n_bins": "--bins",
+               "boundary_flip_prob": "--flip-prob",
+               "dilate_erode_radius": ("--radius-lo", "--radius-hi")}
+_FLAG_VALUES = {"pixel_scope": {"all": SCOPE_ALL, "boundary": SCOPE_BOUNDARY}}
+
+
+def _spec_fields(cls):
+    """(field, annotation, flags) of each field of the spec dataclass cls."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        flags = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        yield f, hints[f.name], flags if isinstance(flags, tuple) else (flags,)
+
+
+def _add_spec_flags(p, cls, **kw) -> None:
+    """Add to p the flags of each field of the spec dataclass cls, and of
+    each spec in it, in field order. kw maps a field to the add_argument
+    keywords that it sets itself (choices, a required flag), or to None for
+    a field without a flag."""
+    for f, tp, flags in _spec_fields(cls):
+        if is_dataclass(tp):
+            _add_spec_flags(p, tp)
+        elif kw.get(f.name, {}) is not None:
+            for flag, one in zip(flags, _flag_keywords(f, tp)):
+                p.add_argument(flag, **{**one, **kw.get(f.name, {})})
+
+
+def _flag_keywords(f, tp) -> list:
+    """The type and default of each flag of field f, annotated tp: the
+    field's default in the flag's spelling and the annotation's type, a
+    union's first member, and comma-separated text for a tuple[X, ...]."""
+    tp = typing.get_args(tp)[0] if isinstance(tp, types.UnionType) else tp
+    if spelled := _FLAG_VALUES.get(f.name):
+        return [{"choices": tuple(spelled),
+                 "default": next(k for k, v in spelled.items() if v == f.default)}]
+    if typing.get_origin(tp) is not tuple:
+        return [{"type": tp, "default": f.default}]
+    if typing.get_args(tp)[-1] is ...:
+        return [{"default": ",".join(map(str, f.default))}]
+    return [{"type": t, "default": d} for t, d in zip(typing.get_args(tp), f.default)]
+
+
+def _flag_json(args, cls) -> dict:
+    """The JSON object of the spec cls that its flags in args give: a key
+    per field that the command flags."""
+    d = {}
+    for f, tp, flags in _spec_fields(cls):
+        dests = [flag[2:].replace("-", "_") for flag in flags]  # as argparse names them
+        if is_dataclass(tp):
+            d[f.name] = _flag_json(args, tp)
+        elif dests[0] in vars(args):
+            v = [getattr(args, dest) for dest in dests]
+            v = v if len(v) > 1 else v[0]
+            if typing.get_origin(tp) is tuple and isinstance(v, str):
+                v = _float_list(flags[0], v)
+            d[f.name] = _FLAG_VALUES[f.name][v] if f.name in _FLAG_VALUES else v
+    return d
+
+
+def _spec(args, cls, **keys):
+    """The spec cls that from_json reads from its flags, keys in place of some."""
+    return from_json(cls, {**_flag_json(args, cls), **keys})
+
+
+def _float_list(flag: str, text: str) -> list:
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
+# --------------------------------------------------------------------------
 # eval-loss
 # --------------------------------------------------------------------------
 
-def _reduction_from_args(args) -> ReductionSpec:
-    return ReductionSpec(class_mode=args.class_mode, batch_mode=args.batch_mode,
-                         empty_both_value=args.empty_both_value)
-
-
-def _loss_params_from_args(args) -> dict | None:
-    """JSON params of --loss from the flags named after its params fields."""
+def cmd_eval_loss(args) -> int:
     entry = LOSSES[args.loss]
-    if entry.params is None:
-        return None
-    params = {f.name: getattr(args, f.name) for f in fields(entry.params)}
+    params = None if entry.params is None else _flag_json(args, entry.params)
     if entry.hard_only and args.soft_ok:
         params["allow_soft"] = True
-    return params
-
-
-def cmd_eval_loss(args) -> int:
+    bound, _ = losses_mod.parse_loss_params(args.loss, params)
     if args.curve:
+        if args.pred or args.label or args.grad_out:
+            raise ConfigError("--curve takes no --pred, --label or --grad-out")
         if not 0.0 <= args.label_value <= 1.0:
-            raise ValueError(f"--label-value must be in [0, 1], got {args.label_value!r}")
+            raise ConfigError(f"--label-value must be in [0, 1], got {args.label_value!r}")
         if args.curve_points < 2:
-            raise ValueError(f"--curve-points must be at least 2, got {args.curve_points}")
-        params, _ = losses_mod.parse_loss_params(args.loss, _loss_params_from_args(args))
+            raise ConfigError(f"--curve-points must be at least 2, got {args.curve_points}")
         grid = np.linspace(0.0, 1.0, args.curve_points)
         vals = losses_mod.pairwise_values(args.loss, grid[:, None],
                                           np.full((grid.size, 1), args.label_value),
-                                          params)
+                                          bound)
         sys.stdout.write("x,value\n")
         for x, v in zip(grid, vals):
             sys.stdout.write(f"{float(x)!r},{float(v)!r}\n")
         return 0
     if not args.pred or not args.label:
-        raise ValueError("--pred and --label are required without --curve")
+        raise ConfigError("--pred and --label are required without --curve")
+    red = _spec(args, ReductionSpec)
     x = read_prob_field(args.pred)
     y = read_label_field(args.label)
-    pair = losses_mod.loss(args.loss, x, y, _reduction_from_args(args),
-                           _loss_params_from_args(args))
+    pair = losses_mod.loss(args.loss, x, y, red, params)
     if args.grad_out:
         write_tensor(args.grad_out, pair.grad)
     _emit({"loss": args.loss, "value": pair.value})
@@ -164,17 +235,20 @@ def cmd_eval_loss(args) -> int:
 # eval
 # --------------------------------------------------------------------------
 
-def _binary_ece(pred: ProbField, label: LabelField, n_bins=EceSpec.n_bins) -> float:
+def _binary_ece(pred: ProbField, label: LabelField, spec: EceSpec | None = None) -> float:
     check_same_dims(pred, label)
     if pred.n_classes > 2:
-        raise ValueError("ece supports binary tasks (C <= 2)")
+        raise ConfigError("ece supports binary tasks (C <= 2)")
     if not label.is_hard:
         raise SoftInputError("labels must be 0 or 1")
     fg = foreground_class(pred.n_classes)
-    return ece(pred.array[fg].ravel(), label.array[fg].ravel() == 1.0, EceSpec(n_bins=n_bins))
+    return ece(pred.array[fg].ravel(), label.array[fg].ravel() == 1.0, spec)
 
 
 def cmd_eval(args) -> int:
+    # the metric's flags are read before its files
+    spec = {"bdice": BDiceSpec, "ece": EceSpec}.get(args.metric)
+    spec = spec and _spec(args, spec)
     pred = read_prob_field(args.pred)
     label = read_label_field(args.label)
     if args.metric == "dice":
@@ -185,13 +259,11 @@ def cmd_eval(args) -> int:
         per_class = [mask_dice(hard_pred[c], label.array[c] == 1.0)
                      for c in range(pred.n_classes)]
     elif args.metric == "bdice":
-        thresholds = tuple(float(t) for t in args.thresholds.split(","))
-        spec = BDiceSpec(thresholds=thresholds)
         check_same_dims(pred, label)
         per_class = [_bdice(pred.array[c], label.array[c], spec.thresholds)
                      for c in range(pred.n_classes)]
     else:
-        per_class = [_binary_ece(pred, label, args.bins)]
+        per_class = [_binary_ece(pred, label, spec)]
     value = float(np.mean(per_class))
     _emit({"metric": args.metric, "value": value, "per_class": per_class})
     return 0
@@ -231,27 +303,24 @@ class SoftLabelManifest:
 
     def __post_init__(self):
         if not self.images:
-            raise ValueError("SoftLabelManifest.images is empty")
+            raise ValueError("images is empty")
 
 
 def cmd_make_soft_labels(args) -> int:
-    spec = SoftLabelSpec(strategy=args.strategy, epsilon=args.epsilon,
-                         seed=args.seed, tie_break=args.tie_break,
-                         weights_scope=args.weights)
+    spec = _spec(args, SoftLabelSpec)
     if args.manifest:
         if args.raters or args.out:
-            raise ValueError("--manifest takes no --raters or --out")
-        entries = from_json(SoftLabelManifest,
-                             json.loads(Path(args.manifest).read_text())).images
+            raise ConfigError("--manifest takes no --raters or --out")
+        entries = _read_json(args.manifest, SoftLabelManifest).images
         outs = build_labels_dataset([_stack_from_files(e.raters) for e in entries], spec)
         for e, out in zip(entries, outs):
             write_field(e.out, out)
         _emit({"strategy": args.strategy, "written": [e.out for e in entries]})
         return 0
     if not args.raters or not args.out:
-        raise ValueError("--raters and --out are required without --manifest")
+        raise ConfigError("--raters and --out are required without --manifest")
     if args.weights == "per_dataset":
-        raise ValueError("per_dataset weighting needs --manifest")
+        raise ConfigError("per_dataset weighting needs --manifest")
     label = build_labels(_stack_from_files(args.raters), spec)
     write_field(args.out, label)
     _emit({"strategy": args.strategy, "written": [args.out],
@@ -264,18 +333,18 @@ def cmd_make_soft_labels(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
+    spec = _spec(args, KdeSpec)
+    if args.sweep:
+        if args.out:
+            raise ConfigError("--sweep takes no --out")
+        # every bandwidth is checked before a file is read
+        bandwidths = [_spec(args, KdeSpec, bandwidth=h).bandwidth
+                      for h in _float_list("--sweep", args.sweep)]
+    elif not args.out:
+        raise ConfigError("--out is required without --sweep")
     pred = read_prob_field(args.pred)
     label = read_label_field(args.label)
-    spec = KdeSpec(bandwidth=args.bandwidth, n_key=args.n_key,
-                   pixel_scope=SCOPE_ALL if args.scope == "all" else SCOPE_BOUNDARY,
-                   boundary_radius=args.boundary_radius, seed=args.seed)
     ece_before = _binary_ece(pred, label)
-    if args.sweep:
-        # every bandwidth is checked before the first pass runs
-        bandwidths = [replace(spec, bandwidth=float(tok)).bandwidth
-                      for tok in args.sweep.split(",")]
-    elif not args.out:
-        raise ValueError("--out is required without --sweep")
     c = pred.n_classes
     conf_rows = pred.array.reshape(c, -1).T
     # the keys and the scope do not depend on the bandwidth
@@ -307,11 +376,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_gen_data(args) -> int:
     """Write each image's intensity, rater and clean masks as generated."""
-    spec = SynthSpec(n_images=args.n_images, height=args.height, width=args.width,
-                     n_classes=args.n_classes, k_raters=args.k_raters,
-                     noise=RaterNoise((args.radius_lo, args.radius_hi),
-                                      args.flip_prob),
-                     image_noise=args.image_noise, seed=args.seed)
+    spec = _spec(args, SynthSpec)
     out = Path(args.out)
     for sub in ("images", "raters", "clean"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -428,7 +493,7 @@ def _split(dataset: SynthDataset, val_fraction: float, seed: int):
     n = len(dataset)
     n_val = int(round(val_fraction * n))
     if n_val == n:
-        raise ValueError(f"val_fraction {val_fraction!r} leaves no training image")
+        raise ConfigError(f"val_fraction {val_fraction!r} leaves no training image")
     if n_val == 0:
         return dataset, None
     order = np.random.default_rng(np.random.SeedSequence([seed, 104729])).permutation(n)
@@ -453,11 +518,18 @@ def _finite_number(token: str) -> float:
     return value
 
 
+def _read_json(path, cls, **parse):
+    """The JSON document at path as cls, checked whole before any data is read."""
+    try:
+        doc = json.loads(Path(path).read_text(), **parse)
+    except ValueError as e:  # not JSON, not UTF-8, or refused by a parse hook
+        raise ConfigError(str(e)) from None
+    return from_json(cls, doc)
+
+
 def _read_config(path, cls):
-    """The config at path as cls, checked whole before any data is read."""
     # json.loads reads NaN, Infinity and -Infinity, and 1e400 as inf
-    return from_json(cls, json.loads(Path(path).read_text(), parse_float=_finite_number,
-                                     parse_constant=_finite_number))
+    return _read_json(path, cls, parse_float=_finite_number, parse_constant=_finite_number)
 
 
 def cmd_train(args) -> int:
@@ -494,24 +566,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "training tools")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    seed = {"default": _default_seed()}
 
     p = sub.add_parser("eval-loss", formatter_class=fmt,
                        help="evaluate one loss on prediction/label tensors")
     p.add_argument("--loss", required=True, choices=losses_mod.LOSS_NAMES)
     p.add_argument("--pred", help="prediction .sdt file")
     p.add_argument("--label", help="label .sdt file")
-    # dests are the field names of TverskyParams and CompoundParams
-    p.add_argument("--alpha", type=float, default=TverskyParams.alpha)
-    p.add_argument("--beta", type=float, default=TverskyParams.beta)
-    p.add_argument("--gamma", type=float, default=TverskyParams.gamma)
-    p.add_argument("--w-ce", type=float, default=CompoundParams.w_ce)
-    p.add_argument("--w-dml", type=float, default=CompoundParams.w_dml)
-    p.add_argument("--overlap", default=CompoundParams.overlap, choices=OVERLAP_NAMES)
-    p.add_argument("--class-mode", default=ReductionSpec.class_mode,
-                   choices=(losses_mod.MEAN_PRESENT, losses_mod.MEAN_ALL))
-    p.add_argument("--batch-mode", default=ReductionSpec.batch_mode,
-                   choices=(losses_mod.PER_IMAGE_THEN_MEAN, losses_mod.POOLED))
-    p.add_argument("--empty-both-value", type=float, default=ReductionSpec.empty_both_value)
+    _add_spec_flags(p, TverskyParams)
+    _add_spec_flags(p, CompoundParams, overlap={"choices": OVERLAP_NAMES})
+    _add_spec_flags(p, ReductionSpec,
+                    class_mode={"choices": (losses_mod.MEAN_PRESENT, losses_mod.MEAN_ALL)},
+                    batch_mode={"choices": (losses_mod.PER_IMAGE_THEN_MEAN, losses_mod.POOLED)})
     p.add_argument("--soft-ok", action="store_true",
                    help="let stl accept soft labels (demonstration only)")
     p.add_argument("--grad-out", help="write d(loss)/dx as an .sdt tensor")
@@ -527,18 +593,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--metric", required=True, choices=("dice", "bdice", "ece"))
-    p.add_argument("--thresholds", default=",".join(map(str, DEFAULT_THRESHOLDS)))
-    p.add_argument("--bins", type=int, default=EceSpec.n_bins)
+    _add_spec_flags(p, BDiceSpec)
+    _add_spec_flags(p, EceSpec)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("make-soft-labels", formatter_class=fmt,
                        help="build training targets from rater annotations")
-    p.add_argument("--strategy", required=True, choices=STRATEGIES)
-    p.add_argument("--epsilon", type=float, default=SoftLabelSpec.epsilon)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tie-break", default=SoftLabelSpec.tie_break,
-                   choices=TIE_BREAKS)
-    p.add_argument("--weights", default=SoftLabelSpec.weights_scope, choices=WEIGHT_SCOPES)
+    _add_spec_flags(p, SoftLabelSpec, seed=seed, tie_break={"choices": TIE_BREAKS},
+                    strategy={"required": True, "default": None, "choices": STRATEGIES},
+                    weights_scope={"choices": WEIGHT_SCOPES})
     p.add_argument("--raters", nargs="+", help="one .sdt file per rater")
     p.add_argument("--out", help="output .sdt file")
     p.add_argument("--manifest", help="JSON manifest for multi-image runs")
@@ -548,11 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="KDE-recalibrate a probability field")
     p.add_argument("--pred", required=True)
     p.add_argument("--label", required=True)
-    p.add_argument("--bandwidth", type=float, default=KdeSpec.bandwidth)
-    p.add_argument("--n-key", type=int, default=KdeSpec.n_key)
-    p.add_argument("--scope", default="all", choices=("all", "boundary"))
-    p.add_argument("--boundary-radius", type=int, default=KdeSpec.boundary_radius)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    _add_spec_flags(p, KdeSpec, seed=seed)
     p.add_argument("--out", help="output .sdt file")
     p.add_argument("--sweep", help="comma-separated bandwidths to compare")
     p.set_defaults(fn=cmd_calibrate)
@@ -560,16 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", formatter_class=fmt,
                        help="generate a synthetic multi-rater dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-images", type=int, default=SynthSpec.n_images)
-    p.add_argument("--height", type=int, default=SynthSpec.height)
-    p.add_argument("--width", type=int, default=SynthSpec.width)
-    p.add_argument("--n-classes", type=int, default=SynthSpec.n_classes)
-    p.add_argument("--k-raters", type=int, default=SynthSpec.k_raters)
-    p.add_argument("--radius-lo", type=int, default=RaterNoise.dilate_erode_radius[0])
-    p.add_argument("--radius-hi", type=int, default=RaterNoise.dilate_erode_radius[1])
-    p.add_argument("--flip-prob", type=float, default=RaterNoise.boundary_flip_prob)
-    p.add_argument("--image-noise", type=float, default=SynthSpec.image_noise)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    _add_spec_flags(p, SynthSpec, blob_radius=None, seed=seed)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", formatter_class=fmt,
@@ -585,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-properties", formatter_class=fmt,
                        help="run the full invariant suite")
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, **seed)
     p.add_argument("--mutate", choices=("sign",),
                    help="inject a known bug to demonstrate suite sensitivity")
     p.set_defaults(fn=cmd_check_properties)
@@ -613,7 +663,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    except ValueError as e:  # json.JSONDecodeError included
+    except ConfigError as e:
         _log(f"usage error: {e}")
         return 2
     except FileNotFoundError as e:

@@ -48,6 +48,11 @@ class DicesmError(Exception):
     """Base class for all library errors."""
 
 
+class ConfigError(ValueError):
+    """A flag, spec value, config or manifest refused at the boundary, before
+    any run starts: bad usage, which the CLI reports without a traceback."""
+
+
 class ValidationError(DicesmError):
     """A field invariant is violated.
 
@@ -322,28 +327,53 @@ def _typed(tp, v):
 
 def from_json(cls, d):
     """Build the spec dataclass ``cls`` from a JSON object: the one reader of
-    JSON documents (configs, their sections and every manifest). A missing
-    key keeps its default and is refused without one. Annotations decide the
-    JSON types (a list, typed element by element, for a tuple, which it
-    becomes; a boolean only for bool) and ``__post_init__`` the values. Wrong
-    structure or types raise ValueError naming the innermost ``Class.key``."""
+    JSON documents (configs, their sections and every manifest) and of the
+    CLI's spec flags. A missing key keeps its default and is refused without
+    one. Annotations decide the JSON types (a list, typed element by
+    element, for a tuple, which it becomes; a boolean only for bool) and
+    ``__post_init__`` the values. Every refusal is a ConfigError naming the
+    innermost ``Class.key``: a wrong structure or type names it itself, and a
+    ``__post_init__`` ValueError is wrapped with the key at fault (see
+    _culprit)."""
     if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__} needs a JSON object, got {type(d).__name__}")
+        raise ConfigError(f"{cls.__name__} needs a JSON object, got {type(d).__name__}")
     hints = typing.get_type_hints(cls)
     extra = sorted(set(d) - {f.name for f in fields(cls)})
     if extra:
-        raise ValueError(f"unknown {cls.__name__} keys: {extra}")
+        raise ConfigError(f"unknown {cls.__name__} keys: {extra}")
     missing = [f.name for f in fields(cls)
                if f.name not in d and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ValueError(f"{cls.__name__} needs the keys {missing}")
+        raise ConfigError(f"{cls.__name__} needs the keys {missing}")
     kwargs = {}
     for k, v in d.items():
         kwargs[k] = _typed(tp := hints[k], v)
         if kwargs[k] is _NO:
-            raise ValueError(f"{cls.__name__}.{k} must be "
-                             f"{tp.__name__ if isinstance(tp, type) else tp}, got {v!r}")
-    return cls(**kwargs)
+            raise ConfigError(f"{cls.__name__}.{k} must be "
+                              f"{tp.__name__ if isinstance(tp, type) else tp}, got {v!r}")
+    try:
+        return cls(**kwargs)
+    except ConfigError:  # a spec inside cls, read by from_json, named its own key
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{cls.__name__}{_culprit(cls, kwargs, e)}: {e}") from None
+
+
+def _culprit(cls, kwargs, error: ValueError) -> str:
+    """".key" of the last field given in kwargs whose default would change
+    the error that cls raises, or "" if none would. A check on two keys,
+    such as a strategy and its epsilon, names the later one."""
+    for f in reversed([f for f in fields(cls) if f.name in kwargs]):
+        if f.default is MISSING and f.default_factory is MISSING:
+            continue
+        default = f.default if f.default is not MISSING else f.default_factory()
+        try:
+            cls(**{**kwargs, f.name: default})
+        except ValueError as e:
+            if str(e) == str(error):
+                continue
+        return f".{f.name}"
+    return ""
 
 
 # --------------------------------------------------------------------------

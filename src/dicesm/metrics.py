@@ -90,7 +90,7 @@ class EceSpec:
 class BDiceSpec:
     """Joint thresholding levels for prediction and soft label."""
 
-    thresholds: tuple = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self):
         t = tuple(float(v) for v in self.thresholds)

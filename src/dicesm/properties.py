@@ -22,7 +22,7 @@ from .calibration import (
     verify_bias_bound,
 )
 from . import calibration
-from .core import check_seed
+from .core import ConfigError
 from .losses import TverskyParams, pairwise, pairwise_values
 
 GOLDEN_RATIO = 0.5 * (1.0 + np.sqrt(5.0))
@@ -327,12 +327,14 @@ def check_kernel_complexity(rng):
 
 
 def run_suite(trials: int = 10_000, seed: int = 42, mutate: str | None = None) -> dict:
-    """Run every property; returns the JSON-ready report."""
+    """Run every property; returns the JSON-ready report. A bad argument
+    raises ConfigError before any draw."""
     if mutate not in (None, "sign"):
-        raise ValueError(f"unknown mutation {mutate!r}")
+        raise ConfigError(f"unknown mutation {mutate!r}")
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
-    check_seed(seed)
+        raise ConfigError(f"trials must be at least 1, got {trials!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed!r}")
     s0 = 1.0 if mutate == "sign" else 0.0
     rng = np.random.default_rng(seed)
     props = {}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyStackError, LabelField, RaterStack, check_seed
+from .core import ConfigError, EmptyStackError, LabelField, RaterStack, check_seed
 from .metrics import class_map, mask_dice, one_hot
 
 STRATEGIES = ("majority", "random_rater", "uniform_avg", "weighted_avg",
@@ -150,7 +150,7 @@ def weighted_average_dataset(stacks, tie_break: str = TIE_BACKGROUND):
         raise EmptyStackError("no stacks")
     k = len(stacks[0])
     if any(len(s) != k for s in stacks):
-        raise ValueError("per_dataset weighting needs a common rater count")
+        raise ConfigError("per_dataset weighting needs a common rater count")
     inter = np.zeros(k)
     sizes = np.zeros(k)
     for s in stacks:

@@ -487,12 +487,12 @@ class TestBlockedKernel:
             zero[zero.all(axis=1), 0] = False
             F[zero] = 0.0
             F /= F.sum(axis=1, keepdims=True)
-        blocks = []
+        blocks = {}
         log_kernel_rows = calibration._log_kernel_rows
 
         def recording(P, logs, edge, coef, out=None):
             lw = log_kernel_rows(P, logs, edge, coef, out)
-            blocks.append(lw.copy())
+            blocks[P.ctypes.data] = lw.copy()  # keyed by where the block's rows start
             return lw
 
         monkeypatch.setattr(calibration, "_log_kernel_rows", recording)
@@ -501,7 +501,8 @@ class TestBlockedKernel:
         terms, norm = _oracle_terms(F, keys.confidences, h)
         edge = (_simplex_rows(F) == 0.0).any(axis=1)
         assert edge.sum() > m // 4
-        assert np.vstack(blocks)[edge].tobytes() == (terms.sum(axis=2) + norm)[edge].tobytes()
+        got = np.vstack([blocks[start] for start in sorted(blocks)])
+        assert got[edge].tobytes() == (terms.sum(axis=2) + norm)[edge].tobytes()
 
     @pytest.mark.parametrize("c", [1, 2])
     def test_key_normalisers_once_per_call(self, c, monkeypatch):

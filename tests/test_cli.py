@@ -11,11 +11,8 @@ these tests report as a mismatch.
 
 Further tests pin the DICESM_SEED default and check that calibrate --sweep
 samples its keys and pixel scope once and scores each bandwidth as a single
-run would. By exit code alone, they pin the config keys and values that
-train and distill refuse (BAD_CONFIGS) and argparse's usage errors, which
-print a usage block. The rest of the exit-code contract (0 ok, 1 bad data,
-2 bad usage) lives in tests/test_cli_usage.py, where each refusal is also
-held to one stderr line, no traceback and nothing written.
+run would. The exit-code contract (0 ok, 1 bad data, 2 bad usage) lives in
+tests/test_cli_usage.py.
 
 main() without argv, as python -m dicesm runs it, sets the allocator policy
 that the cli docstring describes, and main(argv) does not. The train golden
@@ -349,72 +346,6 @@ def test_sweep_samples_keys_and_scope_once(work, capsys, monkeypatch):
         single = json.loads(out)
         assert code == 0 and (single["ece_after"], single["scope_pixels"]) == (
             row["ece_after"], row["scope_pixels"])
-
-
-# --------------------------------------------------------------------------
-# Exit codes
-# --------------------------------------------------------------------------
-
-def _train_config(**overrides):
-    cfg = {"data": {"dir": "data"}, "train": {"epochs": 1}, "out_dir": "o"}
-    cfg.update(overrides)
-    return cfg
-
-
-BAD_CONFIGS = {
-    "top_level": ("train", {**_train_config(), "bogus": 1}),
-    "train_key": ("train", _train_config(train={"epochs": 1, "bogus": 1})),
-    "train_reduction": ("train", _train_config(train={"reduction": {"bogus": 1}})),
-    "train_loss": ("train", _train_config(train={"loss": {"name": "dml1", "bogus": 1}})),
-    "train_loss_params": ("train", _train_config(
-        train={"loss": {"name": "ctl", "params": {"bogus": 1}}})),
-    "plain_loss_params": ("train", _train_config(
-        train={"loss": {"name": "dml1", "params": {"alpha": 0.5}}})),
-    "unknown_loss": ("train", _train_config(train={"loss": {"name": "dice"}})),
-    "label_source": ("train", _train_config(train={"label_source": {"bogus": 1}})),
-    "model": ("train", _train_config(model={"bogus": 1})),
-    "data_key": ("train", _train_config(data={"dir": "data", "bogus": 1})),
-    "data_both": ("train", _train_config(data={"dir": "data", "synth": {}})),
-    "synth": ("train", _train_config(data={"synth": {"bogus": 1}})),
-    "synth_noise": ("train", _train_config(data={"synth": {"noise": {"bogus": 1}}})),
-    "kd_key": ("distill", {"data": {"dir": "data"}, "kd": {"bogus": 1}}),
-    "kd_kde": ("distill", {"data": {"dir": "data"},
-                           "kd": {"teacher_checkpoint": "t", "kde": {"bogus": 1}}}),
-    "kd_no_teacher": ("distill", {"data": {"dir": "data"}, "kd": {}}),
-    "bad_value": ("train", _train_config(train={"lr0": -1.0})),
-    "momentum": ("train", _train_config(train={"momentum": -5.0})),
-    "weight_decay": ("train", _train_config(train={"weight_decay": -1.0})),
-    "poly_power": ("train", _train_config(train={"poly_power": -1.0})),
-    "radii_float": ("train", _train_config(model={"radii": [1.9]})),
-    "radii_str": ("train", _train_config(model={"radii": ["2"]})),
-    "radii_bool": ("train", _train_config(model={"radii": [True]})),
-    "radii_mixed": ("train", _train_config(model={"radii": [1.9, "2", True]})),
-    "seed_synth": ("train", _train_config(data={"synth": {"seed": -1}})),
-    "seed_train": ("train", _train_config(train={"seed": -1})),
-    "seed_label_source": ("train", _train_config(train={"label_source": {"seed": -1}})),
-    "seed_model": ("train", _train_config(model={"seed": -1})),
-    "seed_kde": ("distill", {"data": {"dir": "data"},
-                             "kd": {"teacher_checkpoint": "t", "kde": {"seed": -1}}}),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
-def test_bad_config_exits_2(name, work):
-    cmd, cfg = BAD_CONFIGS[name]
-    _write_json("bad.json", cfg)
-    assert cli.main([cmd, "--config", "bad.json"]) == 2
-
-
-@pytest.mark.parametrize("argv", [
-    ["eval", "--pred", "pred1.sdt", "--label", "data/clean/img_0000.sdt",
-     "--metric", "dice", "--bogus"],
-    ["frobnicate"],
-    ["eval-loss", "--loss", "dice", "--curve"],
-    ["eval-loss", "--loss", "compound", "--overlap", "ce", "--curve"],
-    ["eval-loss", "--loss", "dml1"],
-])
-def test_usage_errors_exit_2(argv, work):
-    assert cli.main(argv) == 2
 
 
 # --------------------------------------------------------------------------

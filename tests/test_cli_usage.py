@@ -1,15 +1,18 @@
-"""Command-line inputs refused with one stderr line, no traceback and
-nothing written: the exit-code contract, apart from the config refusals and
-argparse errors that tests/test_cli.py checks by exit code alone.
+"""Command-line inputs refused with one stderr line (below argparse's usage
+block where argparse refuses), no traceback and nothing written: the
+exit-code contract.
 
-Exit 2, usage errors: a bad DICESM_SEED, gen-data spec, --curve grid, loss
-parameter, label-smoothing epsilon, calibrate bandwidth or check-properties
-seed or trial count, calibrate on three classes (ECE is binary), a
-soft-label manifest given with --raters or --out, and a JSON document, a
-train or distill config or the soft-label manifest, that from_json or a spec
-refuses, before any data is read: not JSON, a value of the wrong JSON type
-anywhere (every swap from the annotations), a missing or unknown key, an
-empty manifest, a value out of range, NaN or infinity.
+Exit 2, usage errors: argparse's errors and each ConfigError, raised before
+any data is read. Every spec value goes through from_json, which names its
+Class.key, whether a flag or a JSON document set it: spec flags at -1
+(every one, from the spec classes), a train or distill config or the
+soft-label manifest with a value of the wrong JSON type anywhere (every
+swap from the annotations), a missing or unknown key, an empty manifest,
+a value out of range, NaN or infinity, or that is not JSON. A ConfigError is
+also a bad DICESM_SEED, --curve grid, comma list of numbers, or
+check-properties seed or trial count, a flag combination a command refuses,
+and calibrate on three classes (ECE is binary). A ValueError that no
+boundary check raised keeps its traceback.
 Exit 1, bad data: a missing file, an SDT1 file with a wrong magic, a header
 cut short, a rank outside 1..16, a zero dim, a payload of the wrong length
 or a NaN, a malformed dataset or teacher checkpoint manifest, a rater that
@@ -34,10 +37,14 @@ import numpy as np
 import pytest
 
 from dicesm import cli
-from dicesm.core import LabelField, ProbField, TensorF, read_tensor, write_field, write_tensor
-from dicesm.losses import LOSSES, CompoundParams, LossSpec
-from dicesm.softlabels import STRATEGIES
-from dicesm.training import KdSpec, ModelSpec, SynthSpec, TrainSpec, build_model, save_model
+from dicesm.calibration import KdeSpec
+from dicesm.core import (ConfigError, LabelField, ProbField, TensorF, read_tensor, write_field,
+                         write_tensor)
+from dicesm.losses import LOSSES, CompoundParams, LossSpec, ReductionSpec, TverskyParams
+from dicesm.metrics import BDiceSpec, EceSpec
+from dicesm.softlabels import STRATEGIES, SoftLabelSpec
+from dicesm.training import (KdSpec, ModelSpec, RaterNoise, SynthSpec, TrainSpec, build_model,
+                             loop, save_model)
 
 
 @pytest.fixture(autouse=True)
@@ -47,11 +54,15 @@ def _in_tmp_path(monkeypatch, tmp_path):
 
 def _refused(capsys, code, expected, *texts, absent=()):
     """The run exited expected, with nothing on stdout and one stderr line
-    that holds each of texts and no traceback, and wrote none of absent."""
+    (below argparse's usage block, if argparse refused) that holds each of
+    texts and no traceback, and wrote none of absent."""
     captured = capsys.readouterr()
-    assert (code, captured.out) == (expected, "")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert all(t in captured.err for t in texts) and not any(map(os.path.exists, absent))
+    assert (code, captured.out) == (expected, "") and "Traceback" not in captured.err
+    err = captured.err
+    if err.startswith("usage: "):
+        err = err[err.rstrip("\n").rfind("\n") + 1:]
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert all(t in err for t in texts) and not any(map(os.path.exists, absent))
 
 
 def _curve(capsys, *argv):
@@ -137,16 +148,10 @@ def test_val_fraction_that_takes_every_image(tmp_path, capsys):
 # data names a directory that does not exist, which would exit 1 if it
 # were read before the config's values are checked
 @pytest.mark.parametrize("command,key,value,message", [
-    ("distill", "kd", {"teacher_checkpoint": "teacher", "use_kde": "false"},
-     "KdSpec.use_kde must be bool, got 'false'"),
-    ("train", "train", {"epochs": True}, "TrainSpec.epochs must be int, got True"),
-    ("train", "out_dir", 5, "RunSpec.out_dir must be str, got 5"),
-    ("train", "eval_every", "1", "RunSpec.eval_every must be int, got '1'"),
-    ("distill", "eval_every", True, "RunSpec.eval_every must be int, got True"),
-    ("train", "eval_every", -1, "eval_every must be >= 0, got -1"),
-    ("distill", "val_fraction", 1.0, "val_fraction must be in [0, 1), got 1.0"),
-], ids=["use_kde", "epochs", "out_dir", "eval_every_str", "eval_every_bool",
-        "eval_every_negative", "val_fraction"])
+    ("train", "eval_every", -1, "RunSpec.eval_every: eval_every must be >= 0, got -1"),
+    ("distill", "val_fraction", 1.0,
+     "DistillRunSpec.val_fraction: val_fraction must be in [0, 1), got 1.0"),
+], ids=["eval_every_negative", "val_fraction"])
 def test_mistyped_config_value_is_a_usage_error(command, key, value, message, capsys):
     Path("c.json").write_text(json.dumps({"data": {"dir": "missing"}, "out_dir": "out",
                                           key: value}))
@@ -169,30 +174,20 @@ JSON_USAGE_ERRORS = {
                         "radii must be nonnegative, got (1, -1)"),
     "train_without_data": ("train", {"train": {"epochs": 1}}, "RunSpec needs the keys ['data']"),
     "distill_without_data": ("distill", {}, "DistillRunSpec needs the keys ['data']"),
-    "data_list": ("train", {"data": [1]}, "RunSpec.data must be DataSpec, got [1]"),
     "distill_model": ("distill", {**_synth_config(), "kd": {"teacher_checkpoint": "t"},
                                   "model": {}}, "unknown DistillRunSpec keys: ['model']"),
     "train_kd": ("train", {**_synth_config(), "kd": {}, "student": {}},
                  "unknown RunSpec keys: ['kd', 'student']"),
-    "radius_floats": ("train", _synth_config(noise={"dilate_erode_radius": [0.5, 1.7]}),
-                      "RaterNoise.dilate_erode_radius must be tuple[int, int], got [0.5, 1.7]"),
-    "flip_prob_strings": ("train", _synth_config(noise={"boundary_flip_prob": ["0.1", "0.2"]}),
-                          "RaterNoise.boundary_flip_prob must be float | tuple[float, float]"),
     "three_classes": ("train", _synth_config(n_classes=3), "n_classes must be 1 or 2"),
     "no_raters": ("train", _synth_config(k_raters=0), "k_raters must be positive"),
     "blob_radius_reversed": ("train", _synth_config(blob_radius=[0.3, 0.1]),
                              "bad blob_radius range (0.3, 0.1)"),
-    "blob_radius_strings": ("train", _synth_config(blob_radius=["a", "b"]),
-                            "SynthSpec.blob_radius must be tuple[float, float], got ['a', 'b']"),
     "manifest_without_raters": ("make-soft-labels", {"images": [{"out": "soft.sdt"}]},
                                 "ManifestImage needs the keys ['raters']"),
     "manifest_without_out": ("make-soft-labels", {"images": [{"raters": RATERS}]},
                              "ManifestImage needs the keys ['out']"),
     "manifest_without_images": ("make-soft-labels", {},
                                 "SoftLabelManifest needs the keys ['images']"),
-    "manifest_bad_second_out": ("make-soft-labels", {"images": [MANIFEST_IMAGE,
-                                                                {"raters": RATERS, "out": 5}]},
-                                "ManifestImage.out must be str, got 5"),
 }
 
 
@@ -251,7 +246,17 @@ def _eval_dice(pred):
     return ["eval", "--metric", "dice", "--pred", pred, "--label", "label.sdt"]
 
 
+def _config(text, command="train", **keys):
+    """A REFUSALS row: doc.json, a config with keys whose data directory
+    does not exist (reading it would exit 1), exits 2 saying text."""
+    return (_doc({"data": {"dir": "data"}, "train": {"epochs": 1}, "out_dir": "o", **keys}),
+            [command, "--config", "doc.json"], 2, text)
+
+
 MANIFEST_ARGV = ["make-soft-labels", "--manifest", "doc.json", "--strategy"]
+FILES = ["--pred", "pred.sdt", "--label", "label.sdt"]
+SEED = "seed must be nonnegative, got -1"
+SGD = "momentum, weight_decay and poly_power must be nonnegative and finite"
 
 # (setup, argv, exit code, what the one stderr line says); no row writes a
 # file beyond its setup
@@ -261,15 +266,15 @@ REFUSALS = {
     "manifest_unknown_key": (_doc({"images": [], "bogus": 1}), MANIFEST_ARGV + ["majority"], 2,
                              "unknown SoftLabelManifest keys: ['bogus']"),
     "manifest_empty": (_doc({"images": []}), MANIFEST_ARGV + ["uniform_avg"], 2,
-                       "SoftLabelManifest.images is empty"),
+                       "SoftLabelManifest: images is empty"),
     "manifest_empty_per_dataset": (_doc({"images": []}), MANIFEST_ARGV + [
-        "weighted_avg", "--weights", "per_dataset"], 2, "SoftLabelManifest.images is empty"),
+        "weighted_avg", "--weights", "per_dataset"], 2, "SoftLabelManifest: images is empty"),
     "epsilon_flag": (None, ["make-soft-labels", "--strategy", "label_smoothing", "--epsilon", "2",
                             "--raters", "a.sdt", "--out", "soft.sdt"], 2,
-                     "epsilon 2.0 outside [0, 1)"),
+                     "SoftLabelSpec.epsilon: epsilon 2.0 outside [0, 1)"),
     "epsilon_config": (_doc({**_synth_config(), "train": {"label_source": {
         "strategy": "label_smoothing", "epsilon": 2}}}), ["train", "--config", "doc.json"], 2,
-        "epsilon 2 outside [0, 1)"),
+        "SoftLabelSpec.epsilon: epsilon 2 outside [0, 1)"),
     "properties_seed": (None, ["check-properties", "--seed", "-1"], 2,
                         "seed must be nonnegative, got -1"),
     "properties_trials_negative": (None, ["check-properties", "--trials", "-5"], 2,
@@ -280,6 +285,71 @@ REFUSALS = {
         "uniform_avg", "--raters", "label.sdt"], 2, "usage error: --manifest takes no --raters"),
     "manifest_with_out": (_label_manifest, MANIFEST_ARGV + ["uniform_avg", "--out", "x.sdt"], 2,
                           "usage error: --manifest takes no --raters or --out"),
+    "manifest_rater_counts": (
+        lambda: _sdt_files() or _doc({"images": [{"raters": ["label.sdt"], "out": "x.sdt"},
+                                                 {"raters": ["label.sdt"] * 2, "out": "y.sdt"}]})(),
+        MANIFEST_ARGV + ["weighted_avg", "--weights", "per_dataset"], 2,
+        "usage error: per_dataset weighting needs a common rater count"),
+    "sweep_with_out": (_sdt_files, ["calibrate", *FILES, "--sweep", "0.01", "--out", "cal.sdt"],
+                       2, "usage error: --sweep takes no --out"),
+    "curve_with_files": (_sdt_files, ["eval-loss", "--loss", "dml1", "--curve", *FILES,
+                                      "--grad-out", "g.sdt"], 2,
+                         "usage error: --curve takes no --pred, --label or --grad-out"),
+    "thresholds_not_numbers": (_sdt_files, ["eval", "--metric", "bdice", *FILES, "--thresholds",
+                                            "0.5,abc"], 2,
+                               "--thresholds takes comma-separated numbers, got '0.5,abc'"),
+    "sweep_not_numbers": (_sdt_files, ["calibrate", *FILES, "--sweep", "0.01,abc"], 2,
+                          "--sweep takes comma-separated numbers, got '0.01,abc'"),
+    "eval_loss_without_files": (None, ["eval-loss", "--loss", "dml1"], 2,
+                                "usage error: --pred and --label are required without --curve"),
+    "argparse_unknown_flag": (None, ["eval", *FILES, "--metric", "dice", "--bogus"], 2,
+                              "dicesm: error: unrecognized arguments: --bogus"),
+    "argparse_unknown_command": (None, ["frobnicate"], 2, "invalid choice: 'frobnicate'"),
+    "argparse_unknown_loss": (None, ["eval-loss", "--loss", "dice", "--curve"], 2,
+                              "argument --loss: invalid choice: 'dice'"),
+    "argparse_overlap_ce": (None, ["eval-loss", "--loss", "compound", "--overlap", "ce",
+                                   "--curve"], 2, "argument --overlap: invalid choice: 'ce'"),
+    "config_top_level": _config("unknown RunSpec keys: ['bogus']", bogus=1),
+    "config_train_key": _config("unknown TrainSpec keys: ['bogus']",
+                                train={"epochs": 1, "bogus": 1}),
+    "config_train_reduction": _config("unknown ReductionSpec keys: ['bogus']",
+                                      train={"reduction": {"bogus": 1}}),
+    "config_train_loss": _config("unknown LossSpec keys: ['bogus']",
+                                 train={"loss": {"name": "dml1", "bogus": 1}}),
+    "config_train_loss_params": _config("unknown TverskyParams keys: ['bogus']", train={
+        "loss": {"name": "ctl", "params": {"bogus": 1}}}),
+    "config_plain_loss_params": _config(
+        "LossSpec.params: loss 'dml1' takes no params, got ['alpha']",
+        train={"loss": {"name": "dml1", "params": {"alpha": 0.5}}}),
+    "config_unknown_loss": _config("LossSpec.name: unknown loss 'dice'",
+                                   train={"loss": {"name": "dice"}}),
+    "config_label_source": _config("unknown SoftLabelSpec keys: ['bogus']",
+                                   train={"label_source": {"bogus": 1}}),
+    "config_model": _config("unknown ModelSpec keys: ['bogus']", model={"bogus": 1}),
+    "config_data_key": _config("unknown DataSpec keys: ['bogus']",
+                               data={"dir": "data", "bogus": 1}),
+    "config_data_both": _config("DataSpec.synth: data needs exactly one of 'dir' or 'synth'",
+                                data={"dir": "data", "synth": {}}),
+    "config_synth": _config("unknown SynthSpec keys: ['bogus']", data={"synth": {"bogus": 1}}),
+    "config_synth_noise": _config("unknown RaterNoise keys: ['bogus']",
+                                  data={"synth": {"noise": {"bogus": 1}}}),
+    "config_kd_key": _config("unknown KdSpec keys: ['bogus']", "distill", kd={"bogus": 1}),
+    "config_kd_kde": _config("unknown KdeSpec keys: ['bogus']", "distill",
+                             kd={"teacher_checkpoint": "t", "kde": {"bogus": 1}}),
+    "config_kd_no_teacher": _config("DistillRunSpec: kd.teacher_checkpoint is required",
+                                    "distill", kd={}),
+    "config_bad_value": _config("TrainSpec.lr0: lr0 must be positive and finite",
+                                train={"lr0": -1.0}),
+    "config_momentum": _config(f"TrainSpec.momentum: {SGD}", train={"momentum": -5.0}),
+    "config_weight_decay": _config(f"TrainSpec.weight_decay: {SGD}", train={"weight_decay": -1.0}),
+    "config_poly_power": _config(f"TrainSpec.poly_power: {SGD}", train={"poly_power": -1.0}),
+    "config_seed_synth": _config(f"SynthSpec.seed: {SEED}", data={"synth": {"seed": -1}}),
+    "config_seed_train": _config(f"TrainSpec.seed: {SEED}", train={"seed": -1}),
+    "config_seed_label_source": _config(f"SoftLabelSpec.seed: {SEED}",
+                                        train={"label_source": {"seed": -1}}),
+    "config_seed_model": _config(f"ModelSpec.seed: {SEED}", model={"seed": -1}),
+    "config_seed_kde": _config(f"KdeSpec.seed: {SEED}", "distill",
+                               kd={"teacher_checkpoint": "t", "kde": {"seed": -1}}),
     "missing_file": (_sdt_files, _eval_dice("missing.sdt"), 1, "missing file"),
     "bad_magic": (_sdt_files, _eval_dice("bad.sdt"), 1, "BadMagicError"),
     "sdt_cut_in_header": (_sdt_files, _eval_dice("cut.sdt"), 1, "TruncatedFileError"),
@@ -317,7 +387,8 @@ def _specs(cls) -> set:
 
 
 def test_no_config_field_is_a_bare_tuple_or_list():
-    specs = set().union(*map(_specs, (cli.RunSpec, cli.DistillRunSpec, cli.SoftLabelManifest)))
+    specs = set().union(*map(_specs, (cli.RunSpec, cli.DistillRunSpec, cli.SoftLabelManifest,
+                                      *FLAGGED_SPECS)))
     assert [f"{c.__name__}.{k}" for c in specs for k, tp in typing.get_type_hints(c).items()
             if {tp, *typing.get_args(tp)} & {tuple, list}] == []
 
@@ -341,13 +412,16 @@ def _wrong(tp) -> list:
 
 
 def _swaps(doc, cls, path=()):
-    """(path, Class.key, wrong value) for each key of doc, the JSON of a cls,
-    and of each object in it: a section, a loss's params, a manifest's last
-    image."""
+    """(path, what from_json says, wrong value) for each key of doc, the
+    JSON of a cls, and of each object in it: a section, a loss's params, a
+    manifest's last image."""
     hints = typing.get_type_hints(cls)
     for key, value in doc.items():
-        yield from (((*path, key), f"{cls.__name__}.{key}", w) for w in _wrong(hints[key]))
-        inner = [a for a in (hints[key], *typing.get_args(hints[key])) if is_dataclass(a)]
+        tp = hints[key]
+        shown = tp.__name__ if isinstance(tp, type) else tp
+        yield from (((*path, key), f"{cls.__name__}.{key} must be {shown}, got {w!r}", w)
+                    for w in _wrong(tp))
+        inner = [a for a in (tp, *typing.get_args(tp)) if is_dataclass(a)]
         inner = [LOSSES[doc["name"]].params] if (cls, key) == (LossSpec, "params") else inner
         if isinstance(value, dict):
             yield from _swaps(value, inner[0], (*path, key))
@@ -368,18 +442,62 @@ FUZZ_CASES = [(command, doc, *swap) for command, cls, doc in [
 
 
 def test_wrong_json_type_anywhere_is_a_usage_error(capsys):
-    """Every swap exits 2 naming its Class.key, except a NaN in a config,
-    which the config reader refuses as a literal before any key is read."""
+    """Every swap exits 2 naming its Class.key, annotation and value, except
+    a NaN in a config, which the config reader refuses as a literal before
+    any key is read."""
     _gen_data("data", n_images=1)
     capsys.readouterr()
-    for command, doc, path, key, wrong in FUZZ_CASES:
+    for command, doc, path, message, wrong in FUZZ_CASES:
         doc = json.loads(json.dumps(doc))
         functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = wrong
         nan_literal = (isinstance(wrong, float) and math.isnan(wrong)
                        and command != "make-soft-labels")
         _refused(capsys, _run_document(command, doc), 2,
-                 "config holds NaN" if nan_literal else f"{key} must be")
+                 "config holds NaN" if nan_literal else message)
         assert sorted(os.listdir()) == ["data", "doc.json"], (path, wrong)
+
+
+# each spec class whose fields a command flags, and that command's other
+# arguments; gen-data flags no blob_radius
+FLAGGED_SPECS = {
+    TverskyParams: ["eval-loss", "--loss", "ctl", *FILES],
+    CompoundParams: ["eval-loss", "--loss", "compound", *FILES],
+    ReductionSpec: ["eval-loss", "--loss", "dml1", *FILES],
+    BDiceSpec: ["eval", "--metric", "bdice", *FILES],
+    EceSpec: ["eval", "--metric", "ece", *FILES],
+    SoftLabelSpec: ["make-soft-labels", "--strategy", "label_smoothing", "--raters", "r.sdt",
+                    "--out", "soft.sdt"],
+    KdeSpec: ["calibrate", *FILES, "--out", "cal.sdt"],
+    SynthSpec: ["gen-data", "--out", "data"],
+    RaterNoise: ["gen-data", "--out", "data"],
+}
+
+
+def test_out_of_range_spec_flag_is_a_usage_error(capsys):
+    """-1 is out of range for every spec flag and no choice: each exits 2
+    before a file is read, naming the Class.key its spec refuses or, for a
+    choice, argparse naming the flag."""
+    cases = [(cls, f.name, tp, flag) for cls in FLAGGED_SPECS
+             for f, tp, flags in cli._spec_fields(cls)
+             if f.name != "blob_radius" and not is_dataclass(tp) for flag in flags]
+    assert len(cases) == 31
+    for cls, key, tp, flag in cases:
+        _refused(capsys, cli.main([*FLAGGED_SPECS[cls], f"{flag}=-1"]), 2,
+                 f"argument {flag}: invalid choice: '-1'" if tp is str
+                 else f"usage error: {cls.__name__}.{key}: ")
+        assert os.listdir() == [], flag
+
+
+def test_a_value_error_inside_a_run_keeps_its_traceback(monkeypatch, capsys):
+    """No boundary check raised it, so main lets it through: it is a bug."""
+    def step(*args):
+        raise ValueError("step")
+
+    monkeypatch.setattr(loop, "_batch_step", step)
+    _doc({**_synth_config(), "eval_every": 0, "out_dir": "out"})()
+    with pytest.raises(ValueError, match="^step$") as raised:
+        cli.main(["train", "--config", "doc.json"])
+    assert not isinstance(raised.value, ConfigError) and not os.path.exists("out")
 
 
 def test_dataset_manifest_without_clean_is_bad_data(tmp_path, capsys):

@@ -421,7 +421,7 @@ class TestReadTensorFuzz:
 SPECS = {c.__name__: c for c in (KdSpec, LossSpec, ModelSpec, RaterNoise, RunSpec, SynthSpec,
                                   TrainSpec)}
 
-# (spec class, JSON object, the spec that from_json builds or the ValueError
+# (spec class, JSON object, the spec that from_json builds or the ConfigError
 # message it raises): defaults for missing keys, nested objects, JSON lists
 # as tuples, every JSON type an annotation allows, and the errors that name
 # the innermost class or a missing key
@@ -454,7 +454,7 @@ class TestFromJson:
     def test_from_json(self, case):
         cls, d, expected = FROM_JSON[case]
         if isinstance(expected, str):
-            with pytest.raises(ValueError, match=re.escape(expected)):
+            with pytest.raises(core.ConfigError, match=re.escape(expected)):
                 core.from_json(SPECS[cls], d)
         else:
             assert core.from_json(SPECS[cls], d) == expected
@@ -477,11 +477,11 @@ class TestFromJson:
         ("SynthSpec", {"blob_radius": ["a", "b"]}), ("SynthSpec", {"blob_radius": [0.1]}),
     ])
     def test_rejects_a_value_of_another_json_type(self, cls, d):
-        with pytest.raises(ValueError, match=f"{cls}.{next(iter(d))} must be"):
+        with pytest.raises(core.ConfigError, match=f"{cls}.{next(iter(d))} must be"):
             core.from_json(SPECS[cls], d)
 
     @pytest.mark.parametrize("d", [{"bogus": 1}, {"kde": {"bogus": 1}}, {"kde": None},
                                    {"kde": [1]}, None, [], "spec", 3])
     def test_rejects_unknown_keys_and_non_objects(self, d):
-        with pytest.raises(ValueError):
+        with pytest.raises(core.ConfigError):
             core.from_json(KdSpec, d)
