@@ -13,8 +13,9 @@ box_mean(a, size)
     dimension. scipy filters axis 0, then axis 1, each as a running sum:
     the sum of the first window, then + (in[i + size - 1] - in[i - 1]) per
     step, each partial sum divided by size. A cumulative sum of those
-    steps adds in the same order, so it rounds the same way. At a size
-    of 1 or less both return a copy of a.
+    steps adds in the same order, so it rounds the same way; the memory
+    layout it runs on moves no bit. At a size of 1 or less both return a
+    copy of a.
 window_max(a, size), window_min(a, size)
     maximum_filter / minimum_filter(a, size=size, mode="nearest"): the
     edge value repeats outward. Max and min are exact whatever the order.
@@ -38,14 +39,27 @@ def _pad_axis(a, axis, size, mode):
     return np.pad(a, widths, mode=mode)
 
 
+def _symmetric_index(n: int, size: int) -> np.ndarray:
+    """Indices of np.pad's "symmetric" padding of n samples for a centred
+    window of size: the extension is periodic with period 2n."""
+    k = np.arange(-(size // 2), n + size - size // 2 - 1) % (2 * n)
+    return np.where(k < n, k, 2 * n - 1 - k)
+
+
 def box_mean(a, size: int) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
     if size <= 1:  # scipy copies the input; a running sum would round
         return out
     for axis in range(out.ndim):
-        p = np.moveaxis(_pad_axis(out, axis, size, "symmetric"), axis, 0)
-        steps = np.concatenate([p[:size], p[size:] - p[:-size]])
-        out = np.moveaxis(np.cumsum(steps, axis=0)[size - 1:] / size, 0, axis)
+        # one gather pads the axis and lays it out first in a contiguous
+        # copy, so each step below is one contiguous row operation
+        p = np.moveaxis(out, axis, 0).take(_symmetric_index(out.shape[axis], size), axis=0)
+        steps = np.empty_like(p)
+        steps[:size] = p[:size]
+        np.subtract(p[size:], p[:-size], out=steps[size:])
+        out = np.cumsum(steps, axis=0)[size - 1:]
+        out /= size
+        out = np.moveaxis(out, 0, axis)
     return out
 
 

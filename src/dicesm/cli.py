@@ -201,9 +201,13 @@ def _float_list(flag: str, text: str) -> list:
 def cmd_eval_loss(args) -> int:
     entry = LOSSES[args.loss]
     params = None if entry.params is None else _flag_json(args, entry.params)
-    if entry.hard_only and args.soft_ok:
+    if args.soft_ok:
+        if not entry.hard_only:
+            raise ConfigError(f"--soft-ok applies only to a loss that refuses soft labels, "
+                              f"not {args.loss}")
         params["allow_soft"] = True
     bound, _ = losses_mod.parse_loss_params(args.loss, params)
+    red = _spec(args, ReductionSpec)
     if args.curve:
         if args.pred or args.label or args.grad_out:
             raise ConfigError("--curve takes no --pred, --label or --grad-out")
@@ -214,14 +218,13 @@ def cmd_eval_loss(args) -> int:
         grid = np.linspace(0.0, 1.0, args.curve_points)
         vals = losses_mod.pairwise_values(args.loss, grid[:, None],
                                           np.full((grid.size, 1), args.label_value),
-                                          bound)
+                                          bound, red.empty_both_value)
         sys.stdout.write("x,value\n")
         for x, v in zip(grid, vals):
             sys.stdout.write(f"{float(x)!r},{float(v)!r}\n")
         return 0
     if not args.pred or not args.label:
         raise ConfigError("--pred and --label are required without --curve")
-    red = _spec(args, ReductionSpec)
     x = read_prob_field(args.pred)
     y = read_label_field(args.label)
     pair = losses_mod.loss(args.loss, x, y, red, params)

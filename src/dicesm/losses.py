@@ -28,22 +28,29 @@ refuses soft labels (only stl does). LOSS_NAMES, the overlap terms that
 compound accepts, ``pairwise`` and ``parse_loss_params``, the one binder
 of a loss name and its JSON params, all read it.
 
-``_terms`` evaluates the row kernel per class and reduces over classes on
-plain (C, H, W) arrays. Three entries run it:
+Every kernel comes in two halves. The sums half adds the per-class sums
+that the closed form reads (X, Y, P, D, and cross-entropy's log sum), on its
+first read; the gradient half writes the per-element gradient from them.
+``_terms`` runs both on plain (C, H, W) arrays and reduces over classes.
+Three entries run it:
 
 * ``loss(name, x, y, red, params)`` on one prediction/target pair;
 * ``batch_loss(name, xs, ys, red, params)`` on a batch of fields;
 * ``_reduce_batch(name, params, xs, ys, red)`` on a batch of arrays that
   the caller has checked itself, as the training loop does.
 
+A pooled batch adds its images' sums in image order and writes each
+image's gradient into an array of that image's own, so no path copies a
+batch, and the kernels work in place only on temporaries of their own.
+One image, a field op or per_image_then_mean, forms the same IEEE
+operations in the same order as the row kernels on rows; a pooled batch
+of several images reorders only the additions across images.
+
 Fields are checked once, on construction (see core), so the entries check
 only what spans two of them: the soft-label guard and the dims, then
 ``_terms``. The eleven field ops, ``sdl`` to ``compound``, are ``loss``
 with the name fixed and the params typed. They and ``batch_loss`` stay
-module functions because perfbench's tracer binds them by name. There is
-one copy of each kernel's arithmetic: the kernels and the terms work in
-place only on temporaries of their own (a pooled batch's copy is one),
-and form the same IEEE operations in the same order on every path.
+module functions because perfbench's tracer binds them by name.
 """
 
 from __future__ import annotations
@@ -142,15 +149,19 @@ DEFAULT_REDUCTION = ReductionSpec()
 
 
 # --------------------------------------------------------------------------
-# Row kernels, kernel(X, Y, params, s0). X, Y are (N, p) arrays; each row is
-# one independent per-class vector pair. s0 is the value taken for sign(0)
-# by the D-based kernels. Returns (values (N,), grads (N, p), ok (N,)) where
-# ok is False for rows whose denominator vanished; such rows carry value 0
-# and zero gradient and the caller substitutes empty_both_value.
+# Row kernels in two halves. X, Y are (N, p) arrays; each row is one
+# independent per-class vector pair. The sums half, _Sums, adds the row sums
+# that a closed form reads, named by the keys of _SUMS, image by image. The
+# gradient half, kernel(s, X, Y, params, s0), reads the finished sums s and
+# writes the gradient rows of X, Y, each element from its own x and y.
+# s0 is the value taken for sign(0) by the D-based kernels. Returns
+# (values (N,), grads (N, p), ok (N,)) where ok is False for rows whose
+# denominator vanished; such rows carry value 0 and zero gradient and the
+# caller substitutes empty_both_value.
 # --------------------------------------------------------------------------
 
-def _sign(d: np.ndarray, s0: float, out=None) -> np.ndarray:
-    s = np.sign(d, out=out)
+def _sign(d: np.ndarray, s0: float) -> np.ndarray:
+    s = np.sign(d)
     if s0 != 0.0:
         np.copyto(s, s0, where=s == 0.0)  # sign(d) is 0 exactly where d is
     return s
@@ -162,6 +173,44 @@ def _safe_div(num, den, out=None):
         out = np.divide(num, den, out=out)
     np.copyto(out, 0.0, where=den == 0.0)
     return out
+
+
+def _binary_logs(X, Y):
+    Xc = np.clip(X, CE_CLAMP, 1.0 - CE_CLAMP)
+    return Y * np.log(Xc) + (1.0 - Y) * np.log1p(-Xc)
+
+
+# N is each row's entry count, X = sum x, Y = sum y, P = sum x*y and
+# D = sum |x - y|; L is binary cross-entropy's sum of y log x +
+# (1 - y) log(1 - x) per row, and T categorical cross-entropy's sum of
+# y log x over all rows, both with x clipped to [CE_CLAMP, 1 - CE_CLAMP].
+_SUMS = {
+    "N": lambda X, Y: X.shape[1],
+    "X": lambda X, Y: np.sum(X, axis=1),
+    "Y": lambda X, Y: np.sum(Y, axis=1),
+    "P": lambda X, Y: np.sum(np.multiply(X, Y), axis=1),
+    "D": lambda X, Y: np.sum(np.abs(X - Y), axis=1),
+    "L": lambda X, Y: np.sum(_binary_logs(X, Y), axis=1),
+    "T": lambda X, Y: np.sum(Y * np.log(np.clip(X, CE_CLAMP, 1.0 - CE_CLAMP))),
+}
+
+
+class _Sums(dict):
+    """The sums of _SUMS over (X, Y) row pairs, one pair per image, each
+    computed when a kernel first reads it: the images' sums are added to
+    the total in image order."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, key):
+        parts = (_SUMS[key](X, Y) for X, Y in self.rows)
+        total = next(parts)
+        for part in parts:
+            total = total + part
+        self[key] = total
+        return total
 
 
 def _finish(vals, grads, ok):
@@ -177,18 +226,16 @@ def _finish(vals, grads, ok):
     return vals, grads, ok
 
 
-def _kernel_sdl(X, Y, params, s0):
-    P = np.sum(X * Y, axis=1)
-    S = np.sum(X, axis=1) + np.sum(Y, axis=1)
+def _kernel_sdl(s, X, Y, params, s0):
+    P, S = s["P"], s["X"] + s["Y"]
     ok = S > 0.0
     vals = 1.0 - _safe_div(2.0 * P, S)
     grads = _safe_div(2.0 * P[:, None] - 2.0 * Y * S[:, None], (S * S)[:, None])
     return _finish(vals, grads, ok)
 
 
-def _kernel_sjl(X, Y, params, s0):
-    P = np.sum(X * Y, axis=1)
-    S = np.sum(X, axis=1) + np.sum(Y, axis=1)
+def _kernel_sjl(s, X, Y, params, s0):
+    P, S = s["P"], s["X"] + s["Y"]
     U = S - P
     ok = U > 0.0
     vals = 1.0 - _safe_div(P, U)
@@ -196,58 +243,49 @@ def _kernel_sjl(X, Y, params, s0):
     return _finish(vals, grads, ok)
 
 
-def _kernel_jml1(X, Y, params, s0):
-    S = np.sum(X, axis=1) + np.sum(Y, axis=1)
-    diff = X - Y
-    D = np.sum(np.abs(diff), axis=1)
+def _kernel_jml1(s, X, Y, params, s0):
+    S, D = s["X"] + s["Y"], s["D"]
     den = S + D
     ok = den > 0.0
     vals = _safe_div(2.0 * D, den)
-    sg = _sign(diff, s0)
+    sg = _sign(X - Y, s0)
     grads = _safe_div(2.0 * (sg * S[:, None] - D[:, None]), (den * den)[:, None])
     return _finish(vals, grads, ok)
 
 
-def _kernel_jml2(X, Y, params, s0):
-    P = np.sum(X * Y, axis=1)
-    diff = X - Y
-    D = np.sum(np.abs(diff), axis=1)
+def _kernel_jml2(s, X, Y, params, s0):
+    P, D = s["P"], s["D"]
     den = P + D
     ok = den > 0.0
     vals = _safe_div(D, den)
-    sg = _sign(diff, s0)
+    sg = _sign(X - Y, s0)
     grads = _safe_div(sg * P[:, None] - Y * D[:, None], (den * den)[:, None])
     return _finish(vals, grads, ok)
 
 
 # dml1 and dml2 run the training and distillation losses. Their (N, p)
 # arithmetic works in two buffers of their own, with the operations of the
-# closed forms in the same order. sign(x - y) is written into the other
+# closed forms in the same order. sign(x - y) is written into a second
 # buffer, because numpy's sign runs several times slower in place, and the
 # gradient rows become the numerator, then the quotient, in that buffer.
 
-def _kernel_dml1(X, Y, params, s0):
-    S = np.sum(X, axis=1) + np.sum(Y, axis=1)
-    diff = np.subtract(X, Y)
-    g = np.abs(diff)
-    D = np.sum(g, axis=1)
+def _kernel_dml1(s, X, Y, params, s0):
+    S, D = s["X"] + s["Y"], s["D"]
     ok = S > 0.0
     vals = _safe_div(D, S)
-    _sign(diff, s0, out=g)
+    g = _sign(np.subtract(X, Y), s0)
     g *= S[:, None]
     g -= D[:, None]
     return _finish(vals, _safe_div(g, (S * S)[:, None], out=g), ok)
 
 
-def _kernel_dml2(X, Y, params, s0):
-    g = np.multiply(X, Y)
-    P = np.sum(g, axis=1)
-    diff = np.subtract(X, Y)
-    D = np.sum(np.abs(diff, out=g), axis=1)
+def _kernel_dml2(s, X, Y, params, s0):
+    P, D = s["P"], s["D"]
     den = 2.0 * P + D
     ok = den > 0.0
     vals = _safe_div(D, den)
-    _sign(diff, s0, out=g)
+    diff = np.subtract(X, Y)
+    g = _sign(diff, s0)
     g *= P[:, None]
     g -= np.multiply(Y, D[:, None], out=diff)
     g *= 2.0
@@ -255,11 +293,9 @@ def _kernel_dml2(X, Y, params, s0):
     return _finish(vals, _safe_div(g, (den * den)[:, None], out=g), ok)
 
 
-def _kernel_stl(X, Y, params, s0):
+def _kernel_stl(s, X, Y, params, s0):
     a, b = params.alpha, params.beta
-    P = np.sum(X * Y, axis=1)
-    SX = np.sum(X, axis=1)
-    SY = np.sum(Y, axis=1)
+    P, SX, SY = s["P"], s["X"], s["Y"]
     T = a * SX + b * SY + (1.0 - a - b) * P
     ok = T > 0.0
     vals = 1.0 - _safe_div(P, T)
@@ -268,25 +304,22 @@ def _kernel_stl(X, Y, params, s0):
     return _finish(vals, grads, ok)
 
 
-def _kernel_ctl(X, Y, params, s0):
+def _kernel_ctl(s, X, Y, params, s0):
     a, b = params.alpha, params.beta
-    SX = np.sum(X, axis=1)
-    SY = np.sum(Y, axis=1)
-    diff = X - Y
-    D = np.sum(np.abs(diff), axis=1)
+    SX, SY, D = s["X"], s["Y"], s["D"]
     N = SX + SY - D
     T = 2.0 * a * SX + 2.0 * b * SY + (1.0 - a - b) * N
     ok = T > 0.0
     vals = 1.0 - _safe_div(N, T)
-    sg = _sign(diff, s0)
+    sg = _sign(X - Y, s0)
     dN = 1.0 - sg
     dT = 2.0 * a + (1.0 - a - b) * dN
     grads = _safe_div(N[:, None] * dT - dN * T[:, None], (T * T)[:, None])
     return _finish(vals, grads, ok)
 
 
-def _kernel_cftl(X, Y, params, s0):
-    vals, grads, ok = _kernel_ctl(X, Y, params, s0)
+def _kernel_cftl(s, X, Y, params, s0):
+    vals, grads, ok = _kernel_ctl(s, X, Y, params, s0)
     g = params.gamma
     if g == 1.0:
         return vals, grads, ok
@@ -298,10 +331,10 @@ def _kernel_cftl(X, Y, params, s0):
     return _finish(np.power(vals, g), factor[:, None] * grads, ok)
 
 
-def _kernel_ce(X, Y, params, s0):
-    p = X.shape[1]
+def _kernel_ce(s, X, Y, params, s0):
+    p = s["N"]
     Xc = np.clip(X, CE_CLAMP, 1.0 - CE_CLAMP)
-    vals = -np.sum(Y * np.log(Xc) + (1.0 - Y) * np.log1p(-Xc), axis=1) / p
+    vals = -s["L"] / p
     grads = -(Y / Xc - (1.0 - Y) / (1.0 - Xc)) / p
     ok = np.ones(X.shape[0], dtype=bool)
     return vals, grads, ok
@@ -315,9 +348,9 @@ def _mix(w_ce, ce_grad, w_dml, overlap_grad):
     return ce_grad
 
 
-def _kernel_compound(X, Y, params, s0):
-    cv, cg, _ = _kernel_ce(X, Y, None, s0)
-    ov, og, ok = LOSSES[params.overlap].kernel(X, Y, None, s0)
+def _kernel_compound(s, X, Y, params, s0):
+    cv, cg, _ = _kernel_ce(s, X, Y, None, s0)
+    ov, og, ok = LOSSES[params.overlap].kernel(s, X, Y, None, s0)
     ov[~ok] = 0.0  # empty-both overlap term contributes 0
     vals = params.w_ce * cv + params.w_dml * ov
     grads = _mix(params.w_ce, cg, params.w_dml, og)
@@ -370,7 +403,8 @@ def pairwise(name: str, X, Y, params=None, sign_at_zero: float = 0.0):
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape != Y.shape:
         raise ShapeMismatchError(f"{X.shape} vs {Y.shape}")
-    return entry.kernel(X, Y, _with_defaults(entry, params), sign_at_zero)
+    params = _with_defaults(entry, params)
+    return entry.kernel(_Sums([(X, Y)]), X, Y, params, sign_at_zero)
 
 
 def pairwise_values(name: str, X, Y, params=None, empty_both_value=0.0):
@@ -383,12 +417,24 @@ def pairwise_values(name: str, X, Y, params=None, empty_both_value=0.0):
 # --------------------------------------------------------------------------
 
 # The terms below take (C, H, W) arrays that the caller has checked: equal
-# shapes, finite values in [0, 1], and the soft-label guard passed.
+# shapes, a common class count, finite values in [0, 1], and the soft-label
+# guard passed.
 
-def _overlap_terms(name: str, x: np.ndarray, y: np.ndarray, red: ReductionSpec, params):
-    """Value and (C, p) gradient of a region loss reduced over classes."""
-    C = x.shape[0]
-    vals, grads, ok = LOSSES[name].kernel(x.reshape(C, -1), y.reshape(C, -1), params, 0.0)
+def _term(name: str, params, red: ReductionSpec, s, X, Y):
+    """Value of term `name` from the pooled sums s, reduced over classes,
+    and the gradient rows of one image's (C, p) rows X, Y. ce is its binary
+    row kernel at C == 1 and the pixel mean of -sum_c y log x at C >= 2."""
+    if name == "ce":
+        if X.shape[0] == 1:
+            vals, grads, _ = _kernel_ce(s, X, Y, None, 0.0)
+            return float(vals[0]), grads
+        p = s["N"]
+        grad = np.clip(X, CE_CLAMP, 1.0 - CE_CLAMP)
+        np.divide(Y, grad, out=grad)
+        np.negative(grad, out=grad)
+        grad /= p
+        return float(-s["T"] / p), grad
+    vals, grads, ok = LOSSES[name].kernel(s, X, Y, params, 0.0)
     # _finish has zeroed the gradient rows that are not ok
     if red.class_mode == MEAN_PRESENT:
         idx = np.flatnonzero(ok)
@@ -397,42 +443,32 @@ def _overlap_terms(name: str, x: np.ndarray, y: np.ndarray, red: ReductionSpec, 
         grads /= idx.size
         return float(np.mean(vals[idx])), grads
     vals[~ok] = red.empty_both_value
-    grads /= C
+    grads /= len(vals)
     return float(np.mean(vals)), grads
 
 
-def _ce_terms(x: np.ndarray, y: np.ndarray, own_x: bool = False):
-    """Value and (C, p) gradient of the pixel-mean cross-entropy: the binary
-    row kernel at C == 1, the categorical -sum_c y log x / p at C >= 2,
-    which clips x in place if own_x (x is the caller's scratch copy)."""
-    C = x.shape[0]
-    if C == 1:
-        vals, grads, _ = _kernel_ce(x.reshape(1, -1), y.reshape(1, -1), None, 0.0)
-        return float(vals[0]), grads
-    p = x.shape[1] * x.shape[2]
-    Xc = np.clip(x, CE_CLAMP, 1.0 - CE_CLAMP, out=x if own_x else None)
-    t = np.log(Xc)
-    t *= y
-    value = float(-np.sum(t) / p)
-    grad = np.divide(y, Xc, out=t)
-    np.negative(grad, out=grad)
-    grad /= p
-    return value, grad.reshape(C, -1)
-
-
-def _terms(name: str, x: np.ndarray, y: np.ndarray, red: ReductionSpec, params,
-           own_x: bool = False):
-    """Value and (C, p) gradient of loss `name` on checked (C, H, W) arrays:
-    the arithmetic that every field op, batch_loss and the training loop
-    share. params is the loss's params object, defaults filled in."""
-    if name == "ce":
-        return _ce_terms(x, y, own_x)
-    if name == "compound":
-        # the overlap term reads x before the ce term may clip it in place
-        ov, og = _overlap_terms(params.overlap, x, y, red, None)
-        cv, cg = _ce_terms(x, y, own_x)
-        return params.w_ce * cv + params.w_dml * ov, _mix(params.w_ce, cg, params.w_dml, og)
-    return _overlap_terms(name, x, y, red, params)
+def _terms(name: str, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],
+           red: ReductionSpec, params):
+    """Value and per-image gradients, shaped as xs[i], of loss `name` over
+    the pooled pixels of checked (C, H, W) arrays: the arithmetic of every
+    field op, batch_loss and the training loop. Each image adds its sums to
+    the totals in image order, then each image's gradient is written from
+    its own pixels and the totals; one image is the field op. params is the
+    loss's params object, defaults filled in."""
+    C = xs[0].shape[0]
+    rows = [(x.reshape(C, -1), y.reshape(C, -1)) for x, y in zip(xs, ys)]
+    s = _Sums(rows)
+    grads = []
+    for x, (X, Y) in zip(xs, rows):
+        if name == "compound":
+            ov, og = _term(params.overlap, None, red, s, X, Y)
+            cv, cg = _term("ce", None, red, s, X, Y)
+            value = params.w_ce * cv + params.w_dml * ov
+            g = _mix(params.w_ce, cg, params.w_dml, og)
+        else:
+            value, g = _term(name, params, red, s, X, Y)
+        grads.append(g.reshape(x.shape))
+    return value, grads
 
 
 def _guard_soft(name: str, hard: bool, allow_soft: bool) -> None:
@@ -451,7 +487,7 @@ def _field_op(name: str, x: ProbField, y: LabelField, red: ReductionSpec | None,
     _guard_soft(name, y.is_hard, allow_soft)
     check_same_dims(x, y)
     red = red if red is not None else DEFAULT_REDUCTION
-    value, grad = _terms(name, x.array, y.array, red, _with_defaults(LOSSES[name], params))
+    value, (grad,) = _terms(name, [x.array], [y.array], red, _with_defaults(LOSSES[name], params))
     return GradPair(value, TensorF(x.dims, grad.reshape(-1)))
 
 
@@ -578,11 +614,13 @@ def _reduce_batch(name: str, params, xs: Sequence[np.ndarray], ys: Sequence[np.n
                   red: ReductionSpec):
     """Reduce the terms of loss `name` over a batch of checked (C, H, W)
     arrays per red.batch_mode; returns (value, grads) with grads[i] shaped
-    as xs[i]. params is parse_loss_params's bound params object.
+    as xs[i], an array of its own. params is parse_loss_params's bound
+    params object.
 
-    per_image_then_mean averages per-image values and divides each
-    gradient by the batch size; pooled concatenates every image's pixels,
-    class by class, into one (C, 1, sum p) evaluation on copies of its own.
+    Both modes run _terms, which copies no image: per_image_then_mean on
+    each image alone, then averages the values and divides each gradient by
+    the batch size; pooled once on the whole batch, whose per-class sums add
+    image by image, classes aligned.
     """
     if len(xs) != len(ys) or not xs:
         raise ShapeMismatchError("batch needs equal, nonzero counts of x and y")
@@ -590,19 +628,14 @@ def _reduce_batch(name: str, params, xs: Sequence[np.ndarray], ys: Sequence[np.n
         if x.shape != y.shape:
             raise ShapeMismatchError(f"dims {x.shape} vs {y.shape}")
     if red.batch_mode == PER_IMAGE_THEN_MEAN:
-        pairs = [_terms(name, x, y, red, params) for x, y in zip(xs, ys)]
-        for _, g in pairs:
-            g /= len(pairs)
-        return (float(np.mean([v for v, _ in pairs])),
-                [g.reshape(x.shape) for x, (_, g) in zip(xs, pairs)])
-    C = xs[0].shape[0]
-    if any(x.shape[0] != C for x in xs):
+        pairs = [_terms(name, [x], [y], red, params) for x, y in zip(xs, ys)]
+        grads = [g for _, (g,) in pairs]
+        for g in grads:
+            g /= len(grads)
+        return float(np.mean([v for v, _ in pairs])), grads
+    if any(x.shape[0] != xs[0].shape[0] for x in xs):
         raise ShapeMismatchError("pooled batch requires a common class count")
-    value, g = _terms(name, *(np.concatenate([a.reshape(C, 1, -1) for a in arrays], axis=2)
-                              for arrays in (xs, ys)), red, params, own_x=True)
-    ends = np.cumsum([x.shape[1] * x.shape[2] for x in xs])[:-1]
-    return value, [part.reshape(x.shape)
-                   for x, part in zip(xs, np.split(g.reshape(C, -1), ends, axis=1))]
+    return _terms(name, xs, ys, red, params)
 
 
 def batch_loss(name: str, xs: Sequence[ProbField], ys: Sequence[LabelField],
@@ -611,8 +644,8 @@ def batch_loss(name: str, xs: Sequence[ProbField], ys: Sequence[LabelField],
     ReductionSpec.batch_mode.
 
     Returns (value, grads) where grads[i] is d(value)/d(xs[i]) as a TensorF.
-    per_image_then_mean averages per-image losses; pooled concatenates all
-    pixels into one evaluation (classes stay aligned). The soft-label guard
+    per_image_then_mean averages per-image losses; pooled evaluates the loss
+    once over every image's pixels (classes stay aligned). The soft-label guard
     sees the batch as soft if any target is.
     """
     bound, allow_soft = parse_loss_params(name, params)

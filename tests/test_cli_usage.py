@@ -88,9 +88,14 @@ def test_curve_rejects_bad_grid(argv, capsys):
     assert (code, out) == (2, "")
 
 
-def test_curve_of_two_points(capsys):
-    code, out = _curve(capsys, "--loss", "dml1", "--curve-points", "2", "--label-value", "1")
-    assert (code, out) == (0, "x,value\n0.0,1.0\n1.0,0.0\n")
+@pytest.mark.parametrize("argv,out", [
+    (["--loss", "dml1", "--label-value", "1"], "0.0,1.0\n1.0,0.0\n"),
+    # x = y = 0 empties both maps: the row takes --empty-both-value
+    (["--loss", "sdl", "--label-value", "0"], "0.0,0.0\n1.0,1.0\n"),
+    (["--loss", "sdl", "--label-value", "0", "--empty-both-value", "0.5"], "0.0,0.5\n1.0,1.0\n"),
+])
+def test_curve_of_two_points(argv, out, capsys):
+    assert _curve(capsys, *argv, "--curve-points", "2") == (0, "x,value\n" + out)
 
 
 def test_compound_curve_uses_its_flags(capsys):
@@ -257,6 +262,8 @@ MANIFEST_ARGV = ["make-soft-labels", "--manifest", "doc.json", "--strategy"]
 FILES = ["--pred", "pred.sdt", "--label", "label.sdt"]
 SEED = "seed must be nonnegative, got -1"
 SGD = "momentum, weight_decay and poly_power must be nonnegative and finite"
+EMPTY_BOTH = "usage error: ReductionSpec.empty_both_value: empty_both_value must be in [0, 1]"
+SOFT_OK = "usage error: --soft-ok applies only to a loss that refuses soft labels, not dml1"
 
 # (setup, argv, exit code, what the one stderr line says); no row writes a
 # file beyond its setup
@@ -300,6 +307,14 @@ REFUSALS = {
                                "--thresholds takes comma-separated numbers, got '0.5,abc'"),
     "sweep_not_numbers": (_sdt_files, ["calibrate", *FILES, "--sweep", "0.01,abc"], 2,
                           "--sweep takes comma-separated numbers, got '0.01,abc'"),
+    "curve_empty_both_value": (None, ["eval-loss", "--loss", "dml1", "--curve",
+                                      "--empty-both-value", "5"], 2, EMPTY_BOTH),
+    "eval_loss_empty_both_value": (_sdt_files, ["eval-loss", "--loss", "dml1", *FILES,
+                                                "--empty-both-value", "5"], 2, EMPTY_BOTH),
+    "curve_soft_ok": (None, ["eval-loss", "--loss", "dml1", "--curve", "--soft-ok"], 2,
+                      SOFT_OK),
+    "eval_loss_soft_ok": (_sdt_files, ["eval-loss", "--loss", "ctl", *FILES, "--soft-ok"], 2,
+                          SOFT_OK.replace("dml1", "ctl")),
     "eval_loss_without_files": (None, ["eval-loss", "--loss", "dml1"], 2,
                                 "usage error: --pred and --label are required without --curve"),
     "argparse_unknown_flag": (None, ["eval", *FILES, "--metric", "dice", "--bogus"], 2,

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -529,26 +530,70 @@ def _batch_arrays(rng, c, hard, empty):
 
 
 def _parent_batch(name, params, xs, ys, red):
-    """The batch reduction written out on the public loss: the mean of
-    per-image values with each gradient divided by the batch size, or one
-    loss on every image's pixels concatenated class by class."""
-    if red.batch_mode == losses.PER_IMAGE_THEN_MEAN:
-        pairs = [loss(name, ProbField.from_array(x), LabelField.from_array(y), red, params)
-                 for x, y in zip(xs, ys)]
-        return (float(np.mean([p.value for p in pairs])),
-                [p.grad.data.reshape(x.shape) / len(xs) for x, p in zip(xs, pairs)])
+    """per_image_then_mean written out on the public loss: the mean of
+    per-image values with each gradient divided by the batch size."""
+    pairs = [loss(name, ProbField.from_array(x), LabelField.from_array(y), red, params)
+             for x, y in zip(xs, ys)]
+    return (float(np.mean([p.value for p in pairs])),
+            [p.grad.data.reshape(x.shape) / len(xs) for x, p in zip(xs, pairs)])
+
+
+def _concatenated(name, params, xs, ys, red):
+    """One loss on every image's pixels concatenated class by class: its
+    value and its (C, sum p) gradient rows."""
     c = xs[0].shape[0]
     pair = loss(name,
                 ProbField.from_array(np.concatenate([x.reshape(c, 1, -1) for x in xs], axis=2)),
                 LabelField.from_array(np.concatenate([y.reshape(c, 1, -1) for y in ys], axis=2)),
                 red, params)
-    g = pair.grad.as_array().reshape(c, -1)
-    grads, off = [], 0
-    for x in xs:
-        p = x.shape[1] * x.shape[2]
-        grads.append(g[:, off:off + p].reshape(x.shape))
-        off += p
-    return pair.value, grads
+    return pair.value, pair.grad.as_array().reshape(c, -1)
+
+
+def _pooled_batch(name, params, xs, ys, red):
+    """pooled written out: each image's np.sum per class (over every class
+    for the categorical ce's T), added in image order, are the sums that
+    the loss's row kernel reads; each image's gradient rows come from the
+    kernel on its own pixels, reduced over classes and mixed as the module
+    docstring says."""
+    bound, _ = losses.parse_loss_params(name, params)
+    c = xs[0].shape[0]
+    rows = [(x.reshape(c, -1), y.reshape(c, -1)) for x, y in zip(xs, ys)]
+
+    def total(f, axis=1):
+        parts = [np.sum(f(X, Y), axis=axis) for X, Y in rows]
+        out = parts[0]
+        for part in parts[1:]:
+            out = out + part
+        return out
+
+    def clip(X):
+        return np.clip(X, losses.CE_CLAMP, 1.0 - losses.CE_CLAMP)
+
+    s = {"N": sum(X.shape[1] for X, _ in rows), "X": total(lambda X, Y: X),
+         "Y": total(lambda X, Y: Y), "P": total(lambda X, Y: X * Y),
+         "D": total(lambda X, Y: np.abs(X - Y)),
+         "L": total(lambda X, Y: Y * np.log(clip(X)) + (1.0 - Y) * np.log1p(-clip(X))),
+         "T": total(lambda X, Y: Y * np.log(clip(X)), None)}
+
+    def term(n, p, X, Y):
+        if n == "ce" and c > 1:
+            return float(-s["T"] / s["N"]), -(Y / clip(X)) / s["N"]
+        vals, grads, ok = LOSSES[n].kernel(s, X, Y, p, 0.0)
+        if red.class_mode == losses.MEAN_ALL:
+            return float(np.mean(np.where(ok, vals, red.empty_both_value))), grads / c
+        if not ok.any():
+            return red.empty_both_value, grads
+        return float(np.mean(vals[ok])), grads / ok.sum()
+
+    value, grads = None, []
+    for x, (X, Y) in zip(xs, rows):
+        if name == "compound":
+            (ov, og), (cv, cg) = term(bound.overlap, None, X, Y), term("ce", None, X, Y)
+            value, g = bound.w_ce * cv + bound.w_dml * ov, bound.w_ce * cg + bound.w_dml * og
+        else:
+            value, g = term(name, bound, X, Y)
+        grads.append(g.reshape(x.shape))
+    return value, grads
 
 
 _ARRAY_PATH_LOSSES = [
@@ -578,7 +623,9 @@ class TestArrayPath:
                         xs, ys = _batch_arrays(rng, c, hard, empty)
                         kept = [x.copy() for x in xs] + [y.copy() for y in ys]
                         value, grads = losses._reduce_batch(name, bound, xs, ys, red)
-                        ref_value, ref_grads = _parent_batch(name, params, xs, ys, red)
+                        oracle = _parent_batch if batch_mode == losses.PER_IMAGE_THEN_MEAN \
+                            else _pooled_batch
+                        ref_value, ref_grads = oracle(name, params, xs, ys, red)
                         fields = ([ProbField.from_array(x) for x in xs],
                                   [LabelField.from_array(y)
                                    for y in ys])
@@ -592,6 +639,75 @@ class TestArrayPath:
                         for a, b in zip(xs + ys, kept):
                             assert np.array_equal(a, b), case
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("name,params", _ARRAY_PATH_LOSSES)
+    def test_a_pooled_image_is_the_field_op(self, name, params, c):
+        bound, _ = losses.parse_loss_params(name, params)
+        rng = np.random.default_rng(c)
+        for class_mode in (losses.MEAN_PRESENT, losses.MEAN_ALL):
+            red = ReductionSpec(class_mode=class_mode, batch_mode=losses.POOLED)
+            for hard in (True, False):
+                for empty in (False, True):
+                    for x, y in zip(*_batch_arrays(rng, c, hard, empty)):
+                        value, (g,) = losses._reduce_batch(name, bound, [x], [y], red)
+                        pair = loss(name, ProbField.from_array(x), LabelField.from_array(y),
+                                    red, params)
+                        case = (class_mode, hard, empty)
+                        assert np.float64(value).tobytes() == np.float64(pair.value).tobytes(), case
+                        assert g.tobytes() == pair.grad.as_array().tobytes(), case
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("name,params", _ARRAY_PATH_LOSSES)
+    def test_pooled_stays_within_the_bound_of_the_concatenated_field(self, name, params, c,
+                                                                     monkeypatch):
+        """Both paths add the same n terms of one sign into each sum, in two
+        orders, so the two sums differ by at most rho = 2 gamma_{n-1} / (1 -
+        gamma_{n-1}) of the concatenated one (Higham 2002, section 4.2), with
+        n the pixels per class (of every class for the categorical ce's T).
+        Both then run the same kernel on their sums. Its outputs move over
+        the box of sums s (1 +- rho) by at most their largest move at a
+        corner, to first order; the bound doubles that for the second-order
+        terms and for each path's own rounding of the closed form, a few
+        ulps against rho >= 112 ulps at n = 57."""
+        bound, _ = losses.parse_loss_params(name, params)
+        rng = np.random.default_rng(c)
+        sums = losses._Sums
+        for class_mode in (losses.MEAN_PRESENT, losses.MEAN_ALL):
+            red = ReductionSpec(class_mode=class_mode, batch_mode=losses.POOLED)
+            for hard in (True, False):
+                for empty in (False, True):
+                    xs, ys = _batch_arrays(rng, c, hard, empty)
+                    value, grads = losses._reduce_batch(name, bound, xs, ys, red)
+                    grad = np.concatenate([g.reshape(c, -1) for g in grads], axis=1)
+                    ref_value, ref_grad = _concatenated(name, params, xs, ys, red)
+                    xc, yc = (np.concatenate([a.reshape(c, 1, -1) for a in arrays], axis=2)
+                              for arrays in (xs, ys))
+                    # the concatenated field's sums, as many as the loss reads
+                    made = []
+                    monkeypatch.setattr(losses, "_Sums", lambda rows: made.append(sums(rows))
+                                        or made[0])
+                    losses._terms(name, [xc], [yc], red, bound)
+                    ref = dict(made[0])
+                    n = xc.size if "T" in ref else xc.shape[2]
+                    gamma = (n - 1) * 2.0 ** -53 / (1.0 - (n - 1) * 2.0 ** -53)
+                    rho = 2.0 * gamma / (1.0 - gamma)
+                    pooled = sums([(x.reshape(c, -1), y.reshape(c, -1)) for x, y in zip(xs, ys)])
+                    for k in ref:
+                        assert np.all(np.abs(pooled[k] - ref[k]) <= rho * np.abs(ref[k])), k
+                    floats = [k for k in ref if k != "N"]
+                    moved_value, moved_grad = 0.0, np.zeros_like(ref_grad)
+                    for signs in itertools.product((-1.0, 1.0), repeat=len(floats)):
+                        corner = {**ref, **{k: ref[k] * (1.0 + sg * rho)
+                                            for k, sg in zip(floats, signs)}}
+                        monkeypatch.setattr(losses, "_Sums", lambda rows: corner)
+                        v, (g,) = losses._terms(name, [xc], [yc], red, bound)
+                        moved_value = max(moved_value, abs(v - ref_value))
+                        moved_grad = np.maximum(moved_grad, np.abs(g.reshape(c, -1) - ref_grad))
+                    monkeypatch.setattr(losses, "_Sums", sums)
+                    case = (class_mode, hard, empty)
+                    assert abs(value - ref_value) <= 2.0 * moved_value, case
+                    assert np.all(np.abs(grad - ref_grad) <= 2.0 * moved_grad), case
+
     def test_pooled_needs_a_common_class_count(self):
         xs = [np.full((1, 2, 2), 0.5), np.full((2, 2, 2), 0.5)]
         with pytest.raises(ShapeMismatchError, match="common class count"):
@@ -604,9 +720,9 @@ class TestArrayPath:
 
 
 class TestScratchCopies:
-    """The pooled batch's ce term clips the batch's own concatenated copy in
-    place; no path writes to a caller's array, and the pooled compound loss
-    holds at most four batch-sized arrays at a time."""
+    """No path writes to a caller's array, and a pooled batch holds its
+    returned gradients and a fixed number of image-sized temporaries: it
+    copies no batch."""
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     @pytest.mark.parametrize("overlap", OVERLAP_NAMES)
@@ -635,13 +751,15 @@ class TestScratchCopies:
     @pytest.mark.parametrize("name,params", [("compound", None),
                                              ("compound", {"overlap": "dml2"}),
                                              ("dml2", None)])
-    def test_pooled_peak_is_four_batch_arrays(self, name, params):
-        # Design bound, fixed before measuring: the concatenated x and y,
-        # then either the kernel's two buffers (one becomes the overlap
-        # gradient) or, for the ce term, the overlap gradient and the log
-        # buffer that becomes the ce gradient, which is what is returned.
-        # 1 MiB covers the (C,)-sized sums and the lists of views. A clip
-        # into a fresh array would make a fifth.
+    def test_pooled_peak_is_the_gradients_and_two_images(self, name, params):
+        # Design bound, fixed before measuring: the returned gradients (one
+        # batch array) and two image-sized arrays. While an image's overlap
+        # kernel runs, its two buffers stand in for that image's gradient,
+        # and compound's previous overlap gradient is still bound; the ce
+        # term then writes its gradient into its own clip. The sums take at
+        # most two image-sized temporaries, before any gradient exists.
+        # 1 MiB covers the (C,)-sized sums and the lists. A copy of the
+        # batch's x or y would exceed it.
         import tracemalloc
 
         rng = np.random.default_rng(0)
@@ -654,14 +772,14 @@ class TestScratchCopies:
             ys.append(np.stack([1.0 - q, q]))
         bound, _ = losses.parse_loss_params(name, params)
         red = ReductionSpec(batch_mode=losses.POOLED)
-        batch_bytes = 8 * n * c * hw * hw
+        image_bytes = 8 * c * hw * hw
         tracemalloc.start()
         try:
             losses._reduce_batch(name, bound, xs, ys, red)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * batch_bytes + 2 ** 20
+        assert peak <= (n + 2) * image_bytes + 2 ** 20
 
 
 # The dml1 and dml2 kernels as closed forms with a new array per
@@ -752,14 +870,13 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_equal_to_the_closed_forms(self, name, ref, c):
         rng = np.random.default_rng(c)
-        kernel = LOSSES[name].kernel
         for kinds in np.ndindex(*(len(self.KINDS),) * c):
             rows = [_kernel_row(rng, self.KINDS[i]) for i in kinds]
             X = np.array([x for x, _ in rows])
             Y = np.array([y for _, y in rows])
             kept = X.copy(), Y.copy()
             for s0 in (0.0, 1.0):
-                vals, grads, ok = kernel(X, Y, None, s0)
+                vals, grads, ok = losses.pairwise(name, X, Y, None, s0)
                 r_vals, r_grads, r_ok = ref(X, Y, s0)
                 case = (name, kinds, s0)
                 assert (vals == r_vals).all(), case

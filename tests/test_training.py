@@ -280,6 +280,38 @@ class TestTrainLoop:
         # are checked with the next epoch's first step
         assert checked == [8, 4, 0, 6 + 8, 4, 0]
 
+    def test_pooled_step_peak_is_two_batch_arrays_and_two_images(self):
+        # Design bound, fixed before measuring: the forward outputs (one
+        # batch array of probabilities, which the caches share), the loss's
+        # returned gradients (one batch array) and the two image-sized
+        # temporaries of the pooled loss. Each backward pass takes fewer:
+        # _dlogits' product and dz, one image each, beside its half-image
+        # class sum. 1 MiB covers that half image, the logits' class max,
+        # the finiteness masks and the parameter gradients. A copy of the
+        # batch in the loss would exceed it.
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        c, hw, n = 2, 192, 8
+        model = build_model(ModelSpec(n_classes=c))
+        model.params["w"] = rng.normal(0.0, 2.0, model.params["w"].shape)
+        feats = [model.prepare(rng.random((hw, hw))) for _ in range(n)]
+        ys = []
+        for _ in range(n):
+            q = rng.integers(0, 5, (hw, hw)) / 4.0
+            ys.append(np.stack([1.0 - q, q]))
+        spec = TrainSpec(batch_size=n, loss=LossSpec("compound", {"overlap": "dml2"}),
+                         reduction=ReductionSpec(batch_mode="pooled"))
+        params, _ = loop.parse_loss_params(spec.loss.name, spec.loss.params)
+        image_bytes = 8 * c * hw * hw
+        tracemalloc.start()
+        try:
+            loop._batch_step(model, feats, ys, np.arange(n), spec, params, None, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * n + 2) * image_bytes + 2 ** 20
+
     def test_zero_epochs_leaves_model_untouched(self):
         ds = tiny_dataset()
         ms = ModelSpec(feature_set="intensity")
