@@ -656,10 +656,10 @@ GOLDEN = {'calibrate': {'all': {'code': 0,
            'c2_ctl_pooled': {'code': 0,
                              'files': {'out_c2/model/manifest.json': 'c593436dc7118aaf77c3e8f55ff1e50b7be4187ea97a4735ecdcd7255f9431c4',
                                        'out_c2/model/w.sdt': 'ff9721dcbfea5902d5c10e58f8a99b3472bb865fffd509fe96b77506e0910d54',
-                                       'out_c2/trace.csv': '384960391cb55d168059a516bc3f0e7b36f10610dd082dae260acfd5bc23d64e'},
+                                       'out_c2/trace.csv': '6b8a587df566170bb1152f8e9f2ec398cd32195d3d20a14281806702ce065405'},
                              'stdout': {'bdice': 0.2030864549087652,
                                         'dice': 0.0,
-                                        'ece': 0.16032011010025038,
+                                        'ece': 0.1603201101002504,
                                         'out': 'out_c2'}},
            'synth_conv2': {'code': 0,
                            'files': {'out_synth/model/b1.sdt': 'b5b311835803cfdeb9a60097c400cb8b3d1a3d810db9d9bc760e052164815223',
