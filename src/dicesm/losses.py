@@ -29,10 +29,10 @@ compound accepts, ``pairwise`` and ``parse_loss_params``, the one binder
 of a loss name and its JSON params, all read it.
 
 Every kernel comes in two halves. The sums half adds the per-class sums
-that the closed form reads (X, Y, P, D, and cross-entropy's log sum), on its
-first read; the gradient half writes the per-element gradient from them.
-``_terms`` runs both on plain (C, H, W) arrays and reduces over classes.
-Three entries run it:
+that the closed form reads (X, Y, P, D and cross-entropy's log sum) when
+the kernel first reads them; the gradient half writes the per-element
+gradient from them. ``_terms`` runs both on plain (C, H, W) arrays and
+reduces over classes. Three entries run it:
 
 * ``loss(name, x, y, red, params)`` on one prediction/target pair;
 * ``batch_loss(name, xs, ys, red, params)`` on a batch of fields;
@@ -42,9 +42,10 @@ Three entries run it:
 A pooled batch adds its images' sums in image order and writes each
 image's gradient into an array of that image's own, so no path copies a
 batch, and the kernels work in place only on temporaries of their own.
-One image, a field op or per_image_then_mean, forms the same IEEE
-operations in the same order as the row kernels on rows; a pooled batch
-of several images reorders only the additions across images.
+On one image (a field op, each image of per_image_then_mean) the sums are
+the row kernels' np.sum per class, so every path forms the same IEEE
+operations in the same order; a pooled batch of several images changes
+only the order of the additions across its images.
 
 Fields are checked once, on construction (see core), so the entries check
 only what spans two of them: the soft-label guard and the dims, then

@@ -88,14 +88,18 @@ def test_curve_rejects_bad_grid(argv, capsys):
     assert (code, out) == (2, "")
 
 
-@pytest.mark.parametrize("argv,out", [
-    (["--loss", "dml1", "--label-value", "1"], "0.0,1.0\n1.0,0.0\n"),
-    # x = y = 0 empties both maps: the row takes --empty-both-value
-    (["--loss", "sdl", "--label-value", "0"], "0.0,0.0\n1.0,1.0\n"),
-    (["--loss", "sdl", "--label-value", "0", "--empty-both-value", "0.5"], "0.0,0.5\n1.0,1.0\n"),
-])
-def test_curve_of_two_points(argv, out, capsys):
-    assert _curve(capsys, *argv, "--curve-points", "2") == (0, "x,value\n" + out)
+def test_curve_of_two_points(capsys):
+    code, out = _curve(capsys, "--loss", "dml1", "--curve-points", "2", "--label-value", "1")
+    assert (code, out) == (0, "x,value\n0.0,1.0\n1.0,0.0\n")
+
+
+@pytest.mark.parametrize("flags,first", [([], "0.0,0.0"),
+                                         (["--empty-both-value", "0.5"], "0.0,0.5")])
+def test_curve_takes_the_empty_both_value(flags, first, capsys):
+    # x = y = 0 empties both maps, so sdl's first row is --empty-both-value
+    code, out = _curve(capsys, "--loss", "sdl", "--curve-points", "2", "--label-value", "0",
+                       *flags)
+    assert (code, out) == (0, f"x,value\n{first}\n1.0,1.0\n")
 
 
 def test_compound_curve_uses_its_flags(capsys):

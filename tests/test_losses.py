@@ -607,8 +607,9 @@ _ARRAY_PATH_LOSSES = [
 
 class TestArrayPath:
     """The training loop's array path, _reduce_batch on parse_loss_params's
-    bound params, gives the public field path's values and gradients bit for
-    bit: loss reduced as batch_loss documents, and batch_loss itself."""
+    bound params, gives batch_loss's values and gradients bit for bit, and
+    those of its written-out oracles: per_image_then_mean on the public
+    loss, pooled on each image's np.sum added in image order."""
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     @pytest.mark.parametrize("name,params", _ARRAY_PATH_LOSSES)
@@ -668,10 +669,15 @@ class TestArrayPath:
         the box of sums s (1 +- rho) by at most their largest move at a
         corner, to first order; the bound doubles that for the second-order
         terms and for each path's own rounding of the closed form, a few
-        ulps against rho >= 112 ulps at n = 57."""
+        ulps against rho >= 104 ulps at n = 53."""
         bound, _ = losses.parse_loss_params(name, params)
         rng = np.random.default_rng(c)
-        sums = losses._Sums
+        sums, made = losses._Sums, []
+
+        def recording(rows):
+            made.append(sums(rows))
+            return made[-1]
+
         for class_mode in (losses.MEAN_PRESENT, losses.MEAN_ALL):
             red = ReductionSpec(class_mode=class_mode, batch_mode=losses.POOLED)
             for hard in (True, False):
@@ -683,11 +689,9 @@ class TestArrayPath:
                     xc, yc = (np.concatenate([a.reshape(c, 1, -1) for a in arrays], axis=2)
                               for arrays in (xs, ys))
                     # the concatenated field's sums, as many as the loss reads
-                    made = []
-                    monkeypatch.setattr(losses, "_Sums", lambda rows: made.append(sums(rows))
-                                        or made[0])
+                    monkeypatch.setattr(losses, "_Sums", recording)
                     losses._terms(name, [xc], [yc], red, bound)
-                    ref = dict(made[0])
+                    ref = dict(made.pop())
                     n = xc.size if "T" in ref else xc.shape[2]
                     gamma = (n - 1) * 2.0 ** -53 / (1.0 - (n - 1) * 2.0 ** -53)
                     rho = 2.0 * gamma / (1.0 - gamma)
@@ -756,8 +760,9 @@ class TestScratchCopies:
         # batch array) and two image-sized arrays. While an image's overlap
         # kernel runs, its two buffers stand in for that image's gradient,
         # and compound's previous overlap gradient is still bound; the ce
-        # term then writes its gradient into its own clip. The sums take at
-        # most two image-sized temporaries, before any gradient exists.
+        # term then writes its gradient into its own clip. The sums are
+        # made while the first image is in hand, before any returned
+        # gradient exists, with at most two image-sized temporaries.
         # 1 MiB covers the (C,)-sized sums and the lists. A copy of the
         # batch's x or y would exceed it.
         import tracemalloc
